@@ -4,7 +4,7 @@ Builds the filtered pair amplitude for the two reference settings,
 synthesizes the delay-time correlation on the detector's 25.6 ns bins, and
 fits the decaying tail past the 200 ns onset.  The strong-coupling packet
 decays in about a quarter microsecond (roughly 610 kHz linewidth); the
-weak-coupling one stretches past half a microsecond.  Takes ~15 s.
+weak-coupling one stretches past half a microsecond.  Runs in about a second.
 """
 
 import numpy as np

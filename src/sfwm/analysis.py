@@ -42,7 +42,6 @@ from .errors import (
     UsageError,
 )
 from .physics import (
-    DEFAULT_QUADRATURE,
     DopplerQuadrature,
     DriveParams,
     MediumParams,
@@ -315,7 +314,7 @@ def fit_eit(
     data: Spectrum,
     m0: MediumParams,
     d0: DriveParams,
-    q: DopplerQuadrature = DEFAULT_QUADRATURE,
+    q: DopplerQuadrature | None = None,
 ) -> EitFit:
     """Recover (alpha_s, omega_c, gamma) from a measured transparency spectrum.
 
@@ -396,7 +395,7 @@ def sweep_predict(
     *,
     omega_p: float = 2.0,
     delta_p: float = DriveParams.__dataclass_fields__["delta_p"].default,
-    q: DopplerQuadrature = DEFAULT_QUADRATURE,
+    q: DopplerQuadrature | None = None,
     grid: SpectralGrid | None = None,
     etalons: EtalonChain = DEFAULT_ETALONS,
     tau_max_ns: float = 4000.0,

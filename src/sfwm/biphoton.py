@@ -10,7 +10,9 @@ squared Fourier transform,
 
     G2(tau) = | (1/2pi) * integral d(delta) exp(-i*delta*tau) A(delta) |^2,
 
-evaluated by direct trapezoidal quadrature on the spectral grid.  Narrowband
+evaluated by trapezoidal quadrature on the spectral grid.  Both the spectral
+and the delay grids are uniform, so the sum over the grid is a chirp-z
+transform, computed exactly by Bluestein's convolution with FFTs.  Narrowband
 etalon filters multiply A by a single-pole amplitude response per etalon, so
 the squared magnitude of each factor is a Lorentzian of the stated FWHM.
 """
@@ -20,19 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
-from .physics import (
-    DEFAULT_QUADRATURE,
-    DopplerQuadrature,
-    DriveParams,
-    MediumParams,
-    _chi_pair_raw,
-)
+from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair
 from .units import DEFAULT_UNITS, UnitSystem
-
-_CHUNK = 256
-_TAU_CHUNK = 64  # keeps the phase matrix of the Fourier sum under ~35 MB
 
 # Default edge-decay requirement on |A| relative to its peak.
 EDGE_DECAY_TOL = 1e-3
@@ -138,31 +132,23 @@ def averaged_susceptibilities(
     grid: SpectralGrid,
     m: MediumParams,
     d: DriveParams,
-    q: DopplerQuadrature = DEFAULT_QUADRATURE,
+    q: DopplerQuadrature | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Doppler-averaged cross and self responses on the spectral grid.
 
     Returns (cross_avg, self_avg).  The self average is what the sinc and
     phase factors act on; it is exactly linear in the Stokes optical depth.
+    The average is exact in closed form unless a quadrature is given, which
+    selects the trapezoidal reference rule.
     """
-    deltas = grid.delta
-    nodes = q.nodes(m)[None, :]
-    w = q.weights(m)
-    cross = np.empty(deltas.size, dtype=complex)
-    self_ = np.empty(deltas.size, dtype=complex)
-    for i in range(0, deltas.size, _CHUNK):
-        block = deltas[i : i + _CHUNK, None]
-        cross_block, self_block = _chi_pair_raw(block, nodes, m, d)
-        cross[i : i + _CHUNK] = cross_block @ w
-        self_[i : i + _CHUNK] = self_block @ w
-    return cross, self_
+    return _averaged_pair(grid.delta, m, d, q)
 
 
 def spectral_amplitude(
     grid: SpectralGrid,
     m: MediumParams,
     d: DriveParams,
-    q: DopplerQuadrature = DEFAULT_QUADRATURE,
+    q: DopplerQuadrature | None = None,
     edge_tol: float = EDGE_DECAY_TOL,
 ) -> BiphotonAmplitude:
     """Assemble the pair amplitude A = C * sinc(Z) * exp(iZ) on the grid.
@@ -225,9 +211,9 @@ def wavepacket(
     instrumental delay between the trigger and the partner photon; samples
     before the onset probe the (essentially empty) negative-delay branch.
 
-    The direct quadrature is valid only while one grid step of the spectral
-    grid cannot wind through a full phase turn over the delay span; otherwise
-    an AliasingError is raised.
+    The quadrature is valid only while one grid step of the spectral grid
+    cannot wind through a full phase turn over the delay span; otherwise an
+    AliasingError is raised.
     """
     tau_ns = np.asarray(tau_ns, dtype=float)
     if tau_ns.size < 2:
@@ -242,17 +228,30 @@ def wavepacket(
             f"{tau_ns[-1] - tau_ns[0]:.0f} ns delay span; use more samples"
         )
 
-    tau = units.time_from_ns(tau_ns - onset_ns)
-    deltas = a.grid.delta
-    w = np.full(deltas.size, a.grid.spacing)
+    # With delta_k = delta_c + (k - c)*h about the grid midpoint c and
+    # tau_j = tau_0 + j*s, the phase delta_k*tau_j is delta_c*tau_j plus
+    # (k - c)*h*tau_0 plus b*(k - c)*j with b = h*s, and
+    # (k - c)*j = ((k - c)^2 + j^2 - (j - k + c)^2)/2.  Terms in j alone are a
+    # phase of each output and drop out of |.|^2; what remains is a convolution
+    # over k of the chirped amplitude with the kernel exp(i*b*(j - k + c)^2/2),
+    # done by FFT on a circular buffer of the lags j - k from -(n_delta - 1) to
+    # n_tau - 1.
+    n_delta, n_tau = a.grid.count, tau_ns.size
+    h = a.grid.spacing
+    b = h * span / (n_tau - 1)
+    centered = np.arange(n_delta) - 0.5 * (n_delta - 1)
+    tau0 = units.time_from_ns(float(tau_ns[0]) - onset_ns)
+    w = np.full(n_delta, h / (2.0 * np.pi))
     w[0] *= 0.5
     w[-1] *= 0.5
-    weighted = w * a.values / (2.0 * np.pi)
+    chirped = w * a.values * np.exp(-1j * centered * (h * tau0 + 0.5 * b * centered))
 
-    g2 = np.empty(tau.size)
-    for i in range(0, tau.size, _TAU_CHUNK):
-        phases = np.exp(-1j * np.outer(deltas, tau[i : i + _TAU_CHUNK]))
-        g2[i : i + _TAU_CHUNK] = np.abs(weighted @ phases) ** 2
+    size = fft.next_fast_len(n_delta + n_tau - 1)
+    lag = np.arange(size)
+    lag = np.where(lag < n_tau, lag, lag - size)
+    kernel = np.exp(0.5j * b * (lag + 0.5 * (n_delta - 1)) ** 2)
+    y = fft.ifft(fft.fft(chirped, size) * fft.fft(kernel))[:n_tau]
+    g2 = y.real**2 + y.imag**2
     return WavePacket(tau_ns, g2, float(steps[0]))
 
 

@@ -90,6 +90,13 @@ def _float(section: str, key: str, raw: str) -> float:
         raise UsageError(f"[{section}] {key} = {raw!r} is not a number") from exc
 
 
+def _int(section: str, key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise UsageError(f"[{section}] {key} = {raw!r} is not an integer") from exc
+
+
 def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in raw.split(",") if part.strip())
@@ -160,8 +167,14 @@ class RunConfig:
             delta_p=self._mhz_to_gamma(sec["pump_detuning_mhz"]),
         )
 
-    def quadrature(self) -> DopplerQuadrature:
+    def quadrature(self) -> DopplerQuadrature | None:
+        """Trapezoidal reference rule if the file sets [quadrature], else None.
+
+        None selects the exact closed-form Doppler average.
+        """
         sec = self.values["quadrature"]
+        if sec is None:
+            return None
         return DopplerQuadrature(
             half_range=sec["half_range"], step=self._mhz_to_gamma(sec["step_mhz"])
         )
@@ -169,7 +182,7 @@ class RunConfig:
     def grid(self) -> SpectralGrid:
         sec = self.values["grid"]
         return SpectralGrid(
-            half_width=self._mhz_to_gamma(sec["half_width_mhz"]), count=int(sec["count"])
+            half_width=self._mhz_to_gamma(sec["half_width_mhz"]), count=sec["count"]
         )
 
     def etalons(self) -> EtalonChain:
@@ -223,16 +236,21 @@ def load_config(path: str | Path | None = None) -> RunConfig:
                 out[key] = None
             elif key in ("fwhm_mhz", "centers_mhz"):
                 out[key] = _float_list(section, key, raw)
-            elif key == "seed":
-                try:
-                    out[key] = int(raw)
-                except ValueError as exc:
-                    raise UsageError(f"[run] seed = {raw!r} is not an integer") from exc
-            elif key == "count":
-                out[key] = _float(section, key, raw)
+            elif key in ("seed", "count"):
+                out[key] = _int(section, key, raw)
             else:
                 out[key] = _float(section, key, raw)
         values[section] = out
+
+    # Without [quadrature] values the Doppler average is exact; any value there
+    # selects the trapezoidal reference rule, with the defaults for the rest.
+    given = parser["quadrature"] if parser.has_section("quadrature") else {}
+    if not any(raw.strip() for raw in given.values()):
+        values["quadrature"] = None
+    else:
+        for key, default in _DEFAULTS["quadrature"].items():
+            if values["quadrature"][key] is None:
+                values["quadrature"][key] = float(default)
 
     drive = values["drive"]
     if drive["coupling_rabi_mhz"] is None and drive["coupling_power_mw"] is None:

@@ -16,6 +16,16 @@ two-photon detuning ``delta`` and the Doppler shift ``omega_d`` describe it
 
 Thermal motion is handled by averaging over the Doppler shift with the
 normalized Gaussian weight exp(-omega_d^2/Gamma_D^2)/(sqrt(pi)*Gamma_D).
+Both responses are single poles in omega_d (the cross response has a second,
+delta-independent pole from the pump detuning), so the average is exact in
+closed form through the Faddeeva function w(z):
+
+    <1/(omega_d - z)> = -i*sqrt(pi)/Gamma_D * w(-z/Gamma_D)    for Im z < 0
+
+and by conjugate symmetry for Im z > 0.  That closed form is the default; an
+explicit :class:`DopplerQuadrature` selects the uniform trapezoidal rule over
+the raw integrands instead, which serves as the reference path.
+
 The probe (Stokes) transmission follows from the averaged self response:
 
     T(delta) = exp(-<Im[4*self(delta, omega_d)]>_Doppler)
@@ -27,10 +37,11 @@ All functions here are pure; grid evaluations are independent per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import wofz
 
 from .errors import DomainError, PeakShapeError, UsageError
 from .units import DEFAULT_UNITS, UnitSystem
@@ -99,6 +110,9 @@ class DriveParams:
 class DopplerQuadrature:
     """Uniform trapezoidal rule for the Gaussian velocity average.
 
+    The reference path: functions that take an optional quadrature average
+    exactly in closed form when none is given.
+
     half_range   integration half-width in units of gamma_doppler
     step         node spacing in Gamma units; must resolve the Gamma-wide
                  resonances sitting inside the much wider Gaussian
@@ -108,6 +122,10 @@ class DopplerQuadrature:
     step: float = 0.125
 
     def __post_init__(self):
+        for name in ("half_range", "step"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise UsageError(f"quadrature {name} must be finite and positive, got {value!r}")
         if self.half_range < 3.0:
             raise UsageError("half_range below 3 truncates the Gaussian visibly")
         if self.step > 0.25:
@@ -145,30 +163,16 @@ class Spectrum:
             raise UsageError("delta and transmission lengths differ")
 
 
-def _resonant_denominator(delta, omega_d, m: MediumParams, d: DriveParams):
-    two_photon = delta + 1j * m.gamma
-    return d.omega_c**2 - 4.0 * two_photon * (delta + omega_d + 0.5j * m.gamma3), two_photon
-
-
-def _cross_raw(delta, omega_d, m: MediumParams, d: DriveParams):
-    den, _ = _resonant_denominator(delta, omega_d, m, d)
-    pref = np.sqrt(m.alpha_as * m.alpha_s) * np.sqrt(m.gamma3 * m.gamma4) / 4.0
-    pump = d.omega_p / (d.delta_p - omega_d + 0.5j * m.gamma4)
-    return pref * pump * d.omega_c / den
-
-
-def _self_raw(delta, omega_d, m: MediumParams, d: DriveParams):
-    den, two_photon = _resonant_denominator(delta, omega_d, m, d)
-    return (m.alpha_s * m.gamma3 / 2.0) * two_photon / den
+def _cross_prefactor(m: MediumParams) -> float:
+    return np.sqrt(m.alpha_as * m.alpha_s) * np.sqrt(m.gamma3 * m.gamma4) / 4.0
 
 
 def _chi_pair_raw(delta, omega_d, m: MediumParams, d: DriveParams):
-    """Both responses from one shared denominator evaluation (hot path)."""
-    den, two_photon = _resonant_denominator(delta, omega_d, m, d)
-    inv = 1.0 / den
-    pref = np.sqrt(m.alpha_as * m.alpha_s) * np.sqrt(m.gamma3 * m.gamma4) / 4.0
+    """Both responses from one shared denominator evaluation."""
+    two_photon = delta + 1j * m.gamma
+    inv = 1.0 / (d.omega_c**2 - 4.0 * two_photon * (delta + omega_d + 0.5j * m.gamma3))
     pump = d.omega_p / (d.delta_p - omega_d + 0.5j * m.gamma4)
-    cross = pref * d.omega_c * pump * inv
+    cross = _cross_prefactor(m) * d.omega_c * pump * inv
     self_ = (m.alpha_s * m.gamma3 / 2.0) * two_photon * inv
     return cross, self_
 
@@ -181,14 +185,14 @@ def cross_chi(delta, omega_d, m: MediumParams, d: DriveParams):
     """
     _require_finite("delta", delta)
     _require_finite("omega_d", omega_d)
-    return _cross_raw(np.asarray(delta, dtype=float), np.asarray(omega_d, dtype=float), m, d)
+    return _chi_pair_raw(np.asarray(delta, dtype=float), np.asarray(omega_d, dtype=float), m, d)[0]
 
 
 def self_chi(delta, omega_d, m: MediumParams, d: DriveParams):
     """Self response of the Stokes transition (independent of the pump)."""
     _require_finite("delta", delta)
     _require_finite("omega_d", omega_d)
-    return _self_raw(np.asarray(delta, dtype=float), np.asarray(omega_d, dtype=float), m, d)
+    return _chi_pair_raw(np.asarray(delta, dtype=float), np.asarray(omega_d, dtype=float), m, d)[1]
 
 
 def doppler_average(
@@ -210,27 +214,72 @@ def doppler_average(
     return complex(np.sum(values * q.weights(m)))
 
 
-def _averaged_self_imag(deltas: np.ndarray, m, d, q) -> np.ndarray:
-    """Doppler average of Im[4*self] on a detuning grid, chunked."""
-    nodes = q.nodes(m)[None, :]
-    w = q.weights(m)
-    out = np.empty(deltas.size)
-    for i in range(0, deltas.size, _CHUNK):
-        block = deltas[i : i + _CHUNK, None]
-        out[i : i + _CHUNK] = (4.0 * _self_raw(block, nodes, m, d)).imag @ w
-    return out
+def _mean_inverse(z, gamma_doppler: float):
+    """<1/(omega_d - z)> over the normalized Gaussian, for Im z < 0."""
+    return -1j * np.sqrt(np.pi) / gamma_doppler * wofz(-z / gamma_doppler)
+
+
+def _averaged_pair(
+    delta: np.ndarray, m: MediumParams, d: DriveParams, q: DopplerQuadrature | None = None
+):
+    """Doppler-averaged (cross, self) responses on a 1-D detuning array.
+
+    Without a quadrature the averages are exact.  The self response is
+    -(alpha_s*G3/8) / (omega_d - P) with the pole
+    P = Omega_c^2/(4*(delta + i*gamma)) - delta - i*G3/2, whose imaginary part
+    is at most -G3/2, and the cross response splits into partial fractions
+    over P and the pump pole Q = Delta_p + i*G4/2.  Two limits are explicit:
+    with the coupling off the two-photon factor cancels and P = -delta - i*G3/2
+    (the two-level response), and at delta = gamma = 0 with the coupling on
+    P is infinite, so the self response and P's share of the cross response
+    vanish.  With a quadrature the raw integrands are summed by the
+    trapezoidal rule instead.
+    """
+    if q is not None:
+        nodes = q.nodes(m)[None, :]
+        w = q.weights(m)
+        cross = np.empty(delta.size, dtype=complex)
+        self_ = np.empty(delta.size, dtype=complex)
+        for i in range(0, delta.size, _CHUNK):
+            cross_block, self_block = _chi_pair_raw(delta[i : i + _CHUNK, None], nodes, m, d)
+            cross[i : i + _CHUNK] = cross_block @ w
+            self_[i : i + _CHUNK] = self_block @ w
+        return cross, self_
+
+    level = delta + 0.5j * m.gamma3
+    if d.omega_c == 0.0:
+        mean_p = _mean_inverse(-level, m.gamma_doppler)
+        cross = np.zeros(delta.size, dtype=complex)
+    else:
+        two_photon = delta + 1j * m.gamma
+        dark = two_photon == 0.0
+        pole = d.omega_c**2 / (4.0 * np.where(dark, 1.0, two_photon)) - level
+        mean_p = np.where(dark, 0.0, _mean_inverse(pole, m.gamma_doppler))
+        pump_pole = d.delta_p + 0.5j * m.gamma4
+        # Im Q > 0: the average at Q is the conjugate of the one at conj(Q).
+        mean_q = np.conj(_mean_inverse(np.conj(pump_pole), m.gamma_doppler))
+        front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
+            4.0 * two_photon * (pump_pole + level) - d.omega_c**2
+        )
+        cross = front * (mean_q - mean_p)
+    self_ = -(m.alpha_s * m.gamma3 / 8.0) * mean_p
+    return cross, self_
 
 
 def eit_transmission(
     delta,
     m: MediumParams,
     d: DriveParams,
-    q: DopplerQuadrature = DEFAULT_QUADRATURE,
+    q: DopplerQuadrature | None = None,
 ):
-    """Probe transmission T(delta) in (0, 1] through the Doppler-averaged medium."""
+    """Probe transmission T(delta) in (0, 1] through the Doppler-averaged medium.
+
+    The Doppler average is exact unless a quadrature is given.
+    """
     _require_finite("delta", delta)
     arr = np.atleast_1d(np.asarray(delta, dtype=float))
-    t = np.exp(-_averaged_self_imag(arr, m, d, q))
+    _, self_ = _averaged_pair(arr, m, d, q)
+    t = np.exp(-4.0 * self_.imag)
     return float(t[0]) if np.isscalar(delta) or np.ndim(delta) == 0 else t
 
 
@@ -238,7 +287,7 @@ def eit_spectrum(
     grid,
     m: MediumParams,
     d: DriveParams,
-    q: DopplerQuadrature = DEFAULT_QUADRATURE,
+    q: DopplerQuadrature | None = None,
 ) -> Spectrum:
     """Pointwise transmission over a sorted detuning grid (Gamma units).
 

@@ -62,7 +62,7 @@ class TestSpectralAmplitude:
             sfwm.spectral_amplitude(narrow, medium_a, drive_a, FAST_QUAD)
 
     def test_against_adaptive_quadrature_oracle(self, amplitude_a, medium_a, drive_a):
-        """Trapezoid-averaged amplitude vs scipy.quad at samples near the peak."""
+        """Closed-form-averaged amplitude vs scipy.quad at samples near the peak."""
         gd = medium_a.gamma_doppler
 
         def averaged(func, delta):
@@ -89,15 +89,63 @@ class TestSpectralAmplitude:
             assert abs(oracle - amplitude_a.values[idx]) / abs(oracle) < 1e-6
 
     def test_fused_averages_match_reference_path(self, medium_a, drive_a):
-        """The vectorized grid path agrees with doppler_average per point."""
+        """The vectorized trapezoid path agrees with doppler_average per point."""
         grid = sfwm.SpectralGrid(half_width=24.0, count=1024)
-        cross, self_ = sfwm.averaged_susceptibilities(grid, medium_a, drive_a)
+        cross, self_ = sfwm.averaged_susceptibilities(
+            grid, medium_a, drive_a, sfwm.DopplerQuadrature()
+        )
         for idx in (0, 311, 512, 777):
             delta = float(grid.delta[idx])
             c_ref = sfwm.doppler_average(lambda w: sfwm.cross_chi(delta, w, medium_a, drive_a), medium_a)
             z_ref = sfwm.doppler_average(lambda w: sfwm.self_chi(delta, w, medium_a, drive_a), medium_a)
             assert abs(cross[idx] - c_ref) <= 1e-12 * abs(c_ref)
             assert abs(self_[idx] - z_ref) <= 1e-12 * abs(z_ref)
+
+    @pytest.mark.parametrize("case", ["strong", "weak", "5 mW widened"])
+    def test_closed_form_matches_trapezoid(self, case, medium_a, drive_a, medium_b, drive_b):
+        """The exact Doppler average against the default trapezoidal rule.
+
+        The widened window is the one the sweep reaches at 5 mW after two
+        doublings (+-256 Gamma).  Each point is averaged independently, so a
+        coarser sampling of that window covers the same detunings; the largest
+        deviation there sits where the window crosses the trapezoid's
+        truncation at 4 Doppler widths.
+        """
+        grid, m, d = {
+            "strong": (sfwm.SpectralGrid(), medium_a, drive_a),
+            "weak": (sfwm.SpectralGrid(), medium_b, drive_b),
+            "5 mW widened": (
+                sfwm.SpectralGrid(half_width=256.0, count=8192),
+                sfwm.MediumParams(alpha_s=82.0, gamma=0.025),
+                sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(5.0)),
+            ),
+        }[case]
+        exact = sfwm.averaged_susceptibilities(grid, m, d)
+        trapezoid = sfwm.averaged_susceptibilities(grid, m, d, sfwm.DopplerQuadrature())
+        for fast, ref in zip(exact, trapezoid):
+            assert np.max(np.abs(fast - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+    def test_closed_form_against_adaptive_quadrature_oracle(self):
+        """Where the trapezoid deviates most (5 mW, delta near 4 Doppler
+        widths), the closed form agrees with scipy.quad to rounding."""
+        m = sfwm.MediumParams(alpha_s=82.0, gamma=0.025)
+        d = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(5.0))
+        grid = sfwm.SpectralGrid(half_width=256.0, count=8192)
+        idx = int(np.searchsorted(grid.delta, 4.0 * m.gamma_doppler))
+        delta = float(grid.delta[idx])
+        gd = m.gamma_doppler
+        exact = sfwm.averaged_susceptibilities(grid, m, d)
+        for func, value in zip((sfwm.cross_chi, sfwm.self_chi), exact):
+            parts = [
+                quad(
+                    lambda w: np.exp(-((w / gd) ** 2)) / (np.sqrt(np.pi) * gd)
+                    * part(func(delta, w, m, d)),
+                    -np.inf, np.inf, epsabs=1e-15, epsrel=1e-13, limit=800,
+                )[0]
+                for part in (np.real, np.imag)
+            ]
+            oracle = parts[0] + 1j * parts[1]
+            assert abs(value[idx] - oracle) <= 1e-10 * abs(oracle)
 
     def test_self_average_linear_in_optical_depth(self, drive_a):
         m1 = sfwm.MediumParams(alpha_s=40.0, gamma=0.03, alpha_as=80.0)
@@ -188,6 +236,22 @@ class TestWavePacket:
             packets.append(sfwm.wavepacket(amp, tau).g2)
         rel = np.abs(packets[1] - 9.0 * packets[0]) / (9.0 * packets[0])
         assert np.max(rel) < 1e-12
+
+    @pytest.mark.parametrize("count", [8191, 8192])
+    def test_matches_direct_fourier_sum(self, count, medium_a, drive_a):
+        """The chirp-z synthesis against the plain trapezoidal Fourier sum."""
+        grid = sfwm.SpectralGrid(half_width=64.0, count=count)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
+        tau_ns = np.arange(-333.3, 3000.0, 12.8)
+        onset_ns = 77.0
+        packet = sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns)
+
+        tau = sfwm.DEFAULT_UNITS.time_from_ns(tau_ns - onset_ns)
+        w = np.full(count, grid.spacing)
+        w[[0, -1]] *= 0.5
+        phases = np.exp(-1j * np.outer(grid.delta, tau))
+        direct = np.abs((w * amp.values / (2.0 * np.pi)) @ phases) ** 2
+        assert np.max(np.abs(packet.g2 - direct)) <= 1e-10 * direct.max()
 
     def test_correlation_is_nonnegative(self, packet_a):
         assert np.all(packet_a.g2 >= 0.0)

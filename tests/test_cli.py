@@ -86,6 +86,26 @@ class TestSimulateEit:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "line", ["step_mhz = 0", "step_mhz = -0.5", "half_range = nan"]
+    )
+    def test_invalid_quadrature_is_usage_error(self, line, tmp_path, capsys):
+        cfg = tmp_path / "quad.ini"
+        cfg.write_text(f"[quadrature]\n{line}\n")
+        code = main(["simulate-eit", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "quadrature" in capsys.readouterr().err
+
+    def test_quadrature_section_reaches_the_spectrum(self, strong_config, tmp_path):
+        exact, trapezoid = tmp_path / "exact.csv", tmp_path / "trapezoid.csv"
+        coarse = tmp_path / "coarse.ini"
+        coarse.write_text(STRONG_CONFIG + "[quadrature]\nstep_mhz = 1.5\n")
+        assert main(["simulate-eit", "--config", strong_config, "--out", str(exact)]) == 0
+        assert main(["simulate-eit", "--config", str(coarse), "--out", str(trapezoid)]) == 0
+        _, rows_exact = read_csv(exact)
+        _, rows_trapezoid = read_csv(trapezoid)
+        assert not np.array_equal(rows_exact[:, 1], rows_trapezoid[:, 1])
+
     def test_no_coupling_notice(self, tmp_path, capsys):
         cfg = tmp_path / "dark.ini"
         cfg.write_text("[drive]\ncoupling_rabi_mhz = 0\ncoupling_power_mw =\n")

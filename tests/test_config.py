@@ -21,8 +21,7 @@ def test_defaults_without_file():
     assert d.omega_c == pytest.approx(2.7)  # from the 1 mW power calibration
     assert d.omega_p == pytest.approx(2.0)
     assert d.delta_p == pytest.approx(-2000.0 / 6.0)
-    q = cfg.quadrature()
-    assert q.step == pytest.approx(0.125)
+    assert cfg.quadrature() is None  # exact Doppler average
     g = cfg.grid()
     assert g.half_width == pytest.approx(64.0)
     assert g.count == 32768
@@ -79,3 +78,20 @@ def test_etalon_lists(tmp_path):
     cfg = load_config(write(tmp_path, "[etalons]\nfwhm_mhz = 35, 35\ncenters_mhz = 0, 1\n"))
     assert cfg.etalons().fwhm_hz == (35e6, 35e6)
     assert cfg.etalons().centers_hz == (0.0, 1e6)
+
+
+def test_quadrature_section_selects_trapezoid(tmp_path):
+    q = load_config(write(tmp_path, "[quadrature]\nhalf_range = 5\n")).quadrature()
+    assert q == sfwm.DopplerQuadrature(half_range=5.0, step=0.125)
+    q = load_config(write(tmp_path, "[quadrature]\nstep_mhz = 1.5\n")).quadrature()
+    assert q == sfwm.DopplerQuadrature(half_range=4.0, step=0.25)
+    q = load_config(write(tmp_path, "[quadrature]\nhalf_range = 5\nstep_mhz =\n")).quadrature()
+    assert q == sfwm.DopplerQuadrature(half_range=5.0, step=0.125)
+    assert load_config(write(tmp_path, "[quadrature]\n")).quadrature() is None
+    assert load_config(write(tmp_path, "[quadrature]\nstep_mhz =\n")).quadrature() is None
+
+
+def test_fractional_count_rejected(tmp_path):
+    with pytest.raises(UsageError):
+        load_config(write(tmp_path, "[grid]\ncount = 32768.9\n"))
+    assert load_config(write(tmp_path, "[grid]\ncount = 8192\n")).grid().count == 8192

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -43,6 +45,11 @@ class TestParams:
             sfwm.DopplerQuadrature(half_range=2.0)
         with pytest.raises(UsageError):
             sfwm.DopplerQuadrature(step=0.3)
+        for bad in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(UsageError):
+                sfwm.DopplerQuadrature(step=bad)
+            with pytest.raises(UsageError):
+                sfwm.DopplerQuadrature(half_range=bad)
 
     def test_quadrature_weights_normalized(self):
         q = sfwm.DopplerQuadrature()
@@ -184,6 +191,17 @@ class TestTransmission:
         t = sfwm.eit_transmission(0.0, medium(gamma=0.31), sfwm.DriveParams(omega_c=0.0))
         assert t == pytest.approx(BASELINE_T_82, rel=1e-8)
 
+    def test_coupling_off_two_photon_resonance_is_finite(self):
+        """At omega_c = gamma = delta = 0 the two-photon factor cancels and the
+        two-level absorption remains; it is the limit of nearby detunings."""
+        m = medium(gamma=0.0)
+        d = sfwm.DriveParams(omega_c=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = sfwm.eit_transmission(0.0, m, d)
+        assert t == pytest.approx(sfwm.eit_transmission(1e-9, m, d), rel=1e-6)
+        assert 0.0 < t < 1.0
+
     def test_far_detuned_transparency(self):
         t = sfwm.eit_transmission(500.0, medium(), sfwm.DriveParams(omega_c=1.0))
         assert t > 0.99
@@ -220,7 +238,7 @@ class TestTransmission:
         grid = np.linspace(-2, 2, 101)
         fine = sfwm.DopplerQuadrature(step=0.0625)
         for m, d in ((medium_a, drive_a), (medium_b, drive_b)):
-            base = sfwm.eit_transmission(grid, m, d)
+            base = sfwm.eit_transmission(grid, m, d, sfwm.DopplerQuadrature())
             refined = sfwm.eit_transmission(grid, m, d, fine)
             assert np.max(np.abs(refined - base) / base) < 1e-3
 
