@@ -83,6 +83,12 @@ _DEFAULTS = {
 }
 
 
+# An empty value means the key's default, which is None where that is empty.
+# The exception: an empty coupling_power_mw asks for the power derived from
+# coupling_rabi_mhz, so leaving both empty is an error.
+_EMPTY_MEANS_UNSET = {("drive", "coupling_power_mw")}
+
+
 def _float(section: str, key: str, raw: str) -> float:
     try:
         return float(raw)
@@ -232,6 +238,8 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         out = {}
         for key, raw in merged.items():
             raw = raw.strip()
+            if raw == "" and (section, key) not in _EMPTY_MEANS_UNSET:
+                raw = defaults[key]
             if raw == "":
                 out[key] = None
             elif key in ("fwhm_mhz", "centers_mhz"):
@@ -243,20 +251,16 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         values[section] = out
 
     # Without [quadrature] values the Doppler average is exact; any value there
-    # selects the trapezoidal reference rule, with the defaults for the rest.
+    # selects the trapezoidal reference rule.
     given = parser["quadrature"] if parser.has_section("quadrature") else {}
     if not any(raw.strip() for raw in given.values()):
         values["quadrature"] = None
-    else:
-        for key, default in _DEFAULTS["quadrature"].items():
-            if values["quadrature"][key] is None:
-                values["quadrature"][key] = float(default)
 
     drive = values["drive"]
     if drive["coupling_rabi_mhz"] is None and drive["coupling_power_mw"] is None:
         raise UsageError("drive needs coupling_rabi_mhz or coupling_power_mw")
-    if values["medium"]["od_stokes"] is None:
-        raise UsageError("medium needs od_stokes")
+    if values["run"]["seed"] < 0:
+        raise UsageError(f"[run] seed = {values['run']['seed']} must be nonnegative")
 
     digest = hashlib.sha256(raw_bytes).hexdigest()[:16]
     return RunConfig(values=values, source_sha256=digest)

@@ -21,6 +21,8 @@ identical seeds reproduce identical data on any platform.
 from __future__ import annotations
 
 import hashlib
+import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +33,7 @@ from .biphoton import WavePacket
 from .errors import UsageError
 
 TIMETAG_FORMAT = "sfwm-timetags v1"
+_WRITE_BLOCK = 1 << 16  # records formatted per write call
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,13 @@ class DetectionModel:
     def __post_init__(self):
         if not (0.0 < self.eff_as <= 1.0 and 0.0 < self.eff_s <= 1.0):
             raise UsageError("collection efficiencies must lie in (0, 1]")
-        if min(self.dark_as, self.dark_s, self.trigger_rate) < 0:
-            raise UsageError("count rates must be nonnegative")
-        if self.bin_ns <= 0:
-            raise UsageError("bin width must be positive")
-        if self.accumulation_s < 0:
-            raise UsageError("accumulation time must be nonnegative")
+        # Written so that nan fails every comparison.
+        if not all(0.0 <= r < math.inf for r in (self.dark_as, self.dark_s, self.trigger_rate)):
+            raise UsageError("count rates must be finite and nonnegative")
+        if not 0.0 < self.bin_ns < math.inf:
+            raise UsageError("bin width must be finite and positive")
+        if not 0.0 <= self.accumulation_s < math.inf:
+            raise UsageError("accumulation time must be finite and nonnegative")
 
     def fingerprint(self) -> str:
         """Stable hash of the model constants, for provenance headers."""
@@ -258,7 +262,8 @@ def write_timetags(
     duration_s: float,
 ) -> None:
     """Write both streams as text records: stream id (0 trigger, 1 partner)
-    and timestamp in integer picoseconds, merged in time order."""
+    and timestamp in integer picoseconds, merged in time order (a trigger
+    before a partner with the same stamp)."""
     ids = np.concatenate(
         [np.zeros(len(triggers_ns), dtype=np.int64), np.ones(len(partners_ns), dtype=np.int64)]
     )
@@ -272,23 +277,38 @@ def write_timetags(
         fh.write(f"# model: {dm.fingerprint()}\n")
         fh.write(f"# duration_s: {duration_s!r}\n")
         fh.write("# columns: stream_id,timestamp_ps\n")
-        for i in order:
-            fh.write(f"{ids[i]},{stamps[i]}\n")
+        # Gather and format one block at a time, so no full-length reordered
+        # copy, Python list or text is ever held.
+        for start in range(0, order.size, _WRITE_BLOCK):
+            idx = order[start : start + _WRITE_BLOCK]
+            block = np.stack((ids[idx], stamps[idx]), axis=1)
+            fh.write(("%d,%d\n" * idx.size) % tuple(block.ravel().tolist()))
 
 
 def read_timetags(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a time-tag file back into (trigger, partner) streams in ns."""
-    ids, stamps = [], []
+    """Read a time-tag file back into (trigger, partner) streams in ns.
+
+    Comment lines and empty lines may appear anywhere after the header; a
+    body record that is not two integers, or whose stream id is not 0 or 1,
+    is a UsageError.
+    """
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         if TIMETAG_FORMAT not in first:
             raise UsageError(f"{path} is not a recognized time-tag file")
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            sid, ts = line.split(",")
-            ids.append(int(sid))
-            stamps.append(int(ts))
-    ids = np.asarray(ids, dtype=np.int64)
-    stamps = np.asarray(stamps, dtype=float) / 1e3
+        try:
+            with warnings.catch_warnings():
+                # A header-only file (a zero-length run) is valid and empty.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
+        except ValueError as exc:
+            raise UsageError(f"{path}: malformed time-tag record: {exc}") from exc
+    if data.size == 0:
+        return np.empty(0), np.empty(0)
+    if data.shape[1] != 2:
+        raise UsageError(f"{path}: time-tag records need 2 fields, found {data.shape[1]}")
+    ids = data[:, 0]
+    if ids.min() < 0 or ids.max() > 1:
+        raise UsageError(f"{path}: stream ids must be 0 (trigger) or 1 (partner)")
+    stamps = data[:, 1] / 1e3
     return np.sort(stamps[ids == 0]), np.sort(stamps[ids == 1])

@@ -168,7 +168,14 @@ def _cross_prefactor(m: MediumParams) -> float:
 
 
 def _chi_pair_raw(delta, omega_d, m: MediumParams, d: DriveParams):
-    """Both responses from one shared denominator evaluation."""
+    """Both responses from one shared denominator evaluation.
+
+    With the coupling off the two-photon factor cancels and the self response
+    is the two-level one, finite also at delta = gamma = 0.
+    """
+    if d.omega_c == 0.0:
+        self_ = -(m.alpha_s * m.gamma3 / 8.0) / (delta + omega_d + 0.5j * m.gamma3)
+        return np.zeros_like(self_), self_
     two_photon = delta + 1j * m.gamma
     inv = 1.0 / (d.omega_c**2 - 4.0 * two_photon * (delta + omega_d + 0.5j * m.gamma3))
     pump = d.omega_p / (d.delta_p - omega_d + 0.5j * m.gamma4)

@@ -265,6 +265,15 @@ class TestSynth:
         assert report["tau_ns"] == pytest.approx(truth, abs=3.0 * report["tau_err_ns"])
         assert 476.0 <= truth <= 644.0  # 560 ns +/- 15% for the underlying packet
 
+    def test_timetag_reruns_byte_identical(self, tmp_path):
+        cfg = tmp_path / "short.ini"
+        cfg.write_text(STRONG_CONFIG.replace("accumulation_s = 1200", "accumulation_s = 20"))
+        tags = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for path in tags:
+            assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "h.csv"),
+                         "--timetags", str(path)]) == 0
+        assert tags[0].read_bytes() == tags[1].read_bytes()
+
     def test_timetag_file(self, strong_config, tmp_path):
         cfg = tmp_path / "short.ini"
         cfg.write_text(STRONG_CONFIG.replace("accumulation_s = 1200", "accumulation_s = 20"))
@@ -275,6 +284,32 @@ class TestSynth:
         trig, part = sfwm.read_timetags(tags)
         assert trig.size > 0 and part.size > 0
         assert np.all(np.diff(trig) >= 0) and np.all(np.diff(part) >= 0)
+
+
+class TestConfigErrors:
+    def test_empty_numeric_value_never_a_traceback(self, tmp_path):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("[grid]\ncount =\n")
+        code = main(["simulate-biphoton", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code in (0, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[run]\nseed = -1\n",
+            "[detection]\nbin_ns = nan\n",
+            "[detection]\nbin_ns = inf\n",
+            "[detection]\ntrigger_cps = nan\n",
+            "[detection]\naccumulation_s = inf\n",
+            "[detection]\neff_stokes = nan\n",
+        ],
+    )
+    def test_invalid_detection_or_seed_is_usage_error(self, text, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text + "[grid]\ncount = 8192\n")
+        code = main(["synth", "--config", str(cfg), "--success-probability", "0.0088",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
 
 
 class TestCsvContract:

@@ -1,7 +1,7 @@
 import pytest
 
 import sfwm
-from sfwm.config import load_config
+from sfwm.config import _SCHEMA, load_config
 from sfwm.errors import UsageError
 
 
@@ -95,3 +95,30 @@ def test_fractional_count_rejected(tmp_path):
     with pytest.raises(UsageError):
         load_config(write(tmp_path, "[grid]\ncount = 32768.9\n"))
     assert load_config(write(tmp_path, "[grid]\ncount = 8192\n")).grid().count == 8192
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [
+        (section, key)
+        for section in sorted(_SCHEMA)
+        for key in sorted(_SCHEMA[section])
+        if (section, key) != ("drive", "coupling_power_mw")
+    ],
+)
+def test_empty_value_means_default(tmp_path, section, key):
+    cfg = load_config(write(tmp_path, f"[{section}]\n{key} =\n"))
+    assert cfg.values == load_config(None).values
+
+
+def test_empty_coupling_power_derives_from_rabi(tmp_path):
+    with pytest.raises(UsageError):
+        load_config(write(tmp_path, "[drive]\ncoupling_power_mw =\n"))
+    cfg = load_config(write(tmp_path, "[drive]\ncoupling_rabi_mhz = 8.1\ncoupling_power_mw =\n"))
+    assert cfg.coupling_power_mw == pytest.approx(0.25)
+
+
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(UsageError):
+        load_config(write(tmp_path, "[run]\nseed = -1\n"))
+    assert load_config(write(tmp_path, "[run]\nseed = 0\n")).seed == 0

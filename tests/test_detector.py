@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ class TestDetectionModel:
             model(trigger_rate=-1.0)
         with pytest.raises(UsageError):
             model(bin_ns=0.0)
+
+    @pytest.mark.parametrize(
+        "field", ["eff_as", "eff_s", "dark_as", "dark_s", "trigger_rate", "bin_ns", "accumulation_s"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_values_rejected(self, field, value):
+        with pytest.raises(UsageError):
+            model(**{field: value})
 
     def test_fingerprint_tracks_fields(self):
         assert model().fingerprint() == model().fingerprint()
@@ -199,5 +209,82 @@ class TestTimeTags:
     def test_read_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("not a tag file\n")
+        with pytest.raises(UsageError):
+            sfwm.read_timetags(path)
+
+
+def reference_timetag_text(triggers_ns, partners_ns, dm, duration_s) -> str:
+    """The time-tag file format written one record at a time."""
+    ids = [0] * len(triggers_ns) + [1] * len(partners_ns)
+    stamps = [int(round(t * 1e3)) for t in list(triggers_ns) + list(partners_ns)]
+    lines = [
+        "# sfwm-timetags v1",
+        f"# seed: {dm.seed}",
+        f"# model: {dm.fingerprint()}",
+        f"# duration_s: {duration_s!r}",
+        "# columns: stream_id,timestamp_ps",
+    ]
+    lines += [f"{ids[i]},{stamps[i]}" for i in sorted(range(len(ids)), key=lambda i: (stamps[i], ids[i]))]
+    return "\n".join(lines) + "\n"
+
+
+class TestTimeTagFormat:
+    def check_bytes(self, tmp_path, triggers, partners, duration_s=5.0):
+        dm = model(seed=4)
+        path = tmp_path / "tags.txt"
+        sfwm.write_timetags(path, np.asarray(triggers), np.asarray(partners), dm, duration_s)
+        expected = reference_timetag_text(triggers, partners, dm, duration_s)
+        assert path.read_bytes() == expected.encode()
+        return path
+
+    def test_negative_stamps(self, tmp_path):
+        # Partners of triggers near t = 0 at delays on a tau axis from -333.3 ns.
+        triggers = np.array([0.0, 12.8, 900.0])
+        partners = triggers + np.array([-333.3, -12.80049, 25.6]) + 0.25
+        assert partners.min() < 0.0
+        path = self.check_bytes(tmp_path, triggers, partners)
+        assert path.read_text().splitlines()[5:7] == ["1,-333050", "0,0"]
+
+    def test_same_picosecond_puts_trigger_first(self, tmp_path):
+        path = self.check_bytes(tmp_path, [10.0, 20.0004], [10.0, 20.0, 5.0001])
+        body = path.read_text().splitlines()[5:]
+        assert body == ["1,5000", "0,10000", "1,10000", "0,20000", "1,20000"]
+
+    def test_unsorted_input(self, tmp_path):
+        rng = np.random.default_rng(5)
+        self.check_bytes(tmp_path, rng.uniform(-1e3, 1e6, 300), rng.uniform(0.0, 1e6, 400))
+
+    def test_empty_streams(self, tmp_path):
+        path = self.check_bytes(tmp_path, [], [], 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trig, part = sfwm.read_timetags(path)
+        assert trig.size == 0 and part.size == 0
+
+    def test_more_records_than_one_block(self, tmp_path):
+        rng = np.random.default_rng(8)
+        trig = np.sort(rng.uniform(0.0, 1e9, 50_000))
+        part = np.sort(rng.uniform(0.0, 1e9, 40_000))
+        path = self.check_bytes(tmp_path, trig, part)
+        trig2, part2 = sfwm.read_timetags(path)
+        np.testing.assert_array_equal(trig2, np.round(trig * 1e3) / 1e3)
+        np.testing.assert_array_equal(part2, np.round(part * 1e3) / 1e3)
+
+    def test_read_skips_comment_and_blank_lines(self, tmp_path):
+        path = tmp_path / "tags.txt"
+        path.write_text("# sfwm-timetags v1\n0,1000\n\n# note\n1,2500\n\n0,3000\n")
+        trig, part = sfwm.read_timetags(path)
+        np.testing.assert_array_equal(trig, [1.0, 3.0])
+        np.testing.assert_array_equal(part, [2.5])
+
+    @pytest.mark.parametrize(
+        "record", ["1,abc", "1", "0,1,2", "1,2.5", "1,1e3", "2,100", "-1,100", ","]
+    )
+    def test_malformed_record_is_usage_error(self, tmp_path, record):
+        path = tmp_path / "tags.txt"
+        path.write_text(f"# sfwm-timetags v1\n0,1000\n{record}\n")
+        with pytest.raises(UsageError):
+            sfwm.read_timetags(path)
+        path.write_text(f"# sfwm-timetags v1\n{record}\n")
         with pytest.raises(UsageError):
             sfwm.read_timetags(path)

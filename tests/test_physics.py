@@ -202,6 +202,16 @@ class TestTransmission:
         assert t == pytest.approx(sfwm.eit_transmission(1e-9, m, d), rel=1e-6)
         assert 0.0 < t < 1.0
 
+    def test_coupling_off_two_photon_resonance_on_trapezoid_path(self):
+        """The quadrature integrand has the same two-level limit as the exact path."""
+        m = sfwm.MediumParams(82.0, 0.0)
+        d = sfwm.DriveParams(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = sfwm.eit_transmission(0.0, m, d, sfwm.DopplerQuadrature())
+        assert np.isfinite(t)
+        assert t == pytest.approx(sfwm.eit_transmission(0.0, m, d), rel=1e-7)
+
     def test_far_detuned_transparency(self):
         t = sfwm.eit_transmission(500.0, medium(), sfwm.DriveParams(omega_c=1.0))
         assert t > 0.99
