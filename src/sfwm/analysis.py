@@ -104,6 +104,85 @@ def _baseline_window_mask(tau_ns: np.ndarray, x0_ns: float, bin_ns: float) -> np
     return mask
 
 
+_TAU_MIN_NS = 1e-6  # lower bound on the decay constant
+_LM_MAX_STEPS = 200  # trial steps per weighted solve
+_LM_XTOL = 1e-8  # relative Gauss-Newton step of both parameters that ends a solve
+_LM_GTOL = 1e-8  # cosine between residuals and each Jacobian column that ends a solve
+# Smallest damping: it keeps the scaled, damped 2x2 determinant positive in
+# floating point when the two Jacobian columns are collinear (a one-bin spike).
+_LM_DAMPING_MIN = 1e-10
+
+
+def _decay_jacobian(e, x, w, amp, tau):
+    """Columns dr/dS = e*w and dr/dtau = S*e*w*x/tau^2, where e = exp(-x/tau)."""
+    ew = e * w
+    return ew, amp * ew * x / (tau * tau)
+
+
+def _projected_step(amp, tau, u11, u12, u22, h1, h2, k1, k2, lam):
+    """(S, tau) after the damped step on scaled normal equations, within the bounds."""
+    m11, m22 = u11 + lam, u22 + lam
+    det = m11 * m22 - u12 * u12
+    return (
+        max(amp + (u12 * h2 - m22 * h1) / det / k1, 0.0),
+        max(tau + (u12 * h1 - m11 * h2) / det / k2, _TAU_MIN_NS),
+    )
+
+
+def _fit_decay(x, d, w, amp, tau):
+    """Minimize sum(((S*exp(-x/tau) - d)*w)^2) over S >= 0, tau >= _TAU_MIN_NS.
+
+    Levenberg-Marquardt with the analytic Jacobian: each trial step solves
+    the 2x2 damped normal equations in closed form, in variables scaled by
+    the running maximum of the Jacobian column norms (Marquardt's scaling),
+    and is projected onto the bounds.  A solve ends when the projected
+    Gauss-Newton step moves both parameters by less than _LM_XTOL relative,
+    or when the projected gradient is orthogonal to the residuals within
+    _LM_GTOL; the cost alone cannot tell, since it is flat to rounding near
+    the optimum of a noiseless model packet.  Returns (S, tau, converged).
+    """
+    e = np.exp(-x / tau)
+    r = (amp * e - d) * w
+    cost = float(r @ r)
+    lam = 1e-3
+    c1 = c2 = 0.0
+    for _ in range(_LM_MAX_STEPS):
+        j1, j2 = _decay_jacobian(e, x, w, amp, tau)
+        a11, a12, a22 = float(j1 @ j1), float(j1 @ j2), float(j2 @ j2)
+        g1, g2 = float(j1 @ r), float(j2 @ r)
+        # Components pushing a parameter through its bound do not count.
+        p1 = 0.0 if amp == 0.0 and g1 > 0.0 else g1
+        p2 = 0.0 if tau == _TAU_MIN_NS and g2 > 0.0 else g2
+        root_cost = math.sqrt(cost)
+        if (abs(p1) <= _LM_GTOL * math.sqrt(a11) * root_cost
+                and abs(p2) <= _LM_GTOL * math.sqrt(a22) * root_cost):
+            return amp, tau, True
+        c1, c2 = max(c1, math.sqrt(a11)), max(c2, math.sqrt(a22))
+        # Scaled, the damped matrix has a diagonal of order one, so its
+        # determinant neither underflows nor, with the damping floor, loses
+        # its sign to rounding.  A column that has been zero at every iterate
+        # (S = 0 from the start zeroes the tau column) has no gradient: unit
+        # scaling gives it a zero step.
+        k1, k2 = c1 or 1.0, c2 or 1.0
+        scaled = (a11 / k1 / k1, a12 / k1 / k2, a22 / k2 / k2, g1 / k1, g2 / k2, k1, k2)
+        # Stationarity is judged on the Gauss-Newton step, damped only by the
+        # floor: the trial step shrinks under heavy damping anywhere, not
+        # only near a minimum.
+        gn_amp, gn_tau = _projected_step(amp, tau, *scaled, _LM_DAMPING_MIN)
+        if abs(gn_amp - amp) <= _LM_XTOL * amp and abs(gn_tau - tau) <= _LM_XTOL * tau:
+            return amp, tau, True
+        new_amp, new_tau = _projected_step(amp, tau, *scaled, lam)
+        new_e = np.exp(-x / new_tau)
+        new_r = (new_amp * new_e - d) * w
+        new_cost = float(new_r @ new_r)
+        if new_cost < cost:
+            amp, tau, e, r, cost = new_amp, new_tau, new_e, new_r, new_cost
+            lam = max(0.1 * lam, _LM_DAMPING_MIN)
+        else:
+            lam *= 10.0
+    return amp, tau, False
+
+
 def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     """Fit y0 + S*exp(-(x - x0)/tau) to a wave packet with the onset fixed.
 
@@ -112,12 +191,16 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     of (S, tau) on the bins at or past x0 with Poisson weights, starting from
     1/max(count, 1) and then reweighted against the fitted model's variances;
     purely data-derived weights overweight downward-fluctuating bins and bias
-    the decay constant several percent low at low counts.  Raises
-    ConvergenceError (carrying the best iterate) if the optimizer gives up,
+    the decay constant several percent low at low counts.  Each weighted
+    problem is solved by a two-parameter Levenberg-Marquardt iteration in
+    closed form (see _fit_decay).  Raises UsageError on non-finite input,
+    ConvergenceError (carrying the best iterate) if the solver gives up,
     DegenerateDataError on all-zero input.
     """
     t = w.tau_ns
     y = w.g2
+    if not (math.isfinite(x0_ns) and np.isfinite(t).all() and np.isfinite(y).all()):
+        raise UsageError("wave packet delays, values and onset must be finite")
     if not np.any(y > 0):
         raise DegenerateDataError("wave packet is identically zero")
     fit_mask = t >= x0_ns
@@ -139,11 +222,7 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     yf = y[fit_mask]
     sigma = np.sqrt(np.maximum(yf, 1.0))
 
-    # Condition the problem: residuals are rescaled to order unity so the
-    # optimizer's absolute tolerances behave for arbitrary-unit packets.
-    dev = np.abs(yf - y0) / sigma
-    dmax = float(dev.max())
-    if dmax == 0.0:
+    if np.all(yf == y0):
         # Exactly flat fit region: zero amplitude, decay constant undefined.
         return ExpFit(
             baseline=y0, amplitude=0.0, tau_ns=float(tf[-1] - tf[0]),
@@ -156,50 +235,40 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     tau0 = float(tf[below[0]] - tf[0]) if below.size else float(tf[-1] - tf[0]) / 2.0
     tau0 = max(tau0, 2.0 * w.bin_ns)
 
-    start = [amp0, tau0]
-    result = None
+    x = tf - x0_ns
+    amp, tau = amp0, tau0
     for _ in range(3):
         fit_sigma = sigma
-        res_scale = 1.0 / max(float((np.abs(yf - y0) / fit_sigma).max()), 1e-150)
-
-        def residuals(p, _sigma=fit_sigma, _scale=res_scale):
-            amp, tau = p
-            model = y0 + amp * np.exp(-(tf - x0_ns) / tau)
-            return _scale * (model - yf) / _sigma
-
-        result = least_squares(
-            residuals,
-            x0=start,
-            bounds=([0.0, 1e-6], [np.inf, np.inf]),
-            x_scale="jac",
-            max_nfev=400,
-        )
-        start = list(result.x)
-        model = y0 + result.x[0] * np.exp(-(tf - x0_ns) / result.x[1])
+        amp, tau, converged = _fit_decay(x, yf - y0, 1.0 / fit_sigma, amp, tau)
+        e = np.exp(-x / tau)
+        model = y0 + amp * e
         refined = np.sqrt(np.maximum(model, 1.0))
         if np.allclose(refined, fit_sigma, rtol=1e-3):
             break
         sigma = refined
 
-    amp, tau = result.x
-    # Covariance of the unscaled weighted problem, rescaled by the reduced
-    # chi-square so the reported errors stay calibrated when the nominal
-    # per-bin variances max(count, 1) do not describe the data (arbitrary
-    # units, noiseless models).  The sensitivity of (S, tau) to the
-    # separately estimated baseline is added in quadrature.
-    jac = result.jac / res_scale
-    residuals_raw = result.fun / res_scale
-    dof = max(yf.size - 2, 1)
-    chi2_per_dof = float(residuals_raw @ residuals_raw) / dof
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-        baseline_shift = -cov @ (jac.T @ (1.0 / fit_sigma))
-        amp_err, tau_err = np.sqrt(
-            chi2_per_dof * np.maximum(np.diag(cov), 0.0) + (baseline_shift * y0_err) ** 2
-        )
-    except np.linalg.LinAlgError:
-        amp_err = tau_err = float("inf")
-    resid_norm = float(np.linalg.norm(result.fun / res_scale))
+    # Covariance of the weighted problem from the analytic Jacobian at the
+    # final iterate, rescaled by the reduced chi-square so the reported errors
+    # stay calibrated when the nominal per-bin variances max(count, 1) do not
+    # describe the data (arbitrary units, noiseless models).  The sensitivity
+    # of (S, tau) to the separately estimated baseline is added in quadrature.
+    # A singular normal matrix means an undetermined decay: infinite errors.
+    weights = 1.0 / fit_sigma
+    jac = np.column_stack(_decay_jacobian(e, x, weights, amp, tau))
+    (a11, a12), (_, a22) = jac.T @ jac
+    det = a11 * a22 - a12 * a12
+    resid = (model - yf) * weights
+    chi2_per_dof = float(resid @ resid) / max(yf.size - 2, 1)
+    amp_err = tau_err = math.inf
+    if det > 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = np.array([[a22, -a12], [-a12, a11]]) / det
+            baseline_shift = -cov @ (jac.T @ weights)
+            errors = np.sqrt(
+                chi2_per_dof * np.maximum(np.diag(cov), 0.0) + (baseline_shift * y0_err) ** 2
+            )
+        # nan here is inf - inf from a nearly singular matrix: also undetermined.
+        amp_err, tau_err = np.nan_to_num(errors, nan=math.inf)
 
     fit = ExpFit(
         baseline=y0,
@@ -209,12 +278,14 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
         baseline_err=float(y0_err),
         amplitude_err=float(amp_err),
         tau_err=float(tau_err),
-        residual_norm=resid_norm,
-        converged=bool(result.success),
+        residual_norm=float(np.linalg.norm(resid)),
+        converged=converged,
         n_fit_bins=int(yf.size),
     )
-    if not result.success:
-        raise ConvergenceError(f"exponential fit did not converge: {result.message}", best=fit)
+    if not converged:
+        raise ConvergenceError(
+            f"exponential fit did not converge in {_LM_MAX_STEPS} steps", best=fit
+        )
     return fit
 
 

@@ -19,6 +19,7 @@ the squared magnitude of each factor is a Lorentzian of the stated FWHM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,9 @@ class SpectralGrid:
     def __post_init__(self):
         if self.count < 1024:
             raise UsageError("spectral grid needs at least 1024 samples")
-        if self.half_width <= 0:
-            raise UsageError("half_width must be positive")
+        # Written so that nan fails every comparison.
+        if not 0.0 < self.half_width < math.inf:
+            raise UsageError("half_width must be finite and positive")
 
     @property
     def delta(self) -> np.ndarray:
@@ -85,8 +87,10 @@ class EtalonChain:
     def __post_init__(self):
         if len(self.fwhm_hz) != len(self.centers_hz):
             raise UsageError("need one center per etalon FWHM")
-        if any(f <= 0 for f in self.fwhm_hz):
-            raise UsageError("etalon FWHM must be positive")
+        if not all(0.0 < f < math.inf for f in self.fwhm_hz):
+            raise UsageError("etalon FWHM must be finite and positive")
+        if not all(abs(c) < math.inf for c in self.centers_hz):
+            raise UsageError("etalon centers must be finite")
 
 
 DEFAULT_ETALONS = EtalonChain()

@@ -70,6 +70,9 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
         raise UsageError(f"{path} has a malformed data row: {exc}") from exc
     if data.size and data.shape[1] != len(header):
         raise UsageError(f"{path}: row width does not match header")
+    bad = np.nonzero(~np.isfinite(data).all(axis=-1))[0]
+    if bad.size:
+        raise UsageError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
     return header, data
 
 

@@ -34,6 +34,7 @@ from .errors import UsageError
 
 TIMETAG_FORMAT = "sfwm-timetags v1"
 _WRITE_BLOCK = 1 << 16  # records formatted per write call
+_MAX_STAMP_NS = 2.0**62 / 1e3  # rounded picosecond stamps stay within int64
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,10 @@ class DetectionModel:
             raise UsageError("bin width must be finite and positive")
         if not 0.0 <= self.accumulation_s < math.inf:
             raise UsageError("accumulation time must be finite and nonnegative")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        # A numpy integer seed would print, and so fingerprint, differently.
+        object.__setattr__(self, "seed", int(self.seed))
 
     def fingerprint(self) -> str:
         """Stable hash of the model constants, for provenance headers."""
@@ -263,7 +268,12 @@ def write_timetags(
 ) -> None:
     """Write both streams as text records: stream id (0 trigger, 1 partner)
     and timestamp in integer picoseconds, merged in time order (a trigger
-    before a partner with the same stamp)."""
+    before a partner with the same stamp).  Non-finite timestamps, or ones
+    too large for 64-bit picoseconds, are a UsageError."""
+    for stream in (triggers_ns, partners_ns):
+        # Written so that nan fails the comparison.
+        if not np.all(np.abs(stream) < _MAX_STAMP_NS):
+            raise UsageError("time tags must be finite and below 2^62 ps in magnitude")
     ids = np.concatenate(
         [np.zeros(len(triggers_ns), dtype=np.int64), np.ones(len(partners_ns), dtype=np.int64)]
     )

@@ -55,5 +55,5 @@ def exponential_packet(amplitude, tau_ns, onset_ns=200.0, baseline=0.0,
                        span_ns=8000.0, bin_ns=25.6):
     """Wave packet following the fit model exactly: flat before the onset."""
     t = np.arange(0.0, span_ns, bin_ns)
-    g2 = np.where(t >= onset_ns, amplitude * np.exp(-(t - onset_ns) / tau_ns), 0.0)
+    g2 = np.where(t >= onset_ns, amplitude * np.exp(-np.maximum(t - onset_ns, 0.0) / tau_ns), 0.0)
     return sfwm.WavePacket(t, g2 + baseline, bin_ns)

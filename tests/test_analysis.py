@@ -1,17 +1,62 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 import sfwm
 from sfwm.errors import (
+    ConvergenceError,
     DegenerateDataError,
     DomainError,
     InversionError,
     UsageError,
 )
 
-from conftest import exponential_packet
+from conftest import DELAY_NS, ONSET_NS, exponential_packet
+
+# Criterion 7's two round-trip scenarios: (tau ns, peak SBR, accumulation s, power mW).
+ROUND_TRIP_SCENARIOS = [(260.0, 42.0, 1200.0, 1.0), (560.0, 5.4, 2400.0, 0.05)]
+
+
+def poisson_packet(tau_ns, peak_sbr, accumulation_s, p_mw, seed):
+    shape = exponential_packet(1.0, tau_ns, span_ns=4000.0)
+    dm = sfwm.DetectionModel(accumulation_s=accumulation_s, seed=seed)
+    return sfwm.synth_histogram(shape, dm, p_mw, peak_sbr=peak_sbr).to_wavepacket()
+
+
+def oracle_exponential_fit(w, x0_ns=200.0):
+    """(S, tau) of fit_exponential's procedure solved by scipy at 1e-15 tolerances.
+
+    Same baseline window, start guesses, weights and up to three Poisson
+    reweighting rounds; the residuals are scaled to order unity because
+    scipy's gradient tolerance is absolute.
+    """
+    t, y = w.tau_ns, w.g2
+    base = t <= x0_ns - 2.0 * w.bin_ns
+    base[-max(1, t.size // 10):] = True
+    y0 = y[base].mean()
+    tf, yf = t[t >= x0_ns], y[t >= x0_ns]
+    amp0 = max(yf[0] - y0, 0.0)
+    below = np.nonzero(yf - y0 < amp0 / math.e)[0]
+    tau0 = tf[below[0]] - tf[0] if below.size else (tf[-1] - tf[0]) / 2.0
+    p = np.array([amp0, max(tau0, 2.0 * w.bin_ns)])
+    sigma = np.sqrt(np.maximum(yf, 1.0))
+    for _ in range(3):
+        s = sigma
+        k = 1.0 / np.abs((yf - y0) / s).max()
+        p = least_squares(
+            lambda q: k * (y0 + q[0] * np.exp(-(tf - x0_ns) / q[1]) - yf) / s,
+            p, bounds=([0.0, 1e-6], [np.inf, np.inf]), x_scale="jac",
+            ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=5000,
+        ).x
+        sigma = np.sqrt(np.maximum(y0 + p[0] * np.exp(-(tf - x0_ns) / p[1]), 1.0))
+        if np.allclose(sigma, s, rtol=1e-3):
+            break
+    return p
 
 
 class TestFitExponential:
@@ -49,6 +94,22 @@ class TestFitExponential:
         fit = sfwm.fit_exponential(w)
         assert sfwm.sbr(fit) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("index", [3, 100])  # baseline window, fit region
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_values_are_usage_error(self, index, value):
+        w = exponential_packet(500.0, 260.0, baseline=100.0)
+        w.g2[index] = value
+        with pytest.raises(UsageError):
+            sfwm.fit_exponential(w)
+
+    def test_nonfinite_delays_or_onset_are_usage_error(self):
+        w = exponential_packet(500.0, 260.0, baseline=100.0)
+        w.tau_ns[-1] = np.inf
+        with pytest.raises(UsageError):
+            sfwm.fit_exponential(w)
+        with pytest.raises(UsageError):
+            sfwm.fit_exponential(exponential_packet(500.0, 260.0), x0_ns=np.nan)
+
     def test_poisson_coverage_smoke(self):
         """Light Monte Carlo at weak-coupling statistics; full run in acceptance."""
         dm = sfwm.DetectionModel(accumulation_s=2400.0)
@@ -62,6 +123,71 @@ class TestFitExponential:
             if abs(fit.tau_ns - 560.0) <= 3.0 * fit.tau_err:
                 hits += 1
         assert hits >= 9
+
+
+class TestFitExponentialOracle:
+    """The closed-form solver against scipy least_squares at 1e-15 tolerances."""
+
+    @staticmethod
+    def check(w):
+        fit = sfwm.fit_exponential(w)
+        amp, tau = oracle_exponential_fit(w)
+        assert fit.converged
+        assert fit.amplitude == pytest.approx(amp, rel=1e-6)
+        assert fit.tau_ns == pytest.approx(tau, rel=1e-6)
+
+    @pytest.mark.parametrize("scenario", ROUND_TRIP_SCENARIOS)
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 99])
+    def test_poisson_histograms(self, scenario, seed):
+        self.check(poisson_packet(*scenario, seed))
+
+    @pytest.mark.parametrize("p_mw", [0.02, 0.5, 1.0])
+    def test_noiseless_model_packets(self, p_mw, medium_b):
+        drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive)
+        self.check(sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    tau_ns=st.floats(1.0, 1e4),
+    peak_sbr=st.floats(1e-3, 1e3),
+    accumulation_s=st.floats(1e-2, 1e5),
+    onset_ns=st.floats(-100.0, 3900.0),
+    seed=st.integers(0, 2**32 - 1),
+    noiseless=st.booleans(),
+)
+def test_fit_exponential_outcomes(tau_ns, peak_sbr, accumulation_s, onset_ns, seed, noiseless):
+    """A fit converges with nonnegative errors or raises a package error, silently.
+
+    The errors are finite unless the decay is unresolved: the amplitude on its
+    bound S = 0 (as for exactly flat data), or a decay constant far below one
+    bin, where the model is a single-bin spike whose tau the data cannot fix.
+    """
+    shape = exponential_packet(1.0, tau_ns, onset_ns=onset_ns, span_ns=4000.0)
+    dm = sfwm.DetectionModel(accumulation_s=accumulation_s, seed=seed)
+    if noiseless:
+        packet = sfwm.WavePacket(
+            shape.tau_ns, sfwm.expected_bins(shape, dm, 1.0, peak_sbr=peak_sbr), shape.bin_ns
+        )
+    else:
+        packet = sfwm.synth_histogram(shape, dm, 1.0, peak_sbr=peak_sbr).to_wavepacket()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = sfwm.fit_exponential(packet, x0_ns=onset_ns)
+    except ConvergenceError as exc:
+        assert isinstance(exc.best, sfwm.ExpFit)
+        return
+    except (DegenerateDataError, UsageError):
+        return
+    assert fit.converged
+    assert fit.amplitude >= 0.0 and fit.tau_ns >= 1e-6
+    assert 0.0 <= fit.baseline_err < math.inf
+    unresolved = fit.amplitude == 0.0 or fit.tau_ns < 0.1 * packet.bin_ns
+    for err in (fit.amplitude_err, fit.tau_err):
+        assert 0.0 <= err < math.inf or (err == math.inf and unresolved)
 
 
 class TestScalarMetrics:

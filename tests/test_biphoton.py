@@ -36,6 +36,11 @@ class TestSpectralGrid:
         with pytest.raises(UsageError):
             sfwm.SpectralGrid(count=512)
 
+    @pytest.mark.parametrize("half_width", [np.nan, np.inf, 0.0, -1.0])
+    def test_half_width_must_be_finite_and_positive(self, half_width):
+        with pytest.raises(UsageError):
+            sfwm.SpectralGrid(half_width=half_width)
+
     def test_grid_is_symmetric_and_uniform(self):
         g = sfwm.SpectralGrid(half_width=8.0, count=2048)
         assert g.delta[0] == -8.0 and g.delta[-1] == 8.0
@@ -179,6 +184,15 @@ class TestEtalons:
     def test_mismatched_chain_rejected(self):
         with pytest.raises(UsageError):
             sfwm.EtalonChain((45e6, 60e6), (0.0,))
+
+    @pytest.mark.parametrize(
+        "fwhm, centers",
+        [((np.nan,), (0.0,)), ((np.inf,), (0.0,)), ((0.0,), (0.0,)),
+         ((45e6,), (np.inf,)), ((45e6,), (-np.inf,)), ((45e6,), (np.nan,))],
+    )
+    def test_nonfinite_or_nonpositive_values_rejected(self, fwhm, centers):
+        with pytest.raises(UsageError):
+            sfwm.EtalonChain(fwhm, centers)
 
     def test_intensity_mode_matches_amplitude_magnitude(self):
         grid = sfwm.SpectralGrid(half_width=8.0, count=2049)

@@ -174,6 +174,18 @@ class TestFitCommands:
         assert report["sbr"] == pytest.approx(42.0, rel=1e-6)
         assert report["cs_violation"] == pytest.approx(441.0, rel=1e-6)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [3, 40])  # baseline window, fit region
+    def test_fit_biphoton_nonfinite_row_is_usage_error(self, tmp_path, capsys, value, row):
+        t = np.arange(0.0, 4000.0, 25.6)
+        y = 10.0 + np.where(t >= 200.0, 420.0 * np.exp(-(t - 200.0) / 260.0), 0.0)
+        cells = [f"{a},{b}" for a, b in zip(t, y)]
+        cells[row] = f"{t[row]},{value}"
+        path = tmp_path / "wp.csv"
+        path.write_text("delay_ns,counts\n" + "\n".join(cells) + "\n")
+        assert main(["fit-biphoton", "--csv", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_fit_biphoton_flat_file(self, tmp_path, capsys):
         t = np.arange(0.0, 4000.0, 25.6)
         path = tmp_path / "flat.csv"
@@ -310,6 +322,22 @@ class TestConfigErrors:
         code = main(["synth", "--config", str(cfg), "--success-probability", "0.0088",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[grid]\nhalf_width_mhz = nan\n",
+            "[grid]\nhalf_width_mhz = inf\n",
+            "[etalons]\nfwhm_mhz = nan, 60\n",
+            "[etalons]\ncenters_mhz = 0, inf\n",
+        ],
+    )
+    def test_nonfinite_grid_or_etalon_is_usage_error(self, text, tmp_path, recwarn):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        code = main(["simulate-biphoton", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert not recwarn.list
 
 
 class TestCsvContract:

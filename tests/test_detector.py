@@ -32,6 +32,14 @@ class TestDetectionModel:
         with pytest.raises(UsageError):
             model(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, np.nan, "3", None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(UsageError):
+            model(seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_model(self):
+        assert model(seed=np.int64(7)).fingerprint() == model(seed=7).fingerprint()
+
     def test_fingerprint_tracks_fields(self):
         assert model().fingerprint() == model().fingerprint()
         assert model(seed=1).fingerprint() != model(seed=2).fingerprint()
@@ -205,6 +213,18 @@ class TestTimeTags:
         # picosecond quantization: at most half a ps plus representation slack
         assert np.max(np.abs(np.sort(trig) - trig2)) <= 1e-3
         assert np.max(np.abs(np.sort(part) - part2)) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "triggers, partners",
+        [([np.nan, 1.0], []), ([1.0], [np.inf]), ([1.0], [-np.inf]), ([1e16], [])],
+    )
+    def test_write_rejects_unrepresentable_stamps(self, tmp_path, triggers, partners):
+        path = tmp_path / "tags.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError):
+                sfwm.write_timetags(path, np.array(triggers), np.array(partners), model(), 1.0)
+        assert not path.exists()
 
     def test_read_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.txt"
