@@ -1,6 +1,6 @@
 """Biphoton generation in hot atomic vapor: spectra, wave packets, detection.
 
-A numpy/scipy toolkit for spontaneous four-wave mixing sources: microscopic
+A numpy toolkit for spontaneous four-wave mixing sources: microscopic
 susceptibilities with Doppler averaging, EIT transmission spectra, biphoton
 wave-packet synthesis and filtering, the standard fitting procedures and
 figures of merit (linewidth, SBR, generation rate, spectral brightness,

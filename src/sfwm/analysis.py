@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .biphoton import (
     DEFAULT_ETALONS,
@@ -46,6 +45,7 @@ from .physics import (
     DriveParams,
     MediumParams,
     Spectrum,
+    _transmission_with_gradient,
     eit_spectrum,
     eit_transmission,
     spectrum_baseline,
@@ -105,9 +105,15 @@ def _baseline_window_mask(tau_ns: np.ndarray, x0_ns: float, bin_ns: float) -> np
 
 
 _TAU_MIN_NS = 1e-6  # lower bound on the decay constant
-_LM_MAX_STEPS = 200  # trial steps per weighted solve
+_LM_MAX_STEPS = 200  # trial steps per solve
 _LM_XTOL = 1e-8  # relative Gauss-Newton step of both parameters that ends a solve
 _LM_GTOL = 1e-8  # cosine between residuals and each Jacobian column that ends a solve
+# Relative cost reduction below which a step of the EIT fit cannot be seen:
+# T is near 1 where the residuals are near 0.005, so its cost carries a
+# relative rounding of about 1e-14.  Without this floor the iterates stalled
+# just short of the step and gradient tests on 17 of 1000 noisy spectra
+# (sigma = 0.005, 0.2 to 2.75 mW).
+_EIT_FTOL = 1e-13
 # Smallest damping: it keeps the scaled, damped 2x2 determinant positive in
 # floating point when the two Jacobian columns are collinear (a one-bin spike).
 _LM_DAMPING_MIN = 1e-10
@@ -119,68 +125,136 @@ def _decay_jacobian(e, x, w, amp, tau):
     return ew, amp * ew * x / (tau * tau)
 
 
-def _projected_step(amp, tau, u11, u12, u22, h1, h2, k1, k2, lam):
-    """(S, tau) after the damped step on scaled normal equations, within the bounds."""
+def _damped_step(held1, held2, u11, u12, u22, h1, h2, k1, k2, lam):
+    """Step of (p1, p2) from the damped, scaled normal equations.
+
+    A parameter held at its bound does not move, and the other one takes the
+    step of the one-parameter problem.
+    """
     m11, m22 = u11 + lam, u22 + lam
-    det = m11 * m22 - u12 * u12
+    if held1 or held2:
+        s1 = 0.0 if held1 else -h1 / m11
+        s2 = 0.0 if held2 else -h2 / m22
+    else:
+        det = m11 * m22 - u12 * u12
+        s1 = (u12 * h2 - m22 * h1) / det
+        s2 = (u12 * h1 - m11 * h2) / det
+    return s1 / k1, s2 / k2
+
+
+def _truncated(p1, p2, lo1, lo2, d1, d2):
+    """(p1, p2) + (d1, d2), cut short where it first reaches a bound.
+
+    Keeping the direction matters far from the optimum: clipping each
+    parameter on its own can throw both onto their bounds at once.  A
+    parameter already on its bound that the step pushes outward stays put.
+    """
+    if p1 == lo1:
+        d1 = max(d1, 0.0)
+    if p2 == lo2:
+        d2 = max(d2, 0.0)
+    t1 = (lo1 - p1) / d1 if p1 + d1 < lo1 else math.inf
+    t2 = (lo2 - p2) / d2 if p2 + d2 < lo2 else math.inf
+    t = min(t1, t2, 1.0)
     return (
-        max(amp + (u12 * h2 - m22 * h1) / det / k1, 0.0),
-        max(tau + (u12 * h1 - m11 * h2) / det / k2, _TAU_MIN_NS),
+        lo1 if t1 == t else max(p1 + t * d1, lo1),
+        lo2 if t2 == t else max(p2 + t * d2, lo2),
     )
+
+
+def _solve_2x2(evaluate, p1, p2, lo1, lo2, ftol=0.0):
+    """Minimize |r(p1, p2)|^2 over p1 >= lo1, p2 >= lo2.
+
+    ``evaluate(p1, p2)`` returns the residual vector and a function of no
+    arguments giving the two Jacobian columns there; it is called once per
+    trial step, and the Jacobian only at accepted points.
+
+    Levenberg-Marquardt: each trial step solves the 2x2 damped normal
+    equations in closed form, in variables scaled by the running maximum of
+    the Jacobian column norms (Marquardt's scaling), and is cut short at the
+    first bound it reaches; a parameter on its bound with the gradient
+    pushing outward is held there while the other one moves alone.  A solve
+    ends when the Gauss-Newton step, clipped to the bounds, moves both
+    parameters by less than _LM_XTOL relative, or when the projected gradient
+    is orthogonal to the residuals within _LM_GTOL; the cost alone cannot
+    tell, since it is flat to rounding near the optimum of noiseless data.
+    With ``ftol`` > 0 it also ends when a trial step fails to reduce the
+    cost by a reduction the linearized problem put below ``ftol`` of it: the
+    damping has then shrunk the steps below what rounding lets the cost show.
+    Returns (p1, p2, residuals there, converged).
+    """
+    r, jacobian = evaluate(p1, p2)
+    cost = float(r @ r)
+    lam = 1e-3
+    c1 = c2 = 0.0
+    normal = None
+    for _ in range(_LM_MAX_STEPS):
+        if normal is None:
+            j1, j2 = jacobian()
+            normal = float(j1 @ j1), float(j1 @ j2), float(j2 @ j2), float(j1 @ r), float(j2 @ r)
+        a11, a12, a22, g1, g2 = normal
+        # Components pushing a parameter through its bound do not count.
+        held1 = p1 == lo1 and g1 > 0.0
+        held2 = p2 == lo2 and g2 > 0.0
+        q1 = 0.0 if held1 else g1
+        q2 = 0.0 if held2 else g2
+        root_cost = math.sqrt(cost)
+        if (abs(q1) <= _LM_GTOL * math.sqrt(a11) * root_cost
+                and abs(q2) <= _LM_GTOL * math.sqrt(a22) * root_cost):
+            return p1, p2, r, True
+        c1, c2 = max(c1, math.sqrt(a11)), max(c2, math.sqrt(a22))
+        # Scaled, the damped matrix has a diagonal of order one, so its
+        # determinant neither underflows nor, with the damping floor, loses
+        # its sign to rounding.  A column that has been zero at every iterate
+        # (S = 0 from the start zeroes the tau column of the decay) has no
+        # gradient: unit scaling gives it a zero step.
+        k1, k2 = c1 or 1.0, c2 or 1.0
+        scaled = (held1, held2, a11 / k1 / k1, a12 / k1 / k2, a22 / k2 / k2, g1 / k1, g2 / k2, k1, k2)
+        # Stationarity is judged on the Gauss-Newton step, damped only by the
+        # floor and clipped to the bounds: the trial step shrinks under heavy
+        # damping or near a bound anywhere, not only near a minimum.
+        gn1, gn2 = _damped_step(*scaled, _LM_DAMPING_MIN)
+        if (abs(max(p1 + gn1, lo1) - p1) <= _LM_XTOL * p1
+                and abs(max(p2 + gn2, lo2) - p2) <= _LM_XTOL * p2):
+            return p1, p2, r, True
+        d1, d2 = _damped_step(*scaled, lam)
+        new1, new2 = p1 + d1, p2 + d2
+        if new1 < lo1 or new2 < lo2:
+            new1, new2 = _truncated(p1, p2, lo1, lo2, d1, d2)
+            d1, d2 = new1 - p1, new2 - p2
+        new_r, new_jacobian = evaluate(new1, new2)
+        new_cost = float(new_r @ new_r)
+        # Cost reduction the linearized problem foresees for the trial step.
+        foreseen = -2.0 * (g1 * d1 + g2 * d2) - (a11 * d1 * d1 + 2.0 * a12 * d1 * d2 + a22 * d2 * d2)
+        if new_cost < cost:
+            # The damping falls only where at least a quarter of the foreseen
+            # reduction came true; in a curved valley it rises instead, so
+            # the steps do not zigzag across it.
+            if cost - new_cost >= 0.25 * foreseen:
+                lam = max(0.1 * lam, _LM_DAMPING_MIN)
+            else:
+                lam *= 2.0
+            p1, p2, r, jacobian, cost = new1, new2, new_r, new_jacobian, new_cost
+            normal = None
+        else:
+            lam *= 10.0
+            if 0.0 < foreseen <= ftol * cost:
+                return p1, p2, r, True
+    return p1, p2, r, False
 
 
 def _fit_decay(x, d, w, amp, tau):
     """Minimize sum(((S*exp(-x/tau) - d)*w)^2) over S >= 0, tau >= _TAU_MIN_NS.
 
-    Levenberg-Marquardt with the analytic Jacobian: each trial step solves
-    the 2x2 damped normal equations in closed form, in variables scaled by
-    the running maximum of the Jacobian column norms (Marquardt's scaling),
-    and is projected onto the bounds.  A solve ends when the projected
-    Gauss-Newton step moves both parameters by less than _LM_XTOL relative,
-    or when the projected gradient is orthogonal to the residuals within
-    _LM_GTOL; the cost alone cannot tell, since it is flat to rounding near
-    the optimum of a noiseless model packet.  Returns (S, tau, converged).
+    Uses the analytic Jacobian.  Returns (S, tau, converged).
     """
-    e = np.exp(-x / tau)
-    r = (amp * e - d) * w
-    cost = float(r @ r)
-    lam = 1e-3
-    c1 = c2 = 0.0
-    for _ in range(_LM_MAX_STEPS):
-        j1, j2 = _decay_jacobian(e, x, w, amp, tau)
-        a11, a12, a22 = float(j1 @ j1), float(j1 @ j2), float(j2 @ j2)
-        g1, g2 = float(j1 @ r), float(j2 @ r)
-        # Components pushing a parameter through its bound do not count.
-        p1 = 0.0 if amp == 0.0 and g1 > 0.0 else g1
-        p2 = 0.0 if tau == _TAU_MIN_NS and g2 > 0.0 else g2
-        root_cost = math.sqrt(cost)
-        if (abs(p1) <= _LM_GTOL * math.sqrt(a11) * root_cost
-                and abs(p2) <= _LM_GTOL * math.sqrt(a22) * root_cost):
-            return amp, tau, True
-        c1, c2 = max(c1, math.sqrt(a11)), max(c2, math.sqrt(a22))
-        # Scaled, the damped matrix has a diagonal of order one, so its
-        # determinant neither underflows nor, with the damping floor, loses
-        # its sign to rounding.  A column that has been zero at every iterate
-        # (S = 0 from the start zeroes the tau column) has no gradient: unit
-        # scaling gives it a zero step.
-        k1, k2 = c1 or 1.0, c2 or 1.0
-        scaled = (a11 / k1 / k1, a12 / k1 / k2, a22 / k2 / k2, g1 / k1, g2 / k2, k1, k2)
-        # Stationarity is judged on the Gauss-Newton step, damped only by the
-        # floor: the trial step shrinks under heavy damping anywhere, not
-        # only near a minimum.
-        gn_amp, gn_tau = _projected_step(amp, tau, *scaled, _LM_DAMPING_MIN)
-        if abs(gn_amp - amp) <= _LM_XTOL * amp and abs(gn_tau - tau) <= _LM_XTOL * tau:
-            return amp, tau, True
-        new_amp, new_tau = _projected_step(amp, tau, *scaled, lam)
-        new_e = np.exp(-x / new_tau)
-        new_r = (new_amp * new_e - d) * w
-        new_cost = float(new_r @ new_r)
-        if new_cost < cost:
-            amp, tau, e, r, cost = new_amp, new_tau, new_e, new_r, new_cost
-            lam = max(0.1 * lam, _LM_DAMPING_MIN)
-        else:
-            lam *= 10.0
-    return amp, tau, False
+
+    def evaluate(amp, tau):
+        e = np.exp(-x / tau)
+        return (amp * e - d) * w, lambda: _decay_jacobian(e, x, w, amp, tau)
+
+    amp, tau, _, converged = _solve_2x2(evaluate, amp, tau, 0.0, _TAU_MIN_NS)
+    return amp, tau, converged
 
 
 def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
@@ -381,6 +455,48 @@ def average_low_power_gamma(power_fit_pairs, n: int = 3) -> float:
     return float(np.mean([fit.gamma for _, fit in pairs[:n]]))
 
 
+# Bounds of the optical depth that the baseline inversion searches.
+_ALPHA_MIN, _ALPHA_MAX = 1e-6, 1e5
+_NEWTON_MAX_STEPS = 100
+# Forward-difference step of the EIT Jacobian on the quadrature path,
+# relative to max(|parameter|, 1).
+_FD_STEP = math.sqrt(np.finfo(float).eps)
+
+
+def _log_mean_exp(alpha, k):
+    """log(mean(exp(-alpha*k))) and its derivative in alpha, without underflow."""
+    s = -alpha * k
+    top = float(s.max())
+    e = np.exp(s - top)
+    total = float(e.sum())
+    return top + math.log(total / k.size), -float(e @ k) / total
+
+
+def _invert_baseline(k, target: float) -> float:
+    """Optical depth alpha with mean(exp(-alpha*k)) = target, for k > 0.
+
+    The log of the left side is convex and decreasing in alpha, so Newton's
+    method from alpha = 0 rises monotonically to the root.
+    """
+    log_target = math.log(target)
+    if _log_mean_exp(_ALPHA_MIN, k)[0] < log_target:
+        raise InversionError(
+            f"baseline transmission {target:.4f} is brighter than a transparent medium"
+        )
+    if _log_mean_exp(_ALPHA_MAX, k)[0] > log_target:
+        raise InversionError(
+            f"baseline transmission {target:.4f} is darker than any optical depth"
+        )
+    alpha = 0.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        value, slope = _log_mean_exp(alpha, k)
+        step = (value - log_target) / slope
+        alpha -= step
+        if abs(step) <= 1e-15 * alpha:
+            break
+    return alpha
+
+
 def fit_eit(
     data: Spectrum,
     m0: MediumParams,
@@ -390,12 +506,20 @@ def fit_eit(
     """Recover (alpha_s, omega_c, gamma) from a measured transparency spectrum.
 
     Stage 1 inverts the baseline transmission for the optical depth with the
-    coupling off, using a monotone bracketing root find.  Stage 2 fits the
-    remaining two parameters against the full spectrum by least squares from
-    the supplied initial guesses.  Deterministic given data and guesses.
+    coupling off.  There T(delta) = exp(-alpha*k(delta)) exactly, so one
+    evaluation at alpha = 1 gives k and Newton's method solves for alpha.
+    Stage 2 fits the remaining two parameters against the full spectrum by
+    the bounded 2x2 Levenberg-Marquardt solver from the supplied initial
+    guesses, with the analytic Jacobian on the exact Doppler average and
+    forward differences when a quadrature is given.  Deterministic given data
+    and guesses.  Raises UsageError on a short or non-finite spectrum,
+    InversionError when no optical depth in [1e-6, 1e5] matches the baseline,
+    and ConvergenceError (carrying the best iterate) if the solver gives up.
     """
     if data.delta.size < 10:
         raise UsageError("spectrum too short to fit")
+    if not (np.isfinite(data.delta).all() and np.isfinite(data.transmission).all()):
+        raise UsageError("spectrum detunings and transmissions must be finite")
     target = spectrum_baseline(data)
     if not (0.0 < target < 1.0):
         raise InversionError(f"baseline transmission {target!r} is outside (0, 1)")
@@ -415,46 +539,48 @@ def fit_eit(
             gamma4=m0.gamma4,
         )
 
-    def baseline_misfit(alpha):
-        t = eit_transmission(edge_deltas, medium(alpha, m0.gamma), coupling_off, q)
-        return float(np.mean(t)) - target
+    def drive(omega_c):
+        return DriveParams(omega_c, d0.omega_p, d0.delta_p)
 
-    alpha_lo, alpha_hi = 1e-6, 200.0
-    if baseline_misfit(alpha_lo) < 0.0:
-        raise InversionError(
-            f"baseline transmission {target:.4f} is brighter than a transparent medium"
-        )
-    while baseline_misfit(alpha_hi) > 0.0:
-        alpha_hi *= 2.0
-        if alpha_hi > 1e5:
-            raise InversionError(
-                f"baseline transmission {target:.4f} is darker than any optical depth"
+    unit_depth = eit_transmission(edge_deltas, medium(1.0, m0.gamma), coupling_off, q)
+    alpha_s = _invert_baseline(-np.log(unit_depth), target)
+
+    # The solver works in (omega_c^2, gamma): T depends on the coupling only
+    # through omega_c^2, so in omega_c its slope would vanish on the bound
+    # omega_c = 0 and a step projected onto it could never leave.
+    if q is None:
+        def evaluate(square, gamma):
+            t, gradient = _transmission_with_gradient(
+                data.delta, medium(alpha_s, gamma), drive(math.sqrt(square))
             )
-    alpha_s = float(brentq(baseline_misfit, alpha_lo, alpha_hi, xtol=1e-10, rtol=1e-12))
+            return t - data.transmission, gradient
+    else:
+        def model(square, gamma):
+            return eit_transmission(data.delta, medium(alpha_s, gamma), drive(math.sqrt(square)), q)
 
-    def residuals(p):
-        omega_c, gamma = p
-        model = eit_transmission(
-            data.delta, medium(alpha_s, gamma), DriveParams(omega_c, d0.omega_p, d0.delta_p), q
-        )
-        return model - data.transmission
+        def evaluate(square, gamma):
+            t = model(square, gamma)
 
-    result = least_squares(
-        residuals,
-        x0=[max(d0.omega_c, 1e-3), max(m0.gamma, 1e-4)],
-        bounds=([0.0, 1e-9], [np.inf, np.inf]),
-        x_scale="jac",
-        max_nfev=200,
+            def gradient():
+                h1 = _FD_STEP * max(square, 1.0)
+                h2 = _FD_STEP * max(gamma, 1.0)
+                return (model(square + h1, gamma) - t) / h1, (model(square, gamma + h2) - t) / h2
+
+            return t - data.transmission, gradient
+
+    square, gamma, r, converged = _solve_2x2(
+        evaluate, max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4), 0.0, 1e-9, _EIT_FTOL
     )
+    omega_c = math.sqrt(square)
     fit = EitFit(
         alpha_s=alpha_s,
-        omega_c=float(result.x[0]),
-        gamma=float(result.x[1]),
-        residual_norm=float(np.linalg.norm(result.fun)),
-        converged=bool(result.success),
+        omega_c=omega_c,
+        gamma=gamma,
+        residual_norm=float(np.linalg.norm(r)),
+        converged=converged,
     )
-    if not result.success:
-        raise ConvergenceError(f"EIT fit did not converge: {result.message}", best=fit)
+    if not converged:
+        raise ConvergenceError(f"EIT fit did not converge in {_LM_MAX_STEPS} steps", best=fit)
     return fit
 
 

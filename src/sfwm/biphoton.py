@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair
@@ -203,6 +202,25 @@ def apply_etalons(
     return BiphotonAmplitude(a.grid, values)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 7-smooth integer (2^a 3^b 5^c 7^d) not below ``n``."""
+    best = 1 << (n - 1).bit_length()
+    p7 = 1
+    while p7 < best:
+        p5 = p7
+        while p5 < best:
+            p3 = p5
+            while p3 < best:
+                size = p3
+                while size < n:
+                    size *= 2
+                best = min(best, size)
+                p3 *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
 def wavepacket(
     a: BiphotonAmplitude,
     tau_ns,
@@ -250,11 +268,11 @@ def wavepacket(
     w[-1] *= 0.5
     chirped = w * a.values * np.exp(-1j * centered * (h * tau0 + 0.5 * b * centered))
 
-    size = fft.next_fast_len(n_delta + n_tau - 1)
+    size = _next_fast_len(n_delta + n_tau - 1)
     lag = np.arange(size)
     lag = np.where(lag < n_tau, lag, lag - size)
     kernel = np.exp(0.5j * b * (lag + 0.5 * (n_delta - 1)) ** 2)
-    y = fft.ifft(fft.fft(chirped, size) * fft.fft(kernel))[:n_tau]
+    y = np.fft.ifft(np.fft.fft(chirped, size) * np.fft.fft(kernel))[:n_tau]
     g2 = y.real**2 + y.imag**2
     return WavePacket(tau_ns, g2, float(steps[0]))
 

@@ -216,6 +216,7 @@ def cmd_sweep(args) -> int:
         q=cfg.quadrature(),
         grid=cfg.grid(),
         etalons=cfg.etalons(),
+        bin_ns=cfg.detection().bin_ns,
         onset_ns=cfg.onset_ns,
         x0_ns=cfg.fit_onset_ns,
         rise_ns=cfg.rise_ns,

@@ -22,9 +22,11 @@ closed form through the Faddeeva function w(z):
 
     <1/(omega_d - z)> = -i*sqrt(pi)/Gamma_D * w(-z/Gamma_D)    for Im z < 0
 
-and by conjugate symmetry for Im z > 0.  That closed form is the default; an
-explicit :class:`DopplerQuadrature` selects the uniform trapezoidal rule over
-the raw integrands instead, which serves as the reference path.
+and by conjugate symmetry for Im z > 0, so w is only needed in the upper half
+plane, where Weideman's rational approximation gives it to about 1e-14
+relative.  That closed form is the default; an explicit
+:class:`DopplerQuadrature` selects the uniform trapezoidal rule over the raw
+integrands instead, which serves as the reference path.
 
 The probe (Stokes) transmission follows from the averaged self response:
 
@@ -37,11 +39,11 @@ All functions here are pure; grid evaluations are independent per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import wofz
 
 from .errors import DomainError, PeakShapeError, UsageError
 from .units import DEFAULT_UNITS, UnitSystem
@@ -221,9 +223,50 @@ def doppler_average(
     return complex(np.sum(values * q.weights(m)))
 
 
+def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
+    """Scale L and the n polynomial coefficients (highest degree first) of
+    Weideman's rational approximation to w (SIAM J. Numer. Anal. 31, 1497, 1994)."""
+    scale = math.sqrt(n / math.sqrt(2.0))
+    m = 2 * n
+    t = scale * np.tan(np.arange(1 - m, m) * np.pi / (2 * m))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (scale * scale + t * t)])
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return scale, a[n:0:-1].copy()
+
+
+# 36 terms: within 3e-14 relative of scipy.special.wofz over
+# |Re z| <= 1e12, 1e-10 <= Im z <= 1e12 (32 terms: 3e-13).
+_W_SCALE, _W_COEFFS = _weideman_coefficients(36)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """Faddeeva function w(z) = exp(-z^2)*erfc(-iz) on an array with Im z > 0.
+
+    w(z) = 2*p(Z)/(L - iz)^2 + 1/(sqrt(pi)*(L - iz)) with Z = (L + iz)/(L - iz)
+    inside the unit disk.  p is evaluated by Horner's rule in place, without
+    temporaries; a call costs about 80 array operations whatever its size,
+    so callers pass all their arguments in one array.
+    """
+    iz = z * 1j
+    den = _W_SCALE - iz
+    iz += _W_SCALE
+    iz /= den
+    p = iz * _W_COEFFS[0]
+    p += _W_COEFFS[1]
+    for c in _W_COEFFS[2:]:
+        p *= iz
+        p += c
+    p *= 2.0
+    p /= den
+    p += _INV_SQRT_PI
+    p /= den
+    return p
+
+
 def _mean_inverse(z, gamma_doppler: float):
     """<1/(omega_d - z)> over the normalized Gaussian, for Im z < 0."""
-    return -1j * np.sqrt(np.pi) / gamma_doppler * wofz(-z / gamma_doppler)
+    return -1j * math.sqrt(math.pi) / gamma_doppler * _faddeeva(-z / gamma_doppler)
 
 
 def _averaged_pair(
@@ -261,10 +304,12 @@ def _averaged_pair(
         two_photon = delta + 1j * m.gamma
         dark = two_photon == 0.0
         pole = d.omega_c**2 / (4.0 * np.where(dark, 1.0, two_photon)) - level
-        mean_p = np.where(dark, 0.0, _mean_inverse(pole, m.gamma_doppler))
         pump_pole = d.delta_p + 0.5j * m.gamma4
-        # Im Q > 0: the average at Q is the conjugate of the one at conj(Q).
-        mean_q = np.conj(_mean_inverse(np.conj(pump_pole), m.gamma_doppler))
+        # One call for both poles.  Im Q > 0: the average at Q is the
+        # conjugate of the one at conj(Q).
+        means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
+        mean_p = np.where(dark, 0.0, means[:-1])
+        mean_q = np.conj(means[-1])
         front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
             4.0 * two_photon * (pump_pole + level) - d.omega_c**2
         )
@@ -288,6 +333,44 @@ def eit_transmission(
     _, self_ = _averaged_pair(arr, m, d, q)
     t = np.exp(-4.0 * self_.imag)
     return float(t[0]) if np.isscalar(delta) or np.ndim(delta) == 0 else t
+
+
+def _transmission_with_gradient(delta: np.ndarray, m: MediumParams, d: DriveParams):
+    """Exact-path T(delta) and a function giving (dT/d(omega_c^2), dT/d gamma).
+
+    T depends on the coupling only through omega_c^2, the variable the EIT
+    fit uses.  Needs gamma > 0, so that no detuning is dark.
+    T = exp(-g*Re w(u)) with u = -P/Gamma_D and g = alpha_s*G3*sqrt(pi)/(2*Gamma_D),
+    and the derivative w'(u) = -2u*w(u) + 2i/sqrt(pi) reuses the one
+    Faddeeva evaluation.
+    """
+    two_photon = delta + 1j * m.gamma
+    pole = d.omega_c**2 / (4.0 * two_photon) - delta - 0.5j * m.gamma3
+    u = pole / -m.gamma_doppler
+    w = _faddeeva(u)
+    gain = 0.5 * m.alpha_s * m.gamma3 * math.sqrt(math.pi) / m.gamma_doppler
+    t = np.exp(-gain * w.real)
+
+    def gradient():
+        dw = 2j * _INV_SQRT_PI - 2.0 * u * w
+        # The two terms cancel to O(1/u^2) for large |u| (small gamma at
+        # delta = 0), where the asymptotic series is exact to rounding.
+        far = np.abs(u) > 30.0
+        if far.any():
+            v = u[far] ** -2
+            dw[far] = -1j * _INV_SQRT_PI * v * (
+                1.0 + v * (1.5 + v * (3.75 + v * (13.125 + v * 59.0625)))
+            )
+        dw_dpole = dw / -m.gamma_doppler
+        dpole_dsquare = 0.25 / two_photon
+        dpole_dgamma = -1j * d.omega_c**2 * dpole_dsquare / two_photon
+        scale = -gain * t
+        return (
+            scale * (dw_dpole * dpole_dsquare).real,
+            scale * (dw_dpole * dpole_dgamma).real,
+        )
+
+    return t, gradient
 
 
 def eit_spectrum(

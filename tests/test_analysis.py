@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import brentq, least_squares
 
 import sfwm
 from sfwm.errors import (
@@ -57,6 +57,35 @@ def oracle_exponential_fit(w, x0_ns=200.0):
         if np.allclose(sigma, s, rtol=1e-3):
             break
     return p
+
+
+def oracle_eit_fit(data, m0, d0):
+    """(alpha, omega_c, gamma) of fit_eit's two stages solved by scipy at tight tolerances.
+
+    Same baseline window, coupling-off inversion, start guesses and bounds:
+    brentq on the mean edge transmission, then least_squares from that alpha.
+    """
+    k = max(1, round(0.1 * data.delta.size))
+    edge = np.concatenate([data.delta[:k], data.delta[-k:]])
+    target = sfwm.spectrum_baseline(data)
+
+    def medium(alpha, gamma):
+        return sfwm.MediumParams(alpha, gamma, alpha, m0.gamma_doppler, m0.gamma3, m0.gamma4)
+
+    def drive(omega_c):
+        return sfwm.DriveParams(omega_c, d0.omega_p, d0.delta_p)
+
+    alpha = brentq(
+        lambda a: np.mean(sfwm.eit_transmission(edge, medium(a, m0.gamma), drive(0.0))) - target,
+        1e-6, 1e5, xtol=1e-14, rtol=1e-15, maxiter=500,
+    )
+    omega_c, gamma = least_squares(
+        lambda p: sfwm.eit_transmission(data.delta, medium(alpha, p[1]), drive(p[0]))
+        - data.transmission,
+        [max(d0.omega_c, 1e-3), max(m0.gamma, 1e-4)], bounds=([0.0, 1e-9], [np.inf, np.inf]),
+        x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=5000,
+    ).x
+    return alpha, omega_c, gamma
 
 
 class TestFitExponential:
@@ -386,6 +415,125 @@ class TestFitEit:
             sfwm.fit_eit(
                 bright, sfwm.MediumParams(alpha_s=80.0, gamma=0.02), sfwm.DriveParams(omega_c=1.0)
             )
+
+    def test_baseline_brighter_than_any_medium(self):
+        """Inside (0, 1) but above the transmission at optical depth 1e-6."""
+        bright = sfwm.Spectrum(self.GRID, np.full(self.GRID.size, 1.0 - 1e-12))
+        with pytest.raises(InversionError, match="brighter"):
+            sfwm.fit_eit(
+                bright, sfwm.MediumParams(alpha_s=80.0, gamma=0.02), sfwm.DriveParams(omega_c=1.0)
+            )
+
+    def test_baseline_darker_than_any_medium(self):
+        """Edge samples 5000-6000 Gamma off resonance would need an optical
+        depth near 1e9 to transmit only 1e-3."""
+        far = np.concatenate([-np.linspace(6000.0, 5000.0, 25), np.linspace(5000.0, 6000.0, 25)])
+        dark = sfwm.Spectrum(far, np.full(far.size, 1e-3))
+        with pytest.raises(InversionError, match="darker"):
+            sfwm.fit_eit(
+                dark, sfwm.MediumParams(alpha_s=80.0, gamma=0.02), sfwm.DriveParams(omega_c=1.0)
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_spectrum_is_usage_error(self, value):
+        data = self._spectrum(80.0, 2.6, 0.028)
+        data.transmission[120] = value
+        with pytest.raises(UsageError):
+            sfwm.fit_eit(data, sfwm.MediumParams(alpha_s=70.0, gamma=0.02), sfwm.DriveParams(2.0))
+
+    def test_trapezoid_path_matches_exact_path(self):
+        """With a quadrature the Jacobian is by forward differences."""
+        data = self._spectrum(80.0, 2.6, 0.028)
+        m0, d0 = sfwm.MediumParams(alpha_s=70.0, gamma=0.02), sfwm.DriveParams(omega_c=2.0)
+        exact = sfwm.fit_eit(data, m0, d0)
+        trapezoid = sfwm.fit_eit(data, m0, d0, sfwm.DopplerQuadrature())
+        assert trapezoid.converged
+        assert trapezoid.alpha_s == pytest.approx(exact.alpha_s, rel=1e-6)
+        assert trapezoid.omega_c == pytest.approx(exact.omega_c, rel=1e-5)
+        assert trapezoid.gamma == pytest.approx(exact.gamma, rel=1e-5)
+
+
+def _noisy_eit_cases():
+    """Noisy 161-point spectra (sigma = 0.005) and offset guesses, as calibrated."""
+    grid = np.linspace(-1.5, 1.5, 161)
+    medium = sfwm.MediumParams(alpha_s=81.0, gamma=0.026)
+    cases = []
+    for p_mw in (0.5, 2.0, 2.75):
+        omega_c = sfwm.omega_c_from_power(p_mw)
+        clean = sfwm.eit_spectrum(grid, medium, sfwm.DriveParams(omega_c=omega_c))
+        for seed in range(10):
+            noise = np.random.default_rng(seed).normal(0.0, 0.005, grid.size)
+            cases.append(pytest.param(
+                sfwm.Spectrum(grid, clean.transmission + noise),
+                sfwm.MediumParams(alpha_s=70.0, gamma=1.25 * medium.gamma),
+                sfwm.DriveParams(omega_c=0.85 * omega_c),
+                id=f"{p_mw}mW-seed{seed}",
+            ))
+    return cases
+
+
+def _test_fit_eit_cases():
+    """The spectra and guesses of TestFitEit."""
+    spectrum = TestFitEit()._spectrum
+    strong = spectrum(80.0, 2.6, 0.028)
+    cases = [
+        pytest.param(spectrum(82.0, 0.65, 0.024), sfwm.MediumParams(70.0, 0.03),
+                     sfwm.DriveParams(0.5), id="weak"),
+        pytest.param(strong, sfwm.MediumParams(70.0, 0.02), sfwm.DriveParams(2.0), id="strong"),
+    ]
+    for name, seed, m0, d0 in (("fixed-point", 31, sfwm.MediumParams(70.0, 0.02), sfwm.DriveParams(2.0)),
+                               ("smoke", 47, sfwm.MediumParams(75.0, 0.035), sfwm.DriveParams(2.2))):
+        noise = np.random.default_rng(seed).normal(0, 0.005, strong.delta.size)
+        cases.append(pytest.param(sfwm.Spectrum(strong.delta, strong.transmission + noise),
+                                  m0, d0, id=name))
+    return cases
+
+
+class TestFitEitOracle:
+    """Both stages against scipy brentq and least_squares at tight tolerances."""
+
+    @pytest.mark.parametrize("data, m0, d0", _test_fit_eit_cases() + _noisy_eit_cases())
+    def test_matches_scipy(self, data, m0, d0):
+        fit = sfwm.fit_eit(data, m0, d0)
+        alpha, omega_c, gamma = oracle_eit_fit(data, m0, d0)
+        assert fit.converged
+        assert fit.alpha_s == pytest.approx(alpha, rel=1e-10)
+        assert fit.omega_c == pytest.approx(omega_c, rel=1e-6)
+        assert fit.gamma == pytest.approx(gamma, rel=1e-6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    alpha=st.floats(1.0, 150.0),
+    omega_c=st.floats(0.0, 6.0),
+    gamma=st.floats(1e-3, 0.3),
+    noise=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**32 - 1),
+    omega_offset=st.floats(0.3, 3.0),
+    gamma_offset=st.floats(0.1, 10.0),
+)
+def test_fit_eit_outcomes(alpha, omega_c, gamma, noise, seed, omega_offset, gamma_offset):
+    """A fit converges within its bounds, or raises ConvergenceError carrying
+    the best iterate or InversionError, and never warns."""
+    grid = np.linspace(-1.5, 1.5, 161)
+    clean = sfwm.eit_spectrum(grid, sfwm.MediumParams(alpha, gamma), sfwm.DriveParams(omega_c))
+    noisy = clean.transmission + np.random.default_rng(seed).normal(0.0, noise, grid.size)
+    m0 = sfwm.MediumParams(alpha_s=70.0, gamma=gamma * gamma_offset)
+    d0 = sfwm.DriveParams(omega_c=omega_c * omega_offset)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = sfwm.fit_eit(sfwm.Spectrum(grid, noisy), m0, d0)
+    except ConvergenceError as exc:
+        assert isinstance(exc.best, sfwm.EitFit)
+        return
+    except InversionError:
+        return
+    assert fit.converged
+    assert 1e-6 <= fit.alpha_s <= 1e5
+    assert fit.omega_c >= 0.0 and fit.gamma >= 1e-9
+    assert math.isfinite(fit.residual_norm)
 
 
 class TestGenerationRateRoundTrip:

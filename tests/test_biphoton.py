@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import sfwm
+from sfwm.biphoton import _next_fast_len
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
 
 from conftest import DELAY_NS, ONSET_NS
@@ -269,6 +270,21 @@ class TestWavePacket:
 
     def test_correlation_is_nonnegative(self, packet_a):
         assert np.all(packet_a.g2 >= 0.0)
+
+    def test_transform_length_is_smallest_7_smooth(self):
+        def smooth(n):
+            for p in (2, 3, 5, 7):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for n in range(1, 3000):
+            size = _next_fast_len(n)
+            assert size >= n and smooth(size)
+            assert not any(smooth(m) for m in range(n, size))
+        # The sweep's transforms: 157 delays on 32768 and 65536 samples.
+        assert _next_fast_len(32768 + 157 - 1) == 32928
+        assert _next_fast_len(65536 + 157 - 1) == 65856
 
 
 class TestAreaAndRise:

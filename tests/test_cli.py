@@ -236,6 +236,27 @@ class TestSweep:
         assert "peak spectral brightness at 1 mW" in capsys.readouterr().err
 
 
+    def test_bin_width_reaches_the_sweep(self, strong_config, tmp_path):
+        """[detection] bin_ns sets the delay grid the sweep fits."""
+        taus = {}
+        for bin_ns in ("25.6", "12.8"):
+            config = tmp_path / f"bin{bin_ns}.ini"
+            config.write_text(
+                STRONG_CONFIG.replace("[detection]\n", f"[detection]\nbin_ns = {bin_ns}\n")
+            )
+            out = tmp_path / f"sweep{bin_ns}.csv"
+            assert main(["sweep", "--config", str(config), "--powers-mw", "0.5,1",
+                         "--out", str(out)]) == 0
+            header, rows = read_csv(out)
+            taus[bin_ns] = rows[:, header.index("tau_ns")]
+        cfg = sfwm.config.load_config(str(config))
+        expected = sfwm.sweep_predict(
+            [0.5, 1.0], alpha_s=80.0, gamma=cfg.medium().gamma, grid=cfg.grid(), bin_ns=12.8
+        ).tau_ns
+        np.testing.assert_allclose(taus["12.8"], expected, rtol=1e-10)
+        assert np.all(np.abs(taus["12.8"] / taus["25.6"] - 1.0) > 0.01)
+
+
 class TestSynth:
     def test_byte_identical_reruns(self, strong_config, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

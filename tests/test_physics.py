@@ -3,9 +3,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import wofz
 
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
+from sfwm.physics import _faddeeva, _transmission_with_gradient
 
 # Independent high-precision evaluations (40-digit arithmetic) of the two
 # response functions, frozen as regression constants.
@@ -146,8 +148,6 @@ class TestDopplerAverage:
         """Both responses are single poles in the Doppler shift, so their
         Gaussian averages have closed forms through the Faddeeva function;
         entirely independent of any numerical quadrature."""
-        from scipy.special import wofz
-
         m = medium(alpha_s=80.0, gamma=0.028)
         gd = m.gamma_doppler
 
@@ -180,6 +180,82 @@ class TestDopplerAverage:
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(DomainError):
             sfwm.doppler_average(lambda w: np.full(w.shape, np.nan), medium())
+
+
+class TestFaddeeva:
+    """The numpy Faddeeva function against scipy.special.wofz as the oracle."""
+
+    def test_upper_half_plane_accuracy(self):
+        rng = np.random.default_rng(5)
+        n = 100_000
+        # Log-uniform magnitudes over the whole domain, plus a dense patch
+        # where the function has structure: |Re z| <= 10 near the real axis.
+        x = 10.0 ** rng.uniform(-12.0, 12.0, n) * rng.choice([-1.0, 1.0], n)
+        y = 10.0 ** rng.uniform(-10.0, 12.0, n)
+        x[: n // 4] = rng.uniform(-10.0, 10.0, n // 4)
+        y[: n // 4] = 10.0 ** rng.uniform(-10.0, 1.0, n // 4)
+        z = x + 1j * y
+        ref = wofz(z)
+        assert np.max(np.abs(_faddeeva(z) - ref) / np.abs(ref)) < 1e-12
+
+    def test_arguments_of_the_doppler_average(self, medium_a, drive_a, medium_b, drive_b):
+        """Every pole the exact average passes, at both conftest parameter sets."""
+        delta = sfwm.SpectralGrid().delta
+        for m, d in ((medium_a, drive_a), (medium_b, drive_b)):
+            pole = d.omega_c**2 / (4.0 * (delta + 1j * m.gamma)) - delta - 0.5j * m.gamma3
+            z = -pole / m.gamma_doppler
+            assert np.max(np.abs(_faddeeva(z) / wofz(z) - 1.0)) < 1e-12
+
+
+class TestTransmissionGradient:
+    """The EIT fit's model: T on the exact path and its analytic gradient in
+    (omega_c^2, gamma)."""
+
+    @staticmethod
+    def transmission(delta, square, gamma):
+        m = medium(alpha_s=80.0, gamma=gamma)
+        return sfwm.eit_transmission(delta, m, sfwm.DriveParams(omega_c=np.sqrt(square)))
+
+    @staticmethod
+    def model(delta, square, gamma):
+        m = medium(alpha_s=80.0, gamma=gamma)
+        return _transmission_with_gradient(delta, m, sfwm.DriveParams(omega_c=np.sqrt(square)))
+
+    @pytest.mark.parametrize("omega_c, gamma", [(2.6, 0.028), (0.65, 0.024), (0.05, 0.3)])
+    def test_against_eit_transmission_and_central_differences(self, omega_c, gamma):
+        delta = np.linspace(-2.0, 2.0, 241)
+        square = omega_c**2
+        t, gradient = self.model(delta, square, gamma)
+        np.testing.assert_allclose(t, self.transmission(delta, square, gamma), rtol=1e-13)
+        for analytic, h, shift in zip(gradient(), (1e-4 * square, 1e-4 * gamma),
+                                      ((1.0, 0.0), (0.0, 1.0))):
+            up = self.transmission(delta, square + h * shift[0], gamma + h * shift[1])
+            down = self.transmission(delta, square - h * shift[0], gamma - h * shift[1])
+            central = (up - down) / (2.0 * h)
+            assert np.max(np.abs(analytic - central)) < 1e-6 * np.max(np.abs(central))
+
+    def test_coupling_off(self):
+        """On the bound omega_c = 0 the slope in omega_c^2 is finite and the
+        one in gamma vanishes."""
+        delta = np.linspace(-2.0, 2.0, 241)
+        t, gradient = self.model(delta, 0.0, 0.03)
+        np.testing.assert_allclose(t, self.transmission(delta, 0.0, 0.03), rtol=1e-13)
+        d_square, d_gamma = gradient()
+        h = 1e-7
+        forward = (self.transmission(delta, h, 0.03) - t) / h
+        assert np.max(np.abs(d_square - forward)) < 1e-5 * np.max(np.abs(forward))
+        assert np.all(d_gamma == 0.0)
+
+    def test_small_decoherence_at_two_photon_resonance(self):
+        """|u| grows as 1/gamma at delta = 0, where the slope comes from the
+        asymptotic series; it must still match the differences."""
+        delta = np.array([0.0])
+        for gamma in (1e-9, 1e-6, 1e-3):
+            _, gradient = self.model(delta, 2.6**2, gamma)
+            h = 0.1 * gamma  # T is close to exp(-c*gamma) there
+            central = (self.transmission(delta, 2.6**2, gamma + h)
+                       - self.transmission(delta, 2.6**2, gamma - h)) / (2.0 * h)
+            np.testing.assert_allclose(gradient()[1], central, rtol=1e-5)
 
 
 class TestTransmission:
