@@ -3,7 +3,7 @@
 One wave packet per power: the decay constant falls monotonically with
 power while the transparency window widens, the pair rate saturates, and
 the spectral brightness peaks near 1 mW.  The rate scale is anchored to the
-measured 1,500 pairs/(s*MHz) at the 1 mW point.  Runs in about a second.
+measured 1,500 pairs/(s*MHz) at the 1 mW point.  Runs in about half a second.
 """
 
 import numpy as np

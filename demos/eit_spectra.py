@@ -2,7 +2,7 @@
 
 Reproduces the two reference parameter sets: at 1 mW coupling power the
 window is power-broadened to about 560 kHz, while at 0.05 mW it narrows
-toward the decoherence-limited value near 300 kHz.  Runs in under a second.
+toward the decoherence-limited value near 300 kHz.  Runs in about half a second.
 """
 
 import numpy as np

@@ -36,6 +36,7 @@ from .biphoton import (
     apply_etalons,
     averaged_susceptibilities,
     complex_sinc,
+    predict_packet,
     rise_time_convolve,
     spectral_amplitude,
     wavepacket,

@@ -26,17 +26,14 @@ from .biphoton import (
     EtalonChain,
     SpectralGrid,
     WavePacket,
-    apply_etalons,
+    predict_packet,
     rise_time_convolve,
-    spectral_amplitude,
-    wavepacket,
     wavepacket_area,
 )
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
     DomainError,
-    GridTooNarrowError,
     InversionError,
     UsageError,
 )
@@ -45,7 +42,7 @@ from .physics import (
     DriveParams,
     MediumParams,
     Spectrum,
-    _transmission_with_gradient,
+    _transmission_raw,
     eit_spectrum,
     eit_transmission,
     spectrum_baseline,
@@ -549,9 +546,12 @@ def fit_eit(
     # through omega_c^2, so in omega_c its slope would vanish on the bound
     # omega_c = 0 and a step projected onto it could never leave.
     if q is None:
+        # The exact path takes raw floats: m0 was validated when it was built,
+        # alpha_s comes from the bracketed inversion, and the bounds keep
+        # square >= 0 and gamma > 0, so nothing is rechecked per evaluation.
         def evaluate(square, gamma):
-            t, gradient = _transmission_with_gradient(
-                data.delta, medium(alpha_s, gamma), drive(math.sqrt(square))
+            t, gradient = _transmission_raw(
+                data.delta, alpha_s, gamma, m0.gamma_doppler, m0.gamma3, square
             )
             return t - data.transmission, gradient
     else:
@@ -608,7 +608,9 @@ def sweep_predict(
     """Predict tau, rate, brightness, and SBR across coupling powers.
 
     For each power the coupling Rabi frequency follows the square-root
-    calibration, the filtered wave packet is synthesized and fit for its
+    calibration, the filtered wave packet is synthesized by
+    :func:`predict_packet` (``grid=None``: a count derived from the scenario)
+    and fit for its
     decay constant, and its area stands in for the pair rate.  The SBR proxy
     is the rise-time-convolved packet peak over the power-dependent
     background rate.  Rates and SBR are relative until normalized, either
@@ -622,8 +624,6 @@ def sweep_predict(
         raise UsageError("coupling powers must be positive")
     if rate_anchor is not None and observed_rates is not None:
         raise UsageError("give either a rate anchor or observed rates, not both")
-    if grid is None:
-        grid = SpectralGrid()
 
     medium = MediumParams(alpha_s=alpha_s, gamma=gamma)
     tau_axis = np.arange(0.0, tau_max_ns, bin_ns)
@@ -635,18 +635,9 @@ def sweep_predict(
     fwhms = np.empty(powers.size)
     for i, p in enumerate(powers):
         drive = DriveParams(omega_c=omega_c_from_power(p), omega_p=omega_p, delta_p=delta_p)
-        # Strong coupling spreads the amplitude tail; widen the window at
-        # constant spacing until the edge-decay requirement holds.
-        g = grid
-        while True:
-            try:
-                amp = apply_etalons(spectral_amplitude(g, medium, drive, q), etalons, units)
-                break
-            except GridTooNarrowError:
-                if g.half_width >= 16.0 * grid.half_width:
-                    raise
-                g = SpectralGrid(half_width=2.0 * g.half_width, count=2 * g.count)
-        packet = wavepacket(amp, tau_axis, onset_ns=onset_ns, units=units)
+        packet = predict_packet(
+            medium, drive, tau_axis, grid=grid, etalons=etalons, q=q, onset_ns=onset_ns, units=units
+        )
         taus[i] = fit_exponential(packet, x0_ns=x0_ns).tau_ns
         areas[i] = wavepacket_area(packet)
         peaks[i] = rise_time_convolve(packet, rise_ns).g2.max()

@@ -15,6 +15,17 @@ and the delay grids are uniform, so the sum over the grid is a chirp-z
 transform, computed exactly by Bluestein's convolution with FFTs.  Narrowband
 etalon filters multiply A by a single-pole amplitude response per etalon, so
 the squared magnitude of each factor is a Lorentzian of the stated FWHM.
+
+On a grid of spacing h the sum returns the periodized amplitude
+y(tau) + y(tau + P) + ... with period P = 2*pi/h.  The slowest amplitude decay
+is exp(-gamma*t), with gamma the ground-state decoherence, so the aliased copy
+adds about 2*exp(-gamma*P) relative error to g2, its area and its peak.
+:func:`predict_packet`, the one path from medium and drive to a filtered
+packet, therefore sizes the grid from the scenario unless given a count:
+P >= max(delay span, 20/gamma), so count = the smallest 7-smooth integer not
+below 1 + half_width*P/pi, capped at the 32768 samples of the default grid
+(and at that cap when gamma = 0).  It also widens the window while |A| has
+not decayed at its edges.
 """
 
 from __future__ import annotations
@@ -30,6 +41,15 @@ from .units import DEFAULT_UNITS, UnitSystem
 
 # Default edge-decay requirement on |A| relative to its peak.
 EDGE_DECAY_TOL = 1e-3
+# Samples of the default grid; a derived count never exceeds it on the window
+# it starts from.
+DEFAULT_COUNT = 32768
+# Decay margin gamma*P of the derived grid, where P = 2*pi/spacing is the
+# period of the synthesized packet.  The aliased copy y(tau + P) adds about
+# 2*exp(-gamma*P) relative error to g2: 4e-9 at a margin of 20.
+ALIAS_DECAY_MARGIN = 20.0
+# Doublings of the window tried when |A| has not decayed at its edges.
+MAX_WIDENINGS = 4
 
 
 @dataclass(frozen=True)
@@ -39,26 +59,33 @@ class SpectralGrid:
     The cross response falls off only as 1/delta out to the Doppler width, so
     the window must be much wider than the transparency feature it resolves;
     the default covers +-64 Gamma with a spacing fine enough for sub-MHz
-    features.
+    features.  A ``count`` of None leaves the number of samples to
+    :func:`predict_packet`, which derives it from the scenario; such a grid
+    cannot be sampled directly.
     """
 
     half_width: float = 64.0
-    count: int = 32768
+    count: int | None = DEFAULT_COUNT
 
     def __post_init__(self):
-        if self.count < 1024:
+        if self.count is not None and self.count < 1024:
             raise UsageError("spectral grid needs at least 1024 samples")
         # Written so that nan fails every comparison.
         if not 0.0 < self.half_width < math.inf:
             raise UsageError("half_width must be finite and positive")
 
+    def _samples(self) -> int:
+        if self.count is None:
+            raise UsageError("grid count is derived per scenario; sample it through predict_packet")
+        return self.count
+
     @property
     def delta(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.count)
+        return np.linspace(-self.half_width, self.half_width, self._samples())
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.count - 1)
+        return 2.0 * self.half_width / (self._samples() - 1)
 
 
 @dataclass(eq=False)
@@ -275,6 +302,63 @@ def wavepacket(
     y = np.fft.ifft(np.fft.fft(chirped, size) * np.fft.fft(kernel))[:n_tau]
     g2 = y.real**2 + y.imag**2
     return WavePacket(tau_ns, g2, float(steps[0]))
+
+
+def _derived_count(half_width: float, gamma: float, span: float, cap: int) -> int:
+    """Samples of a grid over +-half_width whose packet period P = 2*pi/spacing
+    covers both the delay span and the decay margin: P >= max(span, 20/gamma).
+
+    The count is the smallest 7-smooth integer not below 1 + half_width*P/pi,
+    at least 1024 and at most ``cap``; without decoherence nothing bounds the
+    aliased tail, and the cap is used.
+    """
+    if gamma > 0.0:
+        period = max(span, ALIAS_DECAY_MARGIN / gamma)
+        need = 1.0 + half_width * period / math.pi
+        # Also false for nan.
+        if need < cap:
+            return min(max(_next_fast_len(math.ceil(need)), 1024), cap)
+    return cap
+
+
+def predict_packet(
+    m: MediumParams,
+    d: DriveParams,
+    tau_ns,
+    *,
+    grid: SpectralGrid | None = None,
+    etalons: EtalonChain = DEFAULT_ETALONS,
+    q: DopplerQuadrature | None = None,
+    onset_ns: float = 0.0,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> WavePacket:
+    """Etalon-filtered wave packet of a scenario on the delay grid ``tau_ns``.
+
+    The spectral grid starts from ``grid``, by default the +-64 Gamma window.
+    A grid without a count gets one from _derived_count, capped at
+    DEFAULT_COUNT; a grid with a count is used as given.  Strong coupling
+    spreads the amplitude tail: while |A| has not decayed at the window
+    edges, the window doubles, up to MAX_WIDENINGS times.  A given count
+    doubles with it, keeping the spacing; a derived one is derived again
+    with its cap doubled.  Raises GridTooNarrowError if the widest window
+    still fails.
+    """
+    start = SpectralGrid(count=None) if grid is None else grid
+    tau_ns = np.asarray(tau_ns, dtype=float)
+    span = units.time_from_ns(float(tau_ns[-1] - tau_ns[0])) if tau_ns.size else 0.0
+    for widening in range(MAX_WIDENINGS + 1):
+        half_width = start.half_width * 2**widening
+        if start.count is None:
+            count = _derived_count(half_width, m.gamma, span, DEFAULT_COUNT << widening)
+        else:
+            count = start.count << widening
+        try:
+            amp = spectral_amplitude(SpectralGrid(half_width, count), m, d, q)
+            break
+        except GridTooNarrowError:
+            if widening == MAX_WIDENINGS:
+                raise
+    return wavepacket(apply_etalons(amp, etalons, units), tau_ns, onset_ns=onset_ns, units=units)
 
 
 def wavepacket_area(w: WavePacket, baseline: float = 0.0) -> float:

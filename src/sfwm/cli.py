@@ -23,7 +23,7 @@ from .analysis import (
     sbr,
     sweep_predict,
 )
-from .biphoton import WavePacket, apply_etalons, rise_time_convolve, spectral_amplitude, wavepacket
+from .biphoton import WavePacket, predict_packet, rise_time_convolve
 from .config import RunConfig, load_config
 from .detector import expected_bins, generate_timetags, synth_histogram, write_timetags
 from .errors import (
@@ -90,13 +90,11 @@ def _meta(cfg: RunConfig, command: str, **extra) -> dict:
 
 def _predicted_packet(cfg: RunConfig, tau_max_ns: float) -> tuple[WavePacket, WavePacket]:
     """Raw and rise-time-convolved packets for the configured parameters."""
-    amp = apply_etalons(
-        spectral_amplitude(cfg.grid(), cfg.medium(), cfg.drive(), cfg.quadrature()),
-        cfg.etalons(),
+    tau_axis = np.arange(0.0, tau_max_ns, cfg.detection().bin_ns)
+    packet = predict_packet(
+        cfg.medium(), cfg.drive(), tau_axis, grid=cfg.grid(), etalons=cfg.etalons(),
+        q=cfg.quadrature(), onset_ns=cfg.onset_ns,
     )
-    bin_ns = cfg.detection().bin_ns
-    tau_axis = np.arange(0.0, tau_max_ns, bin_ns)
-    packet = wavepacket(amp, tau_axis, onset_ns=cfg.onset_ns)
     return packet, rise_time_convolve(packet, cfg.rise_ns)
 
 

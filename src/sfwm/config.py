@@ -67,7 +67,7 @@ _DEFAULTS = {
         "pump_detuning_mhz": "-2000",
     },
     "quadrature": {"half_range": "4.0", "step_mhz": "0.75"},
-    "grid": {"half_width_mhz": "384", "count": "32768"},
+    "grid": {"half_width_mhz": "384", "count": ""},
     "etalons": {"fwhm_mhz": "45, 60", "centers_mhz": "0, 0"},
     "detection": {
         "eff_anti_stokes": "0.084",
@@ -186,6 +186,7 @@ class RunConfig:
         )
 
     def grid(self) -> SpectralGrid:
+        """The configured window; without a count, one derived per scenario."""
         sec = self.values["grid"]
         return SpectralGrid(
             half_width=self._mhz_to_gamma(sec["half_width_mhz"]), count=sec["count"]

@@ -336,19 +336,34 @@ def eit_transmission(
 
 
 def _transmission_with_gradient(delta: np.ndarray, m: MediumParams, d: DriveParams):
-    """Exact-path T(delta) and a function giving (dT/d(omega_c^2), dT/d gamma).
+    """Exact-path T(delta) and a function giving (dT/d(omega_c^2), dT/d gamma)."""
+    return _transmission_raw(
+        delta, m.alpha_s, m.gamma, m.gamma_doppler, m.gamma3, d.omega_c**2
+    )
 
-    T depends on the coupling only through omega_c^2, the variable the EIT
-    fit uses.  Needs gamma > 0, so that no detuning is dark.
+
+def _transmission_raw(
+    delta: np.ndarray,
+    alpha_s: float,
+    gamma: float,
+    gamma_doppler: float,
+    gamma3: float,
+    square: float,
+):
+    """:func:`_transmission_with_gradient` on raw floats, with omega_c^2 = square.
+
+    The caller validates the parameters; the EIT fit does so once, not per
+    evaluation.  T depends on the coupling only through omega_c^2, the
+    variable the EIT fit uses.  Needs gamma > 0, so that no detuning is dark.
     T = exp(-g*Re w(u)) with u = -P/Gamma_D and g = alpha_s*G3*sqrt(pi)/(2*Gamma_D),
     and the derivative w'(u) = -2u*w(u) + 2i/sqrt(pi) reuses the one
     Faddeeva evaluation.
     """
-    two_photon = delta + 1j * m.gamma
-    pole = d.omega_c**2 / (4.0 * two_photon) - delta - 0.5j * m.gamma3
-    u = pole / -m.gamma_doppler
+    two_photon = delta + 1j * gamma
+    pole = square / (4.0 * two_photon) - delta - 0.5j * gamma3
+    u = pole / -gamma_doppler
     w = _faddeeva(u)
-    gain = 0.5 * m.alpha_s * m.gamma3 * math.sqrt(math.pi) / m.gamma_doppler
+    gain = 0.5 * alpha_s * gamma3 * math.sqrt(math.pi) / gamma_doppler
     t = np.exp(-gain * w.real)
 
     def gradient():
@@ -361,9 +376,9 @@ def _transmission_with_gradient(delta: np.ndarray, m: MediumParams, d: DrivePara
             dw[far] = -1j * _INV_SQRT_PI * v * (
                 1.0 + v * (1.5 + v * (3.75 + v * (13.125 + v * 59.0625)))
             )
-        dw_dpole = dw / -m.gamma_doppler
+        dw_dpole = dw / -gamma_doppler
         dpole_dsquare = 0.25 / two_photon
-        dpole_dgamma = -1j * d.omega_c**2 * dpole_dsquare / two_photon
+        dpole_dgamma = -1j * square * dpole_dsquare / two_photon
         scale = -gain * t
         return (
             scale * (dw_dpole * dpole_dsquare).real,

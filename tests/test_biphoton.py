@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 import sfwm
-from sfwm.biphoton import _next_fast_len
+from sfwm.biphoton import DEFAULT_COUNT, _derived_count, _next_fast_len
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
 
 from conftest import DELAY_NS, ONSET_NS
@@ -47,6 +47,13 @@ class TestSpectralGrid:
         assert g.delta[0] == -8.0 and g.delta[-1] == 8.0
         steps = np.diff(g.delta)
         np.testing.assert_allclose(steps, g.spacing, rtol=1e-12)
+
+    def test_grid_without_count_cannot_be_sampled(self, medium_a, drive_a):
+        g = sfwm.SpectralGrid(count=None)
+        with pytest.raises(UsageError):
+            g.delta
+        with pytest.raises(UsageError):
+            sfwm.spectral_amplitude(g, medium_a, drive_a)
 
 
 class TestSpectralAmplitude:
@@ -328,3 +335,79 @@ class TestAreaAndRise:
         tau_bare = sfwm.fit_exponential(bare).tau_ns
         tau_filtered = sfwm.fit_exponential(packet_a).tau_ns
         assert tau_filtered == pytest.approx(tau_bare, rel=0.03)
+
+
+def _figures(packet):
+    """Fitted tau, area and rise-convolved peak: what a sweep reads off a packet."""
+    return np.array([
+        sfwm.fit_exponential(packet).tau_ns,
+        sfwm.wavepacket_area(packet),
+        sfwm.rise_time_convolve(packet).g2.max(),
+    ])
+
+
+class TestPredictPacket:
+    SPAN = sfwm.DEFAULT_UNITS.time_from_ns(DELAY_NS[-1] - DELAY_NS[0])
+
+    @staticmethod
+    def scenario(gamma, p_mw):
+        return (sfwm.MediumParams(alpha_s=82.0, gamma=gamma),
+                sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw)))
+
+    @pytest.mark.parametrize("p_mw", [0.02, 0.5, 5.0])
+    @pytest.mark.parametrize("gamma", [0.015, 0.024, 0.028])
+    def test_derived_grid_matches_four_times_denser(self, gamma, p_mw):
+        """At 5 mW both windows are widened, the explicit one at its own spacing."""
+        m, d = self.scenario(gamma, p_mw)
+        count = _derived_count(64.0, gamma, self.SPAN, DEFAULT_COUNT)
+        assert count < DEFAULT_COUNT
+        derived = sfwm.predict_packet(m, d, DELAY_NS, onset_ns=ONSET_NS)
+        dense = sfwm.predict_packet(
+            m, d, DELAY_NS, grid=sfwm.SpectralGrid(count=4 * count), onset_ns=ONSET_NS
+        )
+        np.testing.assert_allclose(_figures(derived), _figures(dense), rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("gamma", [0.006, 0.0])
+    def test_cap_binds_and_reproduces_the_default_grid(self, gamma):
+        m, d = self.scenario(gamma, 0.5)
+        assert _derived_count(64.0, gamma, self.SPAN, DEFAULT_COUNT) == DEFAULT_COUNT
+        derived = sfwm.predict_packet(m, d, DELAY_NS, onset_ns=ONSET_NS)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(), m, d))
+        direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
+        assert np.array_equal(derived.g2, direct.g2)
+
+    def test_explicit_grid_is_used_as_given(self, medium_a, drive_a):
+        grid = sfwm.SpectralGrid(count=8192)
+        given = sfwm.predict_packet(medium_a, drive_a, DELAY_NS, grid=grid, onset_ns=ONSET_NS)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
+        direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
+        assert np.array_equal(given.g2, direct.g2)
+
+    @pytest.mark.parametrize("half_width", [8.0, 24.0, 64.0, 128.0, 1024.0])
+    def test_count_never_exceeds_the_default_grid(self, half_width):
+        """The default count is the cap on every window, and below it the
+        count is a 7-smooth size whose period covers both limits, with less
+        than 10% to spare."""
+        for gamma in (0.0, 1e-4, 0.006, 0.015, 0.028, 0.3, 10.0, np.inf):
+            for span in (0.0, 10.0, self.SPAN, 2000.0, np.nan):
+                count = _derived_count(half_width, gamma, span, DEFAULT_COUNT)
+                assert 1024 <= count <= DEFAULT_COUNT
+                if 1024 < count < DEFAULT_COUNT:
+                    bound = max(span, 20.0 / gamma)
+                    assert bound <= np.pi * (count - 1) / half_width < 1.1 * bound
+                    assert count == _next_fast_len(count)
+
+    def test_widening_rederives_the_count(self, medium_a):
+        """A 31.2 MHz coupling fails the edge test on the default window and
+        succeeds once widened; the wider window needs no more than twice the
+        derived count."""
+        d = sfwm.DriveParams(omega_c=31.2 / 6.0)
+        with pytest.raises(GridTooNarrowError):
+            sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_a, d)
+        packet = sfwm.predict_packet(medium_a, d, DELAY_NS, onset_ns=ONSET_NS)
+        wide = sfwm.SpectralGrid(
+            half_width=128.0, count=_derived_count(128.0, medium_a.gamma, self.SPAN, 2 * DEFAULT_COUNT)
+        )
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(wide, medium_a, d))
+        assert np.array_equal(packet.g2, sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS).g2)
+        assert wide.count <= 2 * _derived_count(64.0, medium_a.gamma, self.SPAN, DEFAULT_COUNT)

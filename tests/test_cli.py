@@ -136,6 +136,33 @@ class TestSimulateBiphoton:
         assert np.all(rows[:, 1] == 0.0)
         assert "no signal" in capsys.readouterr().err
 
+    def test_strong_coupling_widens_the_grid_like_the_sweep(self, tmp_path):
+        """At 31.2 MHz |A| has not decayed at the edges of the default window;
+        the packet path widens it, as the sweep does at the same power."""
+        cfg = tmp_path / "strong.ini"
+        cfg.write_text("[drive]\ncoupling_rabi_mhz = 31.2\n")
+        out = tmp_path / "wp.csv"
+        assert main(["simulate-biphoton", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        tau = sfwm.fit_exponential(sfwm.WavePacket(rows[:, 0], rows[:, 1], 25.6)).tau_ns
+        p_mw = (31.2 / 6.0 / 2.7) ** 2
+        gamma = sfwm.config.load_config(str(cfg)).medium().gamma
+        expected = sfwm.sweep_predict([p_mw], alpha_s=80.0, gamma=gamma).tau_ns[0]
+        assert tau == pytest.approx(expected, rel=1e-10)
+
+    def test_explicit_count_is_used_as_given(self, tmp_path):
+        """[grid] count = 8192 gives the bytes of the direct API on that grid."""
+        cfg = tmp_path / "explicit.ini"
+        cfg.write_text("[grid]\ncount = 8192\n")
+        out = tmp_path / "wp.csv"
+        assert main(["simulate-biphoton", "--config", str(cfg), "--out", str(out)]) == 0
+        medium = sfwm.MediumParams(alpha_s=80.0, gamma=0.168 / 6.0)
+        drive = sfwm.DriveParams(omega_c=2.7)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive))
+        packet = sfwm.wavepacket(amp, np.arange(0.0, 4000.0, 25.6), onset_ns=150.0)
+        lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[1:] == [f"{t:.12g},{g:.12g}" for t, g in zip(packet.tau_ns, packet.g2)]
+
     def test_coarse_grid_aliasing_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "coarse.ini"
         cfg.write_text("[grid]\nhalf_width_mhz = 576\ncount = 2048\n")

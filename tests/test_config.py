@@ -24,7 +24,7 @@ def test_defaults_without_file():
     assert cfg.quadrature() is None  # exact Doppler average
     g = cfg.grid()
     assert g.half_width == pytest.approx(64.0)
-    assert g.count == 32768
+    assert g.count is None  # derived per scenario by predict_packet
     e = cfg.etalons()
     assert e.fwhm_hz == (45e6, 60e6)
     dm = cfg.detection()
