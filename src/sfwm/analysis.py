@@ -620,10 +620,15 @@ def sweep_predict(
     powers = np.asarray(powers_mw, dtype=float)
     if powers.size == 0:
         raise UsageError("empty power list")
-    if np.any(powers <= 0):
-        raise UsageError("coupling powers must be positive")
+    # Written so that nan fails every comparison.
+    if not np.all((powers > 0) & (powers < math.inf)):
+        raise UsageError("coupling powers must be finite and positive")
+    if not 0.0 < pump_mw < math.inf:
+        raise UsageError(f"pump power must be finite and positive, got {pump_mw!r} mW")
     if rate_anchor is not None and observed_rates is not None:
         raise UsageError("give either a rate anchor or observed rates, not both")
+    if rate_anchor is not None and not 0.0 < rate_anchor[1] < math.inf:
+        raise UsageError(f"anchor rate must be finite and positive, got {rate_anchor[1]!r}")
 
     medium = MediumParams(alpha_s=alpha_s, gamma=gamma)
     tau_axis = np.arange(0.0, tau_max_ns, bin_ns)

@@ -90,6 +90,8 @@ def _meta(cfg: RunConfig, command: str, **extra) -> dict:
 
 def _predicted_packet(cfg: RunConfig, tau_max_ns: float) -> tuple[WavePacket, WavePacket]:
     """Raw and rise-time-convolved packets for the configured parameters."""
+    if not np.isfinite(tau_max_ns):
+        raise UsageError(f"--tau-max-ns must be finite, got {tau_max_ns!r}")
     tau_axis = np.arange(0.0, tau_max_ns, cfg.detection().bin_ns)
     packet = predict_packet(
         cfg.medium(), cfg.drive(), tau_axis, grid=cfg.grid(), etalons=cfg.etalons(),
@@ -100,6 +102,8 @@ def _predicted_packet(cfg: RunConfig, tau_max_ns: float) -> tuple[WavePacket, Wa
 
 def cmd_simulate_eit(args) -> int:
     cfg = load_config(args.config)
+    if not (np.isfinite(args.delta_min_mhz) and np.isfinite(args.delta_max_mhz)):
+        raise UsageError("--delta-min-mhz and --delta-max-mhz must be finite")
     if args.points < 2 or not args.delta_min_mhz < args.delta_max_mhz:
         raise UsageError("need at least 2 points and delta-min below delta-max")
     lo = DEFAULT_UNITS.frequency_from_hz(args.delta_min_mhz * 1e6)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +34,13 @@ from .errors import UsageError
 TIMETAG_FORMAT = "sfwm-timetags v1"
 _WRITE_BLOCK = 1 << 16  # records formatted per write call
 _MAX_STAMP_NS = 2.0**62 / 1e3  # rounded picosecond stamps stay within int64
+# Picosecond stamps at which the sign or the digit count changes.
+_WIDTH_EDGES = np.array(
+    sorted([1 - 10**k for k in range(1, 19)] + [0] + [10**k for k in range(1, 19)]), np.int64
+)
+_READ_CHUNK = 1 << 20  # body bytes parsed per step, extended to a line end
+_MIN_RUN = 256  # equal-length records parsed in place; shorter runs are gathered
+_MAX_RECORD = 22  # "1,-" and 19 digits
 
 
 @dataclass(frozen=True)
@@ -274,51 +280,182 @@ def write_timetags(
         # Written so that nan fails the comparison.
         if not np.all(np.abs(stream) < _MAX_STAMP_NS):
             raise UsageError("time tags must be finite and below 2^62 ps in magnitude")
-    ids = np.concatenate(
-        [np.zeros(len(triggers_ns), dtype=np.int64), np.ones(len(partners_ns), dtype=np.int64)]
-    )
-    stamps = np.concatenate(
+    # One int64 key per record, 2*stamp + id, orders by stamp and then by id;
+    # |stamp| < 2^62 keeps it from overflowing.  Both halves are sorted runs
+    # when the streams are, which the stable sort merges in linear time.
+    key = np.concatenate(
         [np.round(np.asarray(triggers_ns) * 1e3), np.round(np.asarray(partners_ns) * 1e3)]
     ).astype(np.int64)
-    order = np.lexsort((ids, stamps))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {TIMETAG_FORMAT}\n")
-        fh.write(f"# seed: {dm.seed}\n")
-        fh.write(f"# model: {dm.fingerprint()}\n")
-        fh.write(f"# duration_s: {duration_s!r}\n")
-        fh.write("# columns: stream_id,timestamp_ps\n")
-        # Gather and format one block at a time, so no full-length reordered
-        # copy, Python list or text is ever held.
-        for start in range(0, order.size, _WRITE_BLOCK):
-            idx = order[start : start + _WRITE_BLOCK]
-            block = np.stack((ids[idx], stamps[idx]), axis=1)
-            fh.write(("%d,%d\n" * idx.size) % tuple(block.ravel().tolist()))
+    key <<= 1
+    key[len(triggers_ns) :] |= 1
+    key.sort(kind="stable")
+    header = (
+        f"# {TIMETAG_FORMAT}\n"
+        f"# seed: {dm.seed}\n"
+        f"# model: {dm.fingerprint()}\n"
+        f"# duration_s: {duration_s!r}\n"
+        "# columns: stream_id,timestamp_ps\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        # Format one block at a time, so no full-length text is ever held.
+        for start in range(0, key.size, _WRITE_BLOCK):
+            block = key[start : start + _WRITE_BLOCK]
+            stamps = block >> 1
+            # Sorted stamps change sign and digit count only at these cuts.
+            cuts = np.searchsorted(stamps, _WIDTH_EDGES).tolist()
+            fh.write(
+                b"".join(
+                    _format_records(block[lo:hi] & 1, stamps[lo:hi])
+                    for lo, hi in zip([0] + cuts, cuts + [block.size])
+                    if lo < hi
+                )
+            )
+
+
+def _format_records(ids: np.ndarray, stamps: np.ndarray) -> bytes:
+    """Text of records whose stamps share one sign and one digit count.
+
+    Row j of the (line length, records) matrix holds byte j of every line,
+    so each row is filled with one contiguous store.
+    """
+    first = int(stamps[0])
+    sign = first < 0
+    width = len(str(abs(first)))
+    rows = np.empty((3 + sign + width, ids.size), np.uint8)
+    rows[0] = ids
+    rows[0] += ord("0")
+    rows[1] = ord(",")
+    rows[2] = ord("-")  # the first digit row when there is no sign
+    rows[-1] = ord("\n")
+    digits = rows[2 + sign : -1]
+    values = np.abs(stamps)
+    # Eight-digit limbs in uint32, where dividing by 10 is fastest.
+    for stop in range(width, 0, -8):
+        if stop > 8:
+            high = values // 100_000_000
+            limb = (values - high * 100_000_000).astype(np.uint32)
+            values = high
+        else:
+            limb = values.astype(np.uint32)
+        for j in range(stop - 1, max(stop - 8, 0), -1):
+            quotient = limb // 10
+            digits[j] = limb - quotient * 10
+            limb = quotient
+        digits[max(stop - 8, 0)] = limb
+    digits += ord("0")
+    return rows.T.tobytes()
 
 
 def read_timetags(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a time-tag file back into (trigger, partner) streams in ns.
 
-    Comment lines and empty lines may appear anywhere after the header; a
-    body record that is not two integers, or whose stream id is not 0 or 1,
-    is a UsageError.
+    After the header line, each line is a record ``[01],-?[0-9]{1,19}``
+    (stream id, timestamp in ps below 2^63 in magnitude), a ``#`` comment
+    or empty; lines end in LF or CRLF.  Any other line is a UsageError that
+    names it.  The body is parsed in bounded chunks.
     """
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        if TIMETAG_FORMAT not in first:
+    with open(path, "rb") as fh:
+        if TIMETAG_FORMAT.encode() not in fh.readline():
             raise UsageError(f"{path} is not a recognized time-tag file")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file (a zero-length run) is valid and empty.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, dtype=np.int64, delimiter=",", comments="#", ndmin=2)
-        except ValueError as exc:
-            raise UsageError(f"{path}: malformed time-tag record: {exc}") from exc
-    if data.size == 0:
+        ids, stamps = [], []
+        line = 2
+        while chunk := fh.read(_READ_CHUNK):
+            chunk += fh.readline()
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            line += _parse_lines(path, chunk, line, ids, stamps)
+    if not stamps:
         return np.empty(0), np.empty(0)
-    if data.shape[1] != 2:
-        raise UsageError(f"{path}: time-tag records need 2 fields, found {data.shape[1]}")
-    ids = data[:, 0]
-    if ids.min() < 0 or ids.max() > 1:
-        raise UsageError(f"{path}: stream ids must be 0 (trigger) or 1 (partner)")
-    stamps = data[:, 1] / 1e3
-    return np.sort(stamps[ids == 0]), np.sort(stamps[ids == 1])
+    ids = np.concatenate(ids)
+    stamps = np.concatenate(stamps)
+    # The file is in time order, which the stable sort finds in linear time;
+    # dividing after sorting gives the same floats as sorting after.
+    return tuple(np.sort(stamps[ids == i], kind="stable") / 1e3 for i in (0, 1))
+
+
+def _parse_lines(path, buf: bytes, first_line: int, ids: list, stamps: list) -> int:
+    """Parse whole body lines; append each record's id and stamp to the lists.
+
+    Runs of at least ``_MIN_RUN`` consecutive records of equal length are
+    parsed in place as a (lines, line length) view of the buffer.  All other
+    records are gathered by length, so the number of steps stays bounded
+    however the lengths vary.  Returns the number of lines.
+    """
+    text = np.frombuffer(buf, np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    cr = text[ends - 1] == ord("\r")  # an empty first line reads the final newline
+    length = ends - starts - cr
+    record = (length > 0) & (text[starts] != ord("#"))
+    # Records in a run share this key, so their lines share one stride.
+    key = np.where(record, 2 * length + cr, 0)
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+    lo, hi = bounds[:-1], bounds[1:]
+    in_place = (key[lo] > 0) & (hi - lo >= _MIN_RUN)
+
+    faults = []
+    for i, j in zip(lo[in_place].tolist(), hi[in_place].tolist()):
+        stride = int(ends[i] - starts[i]) + 1
+        view = text[starts[i] : ends[j - 1] + 1].reshape(j - i, stride)[:, : length[i]]
+        bad = _parse_records(view, ids, stamps)
+        if bad >= 0:
+            faults.append(i + bad)
+
+    rest = np.flatnonzero(record & ~np.repeat(in_place, hi - lo))
+    rest = rest[np.argsort(length[rest], kind="stable")]
+    groups = np.flatnonzero(np.diff(length[rest], prepend=-1, append=-1))
+    for g, h in zip(groups[:-1].tolist(), groups[1:].tolist()):
+        lines = rest[g:h]
+        # One byte past the longest record is enough to reject a longer line.
+        width = min(int(length[lines[0]]), _MAX_RECORD + 1)
+        bad = _parse_records(text[starts[lines, None] + np.arange(width)], ids, stamps)
+        if bad >= 0:
+            faults.append(int(lines[bad]))
+
+    if faults:
+        k = min(faults)
+        shown = buf[starts[k] : starts[k] + min(int(length[k]), 40)].decode(errors="replace")
+        raise UsageError(
+            f"{path}, line {first_line + k}: malformed time-tag record {shown!r}"
+            " (want a stream id 0 or 1, a comma and an integer timestamp below 2^63 ps)"
+        )
+    return ends.size
+
+
+def _parse_records(lines: np.ndarray, ids: list, stamps: list) -> int:
+    """Parse records of equal length, rows of ``lines``; append their ids
+    and stamps to the lists and return -1, or return the first bad row."""
+    width = lines.shape[1]
+    if not 3 <= width <= _MAX_RECORD:
+        return 0
+    sign = lines[:, 2] == ord("-")
+    # Digit j of every record in row j, so each step reads contiguous bytes.
+    digits = np.array(lines[:, 2:].T, order="C")  # a copy, even of one row
+    digits -= ord("0")
+    digits[0, sign] = 0
+    stream = lines[:, 0] - ord("0")
+    # Eight-digit limbs in uint32, then the value in uint64: 19 digits fit.
+    value = np.zeros(len(lines), np.uint64)
+    start = 0
+    for stop in range((width - 2) % 8 or 8, width - 1, 8):
+        limb = digits[start].astype(np.uint32)
+        for j in range(start + 1, stop):
+            limb *= 10
+            limb += digits[j]
+        value = value * 10 ** (stop - start) + limb
+        start = stop
+    bad = (stream > 1) | (lines[:, 1] != ord(",")) | (value >= 2**63)
+    if width == 3:
+        bad |= sign  # no digit
+    elif width == _MAX_RECORD:
+        bad |= ~sign  # 20 digits
+    if digits.max() > 9:
+        bad |= (digits > 9).any(axis=0)
+    if bad.any():
+        return int(np.argmax(bad))
+    value = value.view(np.int64)
+    np.negative(value, out=value, where=sign)
+    ids.append(stream)
+    stamps.append(value)
+    return -1

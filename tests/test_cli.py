@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import sfwm
+import sfwm.cli
 from sfwm.cli import main
 
 from conftest import exponential_packet
@@ -402,3 +404,105 @@ class TestCsvContract:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[medium]\nod_stokes = 80\nnonsense = 1\n")
         assert main(["simulate-eit", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestNonfiniteArguments:
+    @pytest.mark.parametrize("command", ["simulate-biphoton", "synth"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_tau_max_is_usage_error(self, strong_config, tmp_path, capsys, command, value):
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", strong_config, "--out", str(out),
+                     f"--tau-max-ns={value}"])
+        assert code == 2
+        assert "--tau-max-ns must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_sweep_pump_power_is_usage_error(self, strong_config, tmp_path, capsys, value):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", strong_config, "--powers-mw", "1",
+                     f"--pump-mw={value}", "--out", str(out)])
+        assert code == 2
+        assert "pump power" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+    def test_sweep_anchor_rate_is_usage_error(self, strong_config, tmp_path, capsys, value):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", strong_config, "--powers-mw", "1",
+                     "--anchor-power-mw", "1", f"--anchor-rate-per-mhz={value}", "--out", str(out)])
+        assert code == 2
+        assert "anchor rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("powers", ["nan", "1,inf"])
+    def test_sweep_nonfinite_power_is_usage_error(self, strong_config, tmp_path, powers):
+        code = main(["sweep", "--config", strong_config, "--powers-mw", powers,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("bound", ["--delta-min-mhz=-inf", "--delta-max-mhz=inf"])
+    def test_eit_detuning_bounds_checked_up_front(self, strong_config, tmp_path, capsys, recwarn,
+                                                  bound):
+        code = main(["simulate-eit", "--config", strong_config, bound,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "array" not in err
+        assert not recwarn.list
+
+
+def float_options():
+    """(command, option) for every float-typed option of every subcommand."""
+    parser = sfwm.cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (name, action.option_strings[-1])
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+@pytest.fixture
+def base_argv(tmp_path):
+    """A valid invocation of every subcommand, on small inputs."""
+    cfg = tmp_path / "small.ini"
+    cfg.write_text(STRONG_CONFIG.replace("accumulation_s = 1200", "accumulation_s = 20"))
+    cfg, out = str(cfg), str(tmp_path / "out.csv")
+    eit = tmp_path / "eit.csv"
+    assert main(["simulate-eit", "--config", cfg, "--points", "41", "--out", str(eit)]) == 0
+    t = np.arange(0.0, 4000.0, 25.6)
+    y = 10.0 + np.where(t >= 200.0, 420.0 * np.exp(-(t - 200.0) / 260.0), 0.0)
+    packet = tmp_path / "wp.csv"
+    packet.write_text("delay_ns,counts\n" + "\n".join(f"{a},{b}" for a, b in zip(t, y)) + "\n")
+    return {
+        "simulate-eit": ["--config", cfg, "--out", out],
+        "simulate-biphoton": ["--config", cfg, "--out", out],
+        "fit-eit": ["--csv", str(eit)],
+        "fit-biphoton": ["--csv", str(packet)],
+        "sweep": ["--config", cfg, "--powers-mw", "1", "--anchor-power-mw", "1",
+                  "--anchor-rate-per-mhz", "1500", "--out", out],
+        "synth": ["--config", cfg, "--out", out, "--timetags", str(tmp_path / "tags.txt")],
+    }
+
+
+class TestFloatOptionContract:
+    """Every float option of every command: a non-finite value is a usage
+    error (exit 2), reported without a numpy warning."""
+
+    def test_every_command_has_a_base_invocation(self, base_argv, capsys):
+        parser = sfwm.cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(commands.choices) == set(base_argv)
+        assert len(float_options()) >= 14
+        for command, argv in base_argv.items():
+            assert main([command, *argv]) == 0, command
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,option", float_options())
+    def test_nonfinite_value_is_usage_error(self, base_argv, capsys, recwarn, command, option,
+                                            value):
+        code = main([command, *base_argv[command], f"{option}={value}"])
+        assert code == 2, capsys.readouterr().err
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]

@@ -1,9 +1,15 @@
+import contextlib
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sfwm
+from sfwm import detector
 from sfwm.errors import UsageError
 
 from conftest import exponential_packet
@@ -308,3 +314,158 @@ class TestTimeTagFormat:
         path.write_text(f"# sfwm-timetags v1\n{record}\n")
         with pytest.raises(UsageError):
             sfwm.read_timetags(path)
+
+
+# The record grammar, one line at a time: the reader must agree with it.
+RECORD = re.compile(rb"([01]),(-?[0-9]{1,19})")
+
+
+def reference_parse(body: bytes):
+    """(triggers, partners) in ns of a file body, or the number of its first
+    bad line (the header is line 1)."""
+    streams = ([], [])
+    lines = body.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    for number, line in enumerate(lines, start=2):
+        if line.endswith(b"\r"):
+            line = line[:-1]
+        if not line or line.startswith(b"#"):
+            continue
+        match = RECORD.fullmatch(line)
+        if match is None or abs(int(match[2])) >= 2**63:
+            return number
+        streams[int(match[1])].append(int(match[2]))
+    return tuple(np.array(sorted(s), dtype=np.int64) / 1e3 for s in streams)
+
+
+MALFORMED = [
+    " 0,1000", "0, 1000", "0,1000 ", "0 ,1000", "\t0,1000",  # whitespace around a field
+    "+0,1000", "0,+1000",  # a plus sign
+    "0,1000 # note", "0,1000#note",  # an inline comment
+    "0,12345678901234567890", "1,-12345678901234567890",  # 20 digits
+    "0,00000000000000000001", "0,99999999999999999999",  # 20 digits, small or wrapping in uint64
+    "0,9223372036854775808", "1,-9223372036854775808",  # 2^63 ps
+    "0,12a4", "1,1.5", "0,1\x00", "0,1é", "0,-", "0,1-",  # a non-digit byte
+]
+
+
+@pytest.fixture
+def chunking():
+    """Patch the reader's chunk size and in-place run length."""
+    def patch(chunk, min_run):
+        stack = contextlib.ExitStack()
+        stack.enter_context(mock.patch.object(detector, "_READ_CHUNK", chunk))
+        stack.enter_context(mock.patch.object(detector, "_MIN_RUN", min_run))
+        return stack
+    return patch
+
+
+class TestTimeTagCodec:
+    def write(self, tmp_path, triggers_ns, partners_ns):
+        dm = model(seed=9)
+        path = tmp_path / "tags.txt"
+        sfwm.write_timetags(path, triggers_ns, partners_ns, dm, 1.0)
+        expected = reference_timetag_text(triggers_ns, partners_ns, dm, 1.0)
+        assert path.read_bytes() == expected.encode()
+        trig, part = sfwm.read_timetags(path)
+        np.testing.assert_array_equal(trig, np.sort(np.round(triggers_ns * 1e3)) / 1e3)
+        np.testing.assert_array_equal(part, np.sort(np.round(partners_ns * 1e3)) / 1e3)
+
+    def test_every_digit_count_and_both_signs(self, tmp_path):
+        ps = [0]
+        for digits in range(1, 20):
+            lo = 10 ** (digits - 1)
+            hi = min(10**digits - 1, 4_600_000_000_000_000_000)  # 2^62 ps is 4.61e18
+            ps += [lo, (lo + hi) // 2, hi]
+        ps = np.array(ps, dtype=float)
+        assert np.all(ps / 1e3 < 2.0**62 / 1e3)
+        self.write(tmp_path, ps / 1e3, -ps[::-1] / 1e3)
+        self.write(tmp_path, np.concatenate([ps, -ps]) / 1e3, ps[1::2] / 1e3)
+
+    def test_runs_cross_block_boundaries(self, tmp_path):
+        rng = np.random.default_rng(17)
+        ps = rng.integers(-(10**7), 10**7, 150_000)  # 2.3 blocks, widths 1 to 8
+        triggers = ps[:90_000] / 1e3
+        partners = np.concatenate([ps[90_000:], ps[:500]]) / 1e3  # ties with triggers
+        self.write(tmp_path, triggers, partners)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        triggers=st.lists(st.floats(-1e6, 1e6) | st.floats(-4.6e15, 4.6e15), max_size=200),
+        partners=st.lists(st.floats(-1e6, 1e6) | st.floats(-4.6e15, 4.6e15), max_size=200),
+    )
+    def test_round_trip_is_exact_in_picoseconds(self, tmp_path, triggers, partners):
+        self.write(tmp_path, np.array(triggers, dtype=float), np.array(partners, dtype=float))
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), sizes=st.sampled_from([(1 << 20, 256), (48, 3), (1, 1)]))
+    def test_reader_matches_reference_parser(self, tmp_path, chunking, data, sizes):
+        lines = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            kind = data.draw(st.sampled_from(["run", "record", "comment", "blank"]))
+            if kind == "run":  # equal lengths, so in-place parsing
+                digits = data.draw(st.integers(1, 19))
+                sign = data.draw(st.sampled_from(["", "-"]))
+                lo = 10 ** (digits - 1) if digits > 1 else 0
+                values = st.integers(lo, min(10**digits - 1, 2**63 - 1))
+                items = st.tuples(st.sampled_from("01"), values)
+                lines += [f"{i},{sign}{v}" for i, v in data.draw(st.lists(items, max_size=20))]
+            elif kind == "record":
+                stamp = data.draw(st.integers(-(2**63) + 1, 2**63 - 1))
+                lines.append(f"{data.draw(st.sampled_from('01'))},{stamp}")
+            elif kind == "comment":
+                lines.append("#" + data.draw(st.text(st.characters(exclude_characters="\n\r"))))
+            else:
+                lines.append("")
+        if lines and data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(lines)))
+            lines.insert(at, data.draw(st.sampled_from(MALFORMED)))
+        endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                                     max_size=len(lines)))
+        body = "".join(line + end for line, end in zip(lines, endings))
+        if lines and data.draw(st.booleans()):
+            body = body.rstrip("\r\n")  # no newline at the end
+        body = body.encode()
+        path = tmp_path / "tags.txt"
+        path.write_bytes(b"# sfwm-timetags v1\n" + body)
+        expected = reference_parse(body)
+        with chunking(*sizes):
+            if isinstance(expected, int):
+                with pytest.raises(UsageError, match=f", line {expected}: "):
+                    sfwm.read_timetags(path)
+            else:
+                trig, part = sfwm.read_timetags(path)
+                np.testing.assert_array_equal(trig, expected[0])
+                np.testing.assert_array_equal(part, expected[1])
+
+    @pytest.mark.parametrize("record", MALFORMED)
+    def test_malformed_record_names_its_line(self, tmp_path, record):
+        path = tmp_path / "tags.txt"
+        bad = record.encode()
+        path.write_bytes(b"# sfwm-timetags v1\n0,1\n# note\n" + bad + b"\n1,22\n")
+        with pytest.raises(UsageError, match=", line 4: "):
+            sfwm.read_timetags(path)
+        # Amid runs parsed in place, of the same length where a record can be.
+        good = b"1,-" + b"1" * 19 if len(bad) >= 22 else b"0," + b"1" * (len(bad) - 2)
+        path.write_bytes(b"# sfwm-timetags v1\n" + (good + b"\n") * 600 + bad + b"\n"
+                         + (good + b"\n") * 600)
+        with pytest.raises(UsageError, match=", line 602: "):
+            sfwm.read_timetags(path)
+
+    def test_alternating_lengths(self, tmp_path):
+        """A length change on every line is parsed in a bounded number of steps."""
+        rng = np.random.default_rng(23)
+        short = rng.integers(10_000, 100_000, 100_000)
+        long = rng.integers(10**8, 10**9, 100_000)
+        body = "".join(f"0,{a}\n1,{b}\n" for a, b in zip(short, long)).encode()
+        path = tmp_path / "tags.txt"
+        path.write_bytes(b"# sfwm-timetags v1\n" + body)
+        with mock.patch.object(detector, "_parse_records", wraps=detector._parse_records) as parse:
+            trig, part = sfwm.read_timetags(path)
+        np.testing.assert_array_equal(trig, np.sort(short) / 1e3)
+        np.testing.assert_array_equal(part, np.sort(long) / 1e3)
+        chunks = len(body) // detector._READ_CHUNK + 1
+        assert parse.call_count <= 2 * chunks
