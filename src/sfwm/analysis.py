@@ -112,14 +112,13 @@ _LM_GTOL = 1e-8  # cosine between residuals and each Jacobian column that ends a
 # (sigma = 0.005, 0.2 to 2.75 mW).
 _EIT_FTOL = 1e-13
 # Smallest damping: it keeps the scaled, damped 2x2 determinant positive in
-# floating point when the two Jacobian columns are collinear (a one-bin spike).
+# floating point when the two Jacobian columns are nearly collinear.
 _LM_DAMPING_MIN = 1e-10
-
-
-def _decay_jacobian(e, x, w, amp, tau):
-    """Columns dr/dS = e*w and dr/dtau = S*e*w*x/tau^2, where e = exp(-x/tau)."""
-    ew = e * w
-    return ew, amp * ew * x / (tau * tau)
+_NEWTON_MAX_STEPS = 100  # steps of the decay fit and of the baseline inversion
+# Largest step of the decay fit in log tau (a factor of e^2 in tau), and the
+# step that ends it.
+_LOG_TAU_STEP_MAX = 2.0
+_LOG_TAU_STEP_LAST = 1e-5
 
 
 def _damped_step(held1, held2, u11, u12, u22, h1, h2, k1, k2, lam):
@@ -203,8 +202,7 @@ def _solve_2x2(evaluate, p1, p2, lo1, lo2, ftol=0.0):
         # Scaled, the damped matrix has a diagonal of order one, so its
         # determinant neither underflows nor, with the damping floor, loses
         # its sign to rounding.  A column that has been zero at every iterate
-        # (S = 0 from the start zeroes the tau column of the decay) has no
-        # gradient: unit scaling gives it a zero step.
+        # has no gradient: unit scaling gives it a zero step.
         k1, k2 = c1 or 1.0, c2 or 1.0
         scaled = (held1, held2, a11 / k1 / k1, a12 / k1 / k2, a22 / k2 / k2, g1 / k1, g2 / k2, k1, k2)
         # Stationarity is judged on the Gauss-Newton step, damped only by the
@@ -240,18 +238,70 @@ def _solve_2x2(evaluate, p1, p2, lo1, lo2, ftol=0.0):
     return p1, p2, r, False
 
 
-def _fit_decay(x, d, w, amp, tau):
-    """Minimize sum(((S*exp(-x/tau) - d)*w)^2) over S >= 0, tau >= _TAU_MIN_NS.
+def _decay_profile(u, z, wd, W):
+    """The decay fit at tau = exp(u) with the amplitude eliminated.
 
-    Uses the analytic Jacobian.  Returns (S, tau, converged).
+    With e = exp(-z/tau), g = z/tau, a_k = sum(W*d*e*g^k) and
+    b_k = sum(W*e^2*g^k), the best amplitude is S = max(a_0, 0)/b_0 and the
+    cost is sum(W*d^2) - phi with phi = a_0*S.  As de/du = e*g and
+    dg/du = -g, a_0' = a_1, b_0' = 2*b_1, a_1' = a_2 - a_1 and
+    b_1' = 2*b_2 - b_1, so dphi/du = 2*S*G and d2phi/du2 = 2*S*H with G and
+    H below.  Returns (phi, G, H); at S = 0 all three are zero.
     """
+    # Rows e, -e*g and e*g^2: two matrix-vector products give the six sums.
+    h = z * (-1.0 / math.exp(u))
+    rows = np.empty((3, z.size))
+    e = np.exp(h, out=rows[0])
+    np.multiply(e, h, out=rows[1])
+    np.multiply(rows[1], h, out=rows[2])
+    (a0, a1, a2), (b0, b1, b2) = (rows @ wd).tolist(), (rows @ (W * e)).tolist()
+    if a0 <= 0.0:
+        return 0.0, 0.0, 0.0
+    a1, b1 = -a1, -b1
+    s = a0 / b0
+    grad = a1 - s * b1
+    s_u = (grad - s * b1) / b0  # dS/du
+    curv = s_u * grad / s + a2 - a1 - s_u * b1 - s * (2.0 * b2 - b1)
+    return a0 * s, grad, curv
 
-    def evaluate(amp, tau):
-        e = np.exp(-x / tau)
-        return (amp * e - d) * w, lambda: _decay_jacobian(e, x, w, amp, tau)
 
-    amp, tau, _, converged = _solve_2x2(evaluate, amp, tau, 0.0, _TAU_MIN_NS)
-    return amp, tau, converged
+def _fit_decay(z, wd, W, tau):
+    """Minimize sum(W*(S*exp(-z/tau) - d)^2) over S >= 0, tau >= _TAU_MIN_NS.
+
+    ``wd`` is W*d.  Variable projection: for a fixed tau the best S is
+    linear in the data and closed-form, so the solve maximizes the
+    one-dimensional profile phi of _decay_profile over u = log(tau), by
+    Newton's method with analytic derivatives.  Where phi is not concave the
+    step goes uphill by _LOG_TAU_STEP_MAX instead; every step is capped at
+    that, stops at the bound, and is halved until phi rises.  A step
+    shorter than _LOG_TAU_STEP_LAST is the last, taken without that test:
+    phi changes by less than rounding can show, and Newton's method leaves
+    an error of order its square.  The solve also ends where the slope
+    vanishes, as it does at S = 0.  ``z`` starts at 0, so exp(-z/tau) cannot
+    underflow on the first bin whatever tau.  Returns (tau, converged); S
+    follows from tau in closed form.
+    """
+    u_min = math.log(_TAU_MIN_NS)
+    u = math.log(max(tau, _TAU_MIN_NS))
+    phi, grad, curv = _decay_profile(u, z, wd, W)
+    for _ in range(_NEWTON_MAX_STEPS):
+        if grad == 0.0:
+            return math.exp(u), True
+        step = -grad / curv if curv < 0.0 else math.copysign(_LOG_TAU_STEP_MAX, grad)
+        if math.isnan(step):  # inf/inf from sums that overflowed
+            break
+        step = max(min(step, _LOG_TAU_STEP_MAX), -_LOG_TAU_STEP_MAX)
+        while True:
+            new = max(u + step, u_min)
+            if abs(new - u) <= _LOG_TAU_STEP_LAST:
+                return math.exp(new), True
+            trial = _decay_profile(new, z, wd, W)
+            if trial[0] > phi:
+                break
+            step *= 0.5
+        u = new
+        phi, grad, curv = trial
+    return math.exp(u), False
 
 
 def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
@@ -263,8 +313,10 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     1/max(count, 1) and then reweighted against the fitted model's variances;
     purely data-derived weights overweight downward-fluctuating bins and bias
     the decay constant several percent low at low counts.  Each weighted
-    problem is solved by a two-parameter Levenberg-Marquardt iteration in
-    closed form (see _fit_decay).  Raises UsageError on non-finite input,
+    problem is solved by variable projection, S in closed form and Newton's
+    method in log(tau) (see _fit_decay), in terms of the amplitude at the
+    first fit bin; S at the onset follows from it, and is inf with infinite
+    errors where that overflows.  Raises UsageError on non-finite input,
     ConvergenceError (carrying the best iterate) if the solver gives up,
     DegenerateDataError on all-zero input.
     """
@@ -272,7 +324,7 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     y = w.g2
     if not (math.isfinite(x0_ns) and np.isfinite(t).all() and np.isfinite(y).all()):
         raise UsageError("wave packet delays, values and onset must be finite")
-    if not np.any(y > 0):
+    if not (y > 0).any():
         raise DegenerateDataError("wave packet is identically zero")
     fit_mask = t >= x0_ns
     if np.count_nonzero(fit_mask) < 10:
@@ -280,20 +332,22 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
 
     base_mask = _baseline_window_mask(t, x0_ns, w.bin_ns)
     n_base = int(np.count_nonzero(base_mask))
-    y0 = float(y[base_mask].mean())
+    window = y[base_mask]
+    y0 = float(window.mean())
     # Standard error of the window mean from the scatter of its bins; for
     # Poisson counts this recovers sqrt(mean/N), and it vanishes for
     # noiseless model packets in arbitrary units.
     if n_base >= 2:
-        y0_err = float(np.std(y[base_mask], ddof=1)) / math.sqrt(n_base)
+        scatter = window - y0
+        y0_err = math.sqrt(float(scatter @ scatter) / (n_base - 1) / n_base)
     else:
-        y0_err = math.sqrt(float(np.maximum(y[base_mask], 1.0).sum())) / n_base
+        y0_err = math.sqrt(float(np.maximum(window, 1.0).sum())) / n_base
 
     tf = t[fit_mask]
     yf = y[fit_mask]
     sigma = np.sqrt(np.maximum(yf, 1.0))
 
-    if np.all(yf == y0):
+    if (yf == y0).all():
         # Exactly flat fit region: zero amplitude, decay constant undefined.
         return ExpFit(
             baseline=y0, amplitude=0.0, tau_ns=float(tf[-1] - tf[0]),
@@ -301,20 +355,27 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
             amplitude_err=float("inf"), tau_err=float("inf"),
             residual_norm=0.0, converged=True, n_fit_bins=int(yf.size),
         )
-    amp0 = max(float(yf[0] - y0), 0.0)
-    below = np.nonzero(yf - y0 < amp0 / math.e)[0]
+    d = yf - y0
+    amp0 = max(float(d[0]), 0.0)
+    below = np.nonzero(d < amp0 / math.e)[0]
     tau0 = float(tf[below[0]] - tf[0]) if below.size else float(tf[-1] - tf[0]) / 2.0
-    tau0 = max(tau0, 2.0 * w.bin_ns)
+    tau = max(tau0, 2.0 * w.bin_ns)
 
-    x = tf - x0_ns
-    amp, tau = amp0, tau0
+    # Delays past the first fit bin, which lies lead_ns past the onset.
+    z = tf - tf[0]
+    lead_ns = float(tf[0]) - x0_ns
     for _ in range(3):
         fit_sigma = sigma
-        amp, tau, converged = _fit_decay(x, yf - y0, 1.0 / fit_sigma, amp, tau)
-        e = np.exp(-x / tau)
-        model = y0 + amp * e
+        weights = 1.0 / fit_sigma
+        W = weights * weights
+        wd = W * d
+        tau, converged = _fit_decay(z, wd, W, tau)
+        e = np.exp(-z / tau)
+        amp_first = max(float(wd @ e), 0.0) / float(W @ (e * e))
+        excess = amp_first * e
+        model = y0 + excess
         refined = np.sqrt(np.maximum(model, 1.0))
-        if np.allclose(refined, fit_sigma, rtol=1e-3):
+        if (np.abs(refined - fit_sigma) <= 1e-8 + 1e-3 * fit_sigma).all():
             break
         sigma = refined
 
@@ -324,38 +385,48 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     # describe the data (arbitrary units, noiseless models).  The sensitivity
     # of (S, tau) to the separately estimated baseline is added in quadrature.
     # A singular normal matrix means an undetermined decay: infinite errors.
-    weights = 1.0 / fit_sigma
-    jac = np.column_stack(_decay_jacobian(e, x, weights, amp, tau))
-    (a11, a12), (_, a22) = jac.T @ jac
+    # The Jacobian columns are dr/dS = lead_decay*e*w and
+    # dr/dtau = S*lead_decay*e*w*x/tau^2 with lead_decay = exp(-lead_ns/tau),
+    # which may underflow; S*lead_decay is the amplitude at the first fit bin.
+    lead_decay = math.exp(-lead_ns / tau)
+    j1 = (lead_decay * e) * weights
+    j2 = excess * weights * ((z + lead_ns) / (tau * tau))
+    a11, a12, a22 = float(j1 @ j1), float(j1 @ j2), float(j2 @ j2)
+    v1, v2 = float(j1 @ weights), float(j2 @ weights)
     det = a11 * a22 - a12 * a12
     resid = (model - yf) * weights
-    chi2_per_dof = float(resid @ resid) / max(yf.size - 2, 1)
+    chi2 = float(resid @ resid)
+    chi2_per_dof = chi2 / max(yf.size - 2, 1)
     amp_err = tau_err = math.inf
     if det > 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = np.array([[a22, -a12], [-a12, a11]]) / det
-            baseline_shift = -cov @ (jac.T @ weights)
-            errors = np.sqrt(
-                chi2_per_dof * np.maximum(np.diag(cov), 0.0) + (baseline_shift * y0_err) ** 2
-            )
+        # Baseline shift -cov @ (J^T w) with cov = [[a22, -a12], [-a12, a11]]/det.
+        amp_shift = (a12 * v2 - a22 * v1) / det * y0_err
+        tau_shift = (a12 * v1 - a11 * v2) / det * y0_err
+        amp_err = math.sqrt(chi2_per_dof * max(a22 / det, 0.0) + amp_shift * amp_shift)
+        tau_err = math.sqrt(chi2_per_dof * max(a11 / det, 0.0) + tau_shift * tau_shift)
         # nan here is inf - inf from a nearly singular matrix: also undetermined.
-        amp_err, tau_err = np.nan_to_num(errors, nan=math.inf)
+        amp_err = math.inf if math.isnan(amp_err) else amp_err
+        tau_err = math.inf if math.isnan(tau_err) else tau_err
+    if lead_decay > 0.0:
+        amp = amp_first / lead_decay
+    else:
+        amp = math.inf if amp_first > 0.0 else 0.0
 
     fit = ExpFit(
         baseline=y0,
-        amplitude=float(amp),
-        tau_ns=float(tau),
+        amplitude=amp,
+        tau_ns=tau,
         onset_ns=float(x0_ns),
         baseline_err=float(y0_err),
-        amplitude_err=float(amp_err),
-        tau_err=float(tau_err),
-        residual_norm=float(np.linalg.norm(resid)),
+        amplitude_err=amp_err,
+        tau_err=tau_err,
+        residual_norm=math.sqrt(chi2),
         converged=converged,
         n_fit_bins=int(yf.size),
     )
     if not converged:
         raise ConvergenceError(
-            f"exponential fit did not converge in {_LM_MAX_STEPS} steps", best=fit
+            f"exponential fit did not converge in {_NEWTON_MAX_STEPS} steps", best=fit
         )
     return fit
 
@@ -454,7 +525,6 @@ def average_low_power_gamma(power_fit_pairs, n: int = 3) -> float:
 
 # Bounds of the optical depth that the baseline inversion searches.
 _ALPHA_MIN, _ALPHA_MAX = 1e-6, 1e5
-_NEWTON_MAX_STEPS = 100
 # Forward-difference step of the EIT Jacobian on the quadrature path,
 # relative to max(|parameter|, 1).
 _FD_STEP = math.sqrt(np.finfo(float).eps)

@@ -122,6 +122,15 @@ class EtalonChain:
 DEFAULT_ETALONS = EtalonChain()
 
 
+def _is_uniform(t) -> bool:
+    """Whether the steps of ``t`` (two or more samples) are finite and equal
+    to the first within rtol = atol = 1e-9, the test of np.allclose."""
+    steps = t[1:] - t[:-1]
+    first = float(steps[0])
+    tol = 1e-9 + 1e-9 * abs(first)
+    return math.isfinite(first) and bool(np.abs(steps - first).max() <= tol)
+
+
 @dataclass(eq=False)
 class WavePacket:
     """Unnormalized two-photon correlation G2 on a uniform delay grid (ns)."""
@@ -135,10 +144,8 @@ class WavePacket:
         self.g2 = np.asarray(self.g2, dtype=float)
         if self.tau_ns.size != self.g2.size:
             raise UsageError("tau and g2 lengths differ")
-        if self.tau_ns.size >= 2:
-            steps = np.diff(self.tau_ns)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-9):
-                raise UsageError("delay grid must be uniform")
+        if self.tau_ns.size >= 2 and not _is_uniform(self.tau_ns):
+            raise UsageError("delay grid must be uniform")
         if np.any(self.g2 < 0):
             raise UsageError("correlation values must be nonnegative")
 
@@ -267,8 +274,8 @@ def wavepacket(
     tau_ns = np.asarray(tau_ns, dtype=float)
     if tau_ns.size < 2:
         raise UsageError("delay grid needs at least two samples")
-    steps = np.diff(tau_ns)
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
+    step = float(tau_ns[1] - tau_ns[0])
+    if not (step > 0.0 and _is_uniform(tau_ns)):
         raise UsageError("delay grid must be uniform and increasing")
     span = units.time_from_ns(float(tau_ns[-1] - tau_ns[0]))
     if a.grid.spacing * span > 2.0 * np.pi:
@@ -301,7 +308,7 @@ def wavepacket(
     kernel = np.exp(0.5j * b * (lag + 0.5 * (n_delta - 1)) ** 2)
     y = np.fft.ifft(np.fft.fft(chirped, size) * np.fft.fft(kernel))[:n_tau]
     g2 = y.real**2 + y.imag**2
-    return WavePacket(tau_ns, g2, float(steps[0]))
+    return WavePacket(tau_ns, g2, step)
 
 
 def _derived_count(half_width: float, gamma: float, span: float, cap: int) -> int:

@@ -88,11 +88,21 @@ def _meta(cfg: RunConfig, command: str, **extra) -> dict:
     return {"command": command, "config-sha256": cfg.source_sha256, "seed": cfg.seed, **extra}
 
 
+# Longest delay axis a command builds (25.6 ms of 25.6 ns bins); past it the
+# axis alone would take gigabytes.
+_MAX_DELAY_BINS = 1_000_000
+
+
 def _predicted_packet(cfg: RunConfig, tau_max_ns: float) -> tuple[WavePacket, WavePacket]:
     """Raw and rise-time-convolved packets for the configured parameters."""
     if not np.isfinite(tau_max_ns):
         raise UsageError(f"--tau-max-ns must be finite, got {tau_max_ns!r}")
-    tau_axis = np.arange(0.0, tau_max_ns, cfg.detection().bin_ns)
+    bin_ns = cfg.detection().bin_ns
+    if tau_max_ns / bin_ns > _MAX_DELAY_BINS:
+        raise UsageError(
+            f"--tau-max-ns {tau_max_ns!r} spans more than {_MAX_DELAY_BINS} bins of {bin_ns} ns"
+        )
+    tau_axis = np.arange(0.0, tau_max_ns, bin_ns)
     packet = predict_packet(
         cfg.medium(), cfg.drive(), tau_axis, grid=cfg.grid(), etalons=cfg.etalons(),
         q=cfg.quadrature(), onset_ns=cfg.onset_ns,
@@ -288,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sfwm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    tau_max_help = f"delay span in ns, at most {_MAX_DELAY_BINS} detection bins"
+
     def add_common(p):
         p.add_argument("--config", default=None, help="INI config file (defaults if omitted)")
         p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
@@ -301,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-biphoton", help="predicted wave packet on a delay grid")
     add_common(p)
-    p.add_argument("--tau-max-ns", type=float, default=4000.0)
+    p.add_argument("--tau-max-ns", type=float, default=4000.0, help=tau_max_help)
     p.set_defaults(func=cmd_simulate_biphoton)
 
     p = sub.add_parser("fit-eit", help="recover medium parameters from a spectrum CSV")
@@ -326,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthetic coincidence histogram and time tags")
     add_common(p)
-    p.add_argument("--tau-max-ns", type=float, default=4000.0)
+    p.add_argument("--tau-max-ns", type=float, default=4000.0, help=tau_max_help)
     p.add_argument("--power-mw", type=float, default=None)
     p.add_argument("--success-probability", type=float, default=None)
     p.add_argument("--peak-sbr", type=float, default=None)

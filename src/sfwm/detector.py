@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import background_rate
-from .biphoton import WavePacket
+from .biphoton import WavePacket, _is_uniform
 from .errors import UsageError
 
 TIMETAG_FORMAT = "sfwm-timetags v1"
@@ -109,10 +109,8 @@ class CoincidenceHistogram:
             raise UsageError("counts must be nonnegative")
         if self.delay_ns.size != self.counts.size:
             raise UsageError("delay grid and counts lengths differ")
-        if self.delay_ns.size >= 2:
-            steps = np.diff(self.delay_ns)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-9):
-                raise UsageError("delay bins must be uniform")
+        if self.delay_ns.size >= 2 and not _is_uniform(self.delay_ns):
+            raise UsageError("delay bins must be uniform")
 
     def to_wavepacket(self) -> WavePacket:
         """View the counts as a wave packet for the exponential fitter."""

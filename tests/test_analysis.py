@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, least_squares
 
 import sfwm
+from sfwm import analysis
 from sfwm.errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -57,6 +58,60 @@ def oracle_exponential_fit(w, x0_ns=200.0):
         if np.allclose(sigma, s, rtol=1e-3):
             break
     return p
+
+
+def oracle_decay(z, wd, W, tau):
+    """(S, tau) minimizing sum(W*(S*exp(-z/tau) - d)^2), with wd = W*d, over
+    S >= 0 and tau >= 1e-6: scipy least_squares at 1e-15 tolerances from tau
+    and its best S."""
+    d, w = wd / W, np.sqrt(W)
+    k = 1.0 / np.abs(d * w).max()
+    e = np.exp(-z / tau)
+    return least_squares(
+        lambda q: k * (q[0] * np.exp(-z / q[1]) - d) * w,
+        [max(wd @ e, 0.0) / (W @ (e * e)), tau], bounds=([0.0, 1e-6], [np.inf, np.inf]),
+        x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=5000,
+    ).x
+
+
+def decay_cost(z, wd, W, amp, tau):
+    """The weighted cost sum(W*(S*exp(-z/tau) - d)^2) of one decay solve."""
+    r = amp * np.exp(-z / tau) - wd / W
+    return float(W @ (r * r))
+
+
+@pytest.fixture
+def decay_solves(monkeypatch):
+    """Every weighted problem (z, wd, W, tau0) fit_exponential solves, with the
+    tau its solver returns, and the profile evaluations each solve made."""
+    solves = []
+    solve, profile = analysis._fit_decay, analysis._decay_profile
+    evaluations = [0]
+
+    def counted_profile(*args):
+        evaluations[0] += 1
+        return profile(*args)
+
+    def recorded_solve(z, wd, W, tau):
+        before = evaluations[0]
+        result = solve(z, wd, W, tau)
+        solves.append(((z, wd, W, tau), result[0], evaluations[0] - before))
+        return result
+
+    monkeypatch.setattr(analysis, "_decay_profile", counted_profile)
+    monkeypatch.setattr(analysis, "_fit_decay", recorded_solve)
+    return solves
+
+
+def assert_no_worse_than_oracle(solves):
+    """At each solve's tau, with S in closed form, the weighted cost is no
+    higher than at the scipy oracle's (S, tau) for the same problem."""
+    assert solves
+    for (z, wd, W, tau0), tau, _ in solves:
+        e = np.exp(-z / tau)
+        ours = decay_cost(z, wd, W, max(wd @ e, 0.0) / (W @ (e * e)), tau)
+        theirs = decay_cost(z, wd, W, *oracle_decay(z, wd, W, tau0))
+        assert ours <= theirs * (1.0 + 1e-12)
 
 
 def oracle_eit_fit(data, m0, d0):
@@ -175,6 +230,64 @@ class TestFitExponentialOracle:
         drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
         amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive)
         self.check(sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS))
+
+
+class TestDecaySolver:
+    """The variable-projection solve of each weighted problem of the fit."""
+
+    @pytest.mark.parametrize("scenario", ROUND_TRIP_SCENARIOS)
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 99])
+    def test_poisson_histograms_no_worse_than_scipy(self, decay_solves, scenario, seed):
+        sfwm.fit_exponential(poisson_packet(*scenario, seed))
+        assert_no_worse_than_oracle(decay_solves)
+
+    @pytest.mark.parametrize("p_mw", [0.02, 0.5, 1.0])
+    def test_noiseless_model_packets_no_worse_than_scipy(self, decay_solves, p_mw, medium_b):
+        drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive)
+        sfwm.fit_exponential(sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS))
+        assert_no_worse_than_oracle(decay_solves)
+
+    # (tau ns, onset ns, accumulation s, peak SBR, seed): a decay far below
+    # the 25.6 ns bin with the onset between bin edges leaves one spike bin,
+    # whose profile rises towards tau -> 0 without a maximum.
+    ONE_BIN_SPIKES = [(1.0, 80.0, 80.0, 79.0, 37710), (5.0, 4.0, 915.0, 4.0, 241)]
+
+    @pytest.mark.parametrize("tau_ns, onset_ns, accumulation_s, peak_sbr, seed", ONE_BIN_SPIKES)
+    def test_one_bin_spike_converges(self, decay_solves, tau_ns, onset_ns, accumulation_s,
+                                     peak_sbr, seed):
+        shape = exponential_packet(1.0, tau_ns, onset_ns=onset_ns, span_ns=4000.0)
+        dm = sfwm.DetectionModel(accumulation_s=accumulation_s, seed=seed)
+        packet = sfwm.synth_histogram(shape, dm, 1.0, peak_sbr=peak_sbr).to_wavepacket()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = sfwm.fit_exponential(packet, x0_ns=onset_ns)
+        assert fit.converged
+        assert fit.tau_ns < 0.1 * packet.bin_ns or (
+            math.isfinite(fit.amplitude_err) and math.isfinite(fit.tau_err)
+        )
+        assert_no_worse_than_oracle(decay_solves)
+
+    def test_no_excess_gives_zero_amplitude(self):
+        """A dip below the baseline past the onset: S = 0 on its bound."""
+        w = exponential_packet(-50.0, 260.0, baseline=100.0, span_ns=4000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = sfwm.fit_exponential(w)
+        assert fit.converged
+        assert fit.amplitude == 0.0
+        assert fit.amplitude_err == math.inf and fit.tau_err == math.inf
+
+    def test_evaluation_budget(self, decay_solves):
+        """Newton's method converges in a few profile evaluations per solve;
+        a linearly converging solver would need many more."""
+        for scenario in ROUND_TRIP_SCENARIOS:
+            for seed in range(20):
+                sfwm.fit_exponential(poisson_packet(*scenario, seed))
+        counts = [n for _, _, n in decay_solves]
+        assert len(counts) >= 40
+        assert max(counts) <= 6
+        assert sum(counts) <= 3 * len(counts)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,

@@ -3,10 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 import sfwm
-from sfwm.biphoton import DEFAULT_COUNT, _derived_count, _next_fast_len
+from sfwm.biphoton import DEFAULT_COUNT, _derived_count, _is_uniform, _next_fast_len
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
 
-from conftest import DELAY_NS, ONSET_NS
+from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS
 
 # sin(z)/z at z = 1+1j from 40-digit arithmetic.
 SINC_1_1J = 0.96671074810035670154 - 0.33174683331562059329j
@@ -248,6 +248,24 @@ class TestWavePacket:
     def test_nonuniform_delay_grid_rejected(self, amplitude_a):
         with pytest.raises(UsageError):
             sfwm.wavepacket(amplitude_a, np.array([0.0, 10.0, 30.0]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", BAD_DELAY_GRIDS.values(), ids=BAD_DELAY_GRIDS.keys())
+    def test_bad_delay_grid_is_usage_error(self, amplitude_a, tau):
+        with pytest.raises(UsageError):
+            sfwm.wavepacket(amplitude_a, tau)
+        with pytest.raises(UsageError):
+            sfwm.WavePacket(tau, np.ones(tau.size), 10.0)
+
+    def test_uniformity_matches_allclose(self):
+        """On finite grids the check is np.allclose's, tolerances included."""
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            step = 10.0 ** rng.uniform(-12.0, 4.0)
+            jitter = 10.0 ** rng.uniform(-12.0, -7.0) * max(step, 1.0)
+            t = rng.uniform(-1e4, 1e4) + step * np.arange(20) + rng.normal(0.0, jitter, 20)
+            steps = np.diff(t)
+            assert _is_uniform(t) == np.allclose(steps, steps[0], rtol=1e-9, atol=1e-9)
 
     def test_pump_scaling_is_quadratic_and_exact(self, medium_a):
         tau = np.arange(0.0, 1500.0, 25.6)

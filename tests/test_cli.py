@@ -417,6 +417,17 @@ class TestNonfiniteArguments:
         assert "--tau-max-ns must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate-biphoton", "synth"])
+    @pytest.mark.parametrize("value", ["1e12", "1e30"])
+    def test_huge_tau_max_is_usage_error(self, strong_config, tmp_path, capsys, command, value):
+        """The delay axis is bounded before it is allocated."""
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", strong_config, "--out", str(out),
+                     f"--tau-max-ns={value}"])
+        assert code == 2
+        assert f"spans more than {sfwm.cli._MAX_DELAY_BINS} bins" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_sweep_pump_power_is_usage_error(self, strong_config, tmp_path, capsys, value):
         out = tmp_path / "sweep.csv"

@@ -12,7 +12,7 @@ import sfwm
 from sfwm import detector
 from sfwm.errors import UsageError
 
-from conftest import exponential_packet
+from conftest import BAD_DELAY_GRIDS, exponential_packet
 
 
 def model(**kw):
@@ -105,6 +105,12 @@ class TestSynthHistogram:
         hist = sfwm.synth_histogram(w, model(), 0.05, peak_sbr=5.4)
         assert np.array_equal(hist.delay_ns, w.tau_ns)
         assert hist.accumulation_s == 1200.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delay", BAD_DELAY_GRIDS.values(), ids=BAD_DELAY_GRIDS.keys())
+    def test_bad_delay_grid_is_usage_error(self, delay):
+        with pytest.raises(UsageError):
+            sfwm.CoincidenceHistogram(delay, np.ones(delay.size, dtype=int), 10.0)
 
 
 class TestBuildHistogram:
