@@ -7,23 +7,30 @@ decays in about a quarter microsecond (roughly 610 kHz linewidth); the
 weak-coupling one stretches past half a microsecond.  Runs in about half a second.
 """
 
+import dataclasses
+
 import numpy as np
 
 import sfwm
 
 DELAY_NS = np.arange(0.0, 4000.0, 25.6)
-ONSET_NS = 150.0  # instrumental trigger-to-signal delay
+# The default config: the +-64 Gamma grid, the 45 and 60 MHz etalons and a
+# 150 ns instrumental trigger-to-signal delay.
+DEFAULTS = sfwm.load_config()
 
 for label, alpha_s, gamma, omega_c in (
     ("strong coupling (1 mW)", 80.0, 0.028, 2.6),
     ("weak coupling (0.05 mW)", 82.0, 0.024, 0.65),
 ):
-    medium = sfwm.MediumParams(alpha_s=alpha_s, gamma=gamma)
-    drive = sfwm.DriveParams(omega_c=omega_c)  # pump: 2 Gamma at -2 GHz
+    scenario = dataclasses.replace(
+        DEFAULTS,
+        medium=sfwm.MediumParams(alpha_s=alpha_s, gamma=gamma),
+        drive=sfwm.DriveParams(omega_c=omega_c),  # pump: 2 Gamma at -2 GHz
+    )
 
     # Pair amplitude on a grid sized from the decoherence rate, filtered by
-    # the 45 and 60 MHz etalons, then Fourier-synthesized.
-    packet = sfwm.predict_packet(medium, drive, DELAY_NS, onset_ns=ONSET_NS)
+    # the etalons, then Fourier-synthesized.
+    packet = sfwm.predict_packet(scenario, DELAY_NS)
 
     fit = sfwm.fit_exponential(packet)
     linewidth = sfwm.linewidth_from_tau(fit.tau_ns)
@@ -34,7 +41,7 @@ for label, alpha_s, gamma, omega_c in (
 
     # The 35 ns detector rise time smears the sharp leading edge but leaves
     # the area and the asymptotic tail alone.
-    smeared = sfwm.rise_time_convolve(packet)
+    smeared = sfwm.rise_time_convolve(packet, scenario.rise_ns)
     print(f"  peak reduced by rise time: "
           f"{packet.g2.max():.3e} -> {smeared.g2.max():.3e}")
 

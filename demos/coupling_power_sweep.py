@@ -6,19 +6,21 @@ the spectral brightness peaks near 1 mW.  The rate scale is anchored to the
 measured 1,500 pairs/(s*MHz) at the 1 mW point.  Runs in about half a second.
 """
 
+import dataclasses
+
 import numpy as np
 
 import sfwm
 
 POWERS_MW = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
 
-sweep = sfwm.sweep_predict(
-    POWERS_MW,
-    alpha_s=82.0,
-    gamma=0.025,          # averaged over the three lowest-power spectra
-    pump_mw=0.5,
-    rate_anchor=(1.0, 1500.0),
+# The default config's scenario with the medium recovered from the EIT fits:
+# gamma averaged over the three lowest-power spectra.  The sweep sets the
+# coupling itself, once per power.
+scenario = dataclasses.replace(
+    sfwm.load_config(), medium=sfwm.MediumParams(alpha_s=82.0, gamma=0.025)
 )
+sweep = sfwm.sweep_predict(scenario, POWERS_MW, pump_mw=0.5, rate_anchor=(1.0, 1500.0))
 
 print(f"{'P (mW)':>7} {'tau (ns)':>9} {'linewidth':>10} {'EIT FWHM':>9} "
       f"{'rate (1/s)':>11} {'brightness':>11} {'SBR (arb)':>10}")
@@ -32,7 +34,7 @@ imax = int(np.argmax(sweep.brightness))
 print(f"\nbrightness peaks at {sweep.powers_mw[imax]:g} mW with "
       f"{sweep.brightness[imax]:.0f} pairs/(s mW MHz)")
 print(f"low-power decay constant approaches 1/(2*gamma) = "
-      f"{sfwm.DEFAULT_UNITS.time_to_ns(1 / (2 * 0.025)):.0f} ns "
+      f"{sfwm.DEFAULT_UNITS.time_to_ns(1 / (2 * scenario.medium.gamma)):.0f} ns "
       f"(got {sweep.tau_ns[0]:.0f} ns at 0.02 mW)")
 
 np.savetxt(

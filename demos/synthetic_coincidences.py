@@ -6,18 +6,24 @@ the coupling power), fits it back, and cross-checks the per-bin model
 against the event-level time-tag generator.  Runs in about half a second.
 """
 
+import dataclasses
+
 import numpy as np
 
 import sfwm
 
-P_MW = 1.0
 SUCCESS = 0.0088  # Stokes detections per trigger
 
-medium = sfwm.MediumParams(alpha_s=80.0, gamma=0.028)
-drive = sfwm.DriveParams(omega_c=2.6)
-packet = sfwm.predict_packet(medium, drive, np.arange(0.0, 4000.0, 25.6), onset_ns=150.0)
+scenario = dataclasses.replace(
+    sfwm.load_config(),
+    medium=sfwm.MediumParams(alpha_s=80.0, gamma=0.028),
+    drive=sfwm.DriveParams(omega_c=2.6),
+    detection=sfwm.DetectionModel(accumulation_s=1200.0, seed=42),
+)
+P_MW = scenario.coupling_power_mw  # 1 mW: sets the background law
+dm = scenario.detection
+packet = sfwm.predict_packet(scenario, np.arange(0.0, 4000.0, dm.bin_ns))
 
-dm = sfwm.DetectionModel(accumulation_s=1200.0, seed=42)
 hist = sfwm.synth_histogram(packet, dm, P_MW, success_probability=SUCCESS)
 print(f"synthesized {hist.counts.sum()} coincidences over {hist.counts.size} bins "
       f"(peak {hist.counts.max()}, floor ~{np.median(hist.counts):.0f})")

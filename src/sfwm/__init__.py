@@ -36,12 +36,14 @@ from .biphoton import (
     apply_etalons,
     averaged_susceptibilities,
     complex_sinc,
+    delay_axis,
     predict_packet,
     rise_time_convolve,
     spectral_amplitude,
     wavepacket,
     wavepacket_area,
 )
+from .config import Scenario, load_config
 from .detector import (
     CoincidenceHistogram,
     DetectionModel,

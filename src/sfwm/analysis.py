@@ -17,15 +17,14 @@ Rabi frequency and the decoherence rate are fit against the full spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .biphoton import (
-    DEFAULT_ETALONS,
-    EtalonChain,
-    SpectralGrid,
     WavePacket,
+    delay_axis,
     predict_packet,
     rise_time_convolve,
     wavepacket_area,
@@ -48,7 +47,12 @@ from .physics import (
     spectrum_baseline,
     spectrum_fwhm,
 )
-from .units import DEFAULT_UNITS, UnitSystem
+
+if TYPE_CHECKING:
+    from .config import Scenario
+
+# Delay span of every packet of a sweep: the 4 us window of the detection chain.
+SWEEP_SPAN_NS = 4000.0
 
 
 @dataclass
@@ -655,34 +659,22 @@ def fit_eit(
 
 
 def sweep_predict(
+    scenario: Scenario,
     powers_mw,
-    alpha_s: float = 82.0,
-    gamma: float = 0.025,
-    pump_mw: float = 0.5,
     *,
-    omega_p: float = 2.0,
-    delta_p: float = DriveParams.__dataclass_fields__["delta_p"].default,
-    q: DopplerQuadrature | None = None,
-    grid: SpectralGrid | None = None,
-    etalons: EtalonChain = DEFAULT_ETALONS,
-    tau_max_ns: float = 4000.0,
-    bin_ns: float = 25.6,
-    onset_ns: float = 150.0,
-    x0_ns: float = 200.0,
-    rise_ns: float = 35.0,
+    pump_mw: float = 0.5,
     rate_anchor: tuple[float, float] | None = None,
     observed_rates=None,
     observed_sbr=None,
-    units: UnitSystem = DEFAULT_UNITS,
 ) -> SweepPrediction:
-    """Predict tau, rate, brightness, and SBR across coupling powers.
+    """Predict tau, rate, brightness, and SBR of a scenario across coupling powers.
 
     For each power the coupling Rabi frequency follows the square-root
-    calibration, the filtered wave packet is synthesized by
-    :func:`predict_packet` (``grid=None``: a count derived from the scenario)
-    and fit for its
-    decay constant, and its area stands in for the pair rate.  The SBR proxy
-    is the rise-time-convolved packet peak over the power-dependent
+    calibration and replaces the scenario's; every other field of the
+    scenario is kept.  The filtered wave packet is synthesized by
+    :func:`predict_packet` on SWEEP_SPAN_NS of detection bins and fit for
+    its decay constant, and its area stands in for the pair rate.  The SBR
+    proxy is the rise-time-convolved packet peak over the power-dependent
     background rate.  Rates and SBR are relative until normalized, either
     against observed vectors (least-squares scale) or by anchoring the rate
     per linewidth at one power with ``rate_anchor=(power_mw, pairs_per_s_per_MHz)``.
@@ -700,8 +692,7 @@ def sweep_predict(
     if rate_anchor is not None and not 0.0 < rate_anchor[1] < math.inf:
         raise UsageError(f"anchor rate must be finite and positive, got {rate_anchor[1]!r}")
 
-    medium = MediumParams(alpha_s=alpha_s, gamma=gamma)
-    tau_axis = np.arange(0.0, tau_max_ns, bin_ns)
+    tau_axis = delay_axis(SWEEP_SPAN_NS, scenario.detection.bin_ns)
     eit_scan = np.linspace(-2.0, 2.0, 1601)
 
     taus = np.empty(powers.size)
@@ -709,14 +700,12 @@ def sweep_predict(
     peaks = np.empty(powers.size)
     fwhms = np.empty(powers.size)
     for i, p in enumerate(powers):
-        drive = DriveParams(omega_c=omega_c_from_power(p), omega_p=omega_p, delta_p=delta_p)
-        packet = predict_packet(
-            medium, drive, tau_axis, grid=grid, etalons=etalons, q=q, onset_ns=onset_ns, units=units
-        )
-        taus[i] = fit_exponential(packet, x0_ns=x0_ns).tau_ns
+        drive = replace(scenario.drive, omega_c=omega_c_from_power(p))
+        packet = predict_packet(replace(scenario, drive=drive, coupling_power_mw=p), tau_axis)
+        taus[i] = fit_exponential(packet, x0_ns=scenario.fit_onset_ns).tau_ns
         areas[i] = wavepacket_area(packet)
-        peaks[i] = rise_time_convolve(packet, rise_ns).g2.max()
-        fwhms[i] = spectrum_fwhm(eit_spectrum(eit_scan, medium, drive, q), units)
+        peaks[i] = rise_time_convolve(packet, scenario.rise_ns).g2.max()
+        fwhms[i] = spectrum_fwhm(eit_spectrum(eit_scan, scenario.medium, drive, scenario.q))
 
     linewidths = np.array([linewidth_from_tau(t) for t in taus])
     raw_sbr = peaks / np.array([background_rate(p) for p in powers])

@@ -20,7 +20,7 @@ On a grid of spacing h the sum returns the periodized amplitude
 y(tau) + y(tau + P) + ... with period P = 2*pi/h.  The slowest amplitude decay
 is exp(-gamma*t), with gamma the ground-state decoherence, so the aliased copy
 adds about 2*exp(-gamma*P) relative error to g2, its area and its peak.
-:func:`predict_packet`, the one path from medium and drive to a filtered
+:func:`predict_packet`, the one path from a scenario to a filtered
 packet, therefore sizes the grid from the scenario unless given a count:
 P >= max(delay span, 20/gamma), so count = the smallest 7-smooth integer not
 below 1 + half_width*P/pi, capped at the 32768 samples of the default grid
@@ -32,12 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair
 from .units import DEFAULT_UNITS, UnitSystem
+
+if TYPE_CHECKING:
+    from .config import Scenario
 
 # Default edge-decay requirement on |A| relative to its peak.
 EDGE_DECAY_TOL = 1e-3
@@ -50,6 +54,9 @@ DEFAULT_COUNT = 32768
 ALIAS_DECAY_MARGIN = 20.0
 # Doublings of the window tried when |A| has not decayed at its edges.
 MAX_WIDENINGS = 4
+# Longest delay axis built (25.6 ms of 25.6 ns bins); past it the axis alone
+# would take gigabytes.
+MAX_DELAY_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,8 @@ def wavepacket(
     step = float(tau_ns[1] - tau_ns[0])
     if not (step > 0.0 and _is_uniform(tau_ns)):
         raise UsageError("delay grid must be uniform and increasing")
+    if not math.isfinite(onset_ns):
+        raise UsageError(f"onset must be finite, got {onset_ns!r} ns")
     span = units.time_from_ns(float(tau_ns[-1] - tau_ns[0]))
     if a.grid.spacing * span > 2.0 * np.pi:
         raise AliasingError(
@@ -328,31 +337,36 @@ def _derived_count(half_width: float, gamma: float, span: float, cap: int) -> in
     return cap
 
 
-def predict_packet(
-    m: MediumParams,
-    d: DriveParams,
-    tau_ns,
-    *,
-    grid: SpectralGrid | None = None,
-    etalons: EtalonChain = DEFAULT_ETALONS,
-    q: DopplerQuadrature | None = None,
-    onset_ns: float = 0.0,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> WavePacket:
+def delay_axis(span_ns: float, bin_ns: float, name: str = "delay span") -> np.ndarray:
+    """Delays 0, bin_ns, 2*bin_ns, ... below ``span_ns``, as np.arange builds them.
+
+    Raises UsageError, naming the value as ``name``, unless the span is
+    finite and covers at most MAX_DELAY_BINS bins of a finite, positive width.
+    """
+    if not math.isfinite(span_ns):
+        raise UsageError(f"{name} must be finite, got {span_ns!r}")
+    if not 0.0 < bin_ns < math.inf:
+        raise UsageError(f"bin width must be finite and positive, got {bin_ns!r}")
+    if span_ns / bin_ns > MAX_DELAY_BINS:
+        raise UsageError(f"{name} {span_ns!r} spans more than {MAX_DELAY_BINS} bins of {bin_ns} ns")
+    return np.arange(0.0, span_ns, bin_ns)
+
+
+def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     """Etalon-filtered wave packet of a scenario on the delay grid ``tau_ns``.
 
-    The spectral grid starts from ``grid``, by default the +-64 Gamma window.
-    A grid without a count gets one from _derived_count, capped at
-    DEFAULT_COUNT; a grid with a count is used as given.  Strong coupling
-    spreads the amplitude tail: while |A| has not decayed at the window
-    edges, the window doubles, up to MAX_WIDENINGS times.  A given count
-    doubles with it, keeping the spacing; a derived one is derived again
-    with its cap doubled.  Raises GridTooNarrowError if the widest window
-    still fails.
+    Reads the scenario's medium, drive, quadrature, etalons and onset.  The
+    spectral grid starts from ``scenario.grid``.  A grid without a count gets
+    one from _derived_count, capped at DEFAULT_COUNT; a grid with a count is
+    used as given.  Strong coupling spreads the amplitude tail: while |A| has
+    not decayed at the window edges, the window doubles, up to MAX_WIDENINGS
+    times.  A given count doubles with it, keeping the spacing; a derived one
+    is derived again with its cap doubled.  Raises GridTooNarrowError if the
+    widest window still fails.
     """
-    start = SpectralGrid(count=None) if grid is None else grid
+    m, d, start = scenario.medium, scenario.drive, scenario.grid
     tau_ns = np.asarray(tau_ns, dtype=float)
-    span = units.time_from_ns(float(tau_ns[-1] - tau_ns[0])) if tau_ns.size else 0.0
+    span = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0])) if tau_ns.size else 0.0
     for widening in range(MAX_WIDENINGS + 1):
         half_width = start.half_width * 2**widening
         if start.count is None:
@@ -360,12 +374,12 @@ def predict_packet(
         else:
             count = start.count << widening
         try:
-            amp = spectral_amplitude(SpectralGrid(half_width, count), m, d, q)
+            amp = spectral_amplitude(SpectralGrid(half_width, count), m, d, scenario.q)
             break
         except GridTooNarrowError:
             if widening == MAX_WIDENINGS:
                 raise
-    return wavepacket(apply_etalons(amp, etalons, units), tau_ns, onset_ns=onset_ns, units=units)
+    return wavepacket(apply_etalons(amp, scenario.etalons), tau_ns, onset_ns=scenario.onset_ns)
 
 
 def wavepacket_area(w: WavePacket, baseline: float = 0.0) -> float:
@@ -384,11 +398,10 @@ def rise_time_convolve(w: WavePacket, rc_ns: float = 35.0) -> WavePacket:
     bin width collapses the kernel to a single tap, leaving the packet
     unchanged; meaningful smearing needs bin_ns < rc_ns.
     """
-    if rc_ns <= 0:
-        raise UsageError("response time must be positive")
-    t = np.arange(0.0, 20.0 * rc_ns, w.bin_ns)
-    if t.size == 0:
-        t = np.zeros(1)
+    # Written so that nan fails every comparison.
+    if not 0.0 < rc_ns < math.inf:
+        raise UsageError(f"response time must be finite and positive, got {rc_ns!r} ns")
+    t = delay_axis(20.0 * rc_ns, w.bin_ns, name="rise-time kernel length")
     kernel = np.exp(-t / rc_ns)
     kernel /= kernel.sum()
     smeared = np.convolve(w.g2, kernel)[: w.g2.size]

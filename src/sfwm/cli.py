@@ -23,8 +23,8 @@ from .analysis import (
     sbr,
     sweep_predict,
 )
-from .biphoton import WavePacket, predict_packet, rise_time_convolve
-from .config import RunConfig, load_config
+from .biphoton import MAX_DELAY_BINS, WavePacket, delay_axis, predict_packet, rise_time_convolve
+from .config import Scenario, load_config
 from .detector import expected_bins, generate_timetags, synth_histogram, write_timetags
 from .errors import (
     DegenerateDataError,
@@ -84,43 +84,23 @@ def _note(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _meta(cfg: RunConfig, command: str, **extra) -> dict:
+def _meta(cfg: Scenario, command: str, **extra) -> dict:
     return {"command": command, "config-sha256": cfg.source_sha256, "seed": cfg.seed, **extra}
 
 
-# Longest delay axis a command builds (25.6 ms of 25.6 ns bins); past it the
-# axis alone would take gigabytes.
-_MAX_DELAY_BINS = 1_000_000
-
-
-def _predicted_packet(cfg: RunConfig, tau_max_ns: float) -> tuple[WavePacket, WavePacket]:
-    """Raw and rise-time-convolved packets for the configured parameters."""
-    if not np.isfinite(tau_max_ns):
-        raise UsageError(f"--tau-max-ns must be finite, got {tau_max_ns!r}")
-    bin_ns = cfg.detection().bin_ns
-    if tau_max_ns / bin_ns > _MAX_DELAY_BINS:
-        raise UsageError(
-            f"--tau-max-ns {tau_max_ns!r} spans more than {_MAX_DELAY_BINS} bins of {bin_ns} ns"
-        )
-    tau_axis = np.arange(0.0, tau_max_ns, bin_ns)
-    packet = predict_packet(
-        cfg.medium(), cfg.drive(), tau_axis, grid=cfg.grid(), etalons=cfg.etalons(),
-        q=cfg.quadrature(), onset_ns=cfg.onset_ns,
-    )
-    return packet, rise_time_convolve(packet, cfg.rise_ns)
-
-
 def cmd_simulate_eit(args) -> int:
-    cfg = load_config(args.config)
+    scenario = load_config(args.config)
     if not (np.isfinite(args.delta_min_mhz) and np.isfinite(args.delta_max_mhz)):
         raise UsageError("--delta-min-mhz and --delta-max-mhz must be finite")
     if args.points < 2 or not args.delta_min_mhz < args.delta_max_mhz:
         raise UsageError("need at least 2 points and delta-min below delta-max")
     lo = DEFAULT_UNITS.frequency_from_hz(args.delta_min_mhz * 1e6)
     hi = DEFAULT_UNITS.frequency_from_hz(args.delta_max_mhz * 1e6)
-    spectrum = eit_spectrum(np.linspace(lo, hi, args.points), cfg.medium(), cfg.drive(), cfg.quadrature())
+    spectrum = eit_spectrum(
+        np.linspace(lo, hi, args.points), scenario.medium, scenario.drive, scenario.q
+    )
     rows = zip(DEFAULT_UNITS.frequency_to_hz(spectrum.delta), spectrum.transmission)
-    _write_csv(args.out, _meta(cfg, "simulate-eit"), ["detuning_hz", "transmission"], rows)
+    _write_csv(args.out, _meta(scenario, "simulate-eit"), ["detuning_hz", "transmission"], rows)
     try:
         width = spectrum_fwhm(spectrum)
         _note(f"EIT FWHM: {width / 1e3:.1f} kHz")
@@ -130,21 +110,23 @@ def cmd_simulate_eit(args) -> int:
 
 
 def cmd_simulate_biphoton(args) -> int:
-    cfg = load_config(args.config)
-    packet, smoothed = _predicted_packet(cfg, args.tau_max_ns)
+    scenario = load_config(args.config)
+    tau_axis = delay_axis(args.tau_max_ns, scenario.detection.bin_ns, name="--tau-max-ns")
+    packet = predict_packet(scenario, tau_axis)
+    smoothed = rise_time_convolve(packet, scenario.rise_ns)
     rows = zip(packet.tau_ns, packet.g2)
-    _write_csv(args.out, _meta(cfg, "simulate-biphoton"), ["delay_ns", "g2_arb"], rows)
+    _write_csv(args.out, _meta(scenario, "simulate-biphoton"), ["delay_ns", "g2_arb"], rows)
     try:
-        fit = fit_exponential(packet, x0_ns=cfg.fit_onset_ns)
+        fit = fit_exponential(packet, x0_ns=scenario.fit_onset_ns)
     except DegenerateDataError:
         _note("no signal: wave packet is identically zero")
         return 0
     _note(f"fitted decay constant: {fit.tau_ns:.1f} ns")
     _note(f"linewidth: {linewidth_from_tau(fit.tau_ns) / 1e3:.1f} kHz")
-    p_mw = cfg.coupling_power_mw
-    if cfg.success_probability is not None:
+    if scenario.success_probability is not None:
         means = expected_bins(
-            smoothed, cfg.detection(), p_mw, success_probability=cfg.success_probability
+            smoothed, scenario.detection, scenario.coupling_power_mw,
+            success_probability=scenario.success_probability,
         )
         floor = means.min()
         _note(f"predicted SBR: {(means.max() - floor) / floor:.1f}")
@@ -208,32 +190,16 @@ def cmd_fit_biphoton(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    scenario = load_config(args.config)
     powers = [float(p) for p in args.powers_mw.split(",") if p.strip()]
     if not powers:
         raise UsageError("empty power list")
-    medium = cfg.medium()
     anchor = None
     if args.anchor_power_mw is not None or args.anchor_rate_per_mhz is not None:
         if args.anchor_power_mw is None or args.anchor_rate_per_mhz is None:
             raise UsageError("anchor needs both --anchor-power-mw and --anchor-rate-per-mhz")
         anchor = (args.anchor_power_mw, args.anchor_rate_per_mhz)
-    sweep = sweep_predict(
-        powers,
-        alpha_s=medium.alpha_s,
-        gamma=medium.gamma,
-        pump_mw=args.pump_mw,
-        omega_p=cfg.drive().omega_p,
-        delta_p=cfg.drive().delta_p,
-        q=cfg.quadrature(),
-        grid=cfg.grid(),
-        etalons=cfg.etalons(),
-        bin_ns=cfg.detection().bin_ns,
-        onset_ns=cfg.onset_ns,
-        x0_ns=cfg.fit_onset_ns,
-        rise_ns=cfg.rise_ns,
-        rate_anchor=anchor,
-    )
+    sweep = sweep_predict(scenario, powers, pump_mw=args.pump_mw, rate_anchor=anchor)
     rows = zip(
         sweep.powers_mw,
         sweep.tau_ns,
@@ -245,7 +211,7 @@ def cmd_sweep(args) -> int:
     )
     _write_csv(
         args.out,
-        _meta(cfg, "sweep", rate_scale=sweep.rate_scale, sbr_scale=sweep.sbr_scale),
+        _meta(scenario, "sweep", rate_scale=sweep.rate_scale, sbr_scale=sweep.sbr_scale),
         ["power_mw", "tau_ns", "linewidth_hz", "eit_fwhm_hz", "rate_pairs_per_s",
          "brightness_pairs_per_s_mw_mhz", "sbr"],
         rows,
@@ -256,16 +222,16 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = load_config(args.config)
-    dm = cfg.detection()
-    p_mw = args.power_mw if args.power_mw is not None else cfg.coupling_power_mw
+    scenario = load_config(args.config)
+    dm = scenario.detection
+    p_mw = args.power_mw if args.power_mw is not None else scenario.coupling_power_mw
     success = args.success_probability
     if success is None:
-        success = cfg.success_probability
+        success = scenario.success_probability
     if success is None and args.peak_sbr is None:
         raise UsageError("need --success-probability, --peak-sbr, or detection.success_probability")
 
-    meta = _meta(cfg, "synth", p_mw=p_mw, model=dm.fingerprint())
+    meta = _meta(scenario, "synth", p_mw=p_mw, model=dm.fingerprint())
     if dm.accumulation_s == 0:
         _write_csv(args.out, meta, ["delay_ns", "counts"], [])
         if args.timetags:
@@ -275,7 +241,8 @@ def cmd_synth(args) -> int:
     # Synthesize from the unconvolved packet: the detector rise time moves the
     # smeared peak past the fixed fit onset, which would defeat the two-stage
     # exponential fit this data exists to validate.
-    packet, _ = _predicted_packet(cfg, args.tau_max_ns)
+    tau_axis = delay_axis(args.tau_max_ns, dm.bin_ns, name="--tau-max-ns")
+    packet = predict_packet(scenario, tau_axis)
     kwargs = (
         {"peak_sbr": args.peak_sbr} if args.peak_sbr is not None
         else {"success_probability": success}
@@ -298,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sfwm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tau_max_help = f"delay span in ns, at most {_MAX_DELAY_BINS} detection bins"
+    tau_max_help = f"delay span in ns, at most {MAX_DELAY_BINS} detection bins"
 
     def add_common(p):
         p.add_argument("--config", default=None, help="INI config file (defaults if omitted)")

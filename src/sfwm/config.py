@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .analysis import omega_c_from_power
 from .biphoton import EtalonChain, SpectralGrid
 from .detector import DetectionModel
 from .errors import UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams
-from .units import DEFAULT_UNITS, UnitSystem
+from .units import DEFAULT_UNITS
 
 _MHZ = 1e6
 
@@ -51,6 +53,8 @@ _SCHEMA = {
     "run": {"seed", "onset_ns", "rise_ns", "fit_onset_ns"},
 }
 
+# An empty value, given or default, means the key's default; where that is
+# empty too, load_config works the value out (see the README's table).
 _DEFAULTS = {
     "medium": {
         "od_stokes": "80",
@@ -62,7 +66,7 @@ _DEFAULTS = {
     },
     "drive": {
         "coupling_rabi_mhz": "",
-        "coupling_power_mw": "1.0",
+        "coupling_power_mw": "",
         "pump_rabi_mhz": "12.0",
         "pump_detuning_mhz": "-2000",
     },
@@ -81,12 +85,6 @@ _DEFAULTS = {
     },
     "run": {"seed": "1", "onset_ns": "150", "rise_ns": "35", "fit_onset_ns": "200"},
 }
-
-
-# An empty value means the key's default, which is None where that is empty.
-# The exception: an empty coupling_power_mw asks for the power derived from
-# coupling_rabi_mhz, so leaving both empty is an error.
-_EMPTY_MEANS_UNSET = {("drive", "coupling_power_mw")}
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -110,111 +108,54 @@ def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
         raise UsageError(f"[{section}] {key} = {raw!r} is not a comma-separated list") from exc
 
 
-@dataclass
-class RunConfig:
-    """Validated configuration with builders for the module parameter types."""
+def _gamma_units(mhz: float) -> float:
+    return DEFAULT_UNITS.frequency_from_hz(mhz * _MHZ)
 
-    values: dict
+
+@dataclass(frozen=True)
+class Scenario:
+    """One operating point of the source: everything a prediction reads.
+
+    :func:`load_config` builds it from a config file, all defaults without
+    one; ``dataclasses.replace`` derives another.  ``drive.omega_c`` sets the
+    physics and ``coupling_power_mw`` the background law; ``q`` is None for
+    the exact Doppler average.  The run timing is in ns: the instrumental
+    onset of the packet, the detector rise time and the onset of the
+    exponential fit.  ``source_sha256`` and ``seed`` (the detection seed)
+    are provenance for output headers.
+    """
+
+    medium: MediumParams
+    drive: DriveParams
+    q: DopplerQuadrature | None
+    grid: SpectralGrid
+    etalons: EtalonChain
+    detection: DetectionModel
+    onset_ns: float
+    rise_ns: float
+    fit_onset_ns: float
+    coupling_power_mw: float
+    success_probability: float | None
     source_sha256: str
-    units: UnitSystem = DEFAULT_UNITS
 
-    def _mhz_to_gamma(self, x: float) -> float:
-        return x * _MHZ / self.units.gamma_hz
+    def __post_init__(self):
+        if not (math.isfinite(self.onset_ns) and math.isfinite(self.fit_onset_ns)):
+            raise UsageError("onset_ns and fit_onset_ns must be finite")
+        # Written so that nan fails every comparison.
+        if not 0.0 < self.rise_ns < math.inf:
+            raise UsageError(f"rise_ns must be finite and positive, got {self.rise_ns!r}")
+        if not 0.0 <= self.coupling_power_mw < math.inf:
+            raise UsageError(
+                f"coupling power must be finite and nonnegative, got {self.coupling_power_mw!r} mW"
+            )
 
     @property
     def seed(self) -> int:
-        return int(self.values["run"]["seed"])
-
-    @property
-    def onset_ns(self) -> float:
-        return self.values["run"]["onset_ns"]
-
-    @property
-    def rise_ns(self) -> float:
-        return self.values["run"]["rise_ns"]
-
-    @property
-    def fit_onset_ns(self) -> float:
-        return self.values["run"]["fit_onset_ns"]
-
-    @property
-    def coupling_power_mw(self) -> float:
-        """Coupling power, inferred from the Rabi calibration when absent."""
-        drive = self.values["drive"]
-        if drive["coupling_power_mw"] is not None:
-            return drive["coupling_power_mw"]
-        omega_c = self._mhz_to_gamma(drive["coupling_rabi_mhz"])
-        return (omega_c / 2.7) ** 2
-
-    @property
-    def success_probability(self) -> float | None:
-        return self.values["detection"]["success_probability"]
-
-    def medium(self) -> MediumParams:
-        sec = self.values["medium"]
-        return MediumParams(
-            alpha_s=sec["od_stokes"],
-            gamma=self._mhz_to_gamma(sec["decoherence_mhz"]),
-            alpha_as=sec["od_anti_stokes"],
-            gamma_doppler=self._mhz_to_gamma(sec["doppler_width_mhz"]),
-            gamma3=self._mhz_to_gamma(sec["decay3_mhz"]),
-            gamma4=self._mhz_to_gamma(sec["decay4_mhz"]),
-        )
-
-    def drive(self) -> DriveParams:
-        sec = self.values["drive"]
-        if sec["coupling_rabi_mhz"] is not None:
-            omega_c = self._mhz_to_gamma(sec["coupling_rabi_mhz"])
-        else:
-            omega_c = 2.7 * sec["coupling_power_mw"] ** 0.5
-        return DriveParams(
-            omega_c=omega_c,
-            omega_p=self._mhz_to_gamma(sec["pump_rabi_mhz"]),
-            delta_p=self._mhz_to_gamma(sec["pump_detuning_mhz"]),
-        )
-
-    def quadrature(self) -> DopplerQuadrature | None:
-        """Trapezoidal reference rule if the file sets [quadrature], else None.
-
-        None selects the exact closed-form Doppler average.
-        """
-        sec = self.values["quadrature"]
-        if sec is None:
-            return None
-        return DopplerQuadrature(
-            half_range=sec["half_range"], step=self._mhz_to_gamma(sec["step_mhz"])
-        )
-
-    def grid(self) -> SpectralGrid:
-        """The configured window; without a count, one derived per scenario."""
-        sec = self.values["grid"]
-        return SpectralGrid(
-            half_width=self._mhz_to_gamma(sec["half_width_mhz"]), count=sec["count"]
-        )
-
-    def etalons(self) -> EtalonChain:
-        sec = self.values["etalons"]
-        return EtalonChain(
-            fwhm_hz=tuple(f * _MHZ for f in sec["fwhm_mhz"]),
-            centers_hz=tuple(c * _MHZ for c in sec["centers_mhz"]),
-        )
-
-    def detection(self) -> DetectionModel:
-        sec = self.values["detection"]
-        return DetectionModel(
-            eff_as=sec["eff_anti_stokes"],
-            eff_s=sec["eff_stokes"],
-            dark_as=sec["dark_anti_stokes_cps"],
-            dark_s=sec["dark_stokes_cps"],
-            trigger_rate=sec["trigger_cps"],
-            bin_ns=sec["bin_ns"],
-            accumulation_s=sec["accumulation_s"],
-            seed=self.seed,
-        )
+        return self.detection.seed
 
 
-def load_config(path: str | Path | None = None) -> RunConfig:
-    """Parse and validate a config file; ``None`` yields all defaults."""
+def load_config(path: str | Path | None = None) -> Scenario:
+    """Parse and validate a config file into a Scenario; ``None`` yields all defaults."""
     parser = configparser.ConfigParser(interpolation=None)
     raw_bytes = b""
     if path is not None:
@@ -231,37 +172,76 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
-    values: dict = {}
-    for section, defaults in _DEFAULTS.items():
-        merged = dict(defaults)
-        if parser.has_section(section):
-            merged.update(parser[section])
-        out = {}
-        for key, raw in merged.items():
-            raw = raw.strip()
-            if raw == "" and (section, key) not in _EMPTY_MEANS_UNSET:
-                raw = defaults[key]
-            if raw == "":
-                out[key] = None
-            elif key in ("fwhm_mhz", "centers_mhz"):
-                out[key] = _float_list(section, key, raw)
-            elif key in ("seed", "count"):
-                out[key] = _int(section, key, raw)
-            else:
-                out[key] = _float(section, key, raw)
-        values[section] = out
+    def value(section: str, key: str):
+        raw = parser.get(section, key, fallback="").strip() or _DEFAULTS[section][key]
+        if raw == "":
+            return None
+        if key in ("fwhm_mhz", "centers_mhz"):
+            return _float_list(section, key, raw)
+        if key in ("seed", "count"):
+            return _int(section, key, raw)
+        return _float(section, key, raw)
+
+    medium = MediumParams(
+        alpha_s=value("medium", "od_stokes"),
+        gamma=_gamma_units(value("medium", "decoherence_mhz")),
+        alpha_as=value("medium", "od_anti_stokes"),
+        gamma_doppler=_gamma_units(value("medium", "doppler_width_mhz")),
+        gamma3=_gamma_units(value("medium", "decay3_mhz")),
+        gamma4=_gamma_units(value("medium", "decay4_mhz")),
+    )
+
+    # The coupling: a key left out follows from the other by the
+    # Omega_c = 2.7*sqrt(P/mW) Gamma calibration, and 1 mW stands in for both.
+    rabi_mhz = value("drive", "coupling_rabi_mhz")
+    power_mw = value("drive", "coupling_power_mw")
+    if rabi_mhz is None:
+        power_mw = 1.0 if power_mw is None else power_mw
+        omega_c = omega_c_from_power(power_mw)
+    else:
+        omega_c = _gamma_units(rabi_mhz)
+    drive = DriveParams(
+        omega_c=omega_c,
+        omega_p=_gamma_units(value("drive", "pump_rabi_mhz")),
+        delta_p=_gamma_units(value("drive", "pump_detuning_mhz")),
+    )
+    if power_mw is None:
+        power_mw = (drive.omega_c / 2.7) ** 2
 
     # Without [quadrature] values the Doppler average is exact; any value there
     # selects the trapezoidal reference rule.
-    given = parser["quadrature"] if parser.has_section("quadrature") else {}
-    if not any(raw.strip() for raw in given.values()):
-        values["quadrature"] = None
+    q = None
+    if parser.has_section("quadrature") and any(v.strip() for v in parser["quadrature"].values()):
+        q = DopplerQuadrature(
+            half_range=value("quadrature", "half_range"),
+            step=_gamma_units(value("quadrature", "step_mhz")),
+        )
 
-    drive = values["drive"]
-    if drive["coupling_rabi_mhz"] is None and drive["coupling_power_mw"] is None:
-        raise UsageError("drive needs coupling_rabi_mhz or coupling_power_mw")
-    if values["run"]["seed"] < 0:
-        raise UsageError(f"[run] seed = {values['run']['seed']} must be nonnegative")
-
-    digest = hashlib.sha256(raw_bytes).hexdigest()[:16]
-    return RunConfig(values=values, source_sha256=digest)
+    return Scenario(
+        medium=medium,
+        drive=drive,
+        q=q,
+        grid=SpectralGrid(
+            half_width=_gamma_units(value("grid", "half_width_mhz")), count=value("grid", "count")
+        ),
+        etalons=EtalonChain(
+            fwhm_hz=tuple(f * _MHZ for f in value("etalons", "fwhm_mhz")),
+            centers_hz=tuple(c * _MHZ for c in value("etalons", "centers_mhz")),
+        ),
+        detection=DetectionModel(
+            eff_as=value("detection", "eff_anti_stokes"),
+            eff_s=value("detection", "eff_stokes"),
+            dark_as=value("detection", "dark_anti_stokes_cps"),
+            dark_s=value("detection", "dark_stokes_cps"),
+            trigger_rate=value("detection", "trigger_cps"),
+            bin_ns=value("detection", "bin_ns"),
+            accumulation_s=value("detection", "accumulation_s"),
+            seed=value("run", "seed"),
+        ),
+        onset_ns=value("run", "onset_ns"),
+        rise_ns=value("run", "rise_ns"),
+        fit_onset_ns=value("run", "fit_onset_ns"),
+        coupling_power_mw=power_mw,
+        success_probability=value("detection", "success_probability"),
+        source_sha256=hashlib.sha256(raw_bytes).hexdigest()[:16],
+    )

@@ -106,6 +106,10 @@ class DriveParams:
             _require_finite(name, getattr(self, name))
         if self.omega_c < 0 or self.omega_p < 0:
             raise UsageError("Rabi frequencies must be nonnegative")
+        # The responses square omega_c as a Python float, which raises
+        # OverflowError past about 1.3e154.
+        if self.omega_c > 1e150 or self.omega_p > 1e150:
+            raise UsageError("Rabi frequencies must not exceed 1e150 Gamma")
 
 
 @dataclass(frozen=True)

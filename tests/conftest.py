@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,11 @@ BAD_DELAY_GRIDS = {
     "nan": np.array([0.0, np.nan, 20.0]),
     "inf": np.array([-np.inf, 0.0, np.inf]),
 }
+
+
+def scenario(medium, drive, **fields):
+    """The default config's scenario with the given medium, drive and fields."""
+    return dataclasses.replace(sfwm.load_config(), medium=medium, drive=drive, **fields)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from scipy.stats import spearmanr
 
 import sfwm
 
-from conftest import DELAY_NS, ONSET_NS, exponential_packet
+from conftest import DELAY_NS, ONSET_NS, exponential_packet, scenario
 
 POWERS_MW = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
 
@@ -25,8 +25,10 @@ def verdict(num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def sweep():
+    medium = sfwm.MediumParams(alpha_s=82.0, gamma=0.025)
     return sfwm.sweep_predict(
-        POWERS_MW, alpha_s=82.0, gamma=0.025, pump_mw=0.5, rate_anchor=(1.0, 1500.0)
+        scenario(medium, sfwm.DriveParams(omega_c=2.7)), POWERS_MW, pump_mw=0.5,
+        rate_anchor=(1.0, 1500.0),
     )
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -6,7 +8,7 @@ import sfwm
 from sfwm.biphoton import DEFAULT_COUNT, _derived_count, _is_uniform, _next_fast_len
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
 
-from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS
+from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS, scenario
 
 # sin(z)/z at z = 1+1j from 40-digit arithmetic.
 SINC_1_1J = 0.96671074810035670154 - 0.33174683331562059329j
@@ -257,6 +259,12 @@ class TestWavePacket:
         with pytest.raises(UsageError):
             sfwm.WavePacket(tau, np.ones(tau.size), 10.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("onset_ns", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_onset_is_usage_error(self, amplitude_a, onset_ns):
+        with pytest.raises(UsageError):
+            sfwm.wavepacket(amplitude_a, DELAY_NS, onset_ns=onset_ns)
+
     def test_uniformity_matches_allclose(self):
         """On finite grids the check is np.allclose's, tolerances included."""
         rng = np.random.default_rng(3)
@@ -342,6 +350,12 @@ class TestAreaAndRise:
         slope = np.polyfit(t[sel], np.log(1.0 - out.g2[sel]), 1)[0]
         assert -1.0 / slope == pytest.approx(35.0, rel=0.02)
 
+    @pytest.mark.parametrize("rc_ns", [np.nan, np.inf, 1e300, 0.0, -35.0])
+    def test_unusable_response_time_is_usage_error(self, rc_ns):
+        w = sfwm.WavePacket(np.arange(0.0, 100.0, 10.0), np.ones(10), 10.0)
+        with pytest.raises(UsageError):
+            sfwm.rise_time_convolve(w, rc_ns=rc_ns)
+
     def test_area_conserved_on_predicted_packet(self, packet_a):
         smeared = sfwm.rise_time_convolve(packet_a)
         assert sfwm.wavepacket_area(smeared) == pytest.approx(
@@ -353,6 +367,28 @@ class TestAreaAndRise:
         tau_bare = sfwm.fit_exponential(bare).tau_ns
         tau_filtered = sfwm.fit_exponential(packet_a).tau_ns
         assert tau_filtered == pytest.approx(tau_bare, rel=0.03)
+
+
+class TestDelayAxis:
+    def test_matches_arange(self):
+        assert np.array_equal(sfwm.delay_axis(4000.0, 25.6), DELAY_NS)
+
+    @pytest.mark.parametrize("span_ns", [np.nan, np.inf, 1e30])
+    def test_unbuildable_span_is_usage_error(self, span_ns):
+        with pytest.raises(UsageError):
+            sfwm.delay_axis(span_ns, 25.6)
+
+    @pytest.mark.parametrize("bin_ns", [np.nan, np.inf, 0.0, -25.6])
+    def test_unusable_bin_is_usage_error(self, bin_ns):
+        with pytest.raises(UsageError):
+            sfwm.delay_axis(4000.0, bin_ns)
+
+    def test_sweep_bounds_its_delay_axis(self, medium_a, drive_a):
+        """The sweep builds its axis from the scenario's bin width."""
+        s = scenario(medium_a, drive_a)
+        fine = dataclasses.replace(s, detection=dataclasses.replace(s.detection, bin_ns=1e-30))
+        with pytest.raises(UsageError, match="spans more than"):
+            sfwm.sweep_predict(fine, [1.0])
 
 
 def _figures(packet):
@@ -368,7 +404,7 @@ class TestPredictPacket:
     SPAN = sfwm.DEFAULT_UNITS.time_from_ns(DELAY_NS[-1] - DELAY_NS[0])
 
     @staticmethod
-    def scenario(gamma, p_mw):
+    def medium_drive(gamma, p_mw):
         return (sfwm.MediumParams(alpha_s=82.0, gamma=gamma),
                 sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw)))
 
@@ -376,27 +412,27 @@ class TestPredictPacket:
     @pytest.mark.parametrize("gamma", [0.015, 0.024, 0.028])
     def test_derived_grid_matches_four_times_denser(self, gamma, p_mw):
         """At 5 mW both windows are widened, the explicit one at its own spacing."""
-        m, d = self.scenario(gamma, p_mw)
+        m, d = self.medium_drive(gamma, p_mw)
         count = _derived_count(64.0, gamma, self.SPAN, DEFAULT_COUNT)
         assert count < DEFAULT_COUNT
-        derived = sfwm.predict_packet(m, d, DELAY_NS, onset_ns=ONSET_NS)
+        derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
         dense = sfwm.predict_packet(
-            m, d, DELAY_NS, grid=sfwm.SpectralGrid(count=4 * count), onset_ns=ONSET_NS
+            scenario(m, d, grid=sfwm.SpectralGrid(count=4 * count)), DELAY_NS
         )
         np.testing.assert_allclose(_figures(derived), _figures(dense), rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("gamma", [0.006, 0.0])
     def test_cap_binds_and_reproduces_the_default_grid(self, gamma):
-        m, d = self.scenario(gamma, 0.5)
+        m, d = self.medium_drive(gamma, 0.5)
         assert _derived_count(64.0, gamma, self.SPAN, DEFAULT_COUNT) == DEFAULT_COUNT
-        derived = sfwm.predict_packet(m, d, DELAY_NS, onset_ns=ONSET_NS)
+        derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
         amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(), m, d))
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(derived.g2, direct.g2)
 
     def test_explicit_grid_is_used_as_given(self, medium_a, drive_a):
         grid = sfwm.SpectralGrid(count=8192)
-        given = sfwm.predict_packet(medium_a, drive_a, DELAY_NS, grid=grid, onset_ns=ONSET_NS)
+        given = sfwm.predict_packet(scenario(medium_a, drive_a, grid=grid), DELAY_NS)
         amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(given.g2, direct.g2)
@@ -422,7 +458,7 @@ class TestPredictPacket:
         d = sfwm.DriveParams(omega_c=31.2 / 6.0)
         with pytest.raises(GridTooNarrowError):
             sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_a, d)
-        packet = sfwm.predict_packet(medium_a, d, DELAY_NS, onset_ns=ONSET_NS)
+        packet = sfwm.predict_packet(scenario(medium_a, d), DELAY_NS)
         wide = sfwm.SpectralGrid(
             half_width=128.0, count=_derived_count(128.0, medium_a.gamma, self.SPAN, 2 * DEFAULT_COUNT)
         )

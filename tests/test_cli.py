@@ -1,13 +1,17 @@
 import argparse
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sfwm
 import sfwm.cli
 from sfwm.cli import main
+from sfwm.config import _SCHEMA
 
 from conftest import exponential_packet
 
@@ -148,8 +152,7 @@ class TestSimulateBiphoton:
         _, rows = read_csv(out)
         tau = sfwm.fit_exponential(sfwm.WavePacket(rows[:, 0], rows[:, 1], 25.6)).tau_ns
         p_mw = (31.2 / 6.0 / 2.7) ** 2
-        gamma = sfwm.config.load_config(str(cfg)).medium().gamma
-        expected = sfwm.sweep_predict([p_mw], alpha_s=80.0, gamma=gamma).tau_ns[0]
+        expected = sfwm.sweep_predict(sfwm.load_config(str(cfg)), [p_mw]).tau_ns[0]
         assert tau == pytest.approx(expected, rel=1e-10)
 
     def test_explicit_count_is_used_as_given(self, tmp_path):
@@ -278,12 +281,95 @@ class TestSweep:
                          "--out", str(out)]) == 0
             header, rows = read_csv(out)
             taus[bin_ns] = rows[:, header.index("tau_ns")]
-        cfg = sfwm.config.load_config(str(config))
-        expected = sfwm.sweep_predict(
-            [0.5, 1.0], alpha_s=80.0, gamma=cfg.medium().gamma, grid=cfg.grid(), bin_ns=12.8
-        ).tau_ns
+        cfg = sfwm.load_config(str(tmp_path / "bin25.6.ini"))
+        finer = dataclasses.replace(cfg, detection=dataclasses.replace(cfg.detection, bin_ns=12.8))
+        expected = sfwm.sweep_predict(finer, [0.5, 1.0]).tau_ns
         np.testing.assert_allclose(taus["12.8"], expected, rtol=1e-10)
         assert np.all(np.abs(taus["12.8"] / taus["25.6"] - 1.0) > 0.01)
+
+
+# One changed value for each config key the sweep reads besides bin_ns.  The
+# sweep ignores the coupling keys (--powers-mw replaces them), the other
+# [detection] keys and the seed.
+SWEEP_KEYS = {
+    ("medium", "od_stokes"): "60",
+    ("medium", "od_anti_stokes"): "40",
+    ("medium", "decoherence_mhz"): "0.3",
+    ("medium", "doppler_width_mhz"): "200",
+    ("medium", "decay3_mhz"): "9",
+    ("medium", "decay4_mhz"): "4",
+    ("drive", "pump_rabi_mhz"): "18",
+    ("drive", "pump_detuning_mhz"): "-1500",
+    ("run", "onset_ns"): "100",
+    ("run", "rise_ns"): "20",
+    ("run", "fit_onset_ns"): "250",
+}
+
+
+def sweep_rows(tmp_path, text):
+    cfg, out = tmp_path / "sweep.ini", tmp_path / "sweep.csv"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg), "--powers-mw", "0.5", "--out", str(out)]) == 0
+    return [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+
+
+@pytest.fixture(scope="module")
+def default_sweep_rows(tmp_path_factory):
+    return sweep_rows(tmp_path_factory.mktemp("default"), "")
+
+
+def test_sweep_keys_cover_the_medium():
+    assert {key for section, key in SWEEP_KEYS if section == "medium"} == _SCHEMA["medium"]
+
+
+@pytest.mark.parametrize("section,key", sorted(SWEEP_KEYS))
+def test_every_key_reaches_the_sweep(tmp_path, default_sweep_rows, section, key):
+    changed = sweep_rows(tmp_path, f"[{section}]\n{key} = {SWEEP_KEYS[section, key]}\n")
+    assert changed != default_sweep_rows
+
+
+# Values of the exit-code contract; a key left out or left empty keeps its
+# default.
+CONTRACT_KEYS = [
+    *((section, key) for section in ("medium", "drive") for key in sorted(_SCHEMA[section])),
+    ("run", "onset_ns"), ("run", "rise_ns"), ("run", "fit_onset_ns"),
+]
+CONTRACT_VALUES = ["", "0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300"]
+CONTRACT_COMMANDS = {
+    "simulate-eit": [],
+    "simulate-biphoton": ["--tau-max-ns", "1000"],
+    "sweep": ["--powers-mw", "1"],
+}
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(
+    command=st.sampled_from(sorted(CONTRACT_COMMANDS)),
+    values=st.dictionaries(
+        st.sampled_from(CONTRACT_KEYS), st.sampled_from(CONTRACT_VALUES), max_size=2
+    ),
+)
+# A negative power made the derived Rabi frequency complex (TypeError).
+@example(command="sweep", values={("drive", "coupling_power_mw"): "-1"})
+# Squaring a huge Rabi frequency raised OverflowError.
+@example(command="simulate-eit", values={("drive", "coupling_rabi_mhz"): "1e300"})
+# A non-finite or huge rise time reached np.arange (ValueError).
+@example(command="simulate-biphoton", values={("run", "rise_ns"): "nan"})
+@example(command="sweep", values={("run", "rise_ns"): "1e300"})
+# An infinite onset wrote a packet of nan before the fit refused it.
+@example(command="simulate-biphoton", values={("run", "onset_ns"): "-inf"})
+def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values):
+    """Whatever the [medium], [drive] and run-timing values, a command ends in
+    success, a usage error or a numerical error, never in a traceback."""
+    work = tmp_path_factory.mktemp("contract")
+    text = "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
+        for section in ("medium", "drive", "run")
+    )
+    (work / "run.ini").write_text(text)
+    argv = [command, *CONTRACT_COMMANDS[command], "--config", str(work / "run.ini"),
+            "--out", str(work / "out.csv")]
+    assert main(argv) in (0, 2, 3)
 
 
 class TestSynth:
@@ -425,7 +511,7 @@ class TestNonfiniteArguments:
         code = main([command, "--config", strong_config, "--out", str(out),
                      f"--tau-max-ns={value}"])
         assert code == 2
-        assert f"spans more than {sfwm.cli._MAX_DELAY_BINS} bins" in capsys.readouterr().err
+        assert f"spans more than {sfwm.biphoton.MAX_DELAY_BINS} bins" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
