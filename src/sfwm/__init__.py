@@ -21,7 +21,6 @@ from .analysis import (
     fit_exponential,
     generation_rate,
     linewidth_from_tau,
-    normalize_predictions,
     omega_c_from_power,
     sbr,
     spectral_brightness,

@@ -37,7 +37,6 @@ from .errors import (
     UsageError,
 )
 from .physics import (
-    DopplerQuadrature,
     DriveParams,
     MediumParams,
     Spectrum,
@@ -95,7 +94,6 @@ class SweepPrediction:
     brightness: np.ndarray
     sbr: np.ndarray
     rate_scale: float
-    sbr_scale: float
 
 
 def _baseline_window_mask(tau_ns: np.ndarray, x0_ns: float, bin_ns: float) -> np.ndarray:
@@ -123,6 +121,9 @@ _NEWTON_MAX_STEPS = 100  # steps of the decay fit and of the baseline inversion
 # step that ends it.
 _LOG_TAU_STEP_MAX = 2.0
 _LOG_TAU_STEP_LAST = 1e-5
+# Largest wave-packet value the decay fit takes: the squares of a million
+# such values still sum within the float range.
+_MAX_PACKET_VALUE = 1e150
 
 
 def _damped_step(held1, held2, u11, u12, u22, h1, h2, k1, k2, lam):
@@ -162,7 +163,7 @@ def _truncated(p1, p2, lo1, lo2, d1, d2):
     )
 
 
-def _solve_2x2(evaluate, p1, p2, lo1, lo2, ftol=0.0):
+def _solve_2x2(evaluate, p1, p2, lo1, lo2):
     """Minimize |r(p1, p2)|^2 over p1 >= lo1, p2 >= lo2.
 
     ``evaluate(p1, p2)`` returns the residual vector and a function of no
@@ -178,9 +179,9 @@ def _solve_2x2(evaluate, p1, p2, lo1, lo2, ftol=0.0):
     parameters by less than _LM_XTOL relative, or when the projected gradient
     is orthogonal to the residuals within _LM_GTOL; the cost alone cannot
     tell, since it is flat to rounding near the optimum of noiseless data.
-    With ``ftol`` > 0 it also ends when a trial step fails to reduce the
-    cost by a reduction the linearized problem put below ``ftol`` of it: the
-    damping has then shrunk the steps below what rounding lets the cost show.
+    It also ends when a trial step fails to reduce the cost by a reduction
+    the linearized problem put below _EIT_FTOL of it: the damping has then
+    shrunk the steps below what rounding lets the cost show.
     Returns (p1, p2, residuals there, converged).
     """
     r, jacobian = evaluate(p1, p2)
@@ -237,7 +238,7 @@ def _solve_2x2(evaluate, p1, p2, lo1, lo2, ftol=0.0):
             normal = None
         else:
             lam *= 10.0
-            if 0.0 < foreseen <= ftol * cost:
+            if 0.0 < foreseen <= _EIT_FTOL * cost:
                 return p1, p2, r, True
     return p1, p2, r, False
 
@@ -320,9 +321,9 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
     problem is solved by variable projection, S in closed form and Newton's
     method in log(tau) (see _fit_decay), in terms of the amplitude at the
     first fit bin; S at the onset follows from it, and is inf with infinite
-    errors where that overflows.  Raises UsageError on non-finite input,
-    ConvergenceError (carrying the best iterate) if the solver gives up,
-    DegenerateDataError on all-zero input.
+    errors where that overflows.  Raises UsageError on non-finite input or
+    values above _MAX_PACKET_VALUE, ConvergenceError (carrying the best
+    iterate) if the solver gives up, DegenerateDataError on all-zero input.
     """
     t = w.tau_ns
     y = w.g2
@@ -330,6 +331,8 @@ def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
         raise UsageError("wave packet delays, values and onset must be finite")
     if not (y > 0).any():
         raise DegenerateDataError("wave packet is identically zero")
+    if y.max() > _MAX_PACKET_VALUE:
+        raise UsageError(f"wave packet values must not exceed {_MAX_PACKET_VALUE:g}")
     fit_mask = t >= x0_ns
     if np.count_nonzero(fit_mask) < 10:
         raise UsageError(f"need at least 10 bins past the onset at {x0_ns} ns")
@@ -507,18 +510,6 @@ def background_rate(p_mw: float) -> float:
     return 240.0 + 320.0 * p_mw**0.53
 
 
-def normalize_predictions(predicted, observed) -> float:
-    """Least-squares scale a* = sum(p*o)/sum(p*p) matching predictions to data."""
-    p = np.asarray(predicted, dtype=float)
-    o = np.asarray(observed, dtype=float)
-    if p.size != o.size or p.size < 2:
-        raise UsageError("need two equal-length vectors of at least 2 entries")
-    denom = float(np.sum(p * p))
-    if denom == 0.0:
-        raise DegenerateDataError("all predictions are zero; scale is undefined")
-    return float(np.sum(p * o)) / denom
-
-
 def average_low_power_gamma(power_fit_pairs, n: int = 3) -> float:
     """Mean fitted decoherence rate over the ``n`` smallest coupling powers."""
     pairs = sorted(power_fit_pairs, key=lambda item: item[0])
@@ -529,9 +520,6 @@ def average_low_power_gamma(power_fit_pairs, n: int = 3) -> float:
 
 # Bounds of the optical depth that the baseline inversion searches.
 _ALPHA_MIN, _ALPHA_MAX = 1e-6, 1e5
-# Forward-difference step of the EIT Jacobian on the quadrature path,
-# relative to max(|parameter|, 1).
-_FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 def _log_mean_exp(alpha, k):
@@ -568,12 +556,7 @@ def _invert_baseline(k, target: float) -> float:
     return alpha
 
 
-def fit_eit(
-    data: Spectrum,
-    m0: MediumParams,
-    d0: DriveParams,
-    q: DopplerQuadrature | None = None,
-) -> EitFit:
+def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     """Recover (alpha_s, omega_c, gamma) from a measured transparency spectrum.
 
     Stage 1 inverts the baseline transmission for the optical depth with the
@@ -581,11 +564,11 @@ def fit_eit(
     evaluation at alpha = 1 gives k and Newton's method solves for alpha.
     Stage 2 fits the remaining two parameters against the full spectrum by
     the bounded 2x2 Levenberg-Marquardt solver from the supplied initial
-    guesses, with the analytic Jacobian on the exact Doppler average and
-    forward differences when a quadrature is given.  Deterministic given data
-    and guesses.  Raises UsageError on a short or non-finite spectrum,
-    InversionError when no optical depth in [1e-6, 1e5] matches the baseline,
-    and ConvergenceError (carrying the best iterate) if the solver gives up.
+    guesses, with the analytic Jacobian of the exact Doppler average.
+    Deterministic given data and guesses.  Raises UsageError on a short or
+    non-finite spectrum, InversionError when no optical depth in [1e-6, 1e5]
+    matches the baseline, and ConvergenceError (carrying the best iterate) if
+    the solver gives up.
     """
     if data.delta.size < 10:
         raise UsageError("spectrum too short to fit")
@@ -598,52 +581,25 @@ def fit_eit(
     n = data.delta.size
     k = max(1, round(0.1 * n))
     edge_deltas = np.concatenate([data.delta[:k], data.delta[-k:]])
-    coupling_off = DriveParams(omega_c=0.0, omega_p=d0.omega_p, delta_p=d0.delta_p)
-
-    def medium(alpha, gamma):
-        return MediumParams(
-            alpha_s=alpha,
-            gamma=gamma,
-            alpha_as=alpha,
-            gamma_doppler=m0.gamma_doppler,
-            gamma3=m0.gamma3,
-            gamma4=m0.gamma4,
-        )
-
-    def drive(omega_c):
-        return DriveParams(omega_c, d0.omega_p, d0.delta_p)
-
-    unit_depth = eit_transmission(edge_deltas, medium(1.0, m0.gamma), coupling_off, q)
+    unit_depth = eit_transmission(
+        edge_deltas, replace(m0, alpha_s=1.0, alpha_as=1.0), replace(d0, omega_c=0.0)
+    )
     alpha_s = _invert_baseline(-np.log(unit_depth), target)
 
     # The solver works in (omega_c^2, gamma): T depends on the coupling only
     # through omega_c^2, so in omega_c its slope would vanish on the bound
-    # omega_c = 0 and a step projected onto it could never leave.
-    if q is None:
-        # The exact path takes raw floats: m0 was validated when it was built,
-        # alpha_s comes from the bracketed inversion, and the bounds keep
-        # square >= 0 and gamma > 0, so nothing is rechecked per evaluation.
-        def evaluate(square, gamma):
-            t, gradient = _transmission_raw(
-                data.delta, alpha_s, gamma, m0.gamma_doppler, m0.gamma3, square
-            )
-            return t - data.transmission, gradient
-    else:
-        def model(square, gamma):
-            return eit_transmission(data.delta, medium(alpha_s, gamma), drive(math.sqrt(square)), q)
-
-        def evaluate(square, gamma):
-            t = model(square, gamma)
-
-            def gradient():
-                h1 = _FD_STEP * max(square, 1.0)
-                h2 = _FD_STEP * max(gamma, 1.0)
-                return (model(square + h1, gamma) - t) / h1, (model(square, gamma + h2) - t) / h2
-
-            return t - data.transmission, gradient
+    # omega_c = 0 and a step projected onto it could never leave.  The model
+    # takes raw floats: m0 was validated when it was built, alpha_s comes
+    # from the bracketed inversion, and the bounds keep square >= 0 and
+    # gamma > 0, so nothing is rechecked per evaluation.
+    def evaluate(square, gamma):
+        t, gradient = _transmission_raw(
+            data.delta, alpha_s, gamma, m0.gamma_doppler, m0.gamma3, square
+        )
+        return t - data.transmission, gradient
 
     square, gamma, r, converged = _solve_2x2(
-        evaluate, max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4), 0.0, 1e-9, _EIT_FTOL
+        evaluate, max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4), 0.0, 1e-9
     )
     omega_c = math.sqrt(square)
     fit = EitFit(
@@ -664,8 +620,6 @@ def sweep_predict(
     *,
     pump_mw: float = 0.5,
     rate_anchor: tuple[float, float] | None = None,
-    observed_rates=None,
-    observed_sbr=None,
 ) -> SweepPrediction:
     """Predict tau, rate, brightness, and SBR of a scenario across coupling powers.
 
@@ -675,9 +629,8 @@ def sweep_predict(
     :func:`predict_packet` on SWEEP_SPAN_NS of detection bins and fit for
     its decay constant, and its area stands in for the pair rate.  The SBR
     proxy is the rise-time-convolved packet peak over the power-dependent
-    background rate.  Rates and SBR are relative until normalized, either
-    against observed vectors (least-squares scale) or by anchoring the rate
-    per linewidth at one power with ``rate_anchor=(power_mw, pairs_per_s_per_MHz)``.
+    background rate.  Rates are relative unless anchored: ``rate_anchor=
+    (power_mw, pairs_per_s_per_MHz)`` fixes the rate per linewidth at one power.
     """
     powers = np.asarray(powers_mw, dtype=float)
     if powers.size == 0:
@@ -687,8 +640,6 @@ def sweep_predict(
         raise UsageError("coupling powers must be finite and positive")
     if not 0.0 < pump_mw < math.inf:
         raise UsageError(f"pump power must be finite and positive, got {pump_mw!r} mW")
-    if rate_anchor is not None and observed_rates is not None:
-        raise UsageError("give either a rate anchor or observed rates, not both")
     if rate_anchor is not None and not 0.0 < rate_anchor[1] < math.inf:
         raise UsageError(f"anchor rate must be finite and positive, got {rate_anchor[1]!r}")
 
@@ -708,7 +659,7 @@ def sweep_predict(
         fwhms[i] = spectrum_fwhm(eit_spectrum(eit_scan, scenario.medium, drive, scenario.q))
 
     linewidths = np.array([linewidth_from_tau(t) for t in taus])
-    raw_sbr = peaks / np.array([background_rate(p) for p in powers])
+    sbrs = peaks / np.array([background_rate(p) for p in powers])
 
     if rate_anchor is not None:
         anchor_power, per_mhz = rate_anchor
@@ -717,11 +668,8 @@ def sweep_predict(
             raise UsageError(f"anchor power {anchor_power} mW is not in the sweep")
         i = int(idx[0])
         rate_scale = per_mhz * (linewidths[i] / 1e6) / areas[i]
-    elif observed_rates is not None:
-        rate_scale = normalize_predictions(areas, observed_rates)
     else:
         rate_scale = 1.0
-    sbr_scale = 1.0 if observed_sbr is None else normalize_predictions(raw_sbr, observed_sbr)
 
     rates = rate_scale * areas
     brightness = rates / (pump_mw * linewidths / 1e6)
@@ -733,7 +681,6 @@ def sweep_predict(
         area=areas,
         rate_pairs_per_s=rates,
         brightness=brightness,
-        sbr=sbr_scale * raw_sbr,
+        sbr=sbrs,
         rate_scale=float(rate_scale),
-        sbr_scale=float(sbr_scale),
     )

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair
-from .units import DEFAULT_UNITS, UnitSystem
+from .units import DEFAULT_UNITS
 
 if TYPE_CHECKING:
     from .config import Scenario
@@ -199,47 +199,35 @@ def spectral_amplitude(
 
     Raises GridTooNarrowError if the amplitude has not decayed below
     ``edge_tol`` of its peak at the grid edges (a zero amplitude, as with
-    omega_p = 0, passes trivially).
+    omega_p = 0, passes trivially), and DomainError where it overflows, as
+    it does at optical depths far past any vapor's.
     """
-    cross, self_ = averaged_susceptibilities(grid, m, d, q)
-    values = cross * complex_sinc(self_) * np.exp(1j * self_)
-    peak = float(np.abs(values).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross, self_ = averaged_susceptibilities(grid, m, d, q)
+        amp = BiphotonAmplitude(grid, cross * complex_sinc(self_) * np.exp(1j * self_))
+    peak = float(np.abs(amp.values).max())
     if peak > 0.0:
-        edge = max(abs(values[0]), abs(values[-1])) / peak
+        edge = max(abs(amp.values[0]), abs(amp.values[-1])) / peak
         if edge > edge_tol:
             raise GridTooNarrowError(
                 f"|A| at the grid edge is {edge:.3e} of its peak "
                 f"(limit {edge_tol:.1e}); increase SpectralGrid.half_width"
             )
-    return BiphotonAmplitude(grid, values)
+    return amp
 
 
-def apply_etalons(
-    a: BiphotonAmplitude,
-    e: EtalonChain = DEFAULT_ETALONS,
-    units: UnitSystem = DEFAULT_UNITS,
-    mode: str = "amplitude",
-) -> BiphotonAmplitude:
+def apply_etalons(a: BiphotonAmplitude, e: EtalonChain = DEFAULT_ETALONS) -> BiphotonAmplitude:
     """Filter the amplitude through the etalon chain.
 
-    In the default "amplitude" mode each etalon contributes the causal
-    single-pole response 1 / (1 - 2i*(f - center)/FWHM), whose squared
-    magnitude is a unit-peak Lorentzian of the given FWHM.  The "intensity"
-    mode instead scales |A|^2 by the same Lorentzians without touching the
-    phase (a zero-phase filter); physical filters act on the field, so
-    amplitude mode is the default.  Filtering only sharpens the edge decay,
-    so no recheck is needed.
+    Each etalon contributes the causal single-pole response
+    1 / (1 - 2i*(f - center)/FWHM), whose squared magnitude is a unit-peak
+    Lorentzian of the given FWHM; physical filters act on the field.
+    Filtering only sharpens the edge decay, so no recheck is needed.
     """
-    if mode not in ("amplitude", "intensity"):
-        raise UsageError(f"unknown etalon mode {mode!r}")
-    f_hz = units.frequency_to_hz(a.grid.delta)
+    f_hz = DEFAULT_UNITS.frequency_to_hz(a.grid.delta)
     values = a.values.copy()
     for fwhm, center in zip(e.fwhm_hz, e.centers_hz):
-        lorentzian_pole = 1.0 - 2j * (f_hz - center) / fwhm
-        if mode == "amplitude":
-            values = values / lorentzian_pole
-        else:
-            values = values / np.abs(lorentzian_pole)
+        values = values / (1.0 - 2j * (f_hz - center) / fwhm)
     return BiphotonAmplitude(a.grid, values)
 
 
@@ -262,12 +250,7 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def wavepacket(
-    a: BiphotonAmplitude,
-    tau_ns,
-    onset_ns: float = 0.0,
-    units: UnitSystem = DEFAULT_UNITS,
-) -> WavePacket:
+def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacket:
     """Fourier-synthesize G2 on a uniform delay grid (ns).
 
     ``onset_ns`` shifts the packet to later delays, standing in for the fixed
@@ -286,7 +269,7 @@ def wavepacket(
         raise UsageError("delay grid must be uniform and increasing")
     if not math.isfinite(onset_ns):
         raise UsageError(f"onset must be finite, got {onset_ns!r} ns")
-    span = units.time_from_ns(float(tau_ns[-1] - tau_ns[0]))
+    span = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0]))
     if a.grid.spacing * span > 2.0 * np.pi:
         raise AliasingError(
             f"spectral spacing {a.grid.spacing:.3e} Gamma cannot support a "
@@ -305,7 +288,7 @@ def wavepacket(
     h = a.grid.spacing
     b = h * span / (n_tau - 1)
     centered = np.arange(n_delta) - 0.5 * (n_delta - 1)
-    tau0 = units.time_from_ns(float(tau_ns[0]) - onset_ns)
+    tau0 = DEFAULT_UNITS.time_from_ns(float(tau_ns[0]) - onset_ns)
     w = np.full(n_delta, h / (2.0 * np.pi))
     w[0] *= 0.5
     w[-1] *= 0.5

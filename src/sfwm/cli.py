@@ -68,7 +68,9 @@ def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
         data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     except ValueError as exc:
         raise UsageError(f"{path} has a malformed data row: {exc}") from exc
-    if data.size and data.shape[1] != len(header):
+    if not data.size:
+        return header, data.reshape(0, len(header))
+    if data.shape[1] != len(header):
         raise UsageError(f"{path}: row width does not match header")
     bad = np.nonzero(~np.isfinite(data).all(axis=-1))[0]
     if bad.size:
@@ -99,13 +101,13 @@ def cmd_simulate_eit(args) -> int:
     spectrum = eit_spectrum(
         np.linspace(lo, hi, args.points), scenario.medium, scenario.drive, scenario.q
     )
+    try:
+        summary = f"EIT FWHM: {spectrum_fwhm(spectrum) / 1e3:.1f} kHz"
+    except PeakShapeError:
+        summary = "no transparency window above the baseline"
     rows = zip(DEFAULT_UNITS.frequency_to_hz(spectrum.delta), spectrum.transmission)
     _write_csv(args.out, _meta(scenario, "simulate-eit"), ["detuning_hz", "transmission"], rows)
-    try:
-        width = spectrum_fwhm(spectrum)
-        _note(f"EIT FWHM: {width / 1e3:.1f} kHz")
-    except PeakShapeError:
-        _note("no transparency window above the baseline")
+    _note(summary)
     return 0
 
 
@@ -114,24 +116,30 @@ def cmd_simulate_biphoton(args) -> int:
     tau_axis = delay_axis(args.tau_max_ns, scenario.detection.bin_ns, name="--tau-max-ns")
     packet = predict_packet(scenario, tau_axis)
     smoothed = rise_time_convolve(packet, scenario.rise_ns)
-    rows = zip(packet.tau_ns, packet.g2)
-    _write_csv(args.out, _meta(scenario, "simulate-biphoton"), ["delay_ns", "g2_arb"], rows)
     try:
         fit = fit_exponential(packet, x0_ns=scenario.fit_onset_ns)
     except DegenerateDataError:
-        _note("no signal: wave packet is identically zero")
-        return 0
-    _note(f"fitted decay constant: {fit.tau_ns:.1f} ns")
-    _note(f"linewidth: {linewidth_from_tau(fit.tau_ns) / 1e3:.1f} kHz")
-    if scenario.success_probability is not None:
-        means = expected_bins(
-            smoothed, scenario.detection, scenario.coupling_power_mw,
-            success_probability=scenario.success_probability,
-        )
-        floor = means.min()
-        _note(f"predicted SBR: {(means.max() - floor) / floor:.1f}")
+        summary = ["no signal: wave packet is identically zero"]
     else:
-        _note("predicted SBR: set detection.success_probability for a count-level estimate")
+        summary = [
+            f"fitted decay constant: {fit.tau_ns:.1f} ns",
+            f"linewidth: {linewidth_from_tau(fit.tau_ns) / 1e3:.1f} kHz",
+        ]
+        if scenario.success_probability is not None:
+            means = expected_bins(
+                smoothed, scenario.detection, scenario.coupling_power_mw,
+                success_probability=scenario.success_probability,
+            )
+            floor = means.min()
+            summary.append(f"predicted SBR: {(means.max() - floor) / floor:.1f}")
+        else:
+            summary.append(
+                "predicted SBR: set detection.success_probability for a count-level estimate"
+            )
+    rows = zip(packet.tau_ns, packet.g2)
+    _write_csv(args.out, _meta(scenario, "simulate-biphoton"), ["delay_ns", "g2_arb"], rows)
+    for line in summary:
+        _note(line)
     return 0
 
 
@@ -211,7 +219,7 @@ def cmd_sweep(args) -> int:
     )
     _write_csv(
         args.out,
-        _meta(scenario, "sweep", rate_scale=sweep.rate_scale, sbr_scale=sweep.sbr_scale),
+        _meta(scenario, "sweep", rate_scale=sweep.rate_scale),
         ["power_mw", "tau_ns", "linewidth_hz", "eit_fwhm_hz", "rate_pairs_per_s",
          "brightness_pairs_per_s_mw_mhz", "sbr"],
         rows,
@@ -230,6 +238,8 @@ def cmd_synth(args) -> int:
         success = scenario.success_probability
     if success is None and args.peak_sbr is None:
         raise UsageError("need --success-probability, --peak-sbr, or detection.success_probability")
+    if args.timetags and success is None:
+        raise UsageError("time tags need a success probability, not a peak SBR")
 
     meta = _meta(scenario, "synth", p_mw=p_mw, model=dm.fingerprint())
     if dm.accumulation_s == 0:
@@ -248,11 +258,10 @@ def cmd_synth(args) -> int:
         else {"success_probability": success}
     )
     hist = synth_histogram(packet, dm, p_mw, **kwargs)
+    if args.timetags:
+        triggers, partners = generate_timetags(packet, dm, dm.accumulation_s, p_mw, success)
     _write_csv(args.out, meta, ["delay_ns", "counts"], zip(hist.delay_ns, hist.counts))
     if args.timetags:
-        if success is None:
-            raise UsageError("time tags need a success probability, not a peak SBR")
-        triggers, partners = generate_timetags(packet, dm, dm.accumulation_s, p_mw, success)
         write_timetags(args.timetags, triggers, partners, dm, dm.accumulation_s)
     return 0
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -60,7 +59,6 @@ class DetectionModel:
     bin_ns: float = 25.6
     accumulation_s: float = 1200.0
     seed: int = 0
-    background_law: Callable[[float], float] = field(default=background_rate, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.eff_as <= 1.0 and 0.0 < self.eff_s <= 1.0):
@@ -124,35 +122,28 @@ def expected_bins(
     *,
     success_probability: float | None = None,
     peak_sbr: float | None = None,
-    rate_units: bool = False,
 ) -> np.ndarray:
     """Per-bin expected counts for a wave packet under the detection model.
 
     Exactly one normalization must be chosen: ``success_probability`` scales
     the packet so its total signal counts equal that probability per trigger;
-    ``peak_sbr`` pins the peak signal to a multiple of the flat background;
-    ``rate_units`` declares g2 to already be detected pairs/(s*ns of delay).
+    ``peak_sbr`` pins the peak signal to a multiple of the flat background.
     """
-    chosen = (success_probability is not None) + (peak_sbr is not None) + bool(rate_units)
-    if chosen != 1:
-        raise UsageError(
-            "choose exactly one of success_probability, peak_sbr, rate_units"
-        )
+    if (success_probability is None) == (peak_sbr is None):
+        raise UsageError("choose exactly one of success_probability, peak_sbr")
     n_triggers = dm.trigger_rate * dm.accumulation_s
-    bkg_per_bin = n_triggers * dm.background_law(p_mw) * (dm.bin_ns * 1e-9)
+    bkg_per_bin = n_triggers * background_rate(p_mw) * (dm.bin_ns * 1e-9)
 
     total = float(w.g2.sum())
     if success_probability is not None:
         if success_probability < 0:
             raise UsageError("success probability must be nonnegative")
         scale = 0.0 if total == 0.0 else success_probability * n_triggers / total
-    elif peak_sbr is not None:
+    else:
         if peak_sbr < 0:
             raise UsageError("peak SBR must be nonnegative")
         peak = float(w.g2.max())
         scale = 0.0 if peak == 0.0 else peak_sbr * bkg_per_bin / peak
-    else:
-        scale = dm.bin_ns * dm.accumulation_s
     means = bkg_per_bin + scale * w.g2
     if np.any(~np.isfinite(means)) or np.any(means < 0):
         raise UsageError("expected counts must be finite and nonnegative")
@@ -219,7 +210,7 @@ def generate_timetags(
     else:
         signal = np.empty(0)
 
-    n_bkg = rng.poisson(dm.background_law(p_mw) * duration_s)
+    n_bkg = rng.poisson(background_rate(p_mw) * duration_s)
     background = rng.uniform(0.0, duration_ns, n_bkg)
     partners = np.sort(np.concatenate([signal, background]))
     return triggers, partners

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, PeakShapeError, UsageError
-from .units import DEFAULT_UNITS, UnitSystem
+from .units import DEFAULT_UNITS
 
 _CHUNK = 256  # delta rows per vectorized block; keeps temporaries ~15 MB
 
@@ -334,16 +334,11 @@ def eit_transmission(
     """
     _require_finite("delta", delta)
     arr = np.atleast_1d(np.asarray(delta, dtype=float))
-    _, self_ = _averaged_pair(arr, m, d, q)
-    t = np.exp(-4.0 * self_.imag)
+    if q is None:
+        t, _ = _transmission_raw(arr, m.alpha_s, m.gamma, m.gamma_doppler, m.gamma3, d.omega_c**2)
+    else:
+        t = np.exp(-4.0 * _averaged_pair(arr, m, d, q)[1].imag)
     return float(t[0]) if np.isscalar(delta) or np.ndim(delta) == 0 else t
-
-
-def _transmission_with_gradient(delta: np.ndarray, m: MediumParams, d: DriveParams):
-    """Exact-path T(delta) and a function giving (dT/d(omega_c^2), dT/d gamma)."""
-    return _transmission_raw(
-        delta, m.alpha_s, m.gamma, m.gamma_doppler, m.gamma3, d.omega_c**2
-    )
 
 
 def _transmission_raw(
@@ -354,19 +349,26 @@ def _transmission_raw(
     gamma3: float,
     square: float,
 ):
-    """:func:`_transmission_with_gradient` on raw floats, with omega_c^2 = square.
+    """Exact-path T on a 1-D detuning array, and a function giving
+    (dT/d(omega_c^2), dT/d gamma), on raw floats with omega_c^2 = square.
 
     The caller validates the parameters; the EIT fit does so once, not per
     evaluation.  T depends on the coupling only through omega_c^2, the
-    variable the EIT fit uses.  Needs gamma > 0, so that no detuning is dark.
-    T = exp(-g*Re w(u)) with u = -P/Gamma_D and g = alpha_s*G3*sqrt(pi)/(2*Gamma_D),
-    and the derivative w'(u) = -2u*w(u) + 2i/sqrt(pi) reuses the one
-    Faddeeva evaluation.
+    variable the EIT fit uses.  T = exp(-g*Re w(u)) with u = -P/Gamma_D, the
+    self-response pole P of :func:`_averaged_pair`, and
+    g = alpha_s*G3*sqrt(pi)/(2*Gamma_D).  At delta = gamma = 0 the two-photon
+    factor vanishes: with the coupling off P is the two-level pole, and with
+    it on P is infinite, w vanishes and T = 1.  The derivative
+    w'(u) = -2u*w(u) + 2i/sqrt(pi) reuses the one Faddeeva evaluation; the
+    gradient needs gamma > 0, which the EIT fit's bound keeps.
     """
     two_photon = delta + 1j * gamma
-    pole = square / (4.0 * two_photon) - delta - 0.5j * gamma3
+    dark = two_photon == 0.0
+    pole = square / (4.0 * np.where(dark, 1.0, two_photon)) - delta - 0.5j * gamma3
     u = pole / -gamma_doppler
     w = _faddeeva(u)
+    if square != 0.0:
+        w[dark] = 0.0
     gain = 0.5 * alpha_s * gamma3 * math.sqrt(math.pi) / gamma_doppler
     t = np.exp(-gain * w.real)
 
@@ -420,7 +422,7 @@ def spectrum_baseline(s: Spectrum) -> float:
     return 0.5 * (s.transmission[:k].mean() + s.transmission[-k:].mean())
 
 
-def spectrum_fwhm(s: Spectrum, units: UnitSystem = DEFAULT_UNITS) -> float:
+def spectrum_fwhm(s: Spectrum) -> float:
     """Full width at half of (peak - baseline), in Hz.
 
     The baseline is taken from the outer 10% of samples on each side and the
@@ -454,4 +456,4 @@ def spectrum_fwhm(s: Spectrum, units: UnitSystem = DEFAULT_UNITS) -> float:
         raise PeakShapeError("peak does not fall to half height on the right")
     right = np.interp(half, [t[i], t[i - 1]], [s.delta[i], s.delta[i - 1]])
 
-    return units.frequency_to_hz(float(right - left))
+    return DEFAULT_UNITS.frequency_to_hz(float(right - left))

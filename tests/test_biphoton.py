@@ -204,20 +204,6 @@ class TestEtalons:
         with pytest.raises(UsageError):
             sfwm.EtalonChain(fwhm, centers)
 
-    def test_intensity_mode_matches_amplitude_magnitude(self):
-        grid = sfwm.SpectralGrid(half_width=8.0, count=2049)
-        rng = np.random.default_rng(6)
-        values = rng.normal(size=2049) + 1j * rng.normal(size=2049)
-        amp = sfwm.BiphotonAmplitude(grid, values)
-        chain = sfwm.EtalonChain((45e6,), (0.0,))
-        by_field = sfwm.apply_etalons(amp, chain, mode="amplitude")
-        by_power = sfwm.apply_etalons(amp, chain, mode="intensity")
-        # Same transmitted power spectrum; intensity mode keeps the phase.
-        np.testing.assert_allclose(np.abs(by_power.values), np.abs(by_field.values), rtol=1e-12)
-        np.testing.assert_allclose(np.angle(by_power.values), np.angle(amp.values), rtol=1e-12)
-        with pytest.raises(UsageError):
-            sfwm.apply_etalons(amp, chain, mode="power")
-
 
 class TestWavePacket:
     def test_single_pole_fourier_pair(self):

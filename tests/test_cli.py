@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +66,7 @@ def weak_config(tmp_path):
 
 def read_csv(path):
     header, rows = None, []
-    for line in open(path):
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -111,6 +113,19 @@ class TestSimulateEit:
         _, rows_exact = read_csv(exact)
         _, rows_trapezoid = read_csv(trapezoid)
         assert not np.array_equal(rows_exact[:, 1], rows_trapezoid[:, 1])
+
+    def test_huge_optical_depth_does_not_warn(self, tmp_path, capsys):
+        """The spectrum averages the self response alone; the cross response,
+        whose prefactor overflows at this depth, is not computed."""
+        cfg = tmp_path / "deep.ini"
+        cfg.write_text("[medium]\nod_stokes = 1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate-eit", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "x.csv")
+        assert np.all(rows[:, 1] == 0.0)
+        assert "no transparency window" in capsys.readouterr().err
 
     def test_no_coupling_notice(self, tmp_path, capsys):
         cfg = tmp_path / "dark.ini"
@@ -339,37 +354,106 @@ CONTRACT_COMMANDS = {
     "simulate-eit": [],
     "simulate-biphoton": ["--tau-max-ns", "1000"],
     "sweep": ["--powers-mw", "1"],
+    "synth": ["--tau-max-ns", "1000", "--success-probability", "0.0088"],
 }
+# The fit commands read the CSV that a simulation writes under the same
+# config values, or a drawn CSV text.
+CONTRACT_SOURCES = {
+    "fit-eit": ["simulate-eit", "--points", "41"],
+    "fit-biphoton": ["simulate-biphoton", "--tau-max-ns", "1000"],
+}
+CSV_TOKENS = ["0", "1", "-1", "25.6", "0.5", "1e300", "-1e300", "nan", "inf", "-inf", "x", ""]
+csv_texts = st.lists(
+    st.lists(st.sampled_from(CSV_TOKENS), min_size=1, max_size=3), max_size=14
+).map(lambda rows: "a,b\n" + "".join(",".join(row) + "\n" for row in rows))
 
 
-@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@settings(max_examples=160, derandomize=True, database=None, deadline=None)
 @given(
-    command=st.sampled_from(sorted(CONTRACT_COMMANDS)),
+    command=st.sampled_from(sorted([*CONTRACT_COMMANDS, *CONTRACT_SOURCES])),
     values=st.dictionaries(
         st.sampled_from(CONTRACT_KEYS), st.sampled_from(CONTRACT_VALUES), max_size=2
     ),
+    csv=st.none() | csv_texts,
 )
 # A negative power made the derived Rabi frequency complex (TypeError).
-@example(command="sweep", values={("drive", "coupling_power_mw"): "-1"})
+@example(command="sweep", values={("drive", "coupling_power_mw"): "-1"}, csv=None)
 # Squaring a huge Rabi frequency raised OverflowError.
-@example(command="simulate-eit", values={("drive", "coupling_rabi_mhz"): "1e300"})
+@example(command="simulate-eit", values={("drive", "coupling_rabi_mhz"): "1e300"}, csv=None)
 # A non-finite or huge rise time reached np.arange (ValueError).
-@example(command="simulate-biphoton", values={("run", "rise_ns"): "nan"})
-@example(command="sweep", values={("run", "rise_ns"): "1e300"})
+@example(command="simulate-biphoton", values={("run", "rise_ns"): "nan"}, csv=None)
+@example(command="sweep", values={("run", "rise_ns"): "1e300"}, csv=None)
 # An infinite onset wrote a packet of nan before the fit refused it.
-@example(command="simulate-biphoton", values={("run", "onset_ns"): "-inf"})
-def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values):
-    """Whatever the [medium], [drive] and run-timing values, a command ends in
-    success, a usage error or a numerical error, never in a traceback."""
+@example(command="simulate-biphoton", values={("run", "onset_ns"): "-inf"}, csv=None)
+@example(command="synth", values={("medium", "od_stokes"): "1e300"}, csv=None)
+# Inputs of the fits: simulated, empty, header only, ragged, malformed,
+# non-finite, one column, too short, and spectra without a window.
+@example(command="fit-eit", values={}, csv=None)
+@example(command="fit-biphoton", values={}, csv=None)
+@example(command="fit-eit", values={("drive", "coupling_rabi_mhz"): "0"}, csv=None)
+@example(command="fit-biphoton", values={("drive", "pump_rabi_mhz"): "0"}, csv=None)
+@example(command="fit-eit", values={}, csv="")
+@example(command="fit-biphoton", values={}, csv="delay_ns,counts\n")
+@example(command="fit-eit", values={}, csv="a,b\n1,2\n3\n")
+@example(command="fit-biphoton", values={}, csv="a,b\n1,2,3\n4,5,6\n")
+@example(command="fit-eit", values={}, csv="a,b\n1,2\n3,x\n")
+@example(command="fit-biphoton", values={}, csv="a,b\n0,1\n25.6,nan\n")
+@example(command="fit-eit", values={}, csv="a,b\n0,inf\n1,0.5\n")
+@example(command="fit-biphoton", values={}, csv="a\n0\n25.6\n")
+@example(command="fit-eit", values={}, csv="a,b\n0,0.5\n1,0.5\n")
+@example(command="fit-biphoton", values={}, csv="a,b\n25.6,1\n0,2\n")
+def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
+    """Whatever the [medium], [drive] and run-timing values, and whatever a
+    fit command's CSV holds, a command ends in success, a usage error or a
+    numerical error, never in a traceback."""
     work = tmp_path_factory.mktemp("contract")
     text = "".join(
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
         for section in ("medium", "drive", "run")
     )
     (work / "run.ini").write_text(text)
-    argv = [command, *CONTRACT_COMMANDS[command], "--config", str(work / "run.ini"),
-            "--out", str(work / "out.csv")]
+    config = ["--config", str(work / "run.ini")]
+    if command in CONTRACT_SOURCES:
+        data = work / "in.csv"
+        if csv is None:
+            assert main([*CONTRACT_SOURCES[command], *config, "--out", str(data)]) in (0, 2, 3)
+        else:
+            data.write_text(csv)
+        argv = [command, "--csv", str(data)]
+    else:
+        argv = [command, *CONTRACT_COMMANDS[command], *config, "--out", str(work / "out.csv")]
     assert main(argv) in (0, 2, 3)
+
+
+# Usage errors that each writing command meets after its config has loaded:
+# (command, config text, arguments).  "TAGS" stands for a time-tag path.
+LATE_USAGE_ERRORS = [
+    ("simulate-eit", "", ["--points", "1"]),
+    ("simulate-eit", "", ["--delta-min-mhz", "1", "--delta-max-mhz", "-1"]),
+    # Three points make a CSV but no width measurement.
+    ("simulate-eit", "", ["--points", "3"]),
+    ("simulate-biphoton", "", ["--tau-max-ns", "1e30"]),
+    # Fewer than 10 bins past the fit onset.
+    ("simulate-biphoton", "[run]\nfit_onset_ns = 5000\n", []),
+    ("sweep", "", ["--powers-mw", ","]),
+    ("sweep", "", ["--powers-mw", "1", "--anchor-power-mw", "1"]),
+    ("sweep", "", ["--powers-mw", "1", "--anchor-power-mw", "2", "--anchor-rate-per-mhz", "1500"]),
+    ("synth", "", []),
+    ("synth", "", ["--success-probability", "0.0088", "--tau-max-ns", "1e30"]),
+    ("synth", "", ["--success-probability", "2", "--timetags", "TAGS"]),
+    ("synth", "", ["--peak-sbr", "10", "--timetags", "TAGS"]),
+    ("synth", "[detection]\naccumulation_s = 0\n", ["--peak-sbr", "10", "--timetags", "TAGS"]),
+]
+
+
+@pytest.mark.parametrize("command,text,args", LATE_USAGE_ERRORS)
+def test_usage_error_writes_no_output(tmp_path, command, text, args):
+    """Every command computes first and writes last: a usage error leaves no file."""
+    cfg, out, tags = tmp_path / "run.ini", tmp_path / "out.csv", tmp_path / "tags.txt"
+    cfg.write_text("[grid]\ncount = 8192\n" + text)
+    args = [str(tags) if a == "TAGS" else a for a in args]
+    assert main([command, "--config", str(cfg), "--out", str(out), *args]) == 2
+    assert not out.exists() and not tags.exists()
 
 
 class TestSynth:
@@ -480,7 +564,7 @@ class TestCsvContract:
     def test_round_trip_preserves_printed_precision(self, strong_config, tmp_path):
         out = tmp_path / "eit.csv"
         main(["simulate-eit", "--config", strong_config, "--points", "51", "--out", str(out)])
-        for line in open(out):
+        for line in out.read_text().splitlines():
             if line.startswith("#") or line.startswith("detuning"):
                 continue
             for token in line.strip().split(","):

@@ -7,7 +7,7 @@ from scipy.special import wofz
 
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
-from sfwm.physics import _faddeeva, _transmission_with_gradient
+from sfwm.physics import _averaged_pair, _faddeeva, _transmission_raw
 
 # Independent high-precision evaluations (40-digit arithmetic) of the two
 # response functions, frozen as regression constants.
@@ -208,18 +208,20 @@ class TestFaddeeva:
 
 
 class TestTransmissionGradient:
-    """The EIT fit's model: T on the exact path and its analytic gradient in
-    (omega_c^2, gamma)."""
+    """The exact transmission kernel, which is also the EIT fit's model: T
+    and its analytic gradient in (omega_c^2, gamma)."""
 
     @staticmethod
     def transmission(delta, square, gamma):
+        """T from the averaged pair responses, a path apart from the model's."""
         m = medium(alpha_s=80.0, gamma=gamma)
-        return sfwm.eit_transmission(delta, m, sfwm.DriveParams(omega_c=np.sqrt(square)))
+        _, self_ = _averaged_pair(delta, m, sfwm.DriveParams(omega_c=np.sqrt(square)))
+        return np.exp(-4.0 * self_.imag)
 
     @staticmethod
     def model(delta, square, gamma):
         m = medium(alpha_s=80.0, gamma=gamma)
-        return _transmission_with_gradient(delta, m, sfwm.DriveParams(omega_c=np.sqrt(square)))
+        return _transmission_raw(delta, m.alpha_s, m.gamma, m.gamma_doppler, m.gamma3, square)
 
     @pytest.mark.parametrize("omega_c, gamma", [(2.6, 0.028), (0.65, 0.024), (0.05, 0.3)])
     def test_against_eit_transmission_and_central_differences(self, omega_c, gamma):
