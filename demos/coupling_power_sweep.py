@@ -20,7 +20,7 @@ POWERS_MW = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
 scenario = dataclasses.replace(
     sfwm.load_config(), medium=sfwm.MediumParams(alpha_s=82.0, gamma=0.025)
 )
-sweep = sfwm.sweep_predict(scenario, POWERS_MW, pump_mw=0.5, rate_anchor=(1.0, 1500.0))
+sweep = sfwm.sweep_predict(scenario, POWERS_MW, rate_anchor=(1.0, 1500.0))
 
 print(f"{'P (mW)':>7} {'tau (ns)':>9} {'linewidth':>10} {'EIT FWHM':>9} "
       f"{'rate (1/s)':>11} {'brightness':>11} {'SBR (arb)':>10}")

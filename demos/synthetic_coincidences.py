@@ -37,20 +37,18 @@ print(f"peak correlation (SBR) {sfwm.sbr(fit):.1f}")
 detected = (hist.counts.sum()
             - hist.counts.size * dm.trigger_rate * dm.accumulation_s
             * sfwm.background_rate(P_MW) * dm.bin_ns * 1e-9) / dm.accumulation_s
-print(f"inferred source rate {sfwm.generation_rate(detected):.0f} pairs/s "
+print(f"inferred source rate {sfwm.generation_rate(detected, dm):.0f} pairs/s "
       f"after collection-efficiency correction")
 
-# Event-level realism: time tags rebuilt into a histogram agree with the
-# per-bin Poisson model in the mean.
-trig, part = sfwm.generate_timetags(packet, dm, 100.0, P_MW, SUCCESS)
-rebuilt = sfwm.build_histogram(trig, part, window_ns=packet.tau_ns.size * 25.6)
-means = sfwm.expected_bins(
-    packet, sfwm.DetectionModel(accumulation_s=100.0, seed=42), P_MW,
-    success_probability=SUCCESS,
-)
+# Event-level realism: time tags of a 100 s acquisition rebuilt into a
+# histogram agree with the per-bin Poisson model in the mean.
+short = dataclasses.replace(dm, accumulation_s=100.0)
+trig, part = sfwm.generate_timetags(packet, short, P_MW, SUCCESS)
+rebuilt = sfwm.build_histogram(trig, part, packet.tau_ns.size * short.bin_ns, short.bin_ns)
+means = sfwm.expected_bins(packet, short, P_MW, success_probability=SUCCESS)
 worst = np.max(np.abs(rebuilt.counts - means) / np.sqrt(means))
 print(f"{trig.size} triggers, {part.size} partner events; "
       f"worst per-bin deviation from the model mean: {worst:.1f} sigma")
 
-sfwm.write_timetags("timetags.txt", trig, part, dm, 100.0)
+sfwm.write_timetags("timetags.txt", trig, part, short)
 print("wrote timetags.txt")

@@ -49,6 +49,7 @@ from .physics import (
 
 if TYPE_CHECKING:
     from .config import Scenario
+    from .detector import DetectionModel
 
 # Delay span of every packet of a sweep: the 4 us window of the detection chain.
 SWEEP_SPAN_NS = 4000.0
@@ -477,14 +478,9 @@ def cs_violation(g2: float, g_auto: float = 2.0) -> float:
     return (g2 / g_auto) ** 2
 
 
-def generation_rate(
-    detected_pairs_per_s: float, eff_as: float = 0.084, eff_s: float = 0.13
-) -> float:
-    """Source pair rate from the detected rate and both collection efficiencies."""
-    for name, eff in (("eff_as", eff_as), ("eff_s", eff_s)):
-        if not (0.0 < eff <= 1.0):
-            raise DomainError(f"{name} must lie in (0, 1], got {eff!r}")
-    return detected_pairs_per_s / (eff_as * eff_s)
+def generation_rate(detected_pairs_per_s: float, dm: DetectionModel) -> float:
+    """Source pair rate from the detected rate and the model's collection efficiencies."""
+    return detected_pairs_per_s / (dm.eff_as * dm.eff_s)
 
 
 def spectral_brightness(rate_pairs_per_s: float, pump_mw: float, linewidth_hz: float) -> float:
@@ -618,7 +614,6 @@ def sweep_predict(
     scenario: Scenario,
     powers_mw,
     *,
-    pump_mw: float = 0.5,
     rate_anchor: tuple[float, float] | None = None,
 ) -> SweepPrediction:
     """Predict tau, rate, brightness, and SBR of a scenario across coupling powers.
@@ -631,6 +626,8 @@ def sweep_predict(
     proxy is the rise-time-convolved packet peak over the power-dependent
     background rate.  Rates are relative unless anchored: ``rate_anchor=
     (power_mw, pairs_per_s_per_MHz)`` fixes the rate per linewidth at one power.
+    The brightness divides the rate by the pump power that the scenario's
+    ``drive.omega_p`` implies and by the linewidth.
     """
     powers = np.asarray(powers_mw, dtype=float)
     if powers.size == 0:
@@ -638,8 +635,6 @@ def sweep_predict(
     # Written so that nan fails every comparison.
     if not np.all((powers > 0) & (powers < math.inf)):
         raise UsageError("coupling powers must be finite and positive")
-    if not 0.0 < pump_mw < math.inf:
-        raise UsageError(f"pump power must be finite and positive, got {pump_mw!r} mW")
     if rate_anchor is not None and not 0.0 < rate_anchor[1] < math.inf:
         raise UsageError(f"anchor rate must be finite and positive, got {rate_anchor[1]!r}")
 
@@ -672,6 +667,8 @@ def sweep_predict(
         rate_scale = 1.0
 
     rates = rate_scale * areas
+    # The calibration of DriveParams: omega_p = 2.0 at 0.5 mW, P ~ omega_p^2.
+    pump_mw = 0.5 * (scenario.drive.omega_p / 2.0) ** 2
     brightness = rates / (pump_mw * linewidths / 1e6)
     return SweepPrediction(
         powers_mw=powers,

@@ -200,11 +200,17 @@ def spectral_amplitude(
     Raises GridTooNarrowError if the amplitude has not decayed below
     ``edge_tol`` of its peak at the grid edges (a zero amplitude, as with
     omega_p = 0, passes trivially), and DomainError where it overflows, as
-    it does at optical depths far past any vapor's.
+    it does at Stokes optical depths far past any vapor's.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cross, self_ = averaged_susceptibilities(grid, m, d, q)
-        amp = BiphotonAmplitude(grid, cross * complex_sinc(self_) * np.exp(1j * self_))
+        values = cross * complex_sinc(self_) * np.exp(1j * self_)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"the phase-matching factor sinc(Z)*exp(iZ) overflows at Stokes optical depth "
+            f"{m.alpha_s!r}"
+        )
+    amp = BiphotonAmplitude(grid, values)
     peak = float(np.abs(amp.values).max())
     if peak > 0.0:
         edge = max(abs(amp.values[0]), abs(amp.values[-1])) / peak

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -50,9 +51,12 @@ def _write_csv(out: str, meta: dict, header: list[str], rows) -> None:
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -207,7 +211,7 @@ def cmd_sweep(args) -> int:
         if args.anchor_power_mw is None or args.anchor_rate_per_mhz is None:
             raise UsageError("anchor needs both --anchor-power-mw and --anchor-rate-per-mhz")
         anchor = (args.anchor_power_mw, args.anchor_rate_per_mhz)
-    sweep = sweep_predict(scenario, powers, pump_mw=args.pump_mw, rate_anchor=anchor)
+    sweep = sweep_predict(scenario, powers, rate_anchor=anchor)
     rows = zip(
         sweep.powers_mw,
         sweep.tau_ns,
@@ -232,7 +236,7 @@ def cmd_sweep(args) -> int:
 def cmd_synth(args) -> int:
     scenario = load_config(args.config)
     dm = scenario.detection
-    p_mw = args.power_mw if args.power_mw is not None else scenario.coupling_power_mw
+    p_mw = scenario.coupling_power_mw
     success = args.success_probability
     if success is None:
         success = scenario.success_probability
@@ -241,28 +245,31 @@ def cmd_synth(args) -> int:
     if args.timetags and success is None:
         raise UsageError("time tags need a success probability, not a peak SBR")
 
-    meta = _meta(scenario, "synth", p_mw=p_mw, model=dm.fingerprint())
-    if dm.accumulation_s == 0:
-        _write_csv(args.out, meta, ["delay_ns", "counts"], [])
+    rows, triggers, partners = [], np.empty(0), np.empty(0)
+    if dm.accumulation_s > 0:
+        # Synthesize from the unconvolved packet: the detector rise time moves
+        # the smeared peak past the fixed fit onset, which would defeat the
+        # two-stage exponential fit this data exists to validate.
+        tau_axis = delay_axis(args.tau_max_ns, dm.bin_ns, name="--tau-max-ns")
+        packet = predict_packet(scenario, tau_axis)
+        kwargs = (
+            {"peak_sbr": args.peak_sbr} if args.peak_sbr is not None
+            else {"success_probability": success}
+        )
+        hist = synth_histogram(packet, dm, p_mw, **kwargs)
+        rows = zip(hist.delay_ns, hist.counts)
         if args.timetags:
-            write_timetags(args.timetags, np.empty(0), np.empty(0), dm, 0.0)
-        return 0
-
-    # Synthesize from the unconvolved packet: the detector rise time moves the
-    # smeared peak past the fixed fit onset, which would defeat the two-stage
-    # exponential fit this data exists to validate.
-    tau_axis = delay_axis(args.tau_max_ns, dm.bin_ns, name="--tau-max-ns")
-    packet = predict_packet(scenario, tau_axis)
-    kwargs = (
-        {"peak_sbr": args.peak_sbr} if args.peak_sbr is not None
-        else {"success_probability": success}
-    )
-    hist = synth_histogram(packet, dm, p_mw, **kwargs)
+            triggers, partners = generate_timetags(packet, dm, p_mw, success)
+    meta = _meta(scenario, "synth", p_mw=p_mw, model=dm.fingerprint())
+    _write_csv(args.out, meta, ["delay_ns", "counts"], rows)
     if args.timetags:
-        triggers, partners = generate_timetags(packet, dm, dm.accumulation_s, p_mw, success)
-    _write_csv(args.out, meta, ["delay_ns", "counts"], zip(hist.delay_ns, hist.counts))
-    if args.timetags:
-        write_timetags(args.timetags, triggers, partners, dm, dm.accumulation_s)
+        try:
+            write_timetags(args.timetags, triggers, partners, dm)
+        except OSError as exc:
+            # Both outputs or neither.
+            if args.out != "-":
+                os.remove(args.out)
+            raise UsageError(f"cannot write {args.timetags}: {exc.strerror or exc}") from exc
     return 0
 
 
@@ -307,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="figures of merit across coupling powers")
     add_common(p)
     p.add_argument("--powers-mw", default="0.02,0.05,0.1,0.2,0.5,1,2,5")
-    p.add_argument("--pump-mw", type=float, default=0.5)
     p.add_argument("--anchor-power-mw", type=float, default=None)
     p.add_argument("--anchor-rate-per-mhz", type=float, default=None)
     p.set_defaults(func=cmd_sweep)
@@ -315,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthetic coincidence histogram and time tags")
     add_common(p)
     p.add_argument("--tau-max-ns", type=float, default=4000.0, help=tau_max_help)
-    p.add_argument("--power-mw", type=float, default=None)
     p.add_argument("--success-probability", type=float, default=None)
     p.add_argument("--peak-sbr", type=float, default=None)
     p.add_argument("--timetags", default=None, help="also write a time-tag file here")

@@ -22,37 +22,6 @@ from .units import DEFAULT_UNITS
 
 _MHZ = 1e6
 
-_SCHEMA = {
-    "medium": {
-        "od_stokes",
-        "od_anti_stokes",
-        "decoherence_mhz",
-        "doppler_width_mhz",
-        "decay3_mhz",
-        "decay4_mhz",
-    },
-    "drive": {
-        "coupling_rabi_mhz",
-        "coupling_power_mw",
-        "pump_rabi_mhz",
-        "pump_detuning_mhz",
-    },
-    "quadrature": {"half_range", "step_mhz"},
-    "grid": {"half_width_mhz", "count"},
-    "etalons": {"fwhm_mhz", "centers_mhz"},
-    "detection": {
-        "eff_anti_stokes",
-        "eff_stokes",
-        "dark_anti_stokes_cps",
-        "dark_stokes_cps",
-        "trigger_cps",
-        "bin_ns",
-        "accumulation_s",
-        "success_probability",
-    },
-    "run": {"seed", "onset_ns", "rise_ns", "fit_onset_ns"},
-}
-
 # An empty value, given or default, means the key's default; where that is
 # empty too, load_config works the value out (see the README's table).
 _DEFAULTS = {
@@ -85,6 +54,9 @@ _DEFAULTS = {
     },
     "run": {"seed": "1", "onset_ns": "150", "rise_ns": "35", "fit_onset_ns": "200"},
 }
+
+# The accepted keys of each section.
+_SCHEMA = {section: set(keys) for section, keys in _DEFAULTS.items()}
 
 
 def _float(section: str, key: str, raw: str) -> float:

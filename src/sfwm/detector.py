@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class CoincidenceHistogram:
     counts: np.ndarray
     bin_ns: float
     accumulation_s: float | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.delay_ns = np.asarray(self.delay_ns, dtype=float)
@@ -164,35 +163,28 @@ def synth_histogram(
     means = expected_bins(w, dm, p_mw, **normalization)
     rng = np.random.Generator(np.random.PCG64(dm.seed))
     counts = rng.poisson(means).astype(np.int64)
-    meta = {
-        "seed": dm.seed,
-        "p_mw": p_mw,
-        "model": dm.fingerprint(),
-        **{k: v for k, v in normalization.items() if v},
-    }
-    return CoincidenceHistogram(w.tau_ns, counts, w.bin_ns, dm.accumulation_s, meta)
+    return CoincidenceHistogram(w.tau_ns, counts, w.bin_ns, dm.accumulation_s)
 
 
 def generate_timetags(
     w: WavePacket,
     dm: DetectionModel,
-    duration_s: float,
     p_mw: float,
     success_probability: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate (trigger, partner) event streams in ns, sorted in time.
 
-    Triggers form a homogeneous Poisson process at the trigger rate.  Each
-    trigger yields a true partner with the given success probability, at a
-    delay drawn from the normalized wave-packet density (uniform within a
-    bin).  Uncorrelated partner events ride on top as a Poisson process at
-    the power-dependent background rate, which includes dark counts.
+    The streams span the model's accumulation time.  Triggers form a
+    homogeneous Poisson process at the trigger rate.  Each trigger yields a
+    true partner with the given success probability, at a delay drawn from
+    the normalized wave-packet density (uniform within a bin).  Uncorrelated
+    partner events ride on top as a Poisson process at the power-dependent
+    background rate, which includes dark counts.
     """
-    if duration_s < 0:
-        raise UsageError("duration must be nonnegative")
     if not (0.0 <= success_probability <= 1.0):
         raise UsageError("success probability must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(dm.seed))
+    duration_s = dm.accumulation_s
     duration_ns = duration_s * 1e9
     if duration_s == 0.0:
         return np.empty(0), np.empty(0)
@@ -220,7 +212,7 @@ def build_histogram(
     triggers_ns: np.ndarray,
     partners_ns: np.ndarray,
     window_ns: float,
-    bin_ns: float = 25.6,
+    bin_ns: float,
     accumulation_s: float | None = None,
 ) -> CoincidenceHistogram:
     """Multiscaler coincidence histogram: every partner within [0, window) of
@@ -259,11 +251,11 @@ def write_timetags(
     triggers_ns: np.ndarray,
     partners_ns: np.ndarray,
     dm: DetectionModel,
-    duration_s: float,
 ) -> None:
     """Write both streams as text records: stream id (0 trigger, 1 partner)
     and timestamp in integer picoseconds, merged in time order (a trigger
-    before a partner with the same stamp).  Non-finite timestamps, or ones
+    before a partner with the same stamp).  The header records the model's
+    seed, fingerprint and accumulation time.  Non-finite timestamps, or ones
     too large for 64-bit picoseconds, are a UsageError."""
     for stream in (triggers_ns, partners_ns):
         # Written so that nan fails the comparison.
@@ -282,7 +274,7 @@ def write_timetags(
         f"# {TIMETAG_FORMAT}\n"
         f"# seed: {dm.seed}\n"
         f"# model: {dm.fingerprint()}\n"
-        f"# duration_s: {duration_s!r}\n"
+        f"# duration_s: {dm.accumulation_s!r}\n"
         "# columns: stream_id,timestamp_ps\n"
     )
     with open(path, "wb") as fh:

@@ -170,7 +170,10 @@ class Spectrum:
 
 
 def _cross_prefactor(m: MediumParams) -> float:
-    return np.sqrt(m.alpha_as * m.alpha_s) * np.sqrt(m.gamma3 * m.gamma4) / 4.0
+    # sqrt(alpha_as*alpha_s) without forming the product, which overflows for
+    # huge depths; equal depths give the larger one exactly.
+    hi = max(m.alpha_as, m.alpha_s)
+    return hi * np.sqrt(min(m.alpha_as, m.alpha_s) / hi) * np.sqrt(m.gamma3 * m.gamma4) / 4.0
 
 
 def _chi_pair_raw(delta, omega_d, m: MediumParams, d: DriveParams):

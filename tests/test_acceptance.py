@@ -27,7 +27,7 @@ def verdict(num, name, ok, detail):
 def sweep():
     medium = sfwm.MediumParams(alpha_s=82.0, gamma=0.025)
     return sfwm.sweep_predict(
-        scenario(medium, sfwm.DriveParams(omega_c=2.7)), POWERS_MW, pump_mw=0.5,
+        scenario(medium, sfwm.DriveParams(omega_c=2.7)), POWERS_MW,
         rate_anchor=(1.0, 1500.0),
     )
 

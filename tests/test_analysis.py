@@ -395,10 +395,11 @@ class TestScalarMetrics:
             sfwm.cs_violation(4.0, g_auto=0.0)
 
     def test_generation_rate(self):
-        assert sfwm.generation_rate(10.0) == pytest.approx(10.0 / 0.01092, rel=1e-12)
-        assert sfwm.generation_rate(0.0) == 0.0
-        with pytest.raises(DomainError):
-            sfwm.generation_rate(1.0, eff_as=0.0)
+        dm = sfwm.DetectionModel()
+        assert sfwm.generation_rate(10.0, dm) == pytest.approx(10.0 / 0.01092, rel=1e-12)
+        assert sfwm.generation_rate(0.0, dm) == 0.0
+        halved = sfwm.DetectionModel(eff_as=0.042)
+        assert sfwm.generation_rate(10.0, halved) == pytest.approx(20.0 / 0.01092, rel=1e-12)
 
     def test_spectral_brightness(self):
         assert sfwm.spectral_brightness(915.0, 0.5, 0.61e6) == pytest.approx(3000.0, rel=1e-12)
@@ -631,7 +632,7 @@ class TestGenerationRateRoundTrip:
             dm = sfwm.DetectionModel(accumulation_s=1200.0, seed=seed)
             hist = sfwm.synth_histogram(shape, dm, p_mw, success_probability=success)
             signal = hist.counts.sum() - n_bins * bkg_per_bin
-            est = sfwm.generation_rate(signal / dm.accumulation_s)
+            est = sfwm.generation_rate(signal / dm.accumulation_s, dm)
             estimates.append(est)
             sigma = math.sqrt(hist.counts.sum()) / dm.accumulation_s / eff
             if abs(est - true_rate) <= 3.0 * sigma:

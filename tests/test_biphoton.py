@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ class TestSpectralAmplitude:
         _, z1 = sfwm.averaged_susceptibilities(SMALL_GRID, m1, drive_a, FAST_QUAD)
         _, z2 = sfwm.averaged_susceptibilities(SMALL_GRID, m2, drive_a, FAST_QUAD)
         assert np.array_equal(2.0 * z1, z2)
+
+    def test_huge_optical_depth_averages_without_overflow(self):
+        """The cross prefactor takes the root of each depth, not of their
+        product, which overflows at 1e300."""
+        m = sfwm.MediumParams(alpha_s=1e300, gamma=0.025)
+        m_unit = sfwm.MediumParams(alpha_s=1.0, gamma=0.025)
+        d = sfwm.DriveParams(omega_c=2.7)
+        grid = sfwm.SpectralGrid(64.0, 1024)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cross, self_ = sfwm.averaged_susceptibilities(grid, m, d)
+        assert np.all(np.isfinite(cross)) and np.all(np.isfinite(self_))
+        # Both averages are linear in a common optical depth.
+        unit_cross, unit_self = sfwm.averaged_susceptibilities(grid, m_unit, d)
+        np.testing.assert_allclose(cross, 1e300 * unit_cross, rtol=1e-12)
+        np.testing.assert_allclose(self_, 1e300 * unit_self, rtol=1e-12)
 
 
 class TestEtalons:

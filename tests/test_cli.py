@@ -157,6 +157,15 @@ class TestSimulateBiphoton:
         assert np.all(rows[:, 1] == 0.0)
         assert "no signal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate-biphoton", "sweep", "synth"])
+    def test_huge_optical_depth_names_it(self, tmp_path, capsys, command):
+        cfg = tmp_path / "deep.ini"
+        cfg.write_text("[medium]\nod_stokes = 1e20\n[detection]\nsuccess_probability = 0.0088\n")
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "Stokes optical depth 1e+20" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strong_coupling_widens_the_grid_like_the_sweep(self, tmp_path):
         """At 31.2 MHz |A| has not decayed at the edges of the default window;
         the packet path widens it, as the sweep does at the same power."""
@@ -343,6 +352,27 @@ def test_every_key_reaches_the_sweep(tmp_path, default_sweep_rows, section, key)
     assert changed != default_sweep_rows
 
 
+def test_brightness_divides_by_the_configured_pump_power(tmp_path):
+    """Four times the pump Rabi frequency is 16 times the pump power: the
+    pair rate rises 16-fold and the rate per pump power stays put."""
+    cfg = tmp_path / "pump.ini"
+    cfg.write_text("[drive]\npump_rabi_mhz = 48\n")
+    powers = [0.05, 1.0, 5.0]
+    default = sfwm.sweep_predict(sfwm.load_config(), powers)
+    strong = sfwm.sweep_predict(sfwm.load_config(str(cfg)), powers)
+    np.testing.assert_allclose(strong.rate_pairs_per_s, 16.0 * default.rate_pairs_per_s, rtol=1e-12)
+    np.testing.assert_allclose(strong.brightness, default.brightness, rtol=1e-12)
+
+
+@pytest.mark.parametrize("command,option", [("sweep", "--pump-mw"), ("synth", "--power-mw")])
+def test_config_copies_are_not_options(tmp_path, capsys, command, option):
+    """The pump and coupling powers come from the config alone."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, option, "1", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 # Values of the exit-code contract; a key left out or left empty keeps its
 # default.
 CONTRACT_KEYS = [
@@ -426,7 +456,8 @@ def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
 
 
 # Usage errors that each writing command meets after its config has loaded:
-# (command, config text, arguments).  "TAGS" stands for a time-tag path.
+# (command, config text, arguments).  "TAGS" stands for a time-tag path and
+# "MISSING" for a path in a directory that does not exist.
 LATE_USAGE_ERRORS = [
     ("simulate-eit", "", ["--points", "1"]),
     ("simulate-eit", "", ["--delta-min-mhz", "1", "--delta-max-mhz", "-1"]),
@@ -443,17 +474,31 @@ LATE_USAGE_ERRORS = [
     ("synth", "", ["--success-probability", "2", "--timetags", "TAGS"]),
     ("synth", "", ["--peak-sbr", "10", "--timetags", "TAGS"]),
     ("synth", "[detection]\naccumulation_s = 0\n", ["--peak-sbr", "10", "--timetags", "TAGS"]),
+    ("simulate-eit", "", ["--out", "MISSING"]),
+    ("simulate-biphoton", "", ["--out", "MISSING"]),
+    ("sweep", "", ["--powers-mw", "1", "--out", "MISSING"]),
+    ("synth", "", ["--peak-sbr", "10", "--out", "MISSING"]),
+    ("synth", "", ["--success-probability", "0.0088", "--timetags", "TAGS", "--out", "MISSING"]),
+    # The CSV is written first and removed when the tags cannot be.
+    ("synth", "[detection]\naccumulation_s = 20\n",
+     ["--success-probability", "0.0088", "--timetags", "MISSING"]),
+    ("synth", "[detection]\naccumulation_s = 0\n",
+     ["--success-probability", "0.0088", "--timetags", "MISSING"]),
 ]
 
 
 @pytest.mark.parametrize("command,text,args", LATE_USAGE_ERRORS)
-def test_usage_error_writes_no_output(tmp_path, command, text, args):
+def test_usage_error_writes_no_output(tmp_path, capsys, command, text, args):
     """Every command computes first and writes last: a usage error leaves no file."""
     cfg, out, tags = tmp_path / "run.ini", tmp_path / "out.csv", tmp_path / "tags.txt"
+    missing = tmp_path / "nodir" / "x.txt"
     cfg.write_text("[grid]\ncount = 8192\n" + text)
-    args = [str(tags) if a == "TAGS" else a for a in args]
-    assert main([command, "--config", str(cfg), "--out", str(out), *args]) == 2
+    paths = {"TAGS": str(tags), "MISSING": str(missing)}
+    argv = [command, "--config", str(cfg), "--out", str(out), *(paths.get(a, a) for a in args)]
+    assert main(argv) == 2
     assert not out.exists() and not tags.exists()
+    if "MISSING" in args:
+        assert f"cannot write {missing}" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -598,15 +643,6 @@ class TestNonfiniteArguments:
         assert f"spans more than {sfwm.biphoton.MAX_DELAY_BINS} bins" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    def test_sweep_pump_power_is_usage_error(self, strong_config, tmp_path, capsys, value):
-        out = tmp_path / "sweep.csv"
-        code = main(["sweep", "--config", strong_config, "--powers-mw", "1",
-                     f"--pump-mw={value}", "--out", str(out)])
-        assert code == 2
-        assert "pump power" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
     def test_sweep_anchor_rate_is_usage_error(self, strong_config, tmp_path, capsys, value):
         out = tmp_path / "sweep.csv"
@@ -676,7 +712,7 @@ class TestFloatOptionContract:
         parser = sfwm.cli.build_parser()
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(commands.choices) == set(base_argv)
-        assert len(float_options()) >= 14
+        assert len(float_options()) >= 12
         for command, argv in base_argv.items():
             assert main([command, *argv]) == 0, command
 

@@ -136,17 +136,17 @@ class TestBuildHistogram:
 
     def test_unsorted_streams_rejected(self):
         with pytest.raises(UsageError):
-            sfwm.build_histogram(np.array([5.0, 1.0]), np.array([2.0]), 100.0)
+            sfwm.build_histogram(np.array([5.0, 1.0]), np.array([2.0]), 100.0, 25.6)
         with pytest.raises(UsageError):
-            sfwm.build_histogram(np.array([1.0]), np.array([5.0, 2.0]), 100.0)
+            sfwm.build_histogram(np.array([1.0]), np.array([5.0, 2.0]), 100.0, 25.6)
 
     def test_invariant_to_stream_concatenation_order(self):
         rng = np.random.default_rng(9)
         a = rng.uniform(0, 1e6, 500)
         b = rng.uniform(0, 1e6, 700)
         triggers = np.sort(rng.uniform(0, 1e6, 300))
-        one = sfwm.build_histogram(triggers, np.sort(np.concatenate([a, b])), 2000.0)
-        two = sfwm.build_histogram(triggers, np.sort(np.concatenate([b, a])), 2000.0)
+        one = sfwm.build_histogram(triggers, np.sort(np.concatenate([a, b])), 2000.0, 25.6)
+        two = sfwm.build_histogram(triggers, np.sort(np.concatenate([b, a])), 2000.0, 25.6)
         assert np.array_equal(one.counts, two.counts)
 
 
@@ -181,13 +181,13 @@ class TestRoundTripUnbiased:
 class TestTimeTags:
     def test_empty_duration(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        trig, part = sfwm.generate_timetags(w, model(), 0.0, 1.0, 0.0088)
+        trig, part = sfwm.generate_timetags(w, model(accumulation_s=0.0), 1.0, 0.0088)
         assert trig.size == 0 and part.size == 0
 
     def test_zero_success_gives_pure_background(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         duration = 50.0
-        trig, part = sfwm.generate_timetags(w, model(seed=5), duration, 1.0, 0.0)
+        trig, part = sfwm.generate_timetags(w, model(accumulation_s=duration, seed=5), 1.0, 0.0)
         mu = sfwm.background_rate(1.0) * duration
         assert abs(part.size - mu) <= 3.0 * np.sqrt(mu)
         mu_t = 840.0 * duration
@@ -195,7 +195,7 @@ class TestTimeTags:
 
     def test_streams_are_sorted(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        trig, part = sfwm.generate_timetags(w, model(seed=2), 20.0, 1.0, 0.0088)
+        trig, part = sfwm.generate_timetags(w, model(accumulation_s=20.0, seed=2), 1.0, 0.0088)
         assert np.all(np.diff(trig) >= 0)
         assert np.all(np.diff(part) >= 0)
 
@@ -204,7 +204,7 @@ class TestTimeTags:
         w = exponential_packet(1.0, 260.0, onset_ns=200.0, span_ns=4000.0)
         duration = 400.0
         dm = model(accumulation_s=duration, seed=14)
-        trig, part = sfwm.generate_timetags(w, dm, duration, 1.0, 0.0088)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0, 0.0088)
         window = w.tau_ns.size * 25.6
         hist = sfwm.build_histogram(trig, part, window, 25.6)
         means = sfwm.expected_bins(w, dm, 1.0, success_probability=0.0088)
@@ -216,10 +216,10 @@ class TestTimeTags:
 
     def test_file_round_trip(self, tmp_path):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        dm = model(seed=21)
-        trig, part = sfwm.generate_timetags(w, dm, 5.0, 1.0, 0.0088)
+        dm = model(accumulation_s=5.0, seed=21)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0, 0.0088)
         path = tmp_path / "tags.txt"
-        sfwm.write_timetags(path, trig, part, dm, 5.0)
+        sfwm.write_timetags(path, trig, part, dm)
         trig2, part2 = sfwm.read_timetags(path)
         assert trig2.size == trig.size and part2.size == part.size
         # picosecond quantization: at most half a ps plus representation slack
@@ -235,7 +235,7 @@ class TestTimeTags:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UsageError):
-                sfwm.write_timetags(path, np.array(triggers), np.array(partners), model(), 1.0)
+                sfwm.write_timetags(path, np.array(triggers), np.array(partners), model())
         assert not path.exists()
 
     def test_read_rejects_foreign_file(self, tmp_path):
@@ -245,7 +245,7 @@ class TestTimeTags:
             sfwm.read_timetags(path)
 
 
-def reference_timetag_text(triggers_ns, partners_ns, dm, duration_s) -> str:
+def reference_timetag_text(triggers_ns, partners_ns, dm) -> str:
     """The time-tag file format written one record at a time."""
     ids = [0] * len(triggers_ns) + [1] * len(partners_ns)
     stamps = [int(round(t * 1e3)) for t in list(triggers_ns) + list(partners_ns)]
@@ -253,7 +253,7 @@ def reference_timetag_text(triggers_ns, partners_ns, dm, duration_s) -> str:
         "# sfwm-timetags v1",
         f"# seed: {dm.seed}",
         f"# model: {dm.fingerprint()}",
-        f"# duration_s: {duration_s!r}",
+        f"# duration_s: {dm.accumulation_s!r}",
         "# columns: stream_id,timestamp_ps",
     ]
     lines += [f"{ids[i]},{stamps[i]}" for i in sorted(range(len(ids)), key=lambda i: (stamps[i], ids[i]))]
@@ -261,11 +261,11 @@ def reference_timetag_text(triggers_ns, partners_ns, dm, duration_s) -> str:
 
 
 class TestTimeTagFormat:
-    def check_bytes(self, tmp_path, triggers, partners, duration_s=5.0):
-        dm = model(seed=4)
+    def check_bytes(self, tmp_path, triggers, partners, accumulation_s=5.0):
+        dm = model(accumulation_s=accumulation_s, seed=4)
         path = tmp_path / "tags.txt"
-        sfwm.write_timetags(path, np.asarray(triggers), np.asarray(partners), dm, duration_s)
-        expected = reference_timetag_text(triggers, partners, dm, duration_s)
+        sfwm.write_timetags(path, np.asarray(triggers), np.asarray(partners), dm)
+        expected = reference_timetag_text(triggers, partners, dm)
         assert path.read_bytes() == expected.encode()
         return path
 
@@ -369,10 +369,10 @@ def chunking():
 
 class TestTimeTagCodec:
     def write(self, tmp_path, triggers_ns, partners_ns):
-        dm = model(seed=9)
+        dm = model(accumulation_s=1.0, seed=9)
         path = tmp_path / "tags.txt"
-        sfwm.write_timetags(path, triggers_ns, partners_ns, dm, 1.0)
-        expected = reference_timetag_text(triggers_ns, partners_ns, dm, 1.0)
+        sfwm.write_timetags(path, triggers_ns, partners_ns, dm)
+        expected = reference_timetag_text(triggers_ns, partners_ns, dm)
         assert path.read_bytes() == expected.encode()
         trig, part = sfwm.read_timetags(path)
         np.testing.assert_array_equal(trig, np.sort(np.round(triggers_ns * 1e3)) / 1e3)
