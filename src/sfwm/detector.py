@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import background_rate
-from .biphoton import WavePacket, _is_uniform
+from .biphoton import MAX_DELAY_BINS, WavePacket, _is_uniform
 from .errors import UsageError
 
 TIMETAG_FORMAT = "sfwm-timetags v1"
@@ -40,6 +40,8 @@ _WIDTH_EDGES = np.array(
 _READ_CHUNK = 1 << 20  # body bytes parsed per step, extended to a line end
 _MIN_RUN = 256  # equal-length records parsed in place; shorter runs are gathered
 _MAX_RECORD = 22  # "1,-" and 19 digits
+_SEARCH_BLOCK = 4096  # triggers whose window starts are searched in one partner slice
+_SCAN_STEPS = 4  # partners scanned per window before its end is searched
 
 
 @dataclass(frozen=True)
@@ -218,32 +220,98 @@ def build_histogram(
     """Multiscaler coincidence histogram: every partner within [0, window) of
     each trigger is counted, not just the first stop.
 
-    Both streams must be sorted in time.
+    With n whole bins in the window, a partner at p pairs with a trigger at t
+    when t <= p < t + n*bin_ns, in bin floor((p - t)/bin_ns), or the last bin
+    where that quotient rounds up to n.  Both streams must be sorted in time
+    and finite.
     """
-    triggers = np.asarray(triggers_ns, dtype=float)
-    partners = np.asarray(partners_ns, dtype=float)
+    triggers = np.atleast_1d(np.asarray(triggers_ns, dtype=float))
+    partners = np.atleast_1d(np.asarray(partners_ns, dtype=float))
     for name, stream in (("trigger", triggers), ("partner", partners)):
-        if stream.size > 1 and np.any(np.diff(stream) < 0):
-            raise UsageError(f"{name} stream is not sorted")
-    if window_ns <= 0 or bin_ns <= 0:
-        raise UsageError("window and bin width must be positive")
+        if stream.ndim != 1:
+            raise UsageError(f"{name} stream must be one-dimensional, got shape {stream.shape}")
+        # Written so that nan fails the comparison; then finite ends bound the rest.
+        ordered = stream[1:] >= stream[:-1]
+        if not ordered.all():
+            k = int(np.argmin(ordered))
+            raise UsageError(
+                f"{name} stream is not sorted in time: {float(stream[k + 1])!r}"
+                f" follows {float(stream[k])!r}"
+            )
+        for end in stream[:1].tolist() + stream[-1:].tolist():
+            if not math.isfinite(end):
+                raise UsageError(f"{name} stream must be finite, got {end!r}")
+    for name, value in (("window", window_ns), ("bin width", bin_ns)):
+        if not 0.0 < value < math.inf:
+            raise UsageError(f"{name} must be finite and positive, got {value!r}")
+    if window_ns / bin_ns > MAX_DELAY_BINS:
+        raise UsageError(
+            f"window {window_ns!r} spans more than {MAX_DELAY_BINS} bins of {bin_ns!r} ns"
+        )
     n_bins = int(np.floor(window_ns / bin_ns))
     if n_bins == 0:
-        raise UsageError("window shorter than one bin")
+        raise UsageError(f"window {window_ns!r} is shorter than one bin of {bin_ns!r} ns")
     edges = np.arange(n_bins) * bin_ns
 
-    lo = np.searchsorted(partners, triggers)
-    hi = np.searchsorted(partners, triggers + n_bins * bin_ns)
-    per_trigger = hi - lo
+    lo = _window_starts(partners, triggers)
+    limits = triggers + n_bins * bin_ns
+    padded = np.append(partners, np.inf)  # stops every forward scan at the end
+    # Only triggers with a partner in their window take part from here on.
+    paired = np.flatnonzero(padded[lo] < limits)
+    lo = lo[paired]
+    per_trigger = _window_ends(padded, limits[paired], lo) - lo
     total = int(per_trigger.sum())
     counts = np.zeros(n_bins, dtype=np.int64)
     if total:
         # Flat gather of all (trigger, partner-in-window) pairings.
         offsets = np.repeat(np.cumsum(per_trigger) - per_trigger, per_trigger)
         flat = np.arange(total) - offsets + np.repeat(lo, per_trigger)
-        delays = partners[flat] - np.repeat(triggers, per_trigger)
+        delays = partners[flat] - np.repeat(triggers[paired], per_trigger)
         counts = np.bincount((delays / bin_ns).astype(np.int64), minlength=n_bins)
+        # A delay just inside the window can round onto its end: count it in the last bin.
+        counts[n_bins - 1] += counts[n_bins:].sum()
+        counts = counts[:n_bins]
     return CoincidenceHistogram(edges, counts.astype(np.int64), bin_ns, accumulation_s)
+
+
+def _window_starts(partners: np.ndarray, triggers: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(partners, triggers)`` for sorted triggers.
+
+    One coarse search of every ``_SEARCH_BLOCK``-th trigger bounds the
+    partners each block of triggers can start at, so each block searches only
+    its own slice, which stays in cache.
+    """
+    heads = np.searchsorted(partners, triggers[::_SEARCH_BLOCK]).tolist()
+    starts = np.empty(triggers.size, np.intp)
+    for b, (first, last) in enumerate(zip(heads, heads[1:] + [partners.size])):
+        block = slice(b * _SEARCH_BLOCK, (b + 1) * _SEARCH_BLOCK)
+        starts[block] = np.searchsorted(partners[first:last], triggers[block])
+        starts[block] += first
+    return starts
+
+
+def _window_ends(padded: np.ndarray, limits: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(padded, limits)`` for windows whose start partner
+    precedes the limit; ``padded`` ends in +inf.
+
+    Scans forward from each start, up to ``_SCAN_STEPS`` partners, while the
+    partner precedes the limit, then searches for the ends of the windows
+    still open.  A dense window thus costs one search, not a step per partner.
+    """
+    ends = starts.copy()
+    open_ = np.arange(starts.size)
+    for _ in range(_SCAN_STEPS):
+        open_ = _scan_step(padded, limits, ends, open_)
+    ends[open_] = np.searchsorted(padded, limits[open_])
+    return ends
+
+
+def _scan_step(
+    padded: np.ndarray, limits: np.ndarray, ends: np.ndarray, open_: np.ndarray
+) -> np.ndarray:
+    """Advance the open windows' ends by one partner; return those still open."""
+    ends[open_] += 1
+    return open_[padded[ends[open_]] < limits[open_]]
 
 
 def write_timetags(
@@ -352,7 +420,7 @@ def read_timetags(path) -> tuple[np.ndarray, np.ndarray]:
     stamps = np.concatenate(stamps)
     # The file is in time order, which the stable sort finds in linear time;
     # dividing after sorting gives the same floats as sorting after.
-    return tuple(np.sort(stamps[ids == i], kind="stable") / 1e3 for i in (0, 1))
+    return tuple(np.sort(np.compress(ids == i, stamps), kind="stable") / 1e3 for i in (0, 1))
 
 
 def _parse_lines(path, buf: bytes, first_line: int, ids: list, stamps: list) -> int:

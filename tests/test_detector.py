@@ -1,11 +1,12 @@
 import contextlib
+import math
 import re
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sfwm
@@ -113,6 +114,48 @@ class TestSynthHistogram:
             sfwm.CoincidenceHistogram(delay, np.ones(delay.size, dtype=int), 10.0)
 
 
+def pair_loop_counts(triggers, partners, window_ns, bin_ns):
+    """Coincidence counts by testing every (trigger, partner) pair."""
+    n_bins = math.floor(window_ns / bin_ns)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for t in triggers:
+        for p in partners:
+            if t <= p < t + n_bins * bin_ns:
+                counts[min(int((p - t) / bin_ns), n_bins - 1)] += 1
+    return counts
+
+
+def two_search_counts(triggers, partners, window_ns, bin_ns):
+    """Coincidence counts with both window bounds found by a full binary search."""
+    n_bins = int(np.floor(window_ns / bin_ns))
+    lo = np.searchsorted(partners, triggers)
+    hi = np.searchsorted(partners, triggers + n_bins * bin_ns)
+    per_trigger = hi - lo
+    total = int(per_trigger.sum())
+    offsets = np.repeat(np.cumsum(per_trigger) - per_trigger, per_trigger)
+    flat = np.arange(total) - offsets + np.repeat(lo, per_trigger)
+    delays = partners[flat] - np.repeat(triggers, per_trigger)
+    return np.bincount((delays / bin_ns).astype(np.int64), minlength=n_bins)
+
+
+@pytest.fixture
+def blocking():
+    """Patch the histogram's search block size and forward-scan step limit."""
+    def patch(block, steps):
+        stack = contextlib.ExitStack()
+        stack.enter_context(mock.patch.object(detector, "_SEARCH_BLOCK", block))
+        stack.enter_context(mock.patch.object(detector, "_SCAN_STEPS", steps))
+        return stack
+    return patch
+
+
+BLOCKINGS = [(block, steps) for block in (1, 3, detector._SEARCH_BLOCK)
+             for steps in (1, detector._SCAN_STEPS)]
+# Stamps on a lattice of 25.6 ns steps, clustered so that windows of 1 to 159
+# bins often end on a stamp, where float rounding decides membership.
+LATTICE = st.lists(st.integers(0, 12) | st.integers(150, 165), max_size=25).map(sorted)
+
+
 class TestBuildHistogram:
     def test_single_pair_lands_in_third_bin(self):
         hist = sfwm.build_histogram(np.array([0.0]), np.array([100.0]), 4000.0, 25.6)
@@ -148,6 +191,81 @@ class TestBuildHistogram:
         one = sfwm.build_histogram(triggers, np.sort(np.concatenate([a, b])), 2000.0, 25.6)
         two = sfwm.build_histogram(triggers, np.sort(np.concatenate([b, a])), 2000.0, 25.6)
         assert np.array_equal(one.counts, two.counts)
+
+    def test_delay_rounding_onto_window_end_lands_in_last_bin(self):
+        # 4070.4 < 3*25.6 + 156*25.6, yet the delay divides to exactly 156.0.
+        hist = sfwm.build_histogram(np.array([3 * 25.6]), np.array([4070.4]), 4000.0, 25.6)
+        assert hist.counts.size == 156
+        assert hist.counts[-1] == 1 and hist.counts.sum() == 1
+
+    @pytest.mark.parametrize(
+        "triggers, partners, window_ns, bin_ns, named",
+        [
+            ([1.0, np.nan], [2.0], 4000.0, 25.6, "nan"),
+            ([1.0], [2.0, np.nan, 3.0], 4000.0, 25.6, "nan"),
+            ([np.nan], [2.0], 4000.0, 25.6, "nan"),
+            ([1.0], [np.inf], 4000.0, 25.6, "inf"),
+            ([-np.inf, 1.0], [2.0], 4000.0, 25.6, "-inf"),
+            ([1.0], [2.0], np.nan, 25.6, "nan"),
+            ([1.0], [2.0], 4000.0, np.nan, "nan"),
+            ([1.0], [2.0], np.inf, 25.6, "inf"),
+            ([1.0], [2.0], 4000.0, np.inf, "inf"),
+            ([1.0], [2.0], 1e18, 1e-3, "1e+18"),
+            ([[0.0, 1.0]], [2.0], 4000.0, 25.6, "(1, 2)"),
+        ],
+    )
+    def test_invalid_input_is_usage_error_naming_it(
+        self, triggers, partners, window_ns, bin_ns, named
+    ):
+        with pytest.raises(UsageError, match=re.escape(named)):
+            sfwm.build_histogram(np.array(triggers), np.array(partners), window_ns, bin_ns)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        triggers=LATTICE,
+        partners=LATTICE,
+        origin=st.sampled_from([0.0, -512.0, 1e6 + 0.1]),
+        bin_ns=st.sampled_from([25.6, 12.8]),
+        n_bins=st.sampled_from([1, 2, 3, 156, 159]),
+        spare=st.sampled_from([0.0, 0.5]),
+        sizes=st.sampled_from(BLOCKINGS),
+    )
+    @example(triggers=[3], partners=[159], origin=0.0, bin_ns=25.6, n_bins=156, spare=0.25,
+             sizes=BLOCKINGS[-1])
+    def test_matches_pair_loop(self, blocking, triggers, partners, origin, bin_ns, n_bins,
+                               spare, sizes):
+        triggers = np.array([origin + k * 25.6 for k in triggers])
+        partners = np.array([origin + k * 25.6 for k in partners])
+        window = (n_bins + spare) * bin_ns
+        with blocking(*sizes):
+            hist = sfwm.build_histogram(triggers, partners, window, bin_ns)
+        np.testing.assert_array_equal(hist.counts,
+                                      pair_loop_counts(triggers, partners, window, bin_ns))
+
+    @pytest.mark.parametrize("n_bins", [156, 2**18])  # about 0 and 4 partners a window
+    def test_matches_two_searches_on_generated_tags(self, blocking, n_bins):
+        w = exponential_packet(1.0, 260.0, span_ns=4000.0)
+        trig, part = sfwm.generate_timetags(w, model(accumulation_s=70.0, seed=6), 1.0, 0.0088)
+        assert 90_000 < trig.size + part.size < 110_000
+        expected = two_search_counts(trig, part, n_bins * 25.6, 25.6)
+        for steps in (1, detector._SCAN_STEPS):
+            with blocking(detector._SEARCH_BLOCK, steps):
+                hist = sfwm.build_histogram(trig, part, n_bins * 25.6, 25.6)
+            np.testing.assert_array_equal(hist.counts, expected)
+
+    def test_scan_steps_do_not_grow_with_window_density(self):
+        """A window's end costs a bounded number of scan steps, however many
+        partners it holds."""
+        window = 156 * 25.6
+        calls = []
+        for n in (10, 1000, 120_000):
+            partners = np.linspace(0.0, window, n, endpoint=False)
+            with mock.patch.object(detector, "_scan_step", wraps=detector._scan_step) as step:
+                hist = sfwm.build_histogram(np.array([0.0]), partners, window, 25.6)
+            assert hist.counts.sum() == n
+            calls.append(step.call_count)
+        assert calls == [detector._SCAN_STEPS] * 3
 
 
 class TestRoundTripUnbiased:
