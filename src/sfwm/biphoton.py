@@ -326,10 +326,8 @@ def _derived_count(half_width: float, gamma: float, span: float, cap: int) -> in
     return cap
 
 
-def delay_axis(span_ns: float, bin_ns: float, name: str = "delay span") -> np.ndarray:
-    """Delays 0, bin_ns, 2*bin_ns, ... below ``span_ns``, as np.arange builds them.
-
-    Raises UsageError, naming the value as ``name``, unless the span is
+def _check_delay_span(span_ns: float, bin_ns: float, name: str) -> None:
+    """Raise UsageError, naming the value as ``name``, unless the span is
     finite and covers at most MAX_DELAY_BINS bins of a finite, positive width.
     """
     if not math.isfinite(span_ns):
@@ -338,6 +336,14 @@ def delay_axis(span_ns: float, bin_ns: float, name: str = "delay span") -> np.nd
         raise UsageError(f"bin width must be finite and positive, got {bin_ns!r}")
     if span_ns / bin_ns > MAX_DELAY_BINS:
         raise UsageError(f"{name} {span_ns!r} spans more than {MAX_DELAY_BINS} bins of {bin_ns} ns")
+
+
+def delay_axis(span_ns: float, bin_ns: float, name: str = "delay span") -> np.ndarray:
+    """Delays 0, bin_ns, 2*bin_ns, ... below ``span_ns``, as np.arange builds them.
+
+    Raises UsageError as _check_delay_span does.
+    """
+    _check_delay_span(span_ns, bin_ns, name)
     return np.arange(0.0, span_ns, bin_ns)
 
 

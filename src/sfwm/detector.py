@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import background_rate
-from .biphoton import MAX_DELAY_BINS, WavePacket, _is_uniform
+from .biphoton import WavePacket, _check_delay_span, _is_uniform
 from .errors import UsageError
 
 TIMETAG_FORMAT = "sfwm-timetags v1"
@@ -40,8 +40,6 @@ _WIDTH_EDGES = np.array(
 _READ_CHUNK = 1 << 20  # body bytes parsed per step, extended to a line end
 _MIN_RUN = 256  # equal-length records parsed in place; shorter runs are gathered
 _MAX_RECORD = 22  # "1,-" and 19 digits
-_SEARCH_BLOCK = 4096  # triggers whose window starts are searched in one partner slice
-_SCAN_STEPS = 4  # partners scanned per window before its end is searched
 
 
 @dataclass(frozen=True)
@@ -241,25 +239,19 @@ def build_histogram(
         for end in stream[:1].tolist() + stream[-1:].tolist():
             if not math.isfinite(end):
                 raise UsageError(f"{name} stream must be finite, got {end!r}")
-    for name, value in (("window", window_ns), ("bin width", bin_ns)):
-        if not 0.0 < value < math.inf:
-            raise UsageError(f"{name} must be finite and positive, got {value!r}")
-    if window_ns / bin_ns > MAX_DELAY_BINS:
-        raise UsageError(
-            f"window {window_ns!r} spans more than {MAX_DELAY_BINS} bins of {bin_ns!r} ns"
-        )
+    _check_delay_span(window_ns, bin_ns, "window")
     n_bins = int(np.floor(window_ns / bin_ns))
-    if n_bins == 0:
+    if n_bins < 1:
         raise UsageError(f"window {window_ns!r} is shorter than one bin of {bin_ns!r} ns")
     edges = np.arange(n_bins) * bin_ns
 
-    lo = _window_starts(partners, triggers)
+    lo = np.searchsorted(partners, triggers)
     limits = triggers + n_bins * bin_ns
-    padded = np.append(partners, np.inf)  # stops every forward scan at the end
-    # Only triggers with a partner in their window take part from here on.
-    paired = np.flatnonzero(padded[lo] < limits)
+    # Only triggers with a partner in their window take part from here on;
+    # the +inf sentinel stands in for the partner after the last.
+    paired = np.flatnonzero(np.append(partners, np.inf)[lo] < limits)
     lo = lo[paired]
-    per_trigger = _window_ends(padded, limits[paired], lo) - lo
+    per_trigger = np.searchsorted(partners, limits[paired]) - lo
     total = int(per_trigger.sum())
     counts = np.zeros(n_bins, dtype=np.int64)
     if total:
@@ -272,46 +264,6 @@ def build_histogram(
         counts[n_bins - 1] += counts[n_bins:].sum()
         counts = counts[:n_bins]
     return CoincidenceHistogram(edges, counts.astype(np.int64), bin_ns, accumulation_s)
-
-
-def _window_starts(partners: np.ndarray, triggers: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(partners, triggers)`` for sorted triggers.
-
-    One coarse search of every ``_SEARCH_BLOCK``-th trigger bounds the
-    partners each block of triggers can start at, so each block searches only
-    its own slice, which stays in cache.
-    """
-    heads = np.searchsorted(partners, triggers[::_SEARCH_BLOCK]).tolist()
-    starts = np.empty(triggers.size, np.intp)
-    for b, (first, last) in enumerate(zip(heads, heads[1:] + [partners.size])):
-        block = slice(b * _SEARCH_BLOCK, (b + 1) * _SEARCH_BLOCK)
-        starts[block] = np.searchsorted(partners[first:last], triggers[block])
-        starts[block] += first
-    return starts
-
-
-def _window_ends(padded: np.ndarray, limits: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(padded, limits)`` for windows whose start partner
-    precedes the limit; ``padded`` ends in +inf.
-
-    Scans forward from each start, up to ``_SCAN_STEPS`` partners, while the
-    partner precedes the limit, then searches for the ends of the windows
-    still open.  A dense window thus costs one search, not a step per partner.
-    """
-    ends = starts.copy()
-    open_ = np.arange(starts.size)
-    for _ in range(_SCAN_STEPS):
-        open_ = _scan_step(padded, limits, ends, open_)
-    ends[open_] = np.searchsorted(padded, limits[open_])
-    return ends
-
-
-def _scan_step(
-    padded: np.ndarray, limits: np.ndarray, ends: np.ndarray, open_: np.ndarray
-) -> np.ndarray:
-    """Advance the open windows' ends by one partner; return those still open."""
-    ends[open_] += 1
-    return open_[padded[ends[open_]] < limits[open_]]
 
 
 def write_timetags(

@@ -138,19 +138,6 @@ def two_search_counts(triggers, partners, window_ns, bin_ns):
     return np.bincount((delays / bin_ns).astype(np.int64), minlength=n_bins)
 
 
-@pytest.fixture
-def blocking():
-    """Patch the histogram's search block size and forward-scan step limit."""
-    def patch(block, steps):
-        stack = contextlib.ExitStack()
-        stack.enter_context(mock.patch.object(detector, "_SEARCH_BLOCK", block))
-        stack.enter_context(mock.patch.object(detector, "_SCAN_STEPS", steps))
-        return stack
-    return patch
-
-
-BLOCKINGS = [(block, steps) for block in (1, 3, detector._SEARCH_BLOCK)
-             for steps in (1, detector._SCAN_STEPS)]
 # Stamps on a lattice of 25.6 ns steps, clustered so that windows of 1 to 159
 # bins often end on a stamp, where float rounding decides membership.
 LATTICE = st.lists(st.integers(0, 12) | st.integers(150, 165), max_size=25).map(sorted)
@@ -220,8 +207,7 @@ class TestBuildHistogram:
         with pytest.raises(UsageError, match=re.escape(named)):
             sfwm.build_histogram(np.array(triggers), np.array(partners), window_ns, bin_ns)
 
-    @settings(max_examples=200, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         triggers=LATTICE,
         partners=LATTICE,
@@ -229,43 +215,24 @@ class TestBuildHistogram:
         bin_ns=st.sampled_from([25.6, 12.8]),
         n_bins=st.sampled_from([1, 2, 3, 156, 159]),
         spare=st.sampled_from([0.0, 0.5]),
-        sizes=st.sampled_from(BLOCKINGS),
     )
-    @example(triggers=[3], partners=[159], origin=0.0, bin_ns=25.6, n_bins=156, spare=0.25,
-             sizes=BLOCKINGS[-1])
-    def test_matches_pair_loop(self, blocking, triggers, partners, origin, bin_ns, n_bins,
-                               spare, sizes):
+    @example(triggers=[3], partners=[159], origin=0.0, bin_ns=25.6, n_bins=156, spare=0.25)
+    def test_matches_pair_loop(self, triggers, partners, origin, bin_ns, n_bins, spare):
         triggers = np.array([origin + k * 25.6 for k in triggers])
         partners = np.array([origin + k * 25.6 for k in partners])
         window = (n_bins + spare) * bin_ns
-        with blocking(*sizes):
-            hist = sfwm.build_histogram(triggers, partners, window, bin_ns)
+        hist = sfwm.build_histogram(triggers, partners, window, bin_ns)
         np.testing.assert_array_equal(hist.counts,
                                       pair_loop_counts(triggers, partners, window, bin_ns))
 
     @pytest.mark.parametrize("n_bins", [156, 2**18])  # about 0 and 4 partners a window
-    def test_matches_two_searches_on_generated_tags(self, blocking, n_bins):
+    def test_matches_two_searches_on_generated_tags(self, n_bins):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         trig, part = sfwm.generate_timetags(w, model(accumulation_s=70.0, seed=6), 1.0, 0.0088)
         assert 90_000 < trig.size + part.size < 110_000
-        expected = two_search_counts(trig, part, n_bins * 25.6, 25.6)
-        for steps in (1, detector._SCAN_STEPS):
-            with blocking(detector._SEARCH_BLOCK, steps):
-                hist = sfwm.build_histogram(trig, part, n_bins * 25.6, 25.6)
-            np.testing.assert_array_equal(hist.counts, expected)
-
-    def test_scan_steps_do_not_grow_with_window_density(self):
-        """A window's end costs a bounded number of scan steps, however many
-        partners it holds."""
-        window = 156 * 25.6
-        calls = []
-        for n in (10, 1000, 120_000):
-            partners = np.linspace(0.0, window, n, endpoint=False)
-            with mock.patch.object(detector, "_scan_step", wraps=detector._scan_step) as step:
-                hist = sfwm.build_histogram(np.array([0.0]), partners, window, 25.6)
-            assert hist.counts.sum() == n
-            calls.append(step.call_count)
-        assert calls == [detector._SCAN_STEPS] * 3
+        hist = sfwm.build_histogram(trig, part, n_bins * 25.6, 25.6)
+        np.testing.assert_array_equal(hist.counts,
+                                      two_search_counts(trig, part, n_bins * 25.6, 25.6))
 
 
 class TestRoundTripUnbiased:
