@@ -12,7 +12,10 @@ squared Fourier transform,
 
 evaluated by trapezoidal quadrature on the spectral grid.  Both the spectral
 and the delay grids are uniform, so the sum over the grid is a chirp-z
-transform, computed exactly by Bluestein's convolution with FFTs.  Narrowband
+transform, computed exactly by Bluestein's convolution with FFTs.  The
+kernel spectrum of that convolution depends only on the grid count, the
+delay-axis length and the product of their spacings; it is memoized for one
+such triple, so a sweep over powers on one grid computes it once.  Narrowband
 etalon filters multiply A by a single-pole amplitude response per etalon, so
 the squared magnitude of each factor is a Lorentzian of the stated FWHM.
 
@@ -30,6 +33,7 @@ not decayed at its edges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -166,7 +170,11 @@ def complex_sinc(z):
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
     safe = np.where(small, 1.0, z)
-    out = np.where(small, 1.0 - z * z / 6.0 + z**4 / 120.0, np.sin(safe) / safe)
+    # A 0-d input divides to a scalar; keep an array to assign into.
+    out = np.asarray(np.sin(safe) / safe)
+    if small.any():
+        tiny = z[small]
+        out[small] = 1.0 - tiny * tiny / 6.0 + tiny**4 / 120.0
     if out.ndim == 0:
         return complex(out)
     return out
@@ -256,6 +264,19 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_spectrum(n_delta: int, n_tau: int, b: float) -> tuple[int, np.ndarray]:
+    """Transform length and read-only FFT of the Bluestein kernel
+    exp(i*b*(lag + (n_delta - 1)/2)^2/2) over the circular lags from
+    -(n_delta - 1) to n_tau - 1.  One entry: the last grid and delay axis."""
+    size = _next_fast_len(n_delta + n_tau - 1)
+    lag = np.arange(size)
+    lag = np.where(lag < n_tau, lag, lag - size)
+    spectrum = np.fft.fft(np.exp(0.5j * b * (lag + 0.5 * (n_delta - 1)) ** 2))
+    spectrum.flags.writeable = False
+    return size, spectrum
+
+
 def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacket:
     """Fourier-synthesize G2 on a uniform delay grid (ns).
 
@@ -300,11 +321,8 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     w[-1] *= 0.5
     chirped = w * a.values * np.exp(-1j * centered * (h * tau0 + 0.5 * b * centered))
 
-    size = _next_fast_len(n_delta + n_tau - 1)
-    lag = np.arange(size)
-    lag = np.where(lag < n_tau, lag, lag - size)
-    kernel = np.exp(0.5j * b * (lag + 0.5 * (n_delta - 1)) ** 2)
-    y = np.fft.ifft(np.fft.fft(chirped, size) * np.fft.fft(kernel))[:n_tau]
+    size, kernel = _kernel_spectrum(n_delta, n_tau, b)
+    y = np.fft.ifft(np.fft.fft(chirped, size) * kernel)[:n_tau]
     g2 = y.real**2 + y.imag**2
     return WavePacket(tau_ns, g2, step)
 

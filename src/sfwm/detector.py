@@ -40,6 +40,7 @@ _WIDTH_EDGES = np.array(
 _READ_CHUNK = 1 << 20  # body bytes parsed per step, extended to a line end
 _MIN_RUN = 256  # equal-length records parsed in place; shorter runs are gathered
 _MAX_RECORD = 22  # "1,-" and 19 digits
+_GATHER_BLOCK = 1 << 20  # pairings gathered at once, unless one trigger has more
 
 
 @dataclass(frozen=True)
@@ -223,8 +224,8 @@ def build_histogram(
     where that quotient rounds up to n.  Both streams must be sorted in time
     and finite.
     """
-    triggers = np.atleast_1d(np.asarray(triggers_ns, dtype=float))
-    partners = np.atleast_1d(np.asarray(partners_ns, dtype=float))
+    triggers = _real_stream(triggers_ns, "trigger")
+    partners = _real_stream(partners_ns, "partner")
     for name, stream in (("trigger", triggers), ("partner", partners)):
         if stream.ndim != 1:
             raise UsageError(f"{name} stream must be one-dimensional, got shape {stream.shape}")
@@ -252,18 +253,36 @@ def build_histogram(
     paired = np.flatnonzero(np.append(partners, np.inf)[lo] < limits)
     lo = lo[paired]
     per_trigger = np.searchsorted(partners, limits[paired]) - lo
-    total = int(per_trigger.sum())
+    ends = np.cumsum(per_trigger)
     counts = np.zeros(n_bins, dtype=np.int64)
-    if total:
-        # Flat gather of all (trigger, partner-in-window) pairings.
-        offsets = np.repeat(np.cumsum(per_trigger) - per_trigger, per_trigger)
-        flat = np.arange(total) - offsets + np.repeat(lo, per_trigger)
-        delays = partners[flat] - np.repeat(triggers[paired], per_trigger)
-        counts = np.bincount((delays / bin_ns).astype(np.int64), minlength=n_bins)
+    # Flat gathers of the (trigger, partner-in-window) pairings, in blocks of
+    # whole triggers holding at most _GATHER_BLOCK pairings, or one trigger.
+    start = done = 0
+    while start < paired.size:
+        stop = max(int(np.searchsorted(ends, done + _GATHER_BLOCK, side="right")), start + 1)
+        per = per_trigger[start:stop]
+        first = lo[start:stop] - (ends[start:stop] - per)  # partner index minus pairing index
+        flat = np.arange(done, int(ends[stop - 1])) + np.repeat(first, per)
+        delays = partners[flat] - np.repeat(triggers[paired[start:stop]], per)
+        block = np.bincount((delays / bin_ns).astype(np.int64), minlength=n_bins)
+        counts += block[:n_bins]
         # A delay just inside the window can round onto its end: count it in the last bin.
-        counts[n_bins - 1] += counts[n_bins:].sum()
-        counts = counts[:n_bins]
-    return CoincidenceHistogram(edges, counts.astype(np.int64), bin_ns, accumulation_s)
+        counts[n_bins - 1] += block[n_bins:].sum()
+        start, done = stop, int(ends[stop - 1])
+    return CoincidenceHistogram(edges, counts, bin_ns, accumulation_s)
+
+
+def _real_stream(values, name: str) -> np.ndarray:
+    """``values`` as an at least one-dimensional float array; UsageError,
+    naming the stream, unless every value is a real number."""
+    try:
+        stream = np.asarray(values)
+        # A complex array would convert with a warning, dropping its imaginary part.
+        if not np.iscomplexobj(stream):
+            return np.atleast_1d(stream.astype(float, copy=False))
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"{name} stream must hold real numbers")
 
 
 def write_timetags(
@@ -378,12 +397,17 @@ def read_timetags(path) -> tuple[np.ndarray, np.ndarray]:
 def _parse_lines(path, buf: bytes, first_line: int, ids: list, stamps: list) -> int:
     """Parse whole body lines; append each record's id and stamp to the lists.
 
-    Runs of at least ``_MIN_RUN`` consecutive records of equal length are
-    parsed in place as a (lines, line length) view of the buffer.  All other
-    records are gathered by length, so the number of steps stays bounded
-    however the lengths vary.  Returns the number of lines.
+    A chunk of records that all share the first line's length and ending is
+    parsed in place in one step.  Otherwise runs of at least ``_MIN_RUN``
+    consecutive records of equal length are parsed in place as a (lines,
+    line length) view of the buffer.  All other records are gathered by
+    length, so the number of steps stays bounded however the lengths vary.
+    Returns the number of lines.
     """
     text = np.frombuffer(buf, np.uint8)
+    rows = _single_stride(text, buf.index(b"\n") + 1)
+    if rows is not None and _parse_records(rows, ids, stamps) < 0:
+        return len(rows)
     ends = np.flatnonzero(text == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
     cr = text[ends - 1] == ord("\r")  # an empty first line reads the final newline
@@ -422,6 +446,25 @@ def _parse_lines(path, buf: bytes, first_line: int, ids: list, stamps: list) -> 
             " (want a stream id 0 or 1, a comma and an integer timestamp below 2^63 ps)"
         )
     return ends.size
+
+
+def _single_stride(text: np.ndarray, stride: int) -> np.ndarray | None:
+    """The records of a chunk whose lines all have the first line's length
+    ``stride`` (newline included) and ending, as a (lines, record length)
+    view, or None.
+
+    A row that then passes _parse_records holds only record bytes before its
+    line end, so it hides neither a comment nor a second line.
+    """
+    if text.size % stride or text[0] == ord("#"):
+        return None
+    rows = text.reshape(-1, stride)
+    if not (rows[:, -1] == ord("\n")).all():
+        return None
+    crlf = stride > 1 and bool(rows[0, -2] == ord("\r"))
+    if crlf and not (rows[:, -2] == ord("\r")).all():
+        return None
+    return rows[:, : stride - 1 - crlf]
 
 
 def _parse_records(lines: np.ndarray, ids: list, stamps: list) -> int:

@@ -1,12 +1,21 @@
 import dataclasses
 import warnings
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import sfwm
-from sfwm.biphoton import DEFAULT_COUNT, _derived_count, _is_uniform, _next_fast_len
+from sfwm import analysis
+from sfwm.biphoton import (
+    DEFAULT_COUNT,
+    _derived_count,
+    _is_uniform,
+    _kernel_spectrum,
+    _next_fast_len,
+)
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
 
 from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS, scenario
@@ -33,6 +42,34 @@ class TestComplexSinc:
         for z in (9.9e-5 + 1e-5j, 1.1e-4 - 2e-5j, 1e-4):
             series = 1.0 - z**2 / 6.0 + z**4 / 120.0
             assert sfwm.complex_sinc(z) == pytest.approx(series, rel=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.array([0.0, 1e-5 + 2e-5j, -9.99e-5, 1e-4, 0.12 + 0.3j, 3.0 - 2.0j, -1e-6j, 50 + 1j]),
+            np.array([[2e-5, 0.33], [-0.2j, 7e-5 - 7e-5j]]),
+            np.array([0.12, 0.33 - 0.01j]),  # no sample on the series
+            np.array(3e-5 - 1e-6j),
+            np.array(0.25 + 0.1j),
+            0.0,
+            2e-5j,
+            1.0 + 1.0j,
+            [0, 1e-5, 3.0],
+        ],
+    )
+    def test_bit_identical_to_full_where_formula(self, z):
+        """The series runs only where |z| < 1e-4, with the same arithmetic as
+        evaluating both branches everywhere and choosing by np.where."""
+        zz = np.asarray(z, dtype=complex)
+        small = np.abs(zz) < 1e-4
+        safe = np.where(small, 1.0, zz)
+        oracle = np.where(small, 1.0 - zz * zz / 6.0 + zz**4 / 120.0, np.sin(safe) / safe)
+        value = sfwm.complex_sinc(z)
+        if oracle.ndim == 0:
+            assert type(value) is complex
+        assert np.shape(value) == oracle.shape
+        assert np.asarray(value).tobytes() == oracle.tobytes()
 
 
 class TestSpectralGrid:
@@ -321,6 +358,62 @@ class TestWavePacket:
         # The sweep's transforms: 157 delays on 32768 and 65536 samples.
         assert _next_fast_len(32768 + 157 - 1) == 32928
         assert _next_fast_len(65536 + 157 - 1) == 65856
+
+
+class TestKernelMemo:
+    """The memoized Bluestein kernel spectrum gives bit-identical packets."""
+
+    @staticmethod
+    def fresh(amp, tau_ns, onset_ns=0.0):
+        _kernel_spectrum.cache_clear()
+        return sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns).g2
+
+    def test_hit_equals_fresh_computation(self, amplitude_a):
+        amp = sfwm.apply_etalons(amplitude_a)
+        fresh = self.fresh(amp, DELAY_NS, ONSET_NS)
+        hit = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS).g2
+        assert _kernel_spectrum.cache_info().hits == 1
+        assert np.array_equal(hit, fresh)
+
+    def test_no_stale_kernel_across_grids_and_delay_axes(self, medium_a, drive_a):
+        amps = [
+            sfwm.spectral_amplitude(sfwm.SpectralGrid(half_width, 4096), medium_a, drive_a,
+                                    FAST_QUAD, edge_tol=1.0)
+            for half_width in (24.0, 32.0)
+        ]
+        # The second axis differs in length, the third only in step.
+        axes = [np.arange(0.0, 1500.0, 25.6), np.arange(0.0, 1500.0, 12.8), 20.0 * np.arange(59)]
+        assert axes[0].size == axes[2].size
+        cases = [(amps[0], axes[0]), (amps[1], axes[0]), (amps[1], axes[1]), (amps[1], axes[2]),
+                 (amps[0], axes[0])]
+        _kernel_spectrum.cache_clear()
+        served = [sfwm.wavepacket(amp, tau).g2 for amp, tau in cases]
+        assert _kernel_spectrum.cache_info().misses == len(cases)
+        for (amp, tau), g2 in zip(cases, served):
+            assert np.array_equal(g2, self.fresh(amp, tau))
+
+    def test_spectrum_is_read_only(self):
+        _, spectrum = _kernel_spectrum(1024, 157, 0.01)
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
+    def test_sweep_equals_sweep_with_memo_cleared_per_power(self):
+        scenario = sfwm.load_config()
+        powers = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
+        _kernel_spectrum.cache_clear()
+        memo = analysis.sweep_predict(scenario, powers)
+        assert _kernel_spectrum.cache_info().hits > 0
+
+        def cleared(*args, **kwargs):
+            _kernel_spectrum.cache_clear()
+            return sfwm.predict_packet(*args, **kwargs)
+
+        with mock.patch.object(analysis, "predict_packet", side_effect=cleared):
+            fresh = analysis.sweep_predict(scenario, powers)
+        assert _kernel_spectrum.cache_info().hits == 0
+        for name in ("tau_ns", "linewidth_hz", "eit_fwhm_hz", "area", "rate_pairs_per_s",
+                     "brightness", "sbr"):
+            assert np.array_equal(getattr(memo, name), getattr(fresh, name)), name
 
 
 class TestAreaAndRise:

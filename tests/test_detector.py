@@ -1,7 +1,11 @@
 import contextlib
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -199,6 +203,8 @@ class TestBuildHistogram:
             ([1.0], [2.0], 4000.0, np.inf, "inf"),
             ([1.0], [2.0], 1e18, 1e-3, "1e+18"),
             ([[0.0, 1.0]], [2.0], 4000.0, 25.6, "(1, 2)"),
+            (["a"], [1.0], 100.0, 25.6, "trigger stream"),
+            ([1.0], [1.0 + 2.0j], 100.0, 25.6, "partner stream"),
         ],
     )
     def test_invalid_input_is_usage_error_naming_it(
@@ -233,6 +239,50 @@ class TestBuildHistogram:
         hist = sfwm.build_histogram(trig, part, n_bins * 25.6, 25.6)
         np.testing.assert_array_equal(hist.counts,
                                       two_search_counts(trig, part, n_bins * 25.6, 25.6))
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        triggers=LATTICE,
+        partners=LATTICE,
+        n_bins=st.sampled_from([1, 3, 156, 159]),
+        block=st.sampled_from([1, 2, 5]),
+    )
+    def test_small_gather_blocks_match_pair_loop(self, triggers, partners, n_bins, block):
+        """Blocks of whole triggers, one trigger alone when it has more pairings."""
+        triggers = np.array([k * 25.6 for k in triggers])
+        partners = np.array([k * 25.6 for k in partners])
+        window = n_bins * 25.6
+        with mock.patch.object(detector, "_GATHER_BLOCK", block):
+            hist = sfwm.build_histogram(triggers, partners, window, 25.6)
+        np.testing.assert_array_equal(hist.counts,
+                                      pair_loop_counts(triggers, partners, window, 25.6))
+
+    @pytest.mark.parametrize("n_bins", [156, 2**18])
+    def test_small_gather_blocks_match_two_searches(self, n_bins):
+        with mock.patch.object(detector, "_GATHER_BLOCK", 1000):
+            self.test_matches_two_searches_on_generated_tags(n_bins)
+
+    def test_dense_window_gathers_in_bounded_memory(self):
+        """500 triggers each paired with 20,000 partners: 10 M pairings, which
+        one flat gather would hold as several arrays of 80 MB each."""
+        code = (
+            "import resource, numpy as np, sfwm\n"
+            "triggers = np.linspace(0.0, 499.0, 500)\n"
+            "partners = np.linspace(500.0, 3500.0, 20000)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "hist = sfwm.build_histogram(triggers, partners, 3993.6, 25.6)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(int(hist.counts.sum()), (after - before) // 1024)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        pairings, growth_mb = map(int, done.stdout.split())
+        assert pairings == 500 * 20_000
+        assert growth_mb < 128
 
 
 class TestRoundTripUnbiased:
@@ -545,6 +595,53 @@ class TestTimeTagCodec:
                          + (good + b"\n") * 600)
         with pytest.raises(UsageError, match=", line 602: "):
             sfwm.read_timetags(path)
+
+    def read_body(self, tmp_path, body: bytes) -> int:
+        """Read a file body as the reference parser does; return the number
+        of _parse_records calls."""
+        path = tmp_path / "tags.txt"
+        path.write_bytes(b"# sfwm-timetags v1\n" + body)
+        expected = reference_parse(body)
+        with mock.patch.object(detector, "_parse_records", wraps=detector._parse_records) as parse:
+            if isinstance(expected, int):
+                with pytest.raises(UsageError, match=f", line {expected}: "):
+                    sfwm.read_timetags(path)
+            else:
+                trig, part = sfwm.read_timetags(path)
+                np.testing.assert_array_equal(trig, expected[0])
+                np.testing.assert_array_equal(part, expected[1])
+        return parse.call_count
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    def test_single_stride_chunk_is_one_step(self, tmp_path, end):
+        # Negative 7-digit and positive 8-digit stamps share one record length.
+        body = b"".join(b"%d,%d" % (k % 2, -(10**6 + k) if k % 3 else 10**7 + k) + end
+                        for k in range(3000))
+        assert self.read_body(tmp_path, body) == 1
+
+    def test_two_short_records_filling_one_stride(self, tmp_path):
+        # Stride 15: the first line, then rows of two valid shorter records.
+        body = b"0,123456789012\n" + b"0,123\n1,123456\n" * 400
+        assert self.read_body(tmp_path, body) > 1
+
+    @pytest.mark.parametrize("comment", [b"#,12345", b"#1234567", b"0#12345"])
+    def test_comment_of_record_length_in_a_run(self, tmp_path, comment):
+        body = b"0,12345\n" * 300 + comment + b"\n" + b"1,-1234\n" * 300
+        self.read_body(tmp_path, body)
+
+    @pytest.mark.parametrize("lines", [
+        [b"0,12345\r\n", b"0,123456\n"],  # a CRLF stride, then an LF line of that stride
+        [b"0,123456\n", b"0,12345\r\n"],  # the reverse
+        [b"0,12345\n", b"0,1234560,12345\n"],  # a malformed line two strides long
+    ])
+    def test_rows_of_one_stride_that_are_not_one_line_each(self, tmp_path, lines):
+        self.read_body(tmp_path, lines[0] * 300 + lines[1] + lines[0] * 300)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+    def test_malformed_record_in_a_clean_chunk_names_its_line(self, tmp_path, end):
+        body = (b"0,12345" + end) * 400 + b"0,12a45" + end + (b"1,12345" + end) * 400
+        assert reference_parse(body) == 402
+        self.read_body(tmp_path, body)
 
     def test_alternating_lengths(self, tmp_path):
         """A length change on every line is parsed in a bounded number of steps."""
