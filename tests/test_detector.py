@@ -221,13 +221,17 @@ class TestBuildHistogram:
         bin_ns=st.sampled_from([25.6, 12.8]),
         n_bins=st.sampled_from([1, 2, 3, 156, 159]),
         spare=st.sampled_from([0.0, 0.5]),
+        # Gathers in blocks of whole triggers, one trigger alone when it has more pairings.
+        block=st.sampled_from([detector._GATHER_BLOCK, 1, 2, 5]),
     )
-    @example(triggers=[3], partners=[159], origin=0.0, bin_ns=25.6, n_bins=156, spare=0.25)
-    def test_matches_pair_loop(self, triggers, partners, origin, bin_ns, n_bins, spare):
+    @example(triggers=[3], partners=[159], origin=0.0, bin_ns=25.6, n_bins=156, spare=0.25,
+             block=detector._GATHER_BLOCK)
+    def test_matches_pair_loop(self, triggers, partners, origin, bin_ns, n_bins, spare, block):
         triggers = np.array([origin + k * 25.6 for k in triggers])
         partners = np.array([origin + k * 25.6 for k in partners])
         window = (n_bins + spare) * bin_ns
-        hist = sfwm.build_histogram(triggers, partners, window, bin_ns)
+        with mock.patch.object(detector, "_GATHER_BLOCK", block):
+            hist = sfwm.build_histogram(triggers, partners, window, bin_ns)
         np.testing.assert_array_equal(hist.counts,
                                       pair_loop_counts(triggers, partners, window, bin_ns))
 
@@ -239,24 +243,6 @@ class TestBuildHistogram:
         hist = sfwm.build_histogram(trig, part, n_bins * 25.6, 25.6)
         np.testing.assert_array_equal(hist.counts,
                                       two_search_counts(trig, part, n_bins * 25.6, 25.6))
-
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        triggers=LATTICE,
-        partners=LATTICE,
-        n_bins=st.sampled_from([1, 3, 156, 159]),
-        block=st.sampled_from([1, 2, 5]),
-    )
-    def test_small_gather_blocks_match_pair_loop(self, triggers, partners, n_bins, block):
-        """Blocks of whole triggers, one trigger alone when it has more pairings."""
-        triggers = np.array([k * 25.6 for k in triggers])
-        partners = np.array([k * 25.6 for k in partners])
-        window = n_bins * 25.6
-        with mock.patch.object(detector, "_GATHER_BLOCK", block):
-            hist = sfwm.build_histogram(triggers, partners, window, 25.6)
-        np.testing.assert_array_equal(hist.counts,
-                                      pair_loop_counts(triggers, partners, window, 25.6))
 
     @pytest.mark.parametrize("n_bins", [156, 2**18])
     def test_small_gather_blocks_match_two_searches(self, n_bins):
