@@ -483,11 +483,11 @@ def generation_rate(detected_pairs_per_s: float, dm: DetectionModel) -> float:
     return detected_pairs_per_s / (dm.eff_as * dm.eff_s)
 
 
-def spectral_brightness(rate_pairs_per_s: float, pump_mw: float, linewidth_hz: float) -> float:
-    """Generation rate per pump power per linewidth, pairs/(s*mW*MHz)."""
+def spectral_brightness(rate_pairs_per_s, pump_mw: float, linewidth_hz):
+    """Generation rate per pump power per linewidth, pairs/(s*mW*MHz), elementwise."""
     if not (pump_mw > 0):
         raise DomainError("pump power must be positive")
-    if not (linewidth_hz > 0):
+    if not np.all(linewidth_hz > 0):
         raise DomainError("linewidth must be positive")
     return rate_pairs_per_s / (pump_mw * linewidth_hz / 1e6)
 
@@ -669,7 +669,6 @@ def sweep_predict(
     rates = rate_scale * areas
     # The calibration of DriveParams: omega_p = 2.0 at 0.5 mW, P ~ omega_p^2.
     pump_mw = 0.5 * (scenario.drive.omega_p / 2.0) ** 2
-    brightness = rates / (pump_mw * linewidths / 1e6)
     return SweepPrediction(
         powers_mw=powers,
         tau_ns=taus,
@@ -677,7 +676,7 @@ def sweep_predict(
         eit_fwhm_hz=fwhms,
         area=areas,
         rate_pairs_per_s=rates,
-        brightness=brightness,
+        brightness=spectral_brightness(rates, pump_mw, linewidths),
         sbr=sbrs,
         rate_scale=float(rate_scale),
     )

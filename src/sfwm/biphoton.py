@@ -155,8 +155,9 @@ class WavePacket:
         self.g2 = np.asarray(self.g2, dtype=float)
         if self.tau_ns.size != self.g2.size:
             raise UsageError("tau and g2 lengths differ")
-        if self.tau_ns.size >= 2 and not _is_uniform(self.tau_ns):
-            raise UsageError("delay grid must be uniform")
+        tau = self.tau_ns
+        if tau.size >= 2 and not (tau[1] > tau[0] and _is_uniform(tau)):
+            raise UsageError("delay grid must be uniform and increasing")
         if np.any(self.g2 < 0):
             raise UsageError("correlation values must be nonnegative")
 

@@ -38,7 +38,6 @@ _WIDTH_EDGES = np.array(
     sorted([1 - 10**k for k in range(1, 19)] + [0] + [10**k for k in range(1, 19)]), np.int64
 )
 _READ_CHUNK = 1 << 20  # body bytes parsed per step, extended to a line end
-_MIN_RUN = 256  # equal-length records parsed in place; shorter runs are gathered
 _MAX_RECORD = 22  # "1,-" and 19 digits
 _GATHER_BLOCK = 1 << 20  # pairings gathered at once, unless one trigger has more
 
@@ -107,8 +106,9 @@ class CoincidenceHistogram:
             raise UsageError("counts must be nonnegative")
         if self.delay_ns.size != self.counts.size:
             raise UsageError("delay grid and counts lengths differ")
-        if self.delay_ns.size >= 2 and not _is_uniform(self.delay_ns):
-            raise UsageError("delay bins must be uniform")
+        delay = self.delay_ns
+        if delay.size >= 2 and not (delay[1] > delay[0] and _is_uniform(delay)):
+            raise UsageError("delay bins must be uniform and increasing")
 
     def to_wavepacket(self) -> WavePacket:
         """View the counts as a wave packet for the exponential fitter."""
@@ -398,11 +398,9 @@ def _parse_lines(path, buf: bytes, first_line: int, ids: list, stamps: list) -> 
     """Parse whole body lines; append each record's id and stamp to the lists.
 
     A chunk of records that all share the first line's length and ending is
-    parsed in place in one step.  Otherwise runs of at least ``_MIN_RUN``
-    consecutive records of equal length are parsed in place as a (lines,
-    line length) view of the buffer.  All other records are gathered by
-    length, so the number of steps stays bounded however the lengths vary.
-    Returns the number of lines.
+    parsed in place in one step.  Any other chunk is gathered by record
+    length, one step per distinct length, so the number of steps stays
+    bounded however the lengths vary.  Returns the number of lines.
     """
     text = np.frombuffer(buf, np.uint8)
     rows = _single_stride(text, buf.index(b"\n") + 1)
@@ -412,31 +410,17 @@ def _parse_lines(path, buf: bytes, first_line: int, ids: list, stamps: list) -> 
     starts = np.concatenate(([0], ends[:-1] + 1))
     cr = text[ends - 1] == ord("\r")  # an empty first line reads the final newline
     length = ends - starts - cr
-    record = (length > 0) & (text[starts] != ord("#"))
-    # Records in a run share this key, so their lines share one stride.
-    key = np.where(record, 2 * length + cr, 0)
-    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
-    lo, hi = bounds[:-1], bounds[1:]
-    in_place = (key[lo] > 0) & (hi - lo >= _MIN_RUN)
-
+    records = np.flatnonzero((length > 0) & (text[starts] != ord("#")))
+    records = records[np.argsort(length[records], kind="stable")]
+    groups = np.flatnonzero(np.diff(length[records], prepend=-1, append=-1))
     faults = []
-    for i, j in zip(lo[in_place].tolist(), hi[in_place].tolist()):
-        stride = int(ends[i] - starts[i]) + 1
-        view = text[starts[i] : ends[j - 1] + 1].reshape(j - i, stride)[:, : length[i]]
-        bad = _parse_records(view, ids, stamps)
-        if bad >= 0:
-            faults.append(i + bad)
-
-    rest = np.flatnonzero(record & ~np.repeat(in_place, hi - lo))
-    rest = rest[np.argsort(length[rest], kind="stable")]
-    groups = np.flatnonzero(np.diff(length[rest], prepend=-1, append=-1))
     for g, h in zip(groups[:-1].tolist(), groups[1:].tolist()):
-        lines = rest[g:h]
         # One byte past the longest record is enough to reject a longer line.
-        width = min(int(length[lines[0]]), _MAX_RECORD + 1)
-        bad = _parse_records(text[starts[lines, None] + np.arange(width)], ids, stamps)
+        width = min(int(length[records[g]]), _MAX_RECORD + 1)
+        windows = np.lib.stride_tricks.sliding_window_view(text, width)
+        bad = _parse_records(windows[starts[records[g:h]]], ids, stamps)
         if bad >= 0:
-            faults.append(int(lines[bad]))
+            faults.append(int(records[g + bad]))
 
     if faults:
         k = min(faults)

@@ -10,12 +10,14 @@ import sfwm
 DELAY_NS = np.arange(0.0, 4000.0, 25.6)
 ONSET_NS = 150.0
 
-# Delay grids every uniform-grid check rejects; equal infinite steps would
-# pass np.allclose.
+# Delay grids every delay-grid check rejects, since a grid must be uniform and
+# increasing; equal infinite steps would pass np.allclose.
 BAD_DELAY_GRIDS = {
     "nonuniform": np.array([0.0, 10.0, 30.0]),
     "nan": np.array([0.0, np.nan, 20.0]),
     "inf": np.array([-np.inf, 0.0, np.inf]),
+    "descending": np.array([20.0, 10.0, 0.0]),
+    "constant": np.array([300.0, 300.0, 300.0]),
 }
 
 

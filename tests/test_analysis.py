@@ -408,6 +408,11 @@ class TestScalarMetrics:
         assert sfwm.spectral_brightness(915.0, 1.0, 0.61e6) == 0.5 * base
         with pytest.raises(DomainError):
             sfwm.spectral_brightness(1.0, 0.0, 1e6)
+        rates, widths = np.array([915.0, 0.0, 40.0]), np.array([0.61e6, 0.29e6, 1e5])
+        each = [sfwm.spectral_brightness(r, 0.5, w) for r, w in zip(rates, widths)]
+        assert np.array_equal(sfwm.spectral_brightness(rates, 0.5, widths), each)
+        with pytest.raises(DomainError):
+            sfwm.spectral_brightness(rates, 0.5, np.array([0.61e6, 0.0, 1e5]))
 
     def test_omega_c_from_power(self):
         assert sfwm.omega_c_from_power(1.0) == 2.7

@@ -432,6 +432,9 @@ csv_texts = st.lists(
 @example(command="fit-biphoton", values={}, csv="a\n0\n25.6\n")
 @example(command="fit-eit", values={}, csv="a,b\n0,0.5\n1,0.5\n")
 @example(command="fit-biphoton", values={}, csv="a,b\n25.6,1\n0,2\n")
+# A falling delay grid overflowed exp in the decay fit (RuntimeWarning).
+@example(command="fit-biphoton", values={},
+         csv="a,b\n" + "".join(f"{481.6 - 25.6 * k:.1f},{1000 >> k}\n" for k in range(12)))
 def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
     """Whatever the [medium], [drive] and run-timing values, and whatever a
     fit command's CSV holds, a command ends in success, a usage error or a

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import re
@@ -479,13 +478,8 @@ MALFORMED = [
 
 @pytest.fixture
 def chunking():
-    """Patch the reader's chunk size and in-place run length."""
-    def patch(chunk, min_run):
-        stack = contextlib.ExitStack()
-        stack.enter_context(mock.patch.object(detector, "_READ_CHUNK", chunk))
-        stack.enter_context(mock.patch.object(detector, "_MIN_RUN", min_run))
-        return stack
-    return patch
+    """Patch the reader's chunk size."""
+    return lambda chunk: mock.patch.object(detector, "_READ_CHUNK", chunk)
 
 
 class TestTimeTagCodec:
@@ -528,12 +522,12 @@ class TestTimeTagCodec:
 
     @settings(max_examples=150, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), sizes=st.sampled_from([(1 << 20, 256), (48, 3), (1, 1)]))
-    def test_reader_matches_reference_parser(self, tmp_path, chunking, data, sizes):
+    @given(data=st.data(), chunk=st.sampled_from([1 << 20, 48, 1]))
+    def test_reader_matches_reference_parser(self, tmp_path, chunking, data, chunk):
         lines = []
         for _ in range(data.draw(st.integers(0, 12))):
             kind = data.draw(st.sampled_from(["run", "record", "comment", "blank"]))
-            if kind == "run":  # equal lengths, so in-place parsing
+            if kind == "run":  # equal lengths, as in the files the writer makes
                 digits = data.draw(st.integers(1, 19))
                 sign = data.draw(st.sampled_from(["", "-"]))
                 lo = 10 ** (digits - 1) if digits > 1 else 0
@@ -559,7 +553,7 @@ class TestTimeTagCodec:
         path = tmp_path / "tags.txt"
         path.write_bytes(b"# sfwm-timetags v1\n" + body)
         expected = reference_parse(body)
-        with chunking(*sizes):
+        with chunking(chunk):
             if isinstance(expected, int):
                 with pytest.raises(UsageError, match=f", line {expected}: "):
                     sfwm.read_timetags(path)
@@ -575,7 +569,7 @@ class TestTimeTagCodec:
         path.write_bytes(b"# sfwm-timetags v1\n0,1\n# note\n" + bad + b"\n1,22\n")
         with pytest.raises(UsageError, match=", line 4: "):
             sfwm.read_timetags(path)
-        # Amid runs parsed in place, of the same length where a record can be.
+        # Amid records of one length, the same length where a record can be.
         good = b"1,-" + b"1" * 19 if len(bad) >= 22 else b"0," + b"1" * (len(bad) - 2)
         path.write_bytes(b"# sfwm-timetags v1\n" + (good + b"\n") * 600 + bad + b"\n"
                          + (good + b"\n") * 600)
