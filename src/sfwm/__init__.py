@@ -34,7 +34,6 @@ from .biphoton import (
     WavePacket,
     apply_etalons,
     averaged_susceptibilities,
-    complex_sinc,
     delay_axis,
     predict_packet,
     rise_time_convolve,

@@ -3,10 +3,12 @@
 For each two-photon detuning ``delta`` the Doppler-averaged cross and self
 responses C(delta) and Z(delta) combine into the pair amplitude
 
-    A(delta) = C(delta) * sinc(Z(delta)) * exp(i * Z(delta))
+    A(delta) = C(delta) * sinc(Z(delta)) * exp(i * Z(delta)),
 
-with the complex sinc(z) = sin(z)/z.  The delay-time wave packet is its
-squared Fourier transform,
+with the complex sinc(z) = sin(z)/z.  That phase-matching factor is
+evaluated as expm1(2iZ)/(2iZ), the integral of exp(2iZt) over 0 <= t <= 1,
+so Im Z >= 0 keeps it finite with magnitude at most 1 at any finite optical
+depth.  The delay-time wave packet is its squared Fourier transform,
 
     G2(tau) = | (1/2pi) * integral d(delta) exp(-i*delta*tau) A(delta) |^2,
 
@@ -162,23 +164,17 @@ class WavePacket:
             raise UsageError("correlation values must be nonnegative")
 
 
-def complex_sinc(z):
-    """sin(z)/z for complex z, with the removable singularity handled by series.
+def _phase_matching(z: np.ndarray) -> np.ndarray:
+    """sinc(z) * exp(iz) as expm1(2iz)/(2iz).
 
-    Below |z| = 1e-4 the truncated series 1 - z^2/6 + z^4/120 is used to avoid
-    cancellation; its error there is below 1e-29.
+    Where expm1 returns 2iz itself (z = 0, or |z| so small that the quotient
+    is 1 to rounding) the factor is 1; that also keeps numpy's complex
+    division off subnormal divisors, whose reciprocal overflows.
     """
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    # A 0-d input divides to a scalar; keep an array to assign into.
-    out = np.asarray(np.sin(safe) / safe)
-    if small.any():
-        tiny = z[small]
-        out[small] = 1.0 - tiny * tiny / 6.0 + tiny**4 / 120.0
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    w = 2j * z
+    e = np.expm1(w)
+    same = e == w
+    return np.where(same, 1.0, e / np.where(same, 1.0, w))
 
 
 def averaged_susceptibilities(
@@ -189,10 +185,10 @@ def averaged_susceptibilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Doppler-averaged cross and self responses on the spectral grid.
 
-    Returns (cross_avg, self_avg).  The self average is what the sinc and
-    phase factors act on; it is exactly linear in the Stokes optical depth.
-    The average is exact in closed form unless a quadrature is given, which
-    selects the trapezoidal reference rule.
+    Returns (cross_avg, self_avg).  The self average Z is what the
+    phase-matching factor expm1(2iZ)/(2iZ) acts on; it is exactly linear in
+    the Stokes optical depth.  The average is exact in closed form unless a
+    quadrature is given, which selects the trapezoidal reference rule.
     """
     return _averaged_pair(grid.delta, m, d, q)
 
@@ -204,21 +200,16 @@ def spectral_amplitude(
     q: DopplerQuadrature | None = None,
     edge_tol: float = EDGE_DECAY_TOL,
 ) -> BiphotonAmplitude:
-    """Assemble the pair amplitude A = C * sinc(Z) * exp(iZ) on the grid.
+    """Assemble the pair amplitude A = C * expm1(2iZ)/(2iZ) on the grid.
 
     Raises GridTooNarrowError if the amplitude has not decayed below
     ``edge_tol`` of its peak at the grid edges (a zero amplitude, as with
-    omega_p = 0, passes trivially), and DomainError where it overflows, as
-    it does at Stokes optical depths far past any vapor's.
+    omega_p = 0, passes trivially), and DomainError where the cross response
+    overflows, as it does at decay rates far past any vapor's.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cross, self_ = averaged_susceptibilities(grid, m, d, q)
-        values = cross * complex_sinc(self_) * np.exp(1j * self_)
-    if not np.all(np.isfinite(values)):
-        raise DomainError(
-            f"the phase-matching factor sinc(Z)*exp(iZ) overflows at Stokes optical depth "
-            f"{m.alpha_s!r}"
-        )
+        values = cross * _phase_matching(self_)
     amp = BiphotonAmplitude(grid, values)
     peak = float(np.abs(amp.values).max())
     if peak > 0.0:

@@ -158,13 +158,22 @@ class TestSimulateBiphoton:
         assert "no signal" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate-biphoton", "sweep", "synth"])
-    def test_huge_optical_depth_names_it(self, tmp_path, capsys, command):
+    def test_huge_optical_depth_stays_finite(self, tmp_path, capsys, command):
+        """The phase-matching factor is finite at any finite depth, so the
+        packet commands write finite rows; the sweep's EIT spectrum has no
+        transparency window to measure, and it says so."""
         cfg = tmp_path / "deep.ini"
         cfg.write_text("[medium]\nod_stokes = 1e20\n[detection]\nsuccess_probability = 0.0088\n")
         out = tmp_path / "x.csv"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert "Stokes optical depth 1e+20" in capsys.readouterr().err
-        assert not out.exists()
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        if command == "sweep":
+            assert code == 3
+            assert "no peak above baseline" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            _, rows = read_csv(out)
+            assert rows.size and np.all(np.isfinite(rows))
 
     def test_strong_coupling_widens_the_grid_like_the_sweep(self, tmp_path):
         """At 31.2 MHz |A| has not decayed at the edges of the default window;
@@ -416,6 +425,9 @@ csv_texts = st.lists(
 # An infinite onset wrote a packet of nan before the fit refused it.
 @example(command="simulate-biphoton", values={("run", "onset_ns"): "-inf"}, csv=None)
 @example(command="synth", values={("medium", "od_stokes"): "1e300"}, csv=None)
+# The cross response overflows without a warning (exit 2).
+@example(command="simulate-biphoton",
+         values={("medium", "decay3_mhz"): "1e300", ("medium", "decay4_mhz"): "1e300"}, csv=None)
 # Inputs of the fits: simulated, empty, header only, ragged, malformed,
 # non-finite, one column, too short, and spectra without a window.
 @example(command="fit-eit", values={}, csv=None)
@@ -469,6 +481,8 @@ LATE_USAGE_ERRORS = [
     ("simulate-biphoton", "", ["--tau-max-ns", "1e30"]),
     # Fewer than 10 bins past the fit onset.
     ("simulate-biphoton", "[run]\nfit_onset_ns = 5000\n", []),
+    # The cross response overflows, so the amplitude is not finite.
+    ("simulate-biphoton", "[medium]\ndecay3_mhz = 1e300\ndecay4_mhz = 1e300\n", []),
     ("sweep", "", ["--powers-mw", ","]),
     ("sweep", "", ["--powers-mw", "1", "--anchor-power-mw", "1"]),
     ("sweep", "", ["--powers-mw", "1", "--anchor-power-mw", "2", "--anchor-rate-per-mhz", "1500"]),
