@@ -14,12 +14,24 @@ depth.  The delay-time wave packet is its squared Fourier transform,
 
 evaluated by trapezoidal quadrature on the spectral grid.  Both the spectral
 and the delay grids are uniform, so the sum over the grid is a chirp-z
-transform, computed exactly by Bluestein's convolution with FFTs.  The
-kernel spectrum of that convolution depends only on the grid count, the
-delay-axis length and the product of their spacings; it is memoized for one
-such triple, so a sweep over powers on one grid computes it once.  Narrowband
+transform, computed exactly by Bluestein's convolution with FFTs.  Narrowband
 etalon filters multiply A by a single-pole amplitude response per etalon, so
 the squared magnitude of each factor is a Lorentzian of the stated FWHM.
+
+The spectral grid is exactly antisymmetric, delta[::-1] == -delta.  With the
+exact Doppler average the self response is anti-conjugate in delta,
+Z(-delta) = -conj Z(delta) (see physics._averaged_pair), so the
+phase-matching factor is conjugate and is evaluated on delta >= 0 only; the
+cross response has no such symmetry and is formed at every detuning.
+
+Two one-entry memos hold the factors that do not depend on the medium or the
+drive, so a sweep over powers on one grid builds them once; each array is
+read-only.
+_synthesis_factors holds the transform length, the trapezoid-weighted chirp
+and the Bluestein kernel spectrum, keyed on the grid count and spacing, the
+delay-axis length, the product of the two spacings and the phase offset
+spacing*(first delay - onset).  _etalon_response holds the product of the
+etalon responses, keyed on the grid and the etalon chain.
 
 On a grid of spacing h the sum returns the periodized amplitude
 y(tau) + y(tau + P) + ... with period P = 2*pi/h.  The slowest amplitude decay
@@ -43,7 +55,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
-from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair
+from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair, _unfold
 from .units import DEFAULT_UNITS
 
 if TYPE_CHECKING:
@@ -94,7 +106,15 @@ class SpectralGrid:
 
     @property
     def delta(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self._samples())
+        """The samples of np.linspace over +-half_width, made exactly
+        antisymmetric: the lower half mirrors the upper, and an odd count
+        has delta = 0 at its midpoint."""
+        n = self._samples()
+        delta = np.linspace(-self.half_width, self.half_width, n)
+        if n % 2:
+            delta[n // 2] = 0.0
+        delta[: n // 2] = -delta[: (n - 1) // 2 : -1]
+        return delta
 
     @property
     def spacing(self) -> float:
@@ -209,7 +229,12 @@ def spectral_amplitude(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         cross, self_ = averaged_susceptibilities(grid, m, d, q)
-        values = cross * _phase_matching(self_)
+        if q is None:
+            # The exact Z is anti-conjugate in delta, so the factor is conjugate.
+            n = grid.count
+            values = cross * _unfold(_phase_matching(self_[n // 2 :]), n, 1.0)
+        else:
+            values = cross * _phase_matching(self_)
     amp = BiphotonAmplitude(grid, values)
     peak = float(np.abs(amp.values).max())
     if peak > 0.0:
@@ -222,6 +247,18 @@ def spectral_amplitude(
     return amp
 
 
+@functools.lru_cache(maxsize=1)
+def _etalon_response(grid: SpectralGrid, e: EtalonChain) -> np.ndarray:
+    """Read-only product of the etalons' responses on the grid.  One entry:
+    the last grid and chain."""
+    f_hz = DEFAULT_UNITS.frequency_to_hz(grid.delta)
+    response = np.ones(grid.count, dtype=complex)
+    for fwhm, center in zip(e.fwhm_hz, e.centers_hz):
+        response /= 1.0 - 2j * (f_hz - center) / fwhm
+    response.flags.writeable = False
+    return response
+
+
 def apply_etalons(a: BiphotonAmplitude, e: EtalonChain = DEFAULT_ETALONS) -> BiphotonAmplitude:
     """Filter the amplitude through the etalon chain.
 
@@ -230,11 +267,7 @@ def apply_etalons(a: BiphotonAmplitude, e: EtalonChain = DEFAULT_ETALONS) -> Bip
     Lorentzian of the given FWHM; physical filters act on the field.
     Filtering only sharpens the edge decay, so no recheck is needed.
     """
-    f_hz = DEFAULT_UNITS.frequency_to_hz(a.grid.delta)
-    values = a.values.copy()
-    for fwhm, center in zip(e.fwhm_hz, e.centers_hz):
-        values = values / (1.0 - 2j * (f_hz - center) / fwhm)
-    return BiphotonAmplitude(a.grid, values)
+    return BiphotonAmplitude(a.grid, a.values * _etalon_response(a.grid, e))
 
 
 def _next_fast_len(n: int) -> int:
@@ -257,16 +290,29 @@ def _next_fast_len(n: int) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _kernel_spectrum(n_delta: int, n_tau: int, b: float) -> tuple[int, np.ndarray]:
-    """Transform length and read-only FFT of the Bluestein kernel
+def _synthesis_factors(
+    n_delta: int, n_tau: int, h: float, b: float, shift: float
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """Transform length, chirp and kernel spectrum of the chirp-z synthesis.
+
+    The chirp is w_k*exp(-i*c_k*(shift + b*c_k/2)) over the centered indices
+    c_k = k - (n_delta - 1)/2, with w_k the trapezoid weights of spacing h
+    over 2*pi; the kernel spectrum is the FFT of the Bluestein kernel
     exp(i*b*(lag + (n_delta - 1)/2)^2/2) over the circular lags from
-    -(n_delta - 1) to n_tau - 1.  One entry: the last grid and delay axis."""
+    -(n_delta - 1) to n_tau - 1.  Both arrays are read-only.  One entry: the
+    last grid, delay axis and onset.
+    """
     size = _next_fast_len(n_delta + n_tau - 1)
+    centered = np.arange(n_delta) - 0.5 * (n_delta - 1)
+    chirp = np.exp(-1j * centered * (shift + 0.5 * b * centered))
+    chirp *= h / (2.0 * np.pi)
+    chirp[[0, -1]] *= 0.5
     lag = np.arange(size)
     lag = np.where(lag < n_tau, lag, lag - size)
     spectrum = np.fft.fft(np.exp(0.5j * b * (lag + 0.5 * (n_delta - 1)) ** 2))
+    chirp.flags.writeable = False
     spectrum.flags.writeable = False
-    return size, spectrum
+    return size, chirp, spectrum
 
 
 def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacket:
@@ -303,18 +349,12 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     # over k of the chirped amplitude with the kernel exp(i*b*(j - k + c)^2/2),
     # done by FFT on a circular buffer of the lags j - k from -(n_delta - 1) to
     # n_tau - 1.
-    n_delta, n_tau = a.grid.count, tau_ns.size
     h = a.grid.spacing
+    n_tau = tau_ns.size
     b = h * span / (n_tau - 1)
-    centered = np.arange(n_delta) - 0.5 * (n_delta - 1)
     tau0 = DEFAULT_UNITS.time_from_ns(float(tau_ns[0]) - onset_ns)
-    w = np.full(n_delta, h / (2.0 * np.pi))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    chirped = w * a.values * np.exp(-1j * centered * (h * tau0 + 0.5 * b * centered))
-
-    size, kernel = _kernel_spectrum(n_delta, n_tau, b)
-    y = np.fft.ifft(np.fft.fft(chirped, size) * kernel)[:n_tau]
+    size, chirp, kernel = _synthesis_factors(a.grid.count, n_tau, h, b, h * tau0)
+    y = np.fft.ifft(np.fft.fft(a.values * chirp, size) * kernel)[:n_tau]
     g2 = y.real**2 + y.imag**2
     return WavePacket(tau_ns, g2, step)
 

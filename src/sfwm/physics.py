@@ -28,13 +28,20 @@ relative.  That closed form is the default; an explicit
 :class:`DopplerQuadrature` selects the uniform trapezoidal rule over the raw
 integrands instead, which serves as the reference path.
 
+The self response's pole obeys P(-delta) = -conj P(delta), the Gaussian
+weight is even and w(-conj z) = conj w(z), so its average is anti-conjugate
+in delta.  On an antisymmetric detuning grid the closed form therefore
+evaluates the pole and w on delta >= 0 only and mirrors the rest; the pump
+pole Delta_p + i*G4/2 breaks the symmetry of the cross response, which is
+assembled at every detuning from the mirrored average.
+
 The probe (Stokes) transmission follows from the averaged self response:
 
     T(delta) = exp(-<Im[4*self(delta, omega_d)]>_Doppler)
 
 where the factor 4 restores the full self-susceptibility exponent.
 
-All functions here are pure; grid evaluations are independent per point.
+All functions here are pure.
 """
 
 from __future__ import annotations
@@ -276,21 +283,37 @@ def _mean_inverse(z, gamma_doppler: float):
     return -1j * math.sqrt(math.pi) / gamma_doppler * _faddeeva(-z / gamma_doppler)
 
 
+def _unfold(upper: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """Values on an antisymmetric grid of n detunings of a function with
+    f(-delta) = sign*conj(f(delta)), from its values on the upper half
+    delta[n//2:] (which holds delta = 0 when n is odd)."""
+    return np.concatenate((sign * np.conj(upper[::-1][: n // 2]), upper))
+
+
 def _averaged_pair(
     delta: np.ndarray, m: MediumParams, d: DriveParams, q: DopplerQuadrature | None = None
 ):
     """Doppler-averaged (cross, self) responses on a 1-D detuning array.
 
-    Without a quadrature the averages are exact.  The self response is
-    -(alpha_s*G3/8) / (omega_d - P) with the pole
+    Without a quadrature the averages are exact, and ``delta`` must be
+    antisymmetric, delta[::-1] == -delta, as a SpectralGrid's is.  The self
+    response is -(alpha_s*G3/8) / (omega_d - P) with the pole
     P = Omega_c^2/(4*(delta + i*gamma)) - delta - i*G3/2, whose imaginary part
     is at most -G3/2, and the cross response splits into partial fractions
     over P and the pump pole Q = Delta_p + i*G4/2.  Two limits are explicit:
     with the coupling off the two-photon factor cancels and P = -delta - i*G3/2
     (the two-level response), and at delta = gamma = 0 with the coupling on
     P is infinite, so the self response and P's share of the cross response
-    vanish.  With a quadrature the raw integrands are summed by the
-    trapezoidal rule instead.
+    vanish.
+
+    P(-delta) = -conj P(delta) and the Gaussian weight is even, so the mean
+    <1/(omega_d - P)>, and with it the self response, is anti-conjugate in
+    delta: the pole and its Faddeeva evaluation are needed on delta >= 0
+    only, and the lower half is filled by _unfold.  The pump detuning breaks
+    that symmetry for Q, so the cross response is formed on the whole array.
+
+    With a quadrature the raw integrands are summed by the trapezoidal rule
+    at every detuning instead, on any array.
     """
     if q is not None:
         nodes = q.nodes(m)[None, :]
@@ -303,22 +326,24 @@ def _averaged_pair(
             self_[i : i + _CHUNK] = self_block @ w
         return cross, self_
 
-    level = delta + 0.5j * m.gamma3
+    n = delta.size
+    upper = delta[n // 2 :]
+    level = upper + 0.5j * m.gamma3
     if d.omega_c == 0.0:
-        mean_p = _mean_inverse(-level, m.gamma_doppler)
-        cross = np.zeros(delta.size, dtype=complex)
+        mean_p = _unfold(_mean_inverse(-level, m.gamma_doppler), n, -1.0)
+        cross = np.zeros(n, dtype=complex)
     else:
-        two_photon = delta + 1j * m.gamma
+        two_photon = upper + 1j * m.gamma
         dark = two_photon == 0.0
         pole = d.omega_c**2 / (4.0 * np.where(dark, 1.0, two_photon)) - level
         pump_pole = d.delta_p + 0.5j * m.gamma4
         # One call for both poles.  Im Q > 0: the average at Q is the
         # conjugate of the one at conj(Q).
         means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
-        mean_p = np.where(dark, 0.0, means[:-1])
+        mean_p = _unfold(np.where(dark, 0.0, means[:-1]), n, -1.0)
         mean_q = np.conj(means[-1])
         front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
-            4.0 * two_photon * (pump_pole + level) - d.omega_c**2
+            4.0 * (delta + 1j * m.gamma) * (pump_pole + (delta + 0.5j * m.gamma3)) - d.omega_c**2
         )
         cross = front * (mean_q - mean_p)
     self_ = -(m.alpha_s * m.gamma3 / 8.0) * mean_p
@@ -441,7 +466,7 @@ def spectrum_fwhm(s: Spectrum) -> float:
     peak = t[ipk]
     if peak <= baseline + 1e-3:
         raise PeakShapeError(
-            f"no peak above baseline (peak {peak:.6f}, baseline {baseline:.6f})"
+            f"no peak above baseline (peak {peak:.6g}, baseline {baseline:.6g})"
         )
     half = baseline + 0.5 * (peak - baseline)
 

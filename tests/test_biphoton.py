@@ -6,7 +6,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import sfwm
@@ -14,12 +14,14 @@ from sfwm import analysis
 from sfwm.biphoton import (
     DEFAULT_COUNT,
     _derived_count,
+    _etalon_response,
     _is_uniform,
-    _kernel_spectrum,
     _next_fast_len,
     _phase_matching,
+    _synthesis_factors,
 )
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
+from sfwm.physics import _cross_prefactor, _mean_inverse
 
 from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS, scenario
 
@@ -84,6 +86,120 @@ class TestSpectralGrid:
             g.delta
         with pytest.raises(UsageError):
             sfwm.spectral_amplitude(g, medium_a, drive_a)
+
+
+def full_grid_pair(delta, m, d):
+    """Closed-form (cross, self) evaluated at every detuning of ``delta``,
+    without the mirror symmetry: the oracle of the half-grid path."""
+    level = delta + 0.5j * m.gamma3
+    if d.omega_c == 0.0:
+        mean_p = _mean_inverse(-level, m.gamma_doppler)
+        cross = np.zeros(delta.size, dtype=complex)
+    else:
+        two_photon = delta + 1j * m.gamma
+        dark = two_photon == 0.0
+        pole = d.omega_c**2 / (4.0 * np.where(dark, 1.0, two_photon)) - level
+        pump_pole = d.delta_p + 0.5j * m.gamma4
+        # Both poles in one call, as the program makes it: numpy's complex
+        # arithmetic can round a one-element array differently.
+        means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
+        mean_p = np.where(dark, 0.0, means[:-1])
+        mean_q = np.conj(means[-1])
+        front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
+            4.0 * two_photon * (pump_pole + level) - d.omega_c**2
+        )
+        cross = front * (mean_q - mean_p)
+    return cross, -(m.alpha_s * m.gamma3 / 8.0) * mean_p
+
+
+def full_grid_amplitude(delta, m, d):
+    cross, self_ = full_grid_pair(delta, m, d)
+    return cross * _phase_matching(self_)
+
+
+def full_grid_packet(values, grid, tau_ns, onset_ns, chain):
+    """Etalon divisions and the chirp-z synthesis with the chirp and the
+    kernel built for this packet alone, on the np.linspace detunings."""
+    f_hz = sfwm.DEFAULT_UNITS.frequency_to_hz(np.linspace(-grid.half_width, grid.half_width,
+                                                          grid.count))
+    for fwhm, center in zip(chain.fwhm_hz, chain.centers_hz):
+        values = values / (1.0 - 2j * (f_hz - center) / fwhm)
+    n, n_tau, h = grid.count, tau_ns.size, grid.spacing
+    b = h * sfwm.DEFAULT_UNITS.time_from_ns(tau_ns[-1] - tau_ns[0]) / (n_tau - 1)
+    tau0 = sfwm.DEFAULT_UNITS.time_from_ns(tau_ns[0] - onset_ns)
+    centered = np.arange(n) - 0.5 * (n - 1)
+    w = np.full(n, h / (2.0 * np.pi))
+    w[[0, -1]] *= 0.5
+    chirped = w * values * np.exp(-1j * centered * (h * tau0 + 0.5 * b * centered))
+    size = _next_fast_len(n + n_tau - 1)
+    lag = np.arange(size)
+    lag = np.where(lag < n_tau, lag, lag - size)
+    kernel = np.fft.fft(np.exp(0.5j * b * (lag + 0.5 * (n - 1)) ** 2))
+    y = np.fft.ifft(np.fft.fft(chirped, size) * kernel)[:n_tau]
+    return np.abs(y) ** 2
+
+
+media = st.builds(
+    sfwm.MediumParams,
+    alpha_s=st.floats(1.0, 300.0),
+    gamma=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+    gamma_doppler=st.floats(10.0, 100.0),
+    gamma3=st.floats(0.5, 2.0),
+    gamma4=st.floats(0.5, 2.0),
+)
+drives = st.builds(
+    sfwm.DriveParams,
+    omega_c=st.one_of(st.just(0.0), st.floats(0.01, 20.0)),
+    omega_p=st.floats(0.1, 5.0),
+    delta_p=st.floats(-1000.0, 1000.0),
+)
+
+
+class TestHalfGrid:
+    """The closed form evaluated on delta >= 0 and mirrored against the
+    evaluation at every detuning."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m=media, d=drives, half_width=st.floats(4.0, 256.0), count=st.integers(1024, 4096))
+    @example(m=sfwm.MediumParams(80.0, 0.0), d=sfwm.DriveParams(2.6), half_width=24.0, count=1071)
+    @example(m=sfwm.MediumParams(80.0, 0.0), d=sfwm.DriveParams(0.0), half_width=64.0, count=1025)
+    def test_matches_the_full_grid_oracle(self, m, d, half_width, count):
+        """Odd counts put delta = 0, the dark point at gamma = 0, on the grid;
+        np.linspace(-24, 24, 1071) has its midpoint at -3.6e-15, not 0."""
+        grid = sfwm.SpectralGrid(half_width, count)
+        assert np.array_equal(grid.delta[::-1], -grid.delta)
+        pair = sfwm.averaged_susceptibilities(grid, m, d)
+        for value, oracle in zip(pair, full_grid_pair(grid.delta, m, d)):
+            assert np.max(np.abs(value - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        amp = sfwm.spectral_amplitude(grid, m, d, edge_tol=np.inf).values
+        oracle = full_grid_amplitude(grid.delta, m, d)
+        assert np.max(np.abs(amp - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("case", ["strong", "weak", "5 mW widened", "dark point"])
+    def test_amplitude_and_packet_match_the_linspace_evaluation(
+        self, case, medium_a, drive_a, medium_b, drive_b
+    ):
+        """Against the full-grid amplitude on np.linspace detunings, filtered
+        and synthesized with per-packet factors: the amplitude within 1e-12
+        of its peak, the packet within 1e-13 of its peak."""
+        grid, m, d = {
+            "strong": (sfwm.SpectralGrid(), medium_a, drive_a),
+            "weak": (sfwm.SpectralGrid(), medium_b, drive_b),
+            "5 mW widened": (
+                sfwm.SpectralGrid(half_width=128.0, count=65536),
+                sfwm.MediumParams(alpha_s=82.0, gamma=0.025),
+                sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(5.0)),
+            ),
+            "dark point": (sfwm.SpectralGrid(count=16385), sfwm.MediumParams(80.0, 0.0), drive_a),
+        }[case]
+        linspace = np.linspace(-grid.half_width, grid.half_width, grid.count)
+        oracle = full_grid_amplitude(linspace, m, d)
+        amp = sfwm.spectral_amplitude(grid, m, d)
+        assert np.max(np.abs(amp.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        chain = sfwm.EtalonChain()
+        packet = sfwm.wavepacket(sfwm.apply_etalons(amp, chain), DELAY_NS, onset_ns=ONSET_NS).g2
+        expected = full_grid_packet(oracle, grid, DELAY_NS, ONSET_NS, chain)
+        assert np.max(np.abs(packet - expected)) <= 1e-13 * expected.max()
 
 
 class TestSpectralAmplitude:
@@ -235,6 +351,24 @@ class TestEtalons:
         idx = 1024 + 480  # delta = 3.75 Gamma = 22.5 MHz = FWHM/2
         assert abs(out.values[idx]) ** 2 == pytest.approx(0.5, abs=1e-12)
 
+    def test_each_chain_matches_the_unmemoized_filter(self, amplitude_a):
+        """Two chains on one grid: the memo keeps no stale response."""
+        f_hz = sfwm.DEFAULT_UNITS.frequency_to_hz(amplitude_a.grid.delta)
+        chains = [sfwm.EtalonChain(), sfwm.EtalonChain((30e6,), (2e6,)), sfwm.EtalonChain()]
+        _etalon_response.cache_clear()
+        for chain in chains:
+            filtered = sfwm.apply_etalons(amplitude_a, chain).values
+            values = amplitude_a.values
+            for fwhm, center in zip(chain.fwhm_hz, chain.centers_hz):
+                values = values / (1.0 - 2j * (f_hz - center) / fwhm)
+            assert np.max(np.abs(filtered - values)) <= 1e-15 * np.max(np.abs(values))
+        assert _etalon_response.cache_info().misses == 3
+
+    def test_response_is_read_only(self, amplitude_a):
+        response = _etalon_response(amplitude_a.grid, sfwm.EtalonChain())
+        with pytest.raises(ValueError):
+            response[0] = 0.0
+
     def test_mismatched_chain_rejected(self):
         with pytest.raises(UsageError):
             sfwm.EtalonChain((45e6, 60e6), (0.0,))
@@ -351,18 +485,18 @@ class TestWavePacket:
 
 
 class TestKernelMemo:
-    """The memoized Bluestein kernel spectrum gives bit-identical packets."""
+    """The memoized synthesis factors give bit-identical packets."""
 
     @staticmethod
     def fresh(amp, tau_ns, onset_ns=0.0):
-        _kernel_spectrum.cache_clear()
+        _synthesis_factors.cache_clear()
         return sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns).g2
 
     def test_hit_equals_fresh_computation(self, amplitude_a):
         amp = sfwm.apply_etalons(amplitude_a)
         fresh = self.fresh(amp, DELAY_NS, ONSET_NS)
         hit = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS).g2
-        assert _kernel_spectrum.cache_info().hits == 1
+        assert _synthesis_factors.cache_info().hits == 1
         assert np.array_equal(hit, fresh)
 
     def test_no_stale_kernel_across_grids_and_delay_axes(self, medium_a, drive_a):
@@ -376,31 +510,47 @@ class TestKernelMemo:
         assert axes[0].size == axes[2].size
         cases = [(amps[0], axes[0]), (amps[1], axes[0]), (amps[1], axes[1]), (amps[1], axes[2]),
                  (amps[0], axes[0])]
-        _kernel_spectrum.cache_clear()
+        _synthesis_factors.cache_clear()
         served = [sfwm.wavepacket(amp, tau).g2 for amp, tau in cases]
-        assert _kernel_spectrum.cache_info().misses == len(cases)
+        assert _synthesis_factors.cache_info().misses == len(cases)
         for (amp, tau), g2 in zip(cases, served):
             assert np.array_equal(g2, self.fresh(amp, tau))
 
+    def test_new_onset_is_a_miss(self, amplitude_a):
+        """The chirp depends on the onset; the grid and delay axis do not change."""
+        amp = sfwm.apply_etalons(amplitude_a)
+        _synthesis_factors.cache_clear()
+        sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
+        later = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS + 40.0).g2
+        assert _synthesis_factors.cache_info().misses == 2
+        assert np.array_equal(later, self.fresh(amp, DELAY_NS, ONSET_NS + 40.0))
+
     def test_spectrum_is_read_only(self):
-        _, spectrum = _kernel_spectrum(1024, 157, 0.01)
-        with pytest.raises(ValueError):
-            spectrum[0] = 0.0
+        size, chirp, spectrum = _synthesis_factors(1024, 157, 0.125, 0.01, 0.5)
+        assert size == _next_fast_len(1024 + 157 - 1)
+        for array in (chirp, spectrum):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_each_memo_holds_one_entry(self):
+        """One grid's factors at most stay resident, whatever a run sweeps."""
+        for memo in (_synthesis_factors, _etalon_response):
+            assert memo.cache_info().maxsize == 1
 
     def test_sweep_equals_sweep_with_memo_cleared_per_power(self):
         scenario = sfwm.load_config()
         powers = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
-        _kernel_spectrum.cache_clear()
+        _synthesis_factors.cache_clear()
         memo = analysis.sweep_predict(scenario, powers)
-        assert _kernel_spectrum.cache_info().hits > 0
+        assert _synthesis_factors.cache_info().hits > 0
 
         def cleared(*args, **kwargs):
-            _kernel_spectrum.cache_clear()
+            _synthesis_factors.cache_clear()
             return sfwm.predict_packet(*args, **kwargs)
 
         with mock.patch.object(analysis, "predict_packet", side_effect=cleared):
             fresh = analysis.sweep_predict(scenario, powers)
-        assert _kernel_spectrum.cache_info().hits == 0
+        assert _synthesis_factors.cache_info().hits == 0
         for name in ("tau_ns", "linewidth_hz", "eit_fwhm_hz", "area", "rate_pairs_per_s",
                      "brightness", "sbr"):
             assert np.array_equal(getattr(memo, name), getattr(fresh, name)), name

@@ -275,7 +275,35 @@ class TestFitCommands:
         assert report["sbr"] == pytest.approx(42.0, rel=0.15)
 
 
+# `sfwm sweep` on the default config as the closed form evaluated at every
+# np.linspace detuning wrote it, 12 significant digits.
+FULL_GRID_SWEEP = """\
+power_mw,tau_ns,linewidth_hz,eit_fwhm_hz,rate_pairs_per_s,brightness_pairs_per_s_mw_mhz,sbr
+0.02,464.603201247,342561.012633,326611.647299,3.4646303533e-05,0.000202278147573,2.15621036407e-10
+0.05,451.949851448,352151.776535,341311.886272,8.42097398779e-05,0.000478258214151,4.92434061421e-10
+0.1,432.063255317,368360.283207,355196.51898,0.000160873354177,0.000873456566907,8.92677533004e-10
+0.2,396.383661628,401517.414815,380759.867093,0.000294755492761,0.00146820776328,1.56294895439e-09
+0.5,314.929442789,505366.985324,463663.631013,0.000583587796703,0.00230956043292,3.04571906276e-09
+1,231.618037236,687143.993583,622184.054318,0.000855231431323,0.00248923497639,4.73452739817e-09
+2,149.127582573,1067240.14663,976751.172491,0.00109679742417,0.0020553901156,6.77937036604e-09
+5,69.6964159021,2283545.58885,2111382.13675,0.00127512443616,0.00111679350076,9.28406668398e-09
+"""
+
+
 class TestSweep:
+    def test_default_sweep_matches_the_full_grid_values(self, tmp_path):
+        """The half-grid amplitude moves the sweep's values by at most 1e-10
+        relative, and a rerun writes the same bytes."""
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--out", str(a)]) == 0
+        assert main(["sweep", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        header, rows = read_csv(a)
+        lines = FULL_GRID_SWEEP.splitlines()
+        assert header == lines[0].split(",")
+        expected = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        np.testing.assert_allclose(rows, expected, rtol=1e-10, atol=0.0)
+
     def test_single_power_row(self, strong_config, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config", strong_config, "--powers-mw", "0.5", "--out", str(out)])

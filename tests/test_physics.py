@@ -7,7 +7,7 @@ from scipy.special import wofz
 
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
-from sfwm.physics import _averaged_pair, _faddeeva, _transmission_raw
+from sfwm.physics import _faddeeva, _transmission_raw
 
 # Independent high-precision evaluations (40-digit arithmetic) of the two
 # response functions, frozen as regression constants.
@@ -211,12 +211,19 @@ class TestTransmissionGradient:
     """The exact transmission kernel, which is also the EIT fit's model: T
     and its analytic gradient in (omega_c^2, gamma)."""
 
-    @staticmethod
-    def transmission(delta, square, gamma):
-        """T from the averaged pair responses, a path apart from the model's."""
+    # Every fifth sample of the grid: 241 detunings over +-2 Gamma, with
+    # delta = 0 at index 120.
+    GRID = sfwm.SpectralGrid(half_width=2.0, count=1201)
+    DELTA = GRID.delta[::5]
+
+    @classmethod
+    def transmission(cls, square, gamma):
+        """T on DELTA from the averaged pair responses, a path apart from the
+        model's."""
         m = medium(alpha_s=80.0, gamma=gamma)
-        _, self_ = _averaged_pair(delta, m, sfwm.DriveParams(omega_c=np.sqrt(square)))
-        return np.exp(-4.0 * self_.imag)
+        d = sfwm.DriveParams(omega_c=np.sqrt(square))
+        _, self_ = sfwm.averaged_susceptibilities(cls.GRID, m, d)
+        return np.exp(-4.0 * self_[::5].imag)
 
     @staticmethod
     def model(delta, square, gamma):
@@ -225,38 +232,37 @@ class TestTransmissionGradient:
 
     @pytest.mark.parametrize("omega_c, gamma", [(2.6, 0.028), (0.65, 0.024), (0.05, 0.3)])
     def test_against_eit_transmission_and_central_differences(self, omega_c, gamma):
-        delta = np.linspace(-2.0, 2.0, 241)
         square = omega_c**2
-        t, gradient = self.model(delta, square, gamma)
-        np.testing.assert_allclose(t, self.transmission(delta, square, gamma), rtol=1e-13)
+        t, gradient = self.model(self.DELTA, square, gamma)
+        np.testing.assert_allclose(t, self.transmission(square, gamma), rtol=1e-13)
         for analytic, h, shift in zip(gradient(), (1e-4 * square, 1e-4 * gamma),
                                       ((1.0, 0.0), (0.0, 1.0))):
-            up = self.transmission(delta, square + h * shift[0], gamma + h * shift[1])
-            down = self.transmission(delta, square - h * shift[0], gamma - h * shift[1])
+            up = self.transmission(square + h * shift[0], gamma + h * shift[1])
+            down = self.transmission(square - h * shift[0], gamma - h * shift[1])
             central = (up - down) / (2.0 * h)
             assert np.max(np.abs(analytic - central)) < 1e-6 * np.max(np.abs(central))
 
     def test_coupling_off(self):
         """On the bound omega_c = 0 the slope in omega_c^2 is finite and the
         one in gamma vanishes."""
-        delta = np.linspace(-2.0, 2.0, 241)
-        t, gradient = self.model(delta, 0.0, 0.03)
-        np.testing.assert_allclose(t, self.transmission(delta, 0.0, 0.03), rtol=1e-13)
+        t, gradient = self.model(self.DELTA, 0.0, 0.03)
+        np.testing.assert_allclose(t, self.transmission(0.0, 0.03), rtol=1e-13)
         d_square, d_gamma = gradient()
         h = 1e-7
-        forward = (self.transmission(delta, h, 0.03) - t) / h
+        forward = (self.transmission(h, 0.03) - t) / h
         assert np.max(np.abs(d_square - forward)) < 1e-5 * np.max(np.abs(forward))
         assert np.all(d_gamma == 0.0)
 
     def test_small_decoherence_at_two_photon_resonance(self):
         """|u| grows as 1/gamma at delta = 0, where the slope comes from the
         asymptotic series; it must still match the differences."""
-        delta = np.array([0.0])
+        delta = self.DELTA[120:121]
+        assert delta[0] == 0.0
         for gamma in (1e-9, 1e-6, 1e-3):
             _, gradient = self.model(delta, 2.6**2, gamma)
             h = 0.1 * gamma  # T is close to exp(-c*gamma) there
-            central = (self.transmission(delta, 2.6**2, gamma + h)
-                       - self.transmission(delta, 2.6**2, gamma - h)) / (2.0 * h)
+            central = (self.transmission(2.6**2, gamma + h)[120]
+                       - self.transmission(2.6**2, gamma - h)[120]) / (2.0 * h)
             np.testing.assert_allclose(gradient()[1], central, rtol=1e-5)
 
 
@@ -375,3 +381,11 @@ class TestSpectrum:
         s = sfwm.Spectrum(np.linspace(-1, 1, 101), np.full(101, 0.4))
         with pytest.raises(PeakShapeError):
             sfwm.spectrum_fwhm(s)
+
+    def test_no_peak_message_shows_tiny_values(self):
+        """An opaque medium transmits about 1e-200; the message prints it,
+        not zeros."""
+        t = np.full(101, 2e-200)
+        t[50] = 3e-200
+        with pytest.raises(PeakShapeError, match=r"peak 3e-200, baseline 2e-200"):
+            sfwm.spectrum_fwhm(sfwm.Spectrum(np.linspace(-1, 1, 101), t))
