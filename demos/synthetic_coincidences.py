@@ -34,9 +34,8 @@ print(f"fitted tau {fit.tau_ns:.0f} +/- {fit.tau_err:.0f} ns "
       f"(noiseless packet gives {truth.tau_ns:.0f} ns)")
 print(f"peak correlation (SBR) {sfwm.sbr(fit):.1f}")
 
-detected = (hist.counts.sum()
-            - hist.counts.size * dm.trigger_rate * dm.accumulation_s
-            * sfwm.background_rate(P_MW) * dm.bin_ns * 1e-9) / dm.accumulation_s
+floor = sfwm.expected_bins(packet, dm, P_MW, success_probability=0.0)
+detected = (hist.counts.sum() - floor.sum()) / dm.accumulation_s
 print(f"inferred source rate {sfwm.generation_rate(detected, dm):.0f} pairs/s "
       f"after collection-efficiency correction")
 

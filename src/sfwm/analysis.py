@@ -53,6 +53,7 @@ if TYPE_CHECKING:
 
 # Delay span of every packet of a sweep: the 4 us window of the detection chain.
 SWEEP_SPAN_NS = 4000.0
+RABI_PER_ROOT_MW = 2.7  # the coupling calibration Omega_c = 2.7*sqrt(P/mW) Gamma
 
 
 @dataclass
@@ -90,7 +91,6 @@ class SweepPrediction:
     tau_ns: np.ndarray
     linewidth_hz: np.ndarray
     eit_fwhm_hz: np.ndarray
-    area: np.ndarray
     rate_pairs_per_s: np.ndarray
     brightness: np.ndarray
     sbr: np.ndarray
@@ -465,17 +465,15 @@ def sbr(fit: ExpFit) -> float:
     return fit.amplitude / fit.baseline
 
 
-def cs_violation(g2: float, g_auto: float = 2.0) -> float:
-    """Cauchy-Schwarz violation factor g2^2 / g_auto^2.
+def cs_violation(g2: float) -> float:
+    """Cauchy-Schwarz violation factor g2^2 / 4.
 
     Classical fields obey g2^2 <= g_auto1 * g_auto2; both autocorrelations
-    are taken equal to the thermal value 2 by default.
+    are fixed at the thermal value 2.
     """
     if g2 < 0:
         raise DomainError("cross-correlation must be nonnegative")
-    if not (g_auto > 0):
-        raise DomainError("autocorrelation must be positive")
-    return (g2 / g_auto) ** 2
+    return (g2 / 2.0) ** 2
 
 
 def generation_rate(detected_pairs_per_s: float, dm: DetectionModel) -> float:
@@ -496,7 +494,7 @@ def omega_c_from_power(p_mw: float) -> float:
     """Coupling Rabi frequency (Gamma units) from coupling power: 2.7*sqrt(P/mW)."""
     if p_mw < 0:
         raise DomainError("coupling power must be nonnegative")
-    return 2.7 * math.sqrt(p_mw)
+    return RABI_PER_ROOT_MW * math.sqrt(p_mw)
 
 
 def background_rate(p_mw: float) -> float:
@@ -506,12 +504,12 @@ def background_rate(p_mw: float) -> float:
     return 240.0 + 320.0 * p_mw**0.53
 
 
-def average_low_power_gamma(power_fit_pairs, n: int = 3) -> float:
-    """Mean fitted decoherence rate over the ``n`` smallest coupling powers."""
+def average_low_power_gamma(power_fit_pairs) -> float:
+    """Mean fitted decoherence rate over the three smallest coupling powers."""
     pairs = sorted(power_fit_pairs, key=lambda item: item[0])
-    if len(pairs) < n:
-        raise UsageError(f"need at least {n} fits, got {len(pairs)}")
-    return float(np.mean([fit.gamma for _, fit in pairs[:n]]))
+    if len(pairs) < 3:
+        raise UsageError(f"need at least 3 fits, got {len(pairs)}")
+    return float(np.mean([fit.gamma for _, fit in pairs[:3]]))
 
 
 # Bounds of the optical depth that the baseline inversion searches.
@@ -560,7 +558,9 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     evaluation at alpha = 1 gives k and Newton's method solves for alpha.
     Stage 2 fits the remaining two parameters against the full spectrum by
     the bounded 2x2 Levenberg-Marquardt solver from the supplied initial
-    guesses, with the analytic Jacobian of the exact Doppler average.
+    guesses, with the analytic Jacobian of the exact Doppler average.  It
+    reads ``gamma``, ``gamma_doppler`` and ``gamma3`` of ``m0`` and
+    ``omega_c`` of ``d0``; the other fields are not read.
     Deterministic given data and guesses.  Raises UsageError on a short or
     non-finite spectrum, InversionError when no optical depth in [1e-6, 1e5]
     matches the baseline, and ConvergenceError (carrying the best iterate) if
@@ -674,7 +674,6 @@ def sweep_predict(
         tau_ns=taus,
         linewidth_hz=linewidths,
         eit_fwhm_hz=fwhms,
-        area=areas,
         rate_pairs_per_s=rates,
         brightness=spectral_brightness(rates, pump_mw, linewidths),
         sbr=sbrs,

@@ -427,12 +427,12 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     return wavepacket(apply_etalons(amp, scenario.etalons), tau_ns, onset_ns=scenario.onset_ns)
 
 
-def wavepacket_area(w: WavePacket, baseline: float = 0.0) -> float:
-    """Trapezoidal integral of g2 over delay, minus an optional flat baseline.
+def wavepacket_area(w: WavePacket) -> float:
+    """Trapezoidal integral of g2 over delay.
 
     Proportional to the pair generation rate for rate-normalized packets.
     """
-    return float(np.trapezoid(w.g2 - baseline, w.tau_ns))
+    return float(np.trapezoid(w.g2, w.tau_ns))
 
 
 def rise_time_convolve(w: WavePacket, rc_ns: float = 35.0) -> WavePacket:

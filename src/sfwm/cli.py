@@ -17,6 +17,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    SWEEP_SPAN_NS,
     cs_violation,
     fit_eit,
     fit_exponential,
@@ -152,7 +153,8 @@ def cmd_fit_eit(args) -> int:
     if data.size == 0 or len(header) < 2:
         raise UsageError(f"{args.csv} contains no usable spectrum")
     spectrum = Spectrum(DEFAULT_UNITS.frequency_from_hz(data[:, 0]), data[:, 1])
-    m0 = MediumParams(alpha_s=args.alpha0, gamma=DEFAULT_UNITS.frequency_from_hz(args.gamma0_mhz * 1e6))
+    # fit_eit inverts the optical depth from the baseline; this one is not read.
+    m0 = MediumParams(alpha_s=1.0, gamma=DEFAULT_UNITS.frequency_from_hz(args.gamma0_mhz * 1e6))
     d0 = DriveParams(omega_c=DEFAULT_UNITS.frequency_from_hz(args.coupling0_mhz * 1e6))
     fit = fit_eit(spectrum, m0, d0)
     _report(
@@ -165,7 +167,6 @@ def cmd_fit_eit(args) -> int:
             "residual_norm": fit.residual_norm,
             "converged": fit.converged,
             "initial_guess": {
-                "alpha_s": args.alpha0,
                 "coupling_rabi_mhz": args.coupling0_mhz,
                 "decoherence_mhz": args.gamma0_mhz,
             },
@@ -237,11 +238,9 @@ def cmd_synth(args) -> int:
     scenario = load_config(args.config)
     dm = scenario.detection
     p_mw = scenario.coupling_power_mw
-    success = args.success_probability
-    if success is None:
-        success = scenario.success_probability
+    success = scenario.success_probability
     if success is None and args.peak_sbr is None:
-        raise UsageError("need --success-probability, --peak-sbr, or detection.success_probability")
+        raise UsageError("need --peak-sbr or detection.success_probability")
     if args.timetags and success is None:
         raise UsageError("time tags need a success probability, not a peak SBR")
 
@@ -296,12 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-biphoton", help="predicted wave packet on a delay grid")
     add_common(p)
-    p.add_argument("--tau-max-ns", type=float, default=4000.0, help=tau_max_help)
+    p.add_argument("--tau-max-ns", type=float, default=SWEEP_SPAN_NS, help=tau_max_help)
     p.set_defaults(func=cmd_simulate_biphoton)
 
     p = sub.add_parser("fit-eit", help="recover medium parameters from a spectrum CSV")
     p.add_argument("--csv", required=True)
-    p.add_argument("--alpha0", type=float, default=80.0, help="initial optical depth")
     p.add_argument("--coupling0-mhz", type=float, default=15.6)
     p.add_argument("--gamma0-mhz", type=float, default=0.15)
     p.set_defaults(func=cmd_fit_eit)
@@ -320,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthetic coincidence histogram and time tags")
     add_common(p)
-    p.add_argument("--tau-max-ns", type=float, default=4000.0, help=tau_max_help)
-    p.add_argument("--success-probability", type=float, default=None)
+    p.add_argument("--tau-max-ns", type=float, default=SWEEP_SPAN_NS, help=tau_max_help)
     p.add_argument("--peak-sbr", type=float, default=None)
     p.add_argument("--timetags", default=None, help="also write a time-tag file here")
     p.set_defaults(func=cmd_synth)

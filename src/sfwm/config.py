@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import omega_c_from_power
+from .analysis import RABI_PER_ROOT_MW, omega_c_from_power
 from .biphoton import EtalonChain, SpectralGrid
 from .detector import DetectionModel
 from .errors import UsageError
@@ -120,6 +120,9 @@ class Scenario:
             raise UsageError(
                 f"coupling power must be finite and nonnegative, got {self.coupling_power_mw!r} mW"
             )
+        p = self.success_probability
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise UsageError(f"[detection] success_probability must be in [0, 1], got {p!r}")
 
     @property
     def seed(self) -> int:
@@ -178,7 +181,7 @@ def load_config(path: str | Path | None = None) -> Scenario:
         delta_p=_gamma_units(value("drive", "pump_detuning_mhz")),
     )
     if power_mw is None:
-        power_mw = (drive.omega_c / 2.7) ** 2
+        power_mw = (drive.omega_c / RABI_PER_ROOT_MW) ** 2
 
     # Without [quadrature] values the Doppler average is exact; any value there
     # selects the trapezoidal reference rule.

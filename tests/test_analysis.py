@@ -391,8 +391,6 @@ class TestScalarMetrics:
     def test_cs_violation_domain(self):
         with pytest.raises(DomainError):
             sfwm.cs_violation(-1.0)
-        with pytest.raises(DomainError):
-            sfwm.cs_violation(4.0, g_auto=0.0)
 
     def test_generation_rate(self):
         dm = sfwm.DetectionModel()

@@ -551,7 +551,7 @@ class TestKernelMemo:
         with mock.patch.object(analysis, "predict_packet", side_effect=cleared):
             fresh = analysis.sweep_predict(scenario, powers)
         assert _synthesis_factors.cache_info().hits == 0
-        for name in ("tau_ns", "linewidth_hz", "eit_fwhm_hz", "area", "rate_pairs_per_s",
+        for name in ("tau_ns", "linewidth_hz", "eit_fwhm_hz", "rate_pairs_per_s",
                      "brightness", "sbr"):
             assert np.array_equal(getattr(memo, name), getattr(fresh, name)), name
 

@@ -214,8 +214,7 @@ class TestFitCommands:
         out = tmp_path / "eit.csv"
         assert main(["simulate-eit", "--config", weak_config, "--out", str(out)]) == 0
         capsys.readouterr()
-        code = main(["fit-eit", "--csv", str(out), "--alpha0", "70",
-                     "--coupling0-mhz", "3.0", "--gamma0-mhz", "0.2"])
+        code = main(["fit-eit", "--csv", str(out), "--coupling0-mhz", "3.0", "--gamma0-mhz", "0.2"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["alpha_s"] == pytest.approx(82.0, rel=0.01)
@@ -401,11 +400,18 @@ def test_brightness_divides_by_the_configured_pump_power(tmp_path):
     np.testing.assert_allclose(strong.brightness, default.brightness, rtol=1e-12)
 
 
-@pytest.mark.parametrize("command,option", [("sweep", "--pump-mw"), ("synth", "--power-mw")])
+@pytest.mark.parametrize("command,option", [
+    ("sweep", "--pump-mw"),
+    ("synth", "--power-mw"),
+    ("synth", "--success-probability"),
+    ("fit-eit", "--alpha0"),
+])
 def test_config_copies_are_not_options(tmp_path, capsys, command, option):
-    """The pump and coupling powers come from the config alone."""
+    """The pump and coupling powers and the success probability come from
+    the config alone; fit-eit inverts the optical depth from the baseline."""
+    path = ["--csv" if command == "fit-eit" else "--out", str(tmp_path / "x.csv")]
     with pytest.raises(SystemExit) as exc:
-        main([command, option, "1", "--out", str(tmp_path / "x.csv")])
+        main([command, option, "1", *path])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
@@ -421,8 +427,11 @@ CONTRACT_COMMANDS = {
     "simulate-eit": [],
     "simulate-biphoton": ["--tau-max-ns", "1000"],
     "sweep": ["--powers-mw", "1"],
-    "synth": ["--tau-max-ns", "1000", "--success-probability", "0.0088"],
+    "synth": ["--tau-max-ns", "1000"],
 }
+# The success probability of synth (simulate-biphoton reads it too); the drawn
+# values never write a [detection] section.
+CONTRACT_DETECTION = "[detection]\nsuccess_probability = 0.0088\n"
 # The fit commands read the CSV that a simulation writes under the same
 # config values, or a drawn CSV text.
 CONTRACT_SOURCES = {
@@ -484,7 +493,7 @@ def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
         for section in ("medium", "drive", "run")
     )
-    (work / "run.ini").write_text(text)
+    (work / "run.ini").write_text(text + CONTRACT_DETECTION)
     config = ["--config", str(work / "run.ini")]
     if command in CONTRACT_SOURCES:
         data = work / "in.csv"
@@ -515,20 +524,20 @@ LATE_USAGE_ERRORS = [
     ("sweep", "", ["--powers-mw", "1", "--anchor-power-mw", "1"]),
     ("sweep", "", ["--powers-mw", "1", "--anchor-power-mw", "2", "--anchor-rate-per-mhz", "1500"]),
     ("synth", "", []),
-    ("synth", "", ["--success-probability", "0.0088", "--tau-max-ns", "1e30"]),
-    ("synth", "", ["--success-probability", "2", "--timetags", "TAGS"]),
+    ("synth", "[detection]\nsuccess_probability = 0.0088\n", ["--tau-max-ns", "1e30"]),
     ("synth", "", ["--peak-sbr", "10", "--timetags", "TAGS"]),
     ("synth", "[detection]\naccumulation_s = 0\n", ["--peak-sbr", "10", "--timetags", "TAGS"]),
     ("simulate-eit", "", ["--out", "MISSING"]),
     ("simulate-biphoton", "", ["--out", "MISSING"]),
     ("sweep", "", ["--powers-mw", "1", "--out", "MISSING"]),
     ("synth", "", ["--peak-sbr", "10", "--out", "MISSING"]),
-    ("synth", "", ["--success-probability", "0.0088", "--timetags", "TAGS", "--out", "MISSING"]),
+    ("synth", "[detection]\nsuccess_probability = 0.0088\n",
+     ["--timetags", "TAGS", "--out", "MISSING"]),
     # The CSV is written first and removed when the tags cannot be.
-    ("synth", "[detection]\naccumulation_s = 20\n",
-     ["--success-probability", "0.0088", "--timetags", "MISSING"]),
-    ("synth", "[detection]\naccumulation_s = 0\n",
-     ["--success-probability", "0.0088", "--timetags", "MISSING"]),
+    ("synth", "[detection]\naccumulation_s = 20\nsuccess_probability = 0.0088\n",
+     ["--timetags", "MISSING"]),
+    ("synth", "[detection]\naccumulation_s = 0\nsuccess_probability = 0.0088\n",
+     ["--timetags", "MISSING"]),
 ]
 
 
@@ -618,7 +627,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "text",
         [
-            "[run]\nseed = -1\n",
+            "[run]\nseed = -1\n[detection]\n",
             "[detection]\nbin_ns = nan\n",
             "[detection]\nbin_ns = inf\n",
             "[detection]\ntrigger_cps = nan\n",
@@ -626,12 +635,23 @@ class TestConfigErrors:
             "[detection]\neff_stokes = nan\n",
         ],
     )
-    def test_invalid_detection_or_seed_is_usage_error(self, text, tmp_path):
+    def test_invalid_detection_or_seed_is_usage_error(self, text, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(text + "[grid]\ncount = 8192\n")
-        code = main(["synth", "--config", str(cfg), "--success-probability", "0.0088",
-                     "--out", str(tmp_path / "x.csv")])
+        cfg.write_text(text + "success_probability = 0.0088\n[grid]\ncount = 8192\n")
+        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+        assert "cannot parse" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate-biphoton", "synth"])
+    @pytest.mark.parametrize("value", ["2", "nan"])
+    def test_invalid_success_probability_is_usage_error(self, tmp_path, capsys, command, value):
+        """Checked once, as the config loads: no command writes a file."""
+        cfg, out, tags = tmp_path / "bad.ini", tmp_path / "x.csv", tmp_path / "tags.txt"
+        cfg.write_text(f"[detection]\nsuccess_probability = {value}\n[grid]\ncount = 8192\n")
+        extra = ["--timetags", str(tags)] if command == "synth" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 2
+        assert "[detection] success_probability must be in [0, 1]" in capsys.readouterr().err
+        assert not out.exists() and not tags.exists()
 
     @pytest.mark.parametrize(
         "text",
@@ -714,16 +734,37 @@ class TestNonfiniteArguments:
         assert not recwarn.list
 
 
+def subcommands(parser):
+    """Subcommand name -> its parser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def float_options():
     """(command, option) for every float-typed option of every subcommand."""
-    parser = sfwm.cli.build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return [
         (name, action.option_strings[-1])
-        for name, sub in commands.choices.items()
+        for name, sub in subcommands(sfwm.cli.build_parser()).items()
         for action in sub._actions
         if action.type is float
     ]
+
+
+def test_readme_names_every_option():
+    """The README's command-line section names every option of the parser
+    and of each subcommand, and no option that they lack."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", section))
+    parser = sfwm.cli.build_parser()
+    defined = {
+        option
+        for p in (parser, *subcommands(parser).values())
+        for action in p._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert sorted(defined - named) == []
+    assert sorted(named - defined) == []
 
 
 @pytest.fixture
@@ -754,10 +795,8 @@ class TestFloatOptionContract:
     error (exit 2), reported without a numpy warning."""
 
     def test_every_command_has_a_base_invocation(self, base_argv, capsys):
-        parser = sfwm.cli.build_parser()
-        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(commands.choices) == set(base_argv)
-        assert len(float_options()) >= 12
+        assert set(subcommands(sfwm.cli.build_parser())) == set(base_argv)
+        assert len(float_options()) >= 10
         for command, argv in base_argv.items():
             assert main([command, *argv]) == 0, command
 
