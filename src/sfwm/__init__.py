@@ -57,11 +57,8 @@ from .physics import (
     DriveParams,
     MediumParams,
     Spectrum,
-    cross_chi,
-    doppler_average,
     eit_spectrum,
     eit_transmission,
-    self_chi,
     spectrum_baseline,
     spectrum_fwhm,
 )

@@ -40,6 +40,7 @@ from .physics import (
     DriveParams,
     MediumParams,
     Spectrum,
+    _edges,
     _transmission_raw,
     eit_spectrum,
     eit_transmission,
@@ -574,9 +575,7 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     if not (0.0 < target < 1.0):
         raise InversionError(f"baseline transmission {target!r} is outside (0, 1)")
 
-    n = data.delta.size
-    k = max(1, round(0.1 * n))
-    edge_deltas = np.concatenate([data.delta[:k], data.delta[-k:]])
+    edge_deltas = np.concatenate(_edges(data.delta))
     unit_depth = eit_transmission(
         edge_deltas, replace(m0, alpha_s=1.0, alpha_as=1.0), replace(d0, omega_c=0.0)
     )

@@ -155,13 +155,16 @@ class EtalonChain:
 DEFAULT_ETALONS = EtalonChain()
 
 
-def _is_uniform(t) -> bool:
-    """Whether the steps of ``t`` (two or more samples) are finite and equal
-    to the first within rtol = atol = 1e-9, the test of np.allclose."""
+def _is_delay_grid(t: np.ndarray) -> bool:
+    """Whether ``t`` increases in steps that are finite and equal to the
+    first within rtol = atol = 1e-9, the test of np.allclose.  Fewer than
+    two samples pass."""
+    if t.size < 2:
+        return True
     steps = t[1:] - t[:-1]
     first = float(steps[0])
     tol = 1e-9 + 1e-9 * abs(first)
-    return math.isfinite(first) and bool(np.abs(steps - first).max() <= tol)
+    return 0.0 < first < math.inf and bool(np.abs(steps - first).max() <= tol)
 
 
 @dataclass(eq=False)
@@ -177,8 +180,7 @@ class WavePacket:
         self.g2 = np.asarray(self.g2, dtype=float)
         if self.tau_ns.size != self.g2.size:
             raise UsageError("tau and g2 lengths differ")
-        tau = self.tau_ns
-        if tau.size >= 2 and not (tau[1] > tau[0] and _is_uniform(tau)):
+        if not _is_delay_grid(self.tau_ns):
             raise UsageError("delay grid must be uniform and increasing")
         if np.any(self.g2 < 0):
             raise UsageError("correlation values must be nonnegative")
@@ -329,8 +331,7 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     tau_ns = np.asarray(tau_ns, dtype=float)
     if tau_ns.size < 2:
         raise UsageError("delay grid needs at least two samples")
-    step = float(tau_ns[1] - tau_ns[0])
-    if not (step > 0.0 and _is_uniform(tau_ns)):
+    if not _is_delay_grid(tau_ns):
         raise UsageError("delay grid must be uniform and increasing")
     if not math.isfinite(onset_ns):
         raise UsageError(f"onset must be finite, got {onset_ns!r} ns")
@@ -356,7 +357,7 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     size, chirp, kernel = _synthesis_factors(a.grid.count, n_tau, h, b, h * tau0)
     y = np.fft.ifft(np.fft.fft(a.values * chirp, size) * kernel)[:n_tau]
     g2 = y.real**2 + y.imag**2
-    return WavePacket(tau_ns, g2, step)
+    return WavePacket(tau_ns, g2, float(tau_ns[1] - tau_ns[0]))
 
 
 def _derived_count(half_width: float, gamma: float, span: float, cap: int) -> int:

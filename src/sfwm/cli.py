@@ -239,8 +239,8 @@ def cmd_synth(args) -> int:
     dm = scenario.detection
     p_mw = scenario.coupling_power_mw
     success = scenario.success_probability
-    if success is None and args.peak_sbr is None:
-        raise UsageError("need --peak-sbr or detection.success_probability")
+    if (success is None) == (args.peak_sbr is None):
+        raise UsageError("give exactly one of --peak-sbr and [detection] success_probability")
     if args.timetags and success is None:
         raise UsageError("time tags need a success probability, not a peak SBR")
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import background_rate
-from .biphoton import WavePacket, _check_delay_span, _is_uniform
+from .biphoton import WavePacket, _check_delay_span, _is_delay_grid
 from .errors import UsageError
 
 TIMETAG_FORMAT = "sfwm-timetags v1"
@@ -106,13 +106,18 @@ class CoincidenceHistogram:
             raise UsageError("counts must be nonnegative")
         if self.delay_ns.size != self.counts.size:
             raise UsageError("delay grid and counts lengths differ")
-        delay = self.delay_ns
-        if delay.size >= 2 and not (delay[1] > delay[0] and _is_uniform(delay)):
+        if not _is_delay_grid(self.delay_ns):
             raise UsageError("delay bins must be uniform and increasing")
 
     def to_wavepacket(self) -> WavePacket:
         """View the counts as a wave packet for the exponential fitter."""
         return WavePacket(self.delay_ns, self.counts.astype(float), self.bin_ns)
+
+
+def _check_success_probability(p: float) -> None:
+    """Raise UsageError unless ``p`` is a probability; nan is not."""
+    if not (0.0 <= p <= 1.0):
+        raise UsageError("success probability must lie in [0, 1]")
 
 
 def expected_bins(
@@ -136,8 +141,7 @@ def expected_bins(
 
     total = float(w.g2.sum())
     if success_probability is not None:
-        if success_probability < 0:
-            raise UsageError("success probability must be nonnegative")
+        _check_success_probability(success_probability)
         scale = 0.0 if total == 0.0 else success_probability * n_triggers / total
     else:
         if peak_sbr < 0:
@@ -182,8 +186,7 @@ def generate_timetags(
     partner events ride on top as a Poisson process at the power-dependent
     background rate, which includes dark counts.
     """
-    if not (0.0 <= success_probability <= 1.0):
-        raise UsageError("success probability must lie in [0, 1]")
+    _check_success_probability(success_probability)
     rng = np.random.Generator(np.random.PCG64(dm.seed))
     duration_s = dm.accumulation_s
     duration_ns = duration_s * 1e9

@@ -28,7 +28,10 @@ relative.  That closed form is the default; an explicit
 :class:`DopplerQuadrature` selects the uniform trapezoidal rule over the raw
 integrands instead, which serves as the reference path.
 
-The self response's pole obeys P(-delta) = -conj P(delta), the Gaussian
+The self response's pole P is written once, in :func:`_self_pole`, with its
+two limits (coupling off, and the dark point delta = gamma = 0); the exact
+pair average and the exact transmission, which is also the EIT fit's
+model, both take P from it.  P obeys P(-delta) = -conj P(delta), the Gaussian
 weight is even and w(-conj z) = conj w(z), so its average is anti-conjugate
 in delta.  On an antisymmetric detuning grid the closed form therefore
 evaluates the pole and w on delta >= 0 only and mirrors the rest; the pump
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -159,9 +161,6 @@ class DopplerQuadrature:
         return gauss * trap
 
 
-DEFAULT_QUADRATURE = DopplerQuadrature()
-
-
 @dataclass(eq=False)
 class Spectrum:
     """Transmission sampled on a detuning grid (Gamma units)."""
@@ -198,43 +197,6 @@ def _chi_pair_raw(delta, omega_d, m: MediumParams, d: DriveParams):
     cross = _cross_prefactor(m) * d.omega_c * pump * inv
     self_ = (m.alpha_s * m.gamma3 / 2.0) * two_photon * inv
     return cross, self_
-
-
-def cross_chi(delta, omega_d, m: MediumParams, d: DriveParams):
-    """Cross response coupling the pair amplitude to the driving fields.
-
-    Exactly linear in omega_p.  Dimensionless; accepts scalars or
-    broadcastable arrays of delta and omega_d in Gamma units.
-    """
-    _require_finite("delta", delta)
-    _require_finite("omega_d", omega_d)
-    return _chi_pair_raw(np.asarray(delta, dtype=float), np.asarray(omega_d, dtype=float), m, d)[0]
-
-
-def self_chi(delta, omega_d, m: MediumParams, d: DriveParams):
-    """Self response of the Stokes transition (independent of the pump)."""
-    _require_finite("delta", delta)
-    _require_finite("omega_d", omega_d)
-    return _chi_pair_raw(np.asarray(delta, dtype=float), np.asarray(omega_d, dtype=float), m, d)[1]
-
-
-def doppler_average(
-    f: Callable[[np.ndarray], np.ndarray],
-    m: MediumParams,
-    q: DopplerQuadrature = DEFAULT_QUADRATURE,
-) -> complex:
-    """Gaussian velocity average of ``f(omega_d)`` by the trapezoidal rule.
-
-    ``f`` must accept an ndarray of Doppler shifts (Gamma units) and return
-    values of the same shape.  The quadrature is spectrally accurate for
-    integrands whose poles stay at least Gamma/2 away from the real axis,
-    which holds for both susceptibilities.
-    """
-    nodes = q.nodes(m)
-    values = np.asarray(f(nodes))
-    if not np.all(np.isfinite(values)):
-        raise DomainError("integrand returned non-finite values on the Doppler grid")
-    return complex(np.sum(values * q.weights(m)))
 
 
 def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
@@ -290,6 +252,25 @@ def _unfold(upper: np.ndarray, n: int, sign: float) -> np.ndarray:
     return np.concatenate((sign * np.conj(upper[::-1][: n // 2]), upper))
 
 
+def _self_pole(delta: np.ndarray, gamma: float, gamma3: float, square: float):
+    """Pole P of the self response in omega_d on a detuning array, with
+    square = Omega_c^2, and the mask of the dark point.
+
+    The self response is -(alpha_s*G3/8) / (omega_d - P) with
+    P = Omega_c^2/(4*(delta + i*gamma)) - delta - i*G3/2, whose imaginary
+    part is at most -G3/2.  The one formula holds two limits.  With the
+    coupling off the two-photon factor cancels and P = -delta - i*G3/2, the
+    two-level pole, finite also at delta = gamma = 0.  At delta = gamma = 0
+    with the coupling on (the dark point) P is infinite, so the Doppler mean
+    <1/(omega_d - P)> vanishes: the mask marks those points, where the
+    returned P is a finite placeholder and callers set the mean to 0.
+    """
+    two_photon = delta + 1j * gamma
+    zero = two_photon == 0.0
+    pole = square / (4.0 * np.where(zero, 1.0, two_photon)) - delta - 0.5j * gamma3
+    return pole, (zero if square != 0.0 else np.zeros_like(zero))
+
+
 def _averaged_pair(
     delta: np.ndarray, m: MediumParams, d: DriveParams, q: DopplerQuadrature | None = None
 ):
@@ -297,14 +278,10 @@ def _averaged_pair(
 
     Without a quadrature the averages are exact, and ``delta`` must be
     antisymmetric, delta[::-1] == -delta, as a SpectralGrid's is.  The self
-    response is -(alpha_s*G3/8) / (omega_d - P) with the pole
-    P = Omega_c^2/(4*(delta + i*gamma)) - delta - i*G3/2, whose imaginary part
-    is at most -G3/2, and the cross response splits into partial fractions
-    over P and the pump pole Q = Delta_p + i*G4/2.  Two limits are explicit:
-    with the coupling off the two-photon factor cancels and P = -delta - i*G3/2
-    (the two-level response), and at delta = gamma = 0 with the coupling on
-    P is infinite, so the self response and P's share of the cross response
-    vanish.
+    response is a single pole P in omega_d (:func:`_self_pole`), and the
+    cross response splits into partial fractions over P and the pump pole
+    Q = Delta_p + i*G4/2; at the dark point the self response and P's share
+    of the cross response vanish.
 
     P(-delta) = -conj P(delta) and the Gaussian weight is even, so the mean
     <1/(omega_d - P)>, and with it the self response, is anti-conjugate in
@@ -327,27 +304,19 @@ def _averaged_pair(
         return cross, self_
 
     n = delta.size
-    upper = delta[n // 2 :]
-    level = upper + 0.5j * m.gamma3
-    if d.omega_c == 0.0:
-        mean_p = _unfold(_mean_inverse(-level, m.gamma_doppler), n, -1.0)
-        cross = np.zeros(n, dtype=complex)
-    else:
-        two_photon = upper + 1j * m.gamma
-        dark = two_photon == 0.0
-        pole = d.omega_c**2 / (4.0 * np.where(dark, 1.0, two_photon)) - level
-        pump_pole = d.delta_p + 0.5j * m.gamma4
-        # One call for both poles.  Im Q > 0: the average at Q is the
-        # conjugate of the one at conj(Q).
-        means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
-        mean_p = _unfold(np.where(dark, 0.0, means[:-1]), n, -1.0)
-        mean_q = np.conj(means[-1])
-        front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
-            4.0 * (delta + 1j * m.gamma) * (pump_pole + (delta + 0.5j * m.gamma3)) - d.omega_c**2
-        )
-        cross = front * (mean_q - mean_p)
+    pole, dark = _self_pole(delta[n // 2 :], m.gamma, m.gamma3, d.omega_c**2)
+    pump_pole = d.delta_p + 0.5j * m.gamma4
+    # One call for both poles.  Im Q > 0: the average at Q is the
+    # conjugate of the one at conj(Q).
+    means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
+    mean_p = _unfold(np.where(dark, 0.0, means[:-1]), n, -1.0)
     self_ = -(m.alpha_s * m.gamma3 / 8.0) * mean_p
-    return cross, self_
+    if d.omega_c == 0.0:
+        return np.zeros(n, dtype=complex), self_
+    front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
+        4.0 * (delta + 1j * m.gamma) * (pump_pole + (delta + 0.5j * m.gamma3)) - d.omega_c**2
+    )
+    return front * (np.conj(means[-1]) - mean_p), self_
 
 
 def eit_transmission(
@@ -383,20 +352,16 @@ def _transmission_raw(
     The caller validates the parameters; the EIT fit does so once, not per
     evaluation.  T depends on the coupling only through omega_c^2, the
     variable the EIT fit uses.  T = exp(-g*Re w(u)) with u = -P/Gamma_D, the
-    self-response pole P of :func:`_averaged_pair`, and
-    g = alpha_s*G3*sqrt(pi)/(2*Gamma_D).  At delta = gamma = 0 the two-photon
-    factor vanishes: with the coupling off P is the two-level pole, and with
-    it on P is infinite, w vanishes and T = 1.  The derivative
-    w'(u) = -2u*w(u) + 2i/sqrt(pi) reuses the one Faddeeva evaluation; the
-    gradient needs gamma > 0, which the EIT fit's bound keeps.
+    self-response pole P of :func:`_self_pole`, and
+    g = alpha_s*G3*sqrt(pi)/(2*Gamma_D); at the dark point w vanishes and
+    T = 1.  The derivative w'(u) = -2u*w(u) + 2i/sqrt(pi) reuses the one
+    Faddeeva evaluation; the gradient needs gamma > 0, which the EIT fit's
+    bound keeps.
     """
-    two_photon = delta + 1j * gamma
-    dark = two_photon == 0.0
-    pole = square / (4.0 * np.where(dark, 1.0, two_photon)) - delta - 0.5j * gamma3
+    pole, dark = _self_pole(delta, gamma, gamma3, square)
     u = pole / -gamma_doppler
     w = _faddeeva(u)
-    if square != 0.0:
-        w[dark] = 0.0
+    w[dark] = 0.0
     gain = 0.5 * alpha_s * gamma3 * math.sqrt(math.pi) / gamma_doppler
     t = np.exp(-gain * w.real)
 
@@ -411,6 +376,7 @@ def _transmission_raw(
                 1.0 + v * (1.5 + v * (3.75 + v * (13.125 + v * 59.0625)))
             )
         dw_dpole = dw / -gamma_doppler
+        two_photon = delta + 1j * gamma
         dpole_dsquare = 0.25 / two_photon
         dpole_dgamma = -1j * square * dpole_dsquare / two_photon
         scale = -gain * t
@@ -443,11 +409,16 @@ def eit_spectrum(
     return Spectrum(grid, eit_transmission(grid, m, d, q))
 
 
+def _edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The outermost 10% of a spectrum's samples on each side, at least one."""
+    k = max(1, round(0.1 * values.size))
+    return values[:k], values[-k:]
+
+
 def spectrum_baseline(s: Spectrum) -> float:
     """Baseline transmission: mean over the outermost 10% of samples per side."""
-    n = s.transmission.size
-    k = max(1, round(0.1 * n))
-    return 0.5 * (s.transmission[:k].mean() + s.transmission[-k:].mean())
+    left, right = _edges(s.transmission)
+    return 0.5 * (left.mean() + right.mean())
 
 
 def spectrum_fwhm(s: Spectrum) -> float:

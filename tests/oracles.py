@@ -1,0 +1,31 @@
+"""Reference implementations that the tests compare the package against."""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from sfwm.errors import DomainError
+from sfwm.physics import DopplerQuadrature, MediumParams
+
+DEFAULT_QUADRATURE = DopplerQuadrature()
+
+
+def doppler_average(
+    f: Callable[[np.ndarray], np.ndarray],
+    m: MediumParams,
+    q: DopplerQuadrature = DEFAULT_QUADRATURE,
+) -> complex:
+    """Gaussian velocity average of ``f(omega_d)`` by the trapezoidal rule.
+
+    ``f`` must accept an ndarray of Doppler shifts (Gamma units) and return
+    values of the same shape.  The quadrature is spectrally accurate for
+    integrands whose poles stay at least Gamma/2 away from the real axis,
+    which holds for both susceptibilities.
+    """
+    nodes = q.nodes(m)
+    values = np.asarray(f(nodes))
+    if not np.all(np.isfinite(values)):
+        raise DomainError("integrand returned non-finite values on the Doppler grid")
+    return complex(np.sum(values * q.weights(m)))

@@ -15,13 +15,15 @@ from sfwm.biphoton import (
     DEFAULT_COUNT,
     _derived_count,
     _etalon_response,
-    _is_uniform,
+    _is_delay_grid,
     _next_fast_len,
     _phase_matching,
     _synthesis_factors,
 )
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
-from sfwm.physics import _cross_prefactor, _mean_inverse
+from sfwm.physics import _chi_pair_raw, _cross_prefactor, _mean_inverse
+
+from oracles import doppler_average
 
 from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS, scenario
 
@@ -224,11 +226,11 @@ class TestSpectralAmplitude:
         """Closed-form-averaged amplitude vs scipy.quad at samples near the peak."""
         gd = medium_a.gamma_doppler
 
-        def averaged(func, delta):
+        def averaged(index, delta):
             def component(part):
                 val, _ = quad(
                     lambda w: np.exp(-((w / gd) ** 2)) / (np.sqrt(np.pi) * gd)
-                    * part(func(delta, w, medium_a, drive_a)),
+                    * part(_chi_pair_raw(delta, w, medium_a, drive_a)[index]),
                     -np.inf,
                     np.inf,
                     epsabs=1e-11,
@@ -242,8 +244,8 @@ class TestSpectralAmplitude:
         ipk = int(np.argmax(mags))
         for idx in (ipk - 40, ipk, ipk + 40):
             delta = float(amplitude_a.grid.delta[idx])
-            c = averaged(sfwm.cross_chi, delta)
-            z = averaged(sfwm.self_chi, delta)
+            c = averaged(0, delta)
+            z = averaged(1, delta)
             oracle = c * np.sin(z) / z * np.exp(1j * z)
             assert abs(oracle - amplitude_a.values[idx]) / abs(oracle) < 1e-6
 
@@ -255,8 +257,11 @@ class TestSpectralAmplitude:
         )
         for idx in (0, 311, 512, 777):
             delta = float(grid.delta[idx])
-            c_ref = sfwm.doppler_average(lambda w: sfwm.cross_chi(delta, w, medium_a, drive_a), medium_a)
-            z_ref = sfwm.doppler_average(lambda w: sfwm.self_chi(delta, w, medium_a, drive_a), medium_a)
+            def pair(w):
+                return _chi_pair_raw(delta, w, medium_a, drive_a)
+
+            c_ref = doppler_average(lambda w: pair(w)[0], medium_a)
+            z_ref = doppler_average(lambda w: pair(w)[1], medium_a)
             assert abs(cross[idx] - c_ref) <= 1e-12 * abs(c_ref)
             assert abs(self_[idx] - z_ref) <= 1e-12 * abs(z_ref)
 
@@ -294,11 +299,11 @@ class TestSpectralAmplitude:
         delta = float(grid.delta[idx])
         gd = m.gamma_doppler
         exact = sfwm.averaged_susceptibilities(grid, m, d)
-        for func, value in zip((sfwm.cross_chi, sfwm.self_chi), exact):
+        for index, value in enumerate(exact):
             parts = [
                 quad(
                     lambda w: np.exp(-((w / gd) ** 2)) / (np.sqrt(np.pi) * gd)
-                    * part(func(delta, w, m, d)),
+                    * part(_chi_pair_raw(delta, w, m, d)[index]),
                     -np.inf, np.inf, epsabs=1e-15, epsrel=1e-13, limit=800,
                 )[0]
                 for part in (np.real, np.imag)
@@ -430,14 +435,17 @@ class TestWavePacket:
             sfwm.wavepacket(amplitude_a, DELAY_NS, onset_ns=onset_ns)
 
     def test_uniformity_matches_allclose(self):
-        """On finite grids the check is np.allclose's, tolerances included."""
+        """On finite grids the check is a rising first step and np.allclose's
+        test, tolerances included."""
         rng = np.random.default_rng(3)
         for _ in range(2000):
             step = 10.0 ** rng.uniform(-12.0, 4.0)
             jitter = 10.0 ** rng.uniform(-12.0, -7.0) * max(step, 1.0)
             t = rng.uniform(-1e4, 1e4) + step * np.arange(20) + rng.normal(0.0, jitter, 20)
             steps = np.diff(t)
-            assert _is_uniform(t) == np.allclose(steps, steps[0], rtol=1e-9, atol=1e-9)
+            assert _is_delay_grid(t) == (
+                steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-9)
+            )
 
     def test_pump_scaling_is_quadratic_and_exact(self, medium_a):
         tau = np.arange(0.0, 1500.0, 25.6)

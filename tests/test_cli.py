@@ -527,6 +527,8 @@ LATE_USAGE_ERRORS = [
     ("synth", "[detection]\nsuccess_probability = 0.0088\n", ["--tau-max-ns", "1e30"]),
     ("synth", "", ["--peak-sbr", "10", "--timetags", "TAGS"]),
     ("synth", "[detection]\naccumulation_s = 0\n", ["--peak-sbr", "10", "--timetags", "TAGS"]),
+    # Without a success probability a non-finite peak SBR reaches expected_bins.
+    ("synth", "", ["--peak-sbr", "nan"]),
     ("simulate-eit", "", ["--out", "MISSING"]),
     ("simulate-biphoton", "", ["--out", "MISSING"]),
     ("sweep", "", ["--powers-mw", "1", "--out", "MISSING"]),
@@ -579,6 +581,19 @@ class TestSynth:
         cfg = tmp_path / "none.ini"
         cfg.write_text("[medium]\nod_stokes = 80\n[grid]\ncount = 8192\n")
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("timetags", [False, True])
+    def test_peak_sbr_and_success_probability_rejected(self, tmp_path, capsys, timetags):
+        """One normalization per run: a CSV scaled by the peak SBR beside
+        tags drawn from the success probability would disagree."""
+        cfg, out, tags = tmp_path / "both.ini", tmp_path / "h.csv", tmp_path / "tags.txt"
+        cfg.write_text(STRONG_CONFIG.replace("accumulation_s = 1200", "accumulation_s = 20"))
+        extra = ["--timetags", str(tags)] if timetags else []
+        argv = ["synth", "--config", str(cfg), "--out", str(out), "--peak-sbr", "2", *extra]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--peak-sbr" in err and "[detection] success_probability" in err
+        assert not out.exists() and not tags.exists()
 
     def test_weak_coupling_synth_recovers_decay_constant(self, weak_config, tmp_path, capsys):
         out = tmp_path / "hist.csv"

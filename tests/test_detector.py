@@ -63,6 +63,15 @@ class TestExpectedBins:
         with pytest.raises(UsageError):
             sfwm.expected_bins(w, model(), 1.0, peak_sbr=42.0, success_probability=0.01)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+    def test_invalid_success_probability_is_usage_error(self, p):
+        """The expectation and the time tags share one rule and its message."""
+        w = exponential_packet(1.0, 260.0, span_ns=4000.0)
+        with pytest.raises(UsageError, match=re.escape("must lie in [0, 1]")):
+            sfwm.expected_bins(w, model(), 1.0, success_probability=p)
+        with pytest.raises(UsageError, match=re.escape("must lie in [0, 1]")):
+            sfwm.generate_timetags(w, model(), 1.0, p)
+
     def test_doubling_accumulation_doubles_means_exactly(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         m1 = sfwm.expected_bins(w, model(accumulation_s=1200.0), 1.0, success_probability=0.0088)

@@ -7,7 +7,9 @@ from scipy.special import wofz
 
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
-from sfwm.physics import _faddeeva, _transmission_raw
+from sfwm.physics import _chi_pair_raw, _faddeeva, _transmission_raw
+
+from oracles import doppler_average
 
 # Independent high-precision evaluations (40-digit arithmetic) of the two
 # response functions, frozen as regression constants.
@@ -61,11 +63,11 @@ class TestParams:
 class TestCrossChi:
     def test_zero_pump_gives_zero(self):
         d = sfwm.DriveParams(omega_c=2.6, omega_p=0.0)
-        assert sfwm.cross_chi(0.3, -1.2, medium(), d) == 0.0
+        assert _chi_pair_raw(0.3, -1.2, medium(), d)[0] == 0.0
 
     def test_regression_against_high_precision_value(self):
         d = sfwm.DriveParams(omega_c=2.7, omega_p=2.0, delta_p=-333.3)
-        value = sfwm.cross_chi(0.0, 0.0, medium(), d)
+        value = _chi_pair_raw(0.0, 0.0, medium(), d)[0]
         assert value.real == pytest.approx(CROSS_REF.real, rel=1e-13)
         assert value.imag == pytest.approx(CROSS_REF.imag, rel=1e-13)
 
@@ -73,44 +75,42 @@ class TestCrossChi:
         m = medium()
         d1 = sfwm.DriveParams(omega_c=2.7, omega_p=1.3)
         d2 = sfwm.DriveParams(omega_c=2.7, omega_p=2.6)
-        assert sfwm.cross_chi(0.2, 3.0, m, d1) * 2.0 == sfwm.cross_chi(0.2, 3.0, m, d2)
-
-    def test_nonfinite_input_rejected(self):
-        with pytest.raises(DomainError):
-            sfwm.cross_chi(float("nan"), 0.0, medium(), sfwm.DriveParams(omega_c=1.0))
+        assert _chi_pair_raw(0.2, 3.0, m, d1)[0] * 2.0 == _chi_pair_raw(0.2, 3.0, m, d2)[0]
 
 
 class TestSelfChi:
     def test_vanishes_on_resonance_without_decoherence(self):
         m = medium(gamma=0.0)
-        assert sfwm.self_chi(0.0, 1.0, m, sfwm.DriveParams(omega_c=2.0)) == 0.0
+        assert _chi_pair_raw(0.0, 1.0, m, sfwm.DriveParams(omega_c=2.0))[1] == 0.0
 
     def test_regression_against_high_precision_value(self):
-        value = sfwm.self_chi(0.01, 0.0, medium(), sfwm.DriveParams(omega_c=0.65))
+        value = _chi_pair_raw(0.01, 0.0, medium(), sfwm.DriveParams(omega_c=0.65))[1]
         assert value.real == pytest.approx(SELF_REF.real, rel=1e-13)
         assert value.imag == pytest.approx(SELF_REF.imag, rel=1e-13)
 
     def test_strong_coupling_suppression(self):
         m = medium()
-        weak = sfwm.self_chi(0.01, 0.0, m, sfwm.DriveParams(omega_c=1.0))
-        strong = sfwm.self_chi(0.01, 0.0, m, sfwm.DriveParams(omega_c=1e3))
+        weak = _chi_pair_raw(0.01, 0.0, m, sfwm.DriveParams(omega_c=1.0))[1]
+        strong = _chi_pair_raw(0.01, 0.0, m, sfwm.DriveParams(omega_c=1e3))[1]
         assert abs(strong) < 1e-4 * abs(weak)
 
     def test_independent_of_pump_parameters(self):
         m = medium()
-        a = sfwm.self_chi(0.3, -2.0, m, sfwm.DriveParams(omega_c=1.5, omega_p=0.1, delta_p=-100.0))
-        b = sfwm.self_chi(0.3, -2.0, m, sfwm.DriveParams(omega_c=1.5, omega_p=9.0, delta_p=40.0))
+        d_a = sfwm.DriveParams(omega_c=1.5, omega_p=0.1, delta_p=-100.0)
+        d_b = sfwm.DriveParams(omega_c=1.5, omega_p=9.0, delta_p=40.0)
+        a = _chi_pair_raw(0.3, -2.0, m, d_a)[1]
+        b = _chi_pair_raw(0.3, -2.0, m, d_b)[1]
         assert a == b
 
 
 class TestDopplerAverage:
     def test_constant(self):
-        value = sfwm.doppler_average(lambda w: np.full(w.shape, 3.7 + 0.4j), medium())
+        value = doppler_average(lambda w: np.full(w.shape, 3.7 + 0.4j), medium())
         assert value == pytest.approx(3.7 + 0.4j, rel=1e-6)
 
     def test_second_moment(self):
         m = medium()
-        value = sfwm.doppler_average(lambda w: w**2 + 0j, m)
+        value = doppler_average(lambda w: w**2 + 0j, m)
         assert value.real == pytest.approx(m.gamma_doppler**2 / 2.0, rel=1e-4)
 
     def test_against_adaptive_quadrature_oracle(self, medium_b, drive_b):
@@ -122,7 +122,7 @@ class TestDopplerAverage:
 
         def component(part):
             val, err = quad(
-                lambda w: gauss(w) * part(sfwm.self_chi(0.01, w, medium_b, drive_b)),
+                lambda w: gauss(w) * part(_chi_pair_raw(0.01, w, medium_b, drive_b)[1]),
                 -np.inf,
                 np.inf,
                 epsabs=1e-10,
@@ -133,15 +133,15 @@ class TestDopplerAverage:
             return val
 
         oracle = component(np.real) + 1j * component(np.imag)
-        trap = sfwm.doppler_average(lambda w: sfwm.self_chi(0.01, w, medium_b, drive_b), medium_b)
+        trap = doppler_average(lambda w: _chi_pair_raw(0.01, w, medium_b, drive_b)[1], medium_b)
         assert abs(trap - oracle) / abs(oracle) < 1e-3
 
     def test_linearity(self):
         m = medium()
         f = lambda w: 1.0 / (w + 10.0 + 2j)
         g = lambda w: np.exp(1j * w / 40.0)
-        combined = sfwm.doppler_average(lambda w: 2.5 * f(w) - 1.5j * g(w), m)
-        split = 2.5 * sfwm.doppler_average(f, m) - 1.5j * sfwm.doppler_average(g, m)
+        combined = doppler_average(lambda w: 2.5 * f(w) - 1.5j * g(w), m)
+        split = 2.5 * doppler_average(f, m) - 1.5j * doppler_average(g, m)
         assert abs(combined - split) / abs(split) < 1e-12
 
     def test_against_closed_form_faddeeva_oracle(self):
@@ -165,7 +165,7 @@ class TestDopplerAverage:
             pole = omega_c**2 / (4.0 * two_photon) - delta - 0.5j * m.gamma3
 
             self_closed = -(m.alpha_s * m.gamma3 / 8.0) * avg_lower(pole)
-            self_trap = sfwm.doppler_average(lambda w: sfwm.self_chi(delta, w, m, d), m)
+            self_trap = doppler_average(lambda w: _chi_pair_raw(delta, w, m, d)[1], m)
             assert abs(self_trap - self_closed) / abs(self_closed) < 1e-6
 
             pump_pole = d.delta_p + 0.5j * m.gamma4
@@ -174,12 +174,12 @@ class TestDopplerAverage:
             cross_closed = front / (pump_pole - pole) * (
                 avg_lower(pole) - avg_upper(pump_pole)
             )
-            cross_trap = sfwm.doppler_average(lambda w: sfwm.cross_chi(delta, w, m, d), m)
+            cross_trap = doppler_average(lambda w: _chi_pair_raw(delta, w, m, d)[0], m)
             assert abs(cross_trap - cross_closed) / abs(cross_closed) < 1e-6
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(DomainError):
-            sfwm.doppler_average(lambda w: np.full(w.shape, np.nan), medium())
+            doppler_average(lambda w: np.full(w.shape, np.nan), medium())
 
 
 class TestFaddeeva:
@@ -241,6 +241,18 @@ class TestTransmissionGradient:
             down = self.transmission(square - h * shift[0], gamma - h * shift[1])
             central = (up - down) / (2.0 * h)
             assert np.max(np.abs(analytic - central)) < 1e-6 * np.max(np.abs(central))
+
+    @pytest.mark.parametrize("omega_c", [2.6, 0.0])
+    def test_dark_point(self, omega_c):
+        """Without decoherence delta = 0 is the dark point of the pole: with
+        the coupling on both paths give T = 1 exactly there, and with it off
+        the two-level absorption."""
+        t, _ = self.model(self.DELTA, omega_c**2, 0.0)
+        np.testing.assert_allclose(t, self.transmission(omega_c**2, 0.0), rtol=1e-13)
+        if omega_c:
+            assert t[120] == 1.0
+        else:
+            assert 0.0 < t[120] < 1.0
 
     def test_coupling_off(self):
         """On the bound omega_c = 0 the slope in omega_c^2 is finite and the
