@@ -24,9 +24,10 @@ Z(-delta) = -conj Z(delta) (see physics._averaged_pair), so the
 phase-matching factor is conjugate and is evaluated on delta >= 0 only; the
 cross response has no such symmetry and is formed at every detuning.
 
-Two one-entry memos hold the factors that do not depend on the medium or the
-drive, so a sweep over powers on one grid builds them once; each array is
-read-only.
+Three one-entry memos hold the arrays that do not depend on the medium or
+the drive, so a sweep over powers on one grid builds them once; each array
+is read-only.  _grid_delta holds a SpectralGrid's detunings, keyed on its
+half-width and count.
 _synthesis_factors holds the transform length, the trapezoid-weighted chirp
 and the Bluestein kernel spectrum, keyed on the grid count and spacing, the
 delay-axis length, the product of the two spacings and the phase offset
@@ -43,6 +44,16 @@ P >= max(delay span, 20/gamma), so count = the smallest 7-smooth integer not
 below 1 + half_width*P/pi, capped at the 32768 samples of the default grid
 (and at that cap when gamma = 0).  It also widens the window while |A| has
 not decayed at its edges.
+
+Ownership: each stage writes only into arrays it allocated itself, never
+into its arguments or into a memo entry, and returns arrays that no other
+call holds (apply_etalons returns a new amplitude).  Inside a stage the
+arithmetic lands in place, through ufunc ``out=``, ``*=`` and ``/=``, mask
+assignment and numpy.fft's ``out=``.  The reason is the allocator: in a
+fresh process each transient grid-sized array faults in new pages, since
+freed pages go back to the system, and a sweep would pay that for every
+power.  Each operation keeps its operands and their order, so results are
+bit-identical to the expression in the comment beside the code.
 """
 
 from __future__ import annotations
@@ -77,6 +88,18 @@ MAX_WIDENINGS = 4
 MAX_DELAY_BINS = 1_000_000
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_delta(half_width: float, count: int) -> np.ndarray:
+    """Read-only detunings of SpectralGrid(half_width, count).  One entry:
+    the last grid."""
+    delta = np.linspace(-half_width, half_width, count)
+    if count % 2:
+        delta[count // 2] = 0.0
+    delta[: count // 2] = -delta[: (count - 1) // 2 : -1]
+    delta.flags.writeable = False
+    return delta
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Uniform, symmetric detuning grid for the pair amplitude (Gamma units).
@@ -108,13 +131,9 @@ class SpectralGrid:
     def delta(self) -> np.ndarray:
         """The samples of np.linspace over +-half_width, made exactly
         antisymmetric: the lower half mirrors the upper, and an odd count
-        has delta = 0 at its midpoint."""
-        n = self._samples()
-        delta = np.linspace(-self.half_width, self.half_width, n)
-        if n % 2:
-            delta[n // 2] = 0.0
-        delta[: n // 2] = -delta[: (n - 1) // 2 : -1]
-        return delta
+        has delta = 0 at its midpoint.  Read-only, and shared by grids of
+        the same half-width and count."""
+        return _grid_delta(self.half_width, self._samples())
 
     @property
     def spacing(self) -> float:
@@ -196,7 +215,10 @@ def _phase_matching(z: np.ndarray) -> np.ndarray:
     w = 2j * z
     e = np.expm1(w)
     same = e == w
-    return np.where(same, 1.0, e / np.where(same, 1.0, w))
+    w[same] = 1.0
+    e /= w
+    e[same] = 1.0
+    return e
 
 
 def averaged_susceptibilities(
@@ -230,13 +252,14 @@ def spectral_amplitude(
     overflows, as it does at decay rates far past any vapor's.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        cross, self_ = averaged_susceptibilities(grid, m, d, q)
+        # A = C * expm1(2iZ)/(2iZ), formed in the array of the cross response C.
+        values, self_ = averaged_susceptibilities(grid, m, d, q)
         if q is None:
             # The exact Z is anti-conjugate in delta, so the factor is conjugate.
             n = grid.count
-            values = cross * _unfold(_phase_matching(self_[n // 2 :]), n, 1.0)
+            values *= _unfold(_phase_matching(self_[n // 2 :]), n, 1.0)
         else:
-            values = cross * _phase_matching(self_)
+            values *= _phase_matching(self_)
     amp = BiphotonAmplitude(grid, values)
     peak = float(np.abs(amp.values).max())
     if peak > 0.0:
@@ -255,8 +278,15 @@ def _etalon_response(grid: SpectralGrid, e: EtalonChain) -> np.ndarray:
     the last grid and chain."""
     f_hz = DEFAULT_UNITS.frequency_to_hz(grid.delta)
     response = np.ones(grid.count, dtype=complex)
+    offset = np.empty(grid.count)
+    pole = np.empty(grid.count, dtype=complex)
     for fwhm, center in zip(e.fwhm_hz, e.centers_hz):
-        response /= 1.0 - 2j * (f_hz - center) / fwhm
+        # response /= 1 - 2i*(f - center)/FWHM
+        np.subtract(f_hz, center, out=offset)
+        np.multiply(2j, offset, out=pole)
+        pole /= fwhm
+        np.subtract(1.0, pole, out=pole)
+        response /= pole
     response.flags.writeable = False
     return response
 
@@ -305,13 +335,24 @@ def _synthesis_factors(
     last grid, delay axis and onset.
     """
     size = _next_fast_len(n_delta + n_tau - 1)
-    centered = np.arange(n_delta) - 0.5 * (n_delta - 1)
-    chirp = np.exp(-1j * centered * (shift + 0.5 * b * centered))
+    centered = np.arange(n_delta, dtype=float)
+    centered -= 0.5 * (n_delta - 1)
+    # chirp = exp(-i*centered * (shift + b*centered/2))
+    phase = np.multiply(0.5 * b, centered)
+    np.add(shift, phase, out=phase)
+    chirp = np.multiply(-1j, centered)
+    chirp *= phase
+    np.exp(chirp, out=chirp)
     chirp *= h / (2.0 * np.pi)
     chirp[[0, -1]] *= 0.5
-    lag = np.arange(size)
-    lag = np.where(lag < n_tau, lag, lag - size)
-    spectrum = np.fft.fft(np.exp(0.5j * b * (lag + 0.5 * (n_delta - 1)) ** 2))
+    # spectrum = fft(exp(i*b*(lag + (n_delta - 1)/2)^2/2))
+    lag = np.arange(size, dtype=float)
+    lag[n_tau:] -= size
+    lag += 0.5 * (n_delta - 1)
+    np.square(lag, out=lag)
+    spectrum = np.multiply(0.5j * b, lag)
+    np.exp(spectrum, out=spectrum)
+    np.fft.fft(spectrum, out=spectrum)
     chirp.flags.writeable = False
     spectrum.flags.writeable = False
     return size, chirp, spectrum
@@ -331,8 +372,8 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     tau_ns = np.asarray(tau_ns, dtype=float)
     if tau_ns.size < 2:
         raise UsageError("delay grid needs at least two samples")
-    if not _is_delay_grid(tau_ns):
-        raise UsageError("delay grid must be uniform and increasing")
+    # The packet's constructor checks the delay grid; g2 is filled in below.
+    packet = WavePacket(tau_ns, np.zeros(tau_ns.size), float(tau_ns[1] - tau_ns[0]))
     if not math.isfinite(onset_ns):
         raise UsageError(f"onset must be finite, got {onset_ns!r} ns")
     span = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0]))
@@ -354,10 +395,20 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     n_tau = tau_ns.size
     b = h * span / (n_tau - 1)
     tau0 = DEFAULT_UNITS.time_from_ns(float(tau_ns[0]) - onset_ns)
-    size, chirp, kernel = _synthesis_factors(a.grid.count, n_tau, h, b, h * tau0)
-    y = np.fft.ifft(np.fft.fft(a.values * chirp, size) * kernel)[:n_tau]
-    g2 = y.real**2 + y.imag**2
-    return WavePacket(tau_ns, g2, float(tau_ns[1] - tau_ns[0]))
+    n_delta = a.grid.count
+    size, chirp, kernel = _synthesis_factors(n_delta, n_tau, h, b, h * tau0)
+    # y = ifft(fft(a.values * chirp, size) * kernel)[:n_tau], in one buffer
+    f = np.empty(size, dtype=complex)
+    np.multiply(a.values, chirp, out=f[:n_delta])
+    f[n_delta:] = 0.0
+    np.fft.fft(f, out=f)
+    f *= kernel
+    np.fft.ifft(f, out=f)
+    y = f[:n_tau]
+    # g2 = y.real**2 + y.imag**2
+    np.square(y.real, out=packet.g2)
+    packet.g2 += np.square(y.imag, out=y.imag)
+    return packet
 
 
 def _derived_count(half_width: float, gamma: float, span: float, cap: int) -> int:

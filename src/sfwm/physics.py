@@ -44,7 +44,13 @@ The probe (Stokes) transmission follows from the averaged self response:
 
 where the factor 4 restores the full self-susceptibility exponent.
 
-All functions here are pure.
+All functions here are pure, and write only into arrays they allocated
+themselves, never into an argument.  The grid-sized ones make each result
+array once and land the rest of the arithmetic in it (ufunc ``out=``,
+``*=``, mask assignment): in a fresh process every transient grid-sized
+array faults in new pages, since the allocator hands freed pages back, and
+a sweep would pay that for every power.  Each operation keeps its operands
+and their order, so results are bit-identical to the plain expressions.
 """
 
 from __future__ import annotations
@@ -242,14 +248,22 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
 
 def _mean_inverse(z, gamma_doppler: float):
     """<1/(omega_d - z)> over the normalized Gaussian, for Im z < 0."""
-    return -1j * math.sqrt(math.pi) / gamma_doppler * _faddeeva(-z / gamma_doppler)
+    u = np.negative(z)
+    u /= gamma_doppler
+    w = _faddeeva(u)
+    return np.multiply(-1j * math.sqrt(math.pi) / gamma_doppler, w, out=w)
 
 
 def _unfold(upper: np.ndarray, n: int, sign: float) -> np.ndarray:
     """Values on an antisymmetric grid of n detunings of a function with
     f(-delta) = sign*conj(f(delta)), from its values on the upper half
     delta[n//2:] (which holds delta = 0 when n is odd)."""
-    return np.concatenate((sign * np.conj(upper[::-1][: n // 2]), upper))
+    out = np.empty(n, dtype=upper.dtype)
+    lower = out[: n // 2]
+    np.conj(upper[::-1][: n // 2], out=lower)
+    np.multiply(sign, lower, out=lower)
+    out[n // 2 :] = upper
+    return out
 
 
 def _self_pole(delta: np.ndarray, gamma: float, gamma3: float, square: float):
@@ -265,9 +279,13 @@ def _self_pole(delta: np.ndarray, gamma: float, gamma3: float, square: float):
     <1/(omega_d - P)> vanishes: the mask marks those points, where the
     returned P is a finite placeholder and callers set the mean to 0.
     """
-    two_photon = delta + 1j * gamma
-    zero = two_photon == 0.0
-    pole = square / (4.0 * np.where(zero, 1.0, two_photon)) - delta - 0.5j * gamma3
+    pole = delta + 1j * gamma
+    zero = pole == 0.0
+    pole[zero] = 1.0
+    np.multiply(4.0, pole, out=pole)
+    np.divide(square, pole, out=pole)
+    pole -= delta
+    pole -= 0.5j * gamma3
     return pole, (zero if square != 0.0 else np.zeros_like(zero))
 
 
@@ -309,14 +327,24 @@ def _averaged_pair(
     # One call for both poles.  Im Q > 0: the average at Q is the
     # conjugate of the one at conj(Q).
     means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
-    mean_p = _unfold(np.where(dark, 0.0, means[:-1]), n, -1.0)
-    self_ = -(m.alpha_s * m.gamma3 / 8.0) * mean_p
+    means[:-1][dark] = 0.0
+    mean_p = _unfold(means[:-1], n, -1.0)
     if d.omega_c == 0.0:
-        return np.zeros(n, dtype=complex), self_
-    front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
-        4.0 * (delta + 1j * m.gamma) * (pump_pole + (delta + 0.5j * m.gamma3)) - d.omega_c**2
-    )
-    return front * (np.conj(means[-1]) - mean_p), self_
+        cross = np.zeros(n, dtype=complex)
+    else:
+        # cross = prefactor * (conj <1/(omega_d - conj Q)> - <1/(omega_d - P)>)
+        #         / (4*(delta + i*gamma)*(Q + delta + i*G3/2) - Omega_c^2)
+        cross = delta + 1j * m.gamma
+        np.multiply(4.0, cross, out=cross)
+        work = delta + 0.5j * m.gamma3
+        np.add(pump_pole, work, out=work)
+        cross *= work
+        cross -= d.omega_c**2
+        np.divide(_cross_prefactor(m) * d.omega_p * d.omega_c, cross, out=cross)
+        np.subtract(np.conj(means[-1]), mean_p, out=work)
+        cross *= work
+    # The self response -(alpha_s*G3/8) * mean_p, written over mean_p.
+    return cross, np.multiply(-(m.alpha_s * m.gamma3 / 8.0), mean_p, out=mean_p)
 
 
 def eit_transmission(

@@ -10,18 +10,19 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import sfwm
-from sfwm import analysis
+from sfwm import analysis, biphoton
 from sfwm.biphoton import (
     DEFAULT_COUNT,
     _derived_count,
     _etalon_response,
+    _grid_delta,
     _is_delay_grid,
     _next_fast_len,
     _phase_matching,
     _synthesis_factors,
 )
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
-from sfwm.physics import _chi_pair_raw, _cross_prefactor, _mean_inverse
+from sfwm.physics import _averaged_pair, _chi_pair_raw, _cross_prefactor, _mean_inverse
 
 from oracles import doppler_average
 
@@ -542,7 +543,7 @@ class TestKernelMemo:
 
     def test_each_memo_holds_one_entry(self):
         """One grid's factors at most stay resident, whatever a run sweeps."""
-        for memo in (_synthesis_factors, _etalon_response):
+        for memo in (_synthesis_factors, _etalon_response, _grid_delta):
             assert memo.cache_info().maxsize == 1
 
     def test_sweep_equals_sweep_with_memo_cleared_per_power(self):
@@ -562,6 +563,124 @@ class TestKernelMemo:
         for name in ("tau_ns", "linewidth_hz", "eit_fwhm_hz", "rate_pairs_per_s",
                      "brightness", "sbr"):
             assert np.array_equal(getattr(memo, name), getattr(fresh, name)), name
+
+
+# Odd count: delta = 0 is on the grid, the dark point when gamma = 0.
+OWNERSHIP_GRID = sfwm.SpectralGrid(half_width=24.0, count=4097)
+OWNERSHIP_CASES = {
+    "strong": (sfwm.MediumParams(80.0, 0.028), sfwm.DriveParams(2.6), None),
+    "dark point": (sfwm.MediumParams(80.0, 0.0), sfwm.DriveParams(2.6), None),
+    "coupling off": (sfwm.MediumParams(80.0, 0.028), sfwm.DriveParams(0.0), None),
+    "quadrature": (sfwm.MediumParams(80.0, 0.028), sfwm.DriveParams(2.6), FAST_QUAD),
+}
+
+
+class TestOwnership:
+    """Each stage writes only into arrays it allocated: its array arguments
+    and the memo entries are left as they were, and two calls return equal
+    arrays that share no memory with each other or with a memo."""
+
+    @staticmethod
+    def assert_fresh(first, second):
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+
+    @staticmethod
+    def amplitude(case):
+        m, d, q = OWNERSHIP_CASES[case]
+        return sfwm.spectral_amplitude(OWNERSHIP_GRID, m, d, q, edge_tol=np.inf)
+
+    def test_memo_entries_are_read_only(self):
+        entries = (
+            OWNERSHIP_GRID.delta,
+            _etalon_response(OWNERSHIP_GRID, biphoton.DEFAULT_ETALONS),
+            *_synthesis_factors(OWNERSHIP_GRID.count, 157, OWNERSHIP_GRID.spacing, 0.01, 0.5)[1:],
+        )
+        for array in entries:
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("case", OWNERSHIP_CASES)
+    def test_averaged_susceptibilities(self, case):
+        """On the grid's read-only detunings, and on a writable copy passed
+        to the physics layer directly."""
+        m, d, q = OWNERSHIP_CASES[case]
+        memo = OWNERSHIP_GRID.delta
+        delta = memo.copy()
+        first = sfwm.averaged_susceptibilities(OWNERSHIP_GRID, m, d, q)
+        second = _averaged_pair(delta, m, d, q)
+        assert OWNERSHIP_GRID.delta is memo and np.array_equal(memo, delta)
+        for a, b in zip(first, second):
+            self.assert_fresh(a, b)
+            assert not np.shares_memory(a, memo) and not np.shares_memory(b, delta)
+        assert not np.shares_memory(*first)
+
+    @pytest.mark.parametrize("case", OWNERSHIP_CASES)
+    def test_spectral_amplitude(self, case):
+        delta = OWNERSHIP_GRID.delta
+        before = delta.copy()
+        first, second = self.amplitude(case), self.amplitude(case)
+        assert np.array_equal(delta, before)
+        self.assert_fresh(first.values, second.values)
+        assert not np.shares_memory(first.values, delta)
+
+    def test_phase_matching(self):
+        """Over points where the factor is 1 (z = 0, subnormal) and where it
+        is the quotient."""
+        z = np.array(PHASE_MATCHING_POINTS, dtype=complex)
+        before = z.copy()
+        first, second = _phase_matching(z), _phase_matching(z)
+        assert np.array_equal(z, before)
+        self.assert_fresh(first, second)
+        assert not np.shares_memory(first, z)
+
+    @pytest.mark.parametrize("case", ["strong", "coupling off"])
+    def test_apply_etalons(self, case):
+        amp = self.amplitude(case)
+        before = amp.values.copy()
+        first = sfwm.apply_etalons(amp)
+        response = _etalon_response(OWNERSHIP_GRID, biphoton.DEFAULT_ETALONS)
+        response_before = response.copy()
+        second = sfwm.apply_etalons(amp)
+        assert np.array_equal(amp.values, before)
+        assert np.array_equal(response, response_before) and not response.flags.writeable
+        self.assert_fresh(first.values, second.values)
+        for out in (first.values, second.values):
+            assert not np.shares_memory(out, amp.values)
+            assert not np.shares_memory(out, response)
+
+    def test_wavepacket(self):
+        amp = sfwm.apply_etalons(self.amplitude("strong"))
+        values = amp.values.copy()
+        tau = DELAY_NS.copy()
+        entries = []
+
+        def spy(*args):
+            entries.append(_synthesis_factors(*args))
+            return entries[-1]
+
+        with mock.patch.object(biphoton, "_synthesis_factors", spy):
+            first = sfwm.wavepacket(amp, tau, onset_ns=ONSET_NS)
+            memo = [array.copy() for array in entries[0][1:]]
+            second = sfwm.wavepacket(amp, tau, onset_ns=ONSET_NS)
+        assert np.array_equal(tau, DELAY_NS) and np.array_equal(amp.values, values)
+        assert entries[0] is entries[1]
+        for array, copy in zip(entries[0][1:], memo):
+            assert np.array_equal(array, copy) and not array.flags.writeable
+        self.assert_fresh(first.g2, second.g2)
+        for g2 in (first.g2, second.g2):
+            for array in (amp.values, tau, *entries[0][1:]):
+                assert not np.shares_memory(g2, array)
+
+    @pytest.mark.parametrize("tau", [DELAY_NS, *BAD_DELAY_GRIDS.values()],
+                             ids=["good", *BAD_DELAY_GRIDS.keys()])
+    def test_one_delay_grid_check_per_packet(self, amplitude_a, tau):
+        with mock.patch.object(biphoton, "_is_delay_grid", wraps=_is_delay_grid) as check:
+            try:
+                sfwm.wavepacket(amplitude_a, tau)
+            except UsageError:
+                pass
+        assert check.call_count == 1
 
 
 class TestAreaAndRise:

@@ -32,6 +32,14 @@ def test_scipy_is_not_a_runtime_dependency():
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
 
+def test_runtime_dependencies_are_numpy_2():
+    """numpy 2.0 brought np.trapezoid and numpy.fft's out=, which the
+    package calls; numpy is the only runtime dependency."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+
+
 def test_failing_hypothesis_test_fails_alone(pytester):
     """Under the project's warning filters a failing @given test is one
     failure, and the session still runs the test after it."""
