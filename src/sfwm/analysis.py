@@ -34,6 +34,7 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     InversionError,
+    PeakShapeError,
     UsageError,
 )
 from .physics import (
@@ -626,7 +627,8 @@ def sweep_predict(
     background rate.  Rates are relative unless anchored: ``rate_anchor=
     (power_mw, pairs_per_s_per_MHz)`` fixes the rate per linewidth at one power.
     The brightness divides the rate by the pump power that the scenario's
-    ``drive.omega_p`` implies and by the linewidth.
+    ``drive.omega_p`` implies and by the linewidth.  The EIT width is nan
+    at a power whose spectrum has no measurable transparency window.
     """
     powers = np.asarray(powers_mw, dtype=float)
     if powers.size == 0:
@@ -650,7 +652,10 @@ def sweep_predict(
         taus[i] = fit_exponential(packet, x0_ns=scenario.fit_onset_ns).tau_ns
         areas[i] = wavepacket_area(packet)
         peaks[i] = rise_time_convolve(packet, scenario.rise_ns).g2.max()
-        fwhms[i] = spectrum_fwhm(eit_spectrum(eit_scan, scenario.medium, drive, scenario.q))
+        try:
+            fwhms[i] = spectrum_fwhm(eit_spectrum(eit_scan, scenario.medium, drive, scenario.q))
+        except PeakShapeError:
+            fwhms[i] = math.nan
 
     linewidths = np.array([linewidth_from_tau(t) for t in taus])
     sbrs = peaks / np.array([background_rate(p) for p in powers])

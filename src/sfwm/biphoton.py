@@ -174,21 +174,40 @@ class EtalonChain:
 DEFAULT_ETALONS = EtalonChain()
 
 
+def _step_tolerance(step: float) -> float:
+    """How far a delay step may stray from ``step``: rtol = atol = 1e-9, the
+    test of np.allclose."""
+    return 1e-9 + 1e-9 * abs(step)
+
+
 def _is_delay_grid(t: np.ndarray) -> bool:
     """Whether ``t`` increases in steps that are finite and equal to the
-    first within rtol = atol = 1e-9, the test of np.allclose.  Fewer than
-    two samples pass."""
+    first within _step_tolerance.  Fewer than two samples pass."""
     if t.size < 2:
         return True
     steps = t[1:] - t[:-1]
     first = float(steps[0])
-    tol = 1e-9 + 1e-9 * abs(first)
-    return 0.0 < first < math.inf and bool(np.abs(steps - first).max() <= tol)
+    return 0.0 < first < math.inf and bool(np.abs(steps - first).max() <= _step_tolerance(first))
+
+
+def _check_delay_grid(t: np.ndarray, bin_ns: float, name: str) -> None:
+    """Raise UsageError, naming the grid as ``name``, unless ``t`` is a delay
+    grid, ``bin_ns`` is finite and positive, and the first step is
+    ``bin_ns`` within _step_tolerance."""
+    if not _is_delay_grid(t):
+        raise UsageError(f"{name} must be uniform and increasing")
+    # Written so that nan fails every comparison.
+    if not 0.0 < bin_ns < math.inf:
+        raise UsageError(f"bin width must be finite and positive, got {bin_ns!r}")
+    if t.size >= 2:
+        first = float(t[1] - t[0])
+        if not abs(bin_ns - first) <= _step_tolerance(first):
+            raise UsageError(f"bin width {bin_ns!r} ns differs from the {name} step {first!r} ns")
 
 
 @dataclass(eq=False)
 class WavePacket:
-    """Unnormalized two-photon correlation G2 on a uniform delay grid (ns)."""
+    """Unnormalized two-photon correlation G2 on a delay grid in steps of ``bin_ns`` (ns)."""
 
     tau_ns: np.ndarray
     g2: np.ndarray
@@ -199,8 +218,7 @@ class WavePacket:
         self.g2 = np.asarray(self.g2, dtype=float)
         if self.tau_ns.size != self.g2.size:
             raise UsageError("tau and g2 lengths differ")
-        if not _is_delay_grid(self.tau_ns):
-            raise UsageError("delay grid must be uniform and increasing")
+        _check_delay_grid(self.tau_ns, self.bin_ns, "delay grid")
         if np.any(self.g2 < 0):
             raise UsageError("correlation values must be nonnegative")
 

@@ -34,7 +34,7 @@ from .errors import (
     PeakShapeError,
     UsageError,
 )
-from .physics import DriveParams, MediumParams, Spectrum, eit_spectrum, spectrum_fwhm
+from .physics import Spectrum, eit_spectrum, spectrum_fwhm
 from .units import DEFAULT_UNITS
 
 
@@ -149,14 +149,12 @@ def cmd_simulate_biphoton(args) -> int:
 
 
 def cmd_fit_eit(args) -> int:
+    scenario = load_config(args.config)
     header, data = _read_csv(args.csv)
     if data.size == 0 or len(header) < 2:
         raise UsageError(f"{args.csv} contains no usable spectrum")
     spectrum = Spectrum(DEFAULT_UNITS.frequency_from_hz(data[:, 0]), data[:, 1])
-    # fit_eit inverts the optical depth from the baseline; this one is not read.
-    m0 = MediumParams(alpha_s=1.0, gamma=DEFAULT_UNITS.frequency_from_hz(args.gamma0_mhz * 1e6))
-    d0 = DriveParams(omega_c=DEFAULT_UNITS.frequency_from_hz(args.coupling0_mhz * 1e6))
-    fit = fit_eit(spectrum, m0, d0)
+    fit = fit_eit(spectrum, scenario.medium, scenario.drive)
     _report(
         {
             "alpha_s": fit.alpha_s,
@@ -167,8 +165,8 @@ def cmd_fit_eit(args) -> int:
             "residual_norm": fit.residual_norm,
             "converged": fit.converged,
             "initial_guess": {
-                "coupling_rabi_mhz": args.coupling0_mhz,
-                "decoherence_mhz": args.gamma0_mhz,
+                "coupling_rabi_mhz": DEFAULT_UNITS.frequency_to_hz(scenario.drive.omega_c) / 1e6,
+                "decoherence_mhz": DEFAULT_UNITS.frequency_to_hz(scenario.medium.gamma) / 1e6,
             },
         }
     )
@@ -176,6 +174,7 @@ def cmd_fit_eit(args) -> int:
 
 
 def cmd_fit_biphoton(args) -> int:
+    scenario = load_config(args.config)
     header, data = _read_csv(args.csv)
     if data.size == 0 or len(header) < 2:
         raise UsageError(f"{args.csv} contains no usable wave packet")
@@ -183,7 +182,7 @@ def cmd_fit_biphoton(args) -> int:
     if tau.size < 2:
         raise UsageError("need at least two delay samples")
     packet = WavePacket(tau, np.maximum(data[:, 1], 0.0), float(tau[1] - tau[0]))
-    fit = fit_exponential(packet, x0_ns=args.x0_ns)
+    fit = fit_exponential(packet, x0_ns=scenario.fit_onset_ns)
     ratio = sbr(fit)
     _report(
         {
@@ -229,6 +228,10 @@ def cmd_sweep(args) -> int:
          "brightness_pairs_per_s_mw_mhz", "sbr"],
         rows,
     )
+    unmeasured = np.isnan(sweep.eit_fwhm_hz)
+    if unmeasured.any():
+        listed = ", ".join(f"{p:g}" for p in sweep.powers_mw[unmeasured])
+        _note(f"no transparency window above the baseline at {listed} mW: eit_fwhm_hz is nan")
     imax = int(np.argmax(sweep.brightness))
     _note(f"peak spectral brightness at {sweep.powers_mw[imax]:g} mW")
     return 0
@@ -282,8 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     tau_max_help = f"delay span in ns, at most {MAX_DELAY_BINS} detection bins"
 
-    def add_common(p):
+    def add_config(p):
         p.add_argument("--config", default=None, help="INI config file (defaults if omitted)")
+
+    def add_common(p):
+        add_config(p)
         p.add_argument("--out", default="-", help="output CSV path, '-' for stdout")
 
     p = sub.add_parser("simulate-eit", help="transparency spectrum over a detuning range")
@@ -299,14 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate_biphoton)
 
     p = sub.add_parser("fit-eit", help="recover medium parameters from a spectrum CSV")
+    add_config(p)
     p.add_argument("--csv", required=True)
-    p.add_argument("--coupling0-mhz", type=float, default=15.6)
-    p.add_argument("--gamma0-mhz", type=float, default=0.15)
     p.set_defaults(func=cmd_fit_eit)
 
     p = sub.add_parser("fit-biphoton", help="exponential fit of a wave-packet CSV")
+    add_config(p)
     p.add_argument("--csv", required=True)
-    p.add_argument("--x0-ns", type=float, default=200.0)
     p.set_defaults(func=cmd_fit_biphoton)
 
     p = sub.add_parser("sweep", help="figures of merit across coupling powers")
@@ -329,13 +334,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A closed stdout shows here at the latest, not at interpreter exit.
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"sfwm: error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"sfwm: numerical error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader went away.  What is still buffered goes to the null
+        # device, so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("sfwm: error: cannot write stdout", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

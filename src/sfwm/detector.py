@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import background_rate
-from .biphoton import WavePacket, _check_delay_span, _is_delay_grid
+from .biphoton import WavePacket, _check_delay_grid, _check_delay_span
 from .errors import UsageError
 
 TIMETAG_FORMAT = "sfwm-timetags v1"
@@ -106,8 +106,7 @@ class CoincidenceHistogram:
             raise UsageError("counts must be nonnegative")
         if self.delay_ns.size != self.counts.size:
             raise UsageError("delay grid and counts lengths differ")
-        if not _is_delay_grid(self.delay_ns):
-            raise UsageError("delay bins must be uniform and increasing")
+        _check_delay_grid(self.delay_ns, self.bin_ns, "delay bin grid")
 
     def to_wavepacket(self) -> WavePacket:
         """View the counts as a wave packet for the exponential fitter."""
@@ -133,11 +132,12 @@ def expected_bins(
     Exactly one normalization must be chosen: ``success_probability`` scales
     the packet so its total signal counts equal that probability per trigger;
     ``peak_sbr`` pins the peak signal to a multiple of the flat background.
+    The background fills each bin of the packet's width ``w.bin_ns``.
     """
     if (success_probability is None) == (peak_sbr is None):
         raise UsageError("choose exactly one of success_probability, peak_sbr")
     n_triggers = dm.trigger_rate * dm.accumulation_s
-    bkg_per_bin = n_triggers * background_rate(p_mw) * (dm.bin_ns * 1e-9)
+    bkg_per_bin = n_triggers * background_rate(p_mw) * (w.bin_ns * 1e-9)
 
     total = float(w.g2.sum())
     if success_probability is not None:

@@ -399,7 +399,13 @@ def _transmission_raw(
         # delta = 0), where the asymptotic series is exact to rounding.
         far = np.abs(u) > 30.0
         if far.any():
-            v = u[far] ** -2
+            # Past |u| = 1e150, u**-2 would overflow on the way to a value
+            # below 1e-300; the series is 0 there to rounding.
+            v = u[far]
+            huge = np.abs(v) > 1e150
+            v[huge] = 1.0
+            v **= -2
+            v[huge] = 0.0
             dw[far] = -1j * _INV_SQRT_PI * v * (
                 1.0 + v * (1.5 + v * (3.75 + v * (13.125 + v * 59.0625)))
             )

@@ -429,6 +429,19 @@ class TestWavePacket:
         with pytest.raises(UsageError):
             sfwm.WavePacket(tau, np.ones(tau.size), 10.0)
 
+    @pytest.mark.parametrize("bin_ns", [25.6, 10.0 + 2e-8, np.nan, np.inf, 0.0, -10.0])
+    def test_bin_width_is_the_grid_step(self, bin_ns):
+        """A packet has one bin width: its grid step."""
+        with pytest.raises(UsageError, match="bin width"):
+            sfwm.WavePacket(np.arange(0.0, 100.0, 10.0), np.ones(10), bin_ns)
+
+    def test_bin_width_within_the_grid_tolerance_is_accepted(self):
+        t = np.arange(0.0, 100.0, 10.0)
+        assert sfwm.WavePacket(t, np.ones(10), 10.0 + 5e-9).bin_ns == 10.0 + 5e-9
+        assert sfwm.WavePacket(t[:1], np.ones(1), 25.6).bin_ns == 25.6
+        with pytest.raises(UsageError, match="bin width"):
+            sfwm.WavePacket(t[:1], np.ones(1), np.nan)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("onset_ns", [np.nan, np.inf, -np.inf])
     def test_nonfinite_onset_is_usage_error(self, amplitude_a, onset_ns):

@@ -1,7 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -161,19 +164,22 @@ class TestSimulateBiphoton:
     def test_huge_optical_depth_stays_finite(self, tmp_path, capsys, command):
         """The phase-matching factor is finite at any finite depth, so the
         packet commands write finite rows; the sweep's EIT spectrum has no
-        transparency window to measure, and it says so."""
+        transparency window to measure, so that one column is nan, and it
+        says so."""
         cfg = tmp_path / "deep.ini"
         cfg.write_text("[medium]\nod_stokes = 1e20\n[detection]\nsuccess_probability = 0.0088\n")
         out = tmp_path / "x.csv"
-        code = main([command, "--config", str(cfg), "--out", str(out)])
+        extra = ["--powers-mw", "0.5,1"] if command == "sweep" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+        header, rows = read_csv(out)
+        assert rows.size
         if command == "sweep":
-            assert code == 3
-            assert "no peak above baseline" in capsys.readouterr().err
-            assert not out.exists()
+            fwhm = header.index("eit_fwhm_hz")
+            assert np.all(np.isnan(rows[:, fwhm]))
+            assert np.all(np.isfinite(np.delete(rows, fwhm, axis=1)))
+            assert "no transparency window above the baseline at 0.5, 1 mW" in capsys.readouterr().err
         else:
-            assert code == 0
-            _, rows = read_csv(out)
-            assert rows.size and np.all(np.isfinite(rows))
+            assert np.all(np.isfinite(rows))
 
     def test_strong_coupling_widens_the_grid_like_the_sweep(self, tmp_path):
         """At 31.2 MHz |A| has not decayed at the edges of the default window;
@@ -214,13 +220,33 @@ class TestFitCommands:
         out = tmp_path / "eit.csv"
         assert main(["simulate-eit", "--config", weak_config, "--out", str(out)]) == 0
         capsys.readouterr()
-        code = main(["fit-eit", "--csv", str(out), "--coupling0-mhz", "3.0", "--gamma0-mhz", "0.2"])
+        code = main(["fit-eit", "--config", weak_config, "--csv", str(out)])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["alpha_s"] == pytest.approx(82.0, rel=0.01)
         assert report["coupling_rabi_mhz"] == pytest.approx(3.9, rel=0.01)
         assert report["decoherence_mhz"] == pytest.approx(0.144, rel=0.01)
         assert report["converged"]
+        assert report["initial_guess"] == pytest.approx(
+            {"coupling_rabi_mhz": 3.9, "decoherence_mhz": 0.144}, rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "line", ["doppler_width_mhz = 200", "doppler_width_mhz = 324",
+                 "doppler_width_mhz = 500", "decay3_mhz = 4"]
+    )
+    def test_fit_eit_holds_the_configured_medium(self, tmp_path, capsys, line):
+        """fit-eit fixes the Doppler width and the decay rate at the config's
+        values, so it recovers the spectrum's alpha, Omega_c and gamma."""
+        cfg, out = tmp_path / "run.ini", tmp_path / "eit.csv"
+        cfg.write_text(f"[medium]\n{line}\n")
+        assert main(["simulate-eit", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["fit-eit", "--config", str(cfg), "--csv", str(out)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["alpha_s"] == pytest.approx(80.0, rel=0.01)
+        assert report["omega_c_gamma_units"] == pytest.approx(2.7, rel=0.01)
+        assert report["decoherence_mhz"] == pytest.approx(0.168, rel=0.01)
 
     def test_fit_eit_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -237,6 +263,18 @@ class TestFitCommands:
         assert report["tau_ns"] == pytest.approx(260.0, rel=1e-6)
         assert report["sbr"] == pytest.approx(42.0, rel=1e-6)
         assert report["cs_violation"] == pytest.approx(441.0, rel=1e-6)
+        assert report["onset_ns"] == 200.0
+
+    def test_fit_biphoton_reads_the_fit_onset(self, tmp_path, capsys):
+        t = np.arange(0.0, 8000.0, 25.6)
+        y = 10.0 + np.where(t >= 300.0, 420.0 * np.exp(-(t - 300.0) / 260.0), 0.0)
+        path, cfg = tmp_path / "wp.csv", tmp_path / "run.ini"
+        path.write_text("delay_ns,counts\n" + "\n".join(f"{a},{b}" for a, b in zip(t, y)) + "\n")
+        cfg.write_text("[run]\nfit_onset_ns = 300\n")
+        assert main(["fit-biphoton", "--config", str(cfg), "--csv", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["onset_ns"] == 300.0
+        assert report["tau_ns"] == pytest.approx(260.0, rel=1e-6)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("row", [3, 40])  # baseline window, fit region
@@ -405,11 +443,15 @@ def test_brightness_divides_by_the_configured_pump_power(tmp_path):
     ("synth", "--power-mw"),
     ("synth", "--success-probability"),
     ("fit-eit", "--alpha0"),
+    ("fit-eit", "--coupling0-mhz"),
+    ("fit-eit", "--gamma0-mhz"),
+    ("fit-biphoton", "--x0-ns"),
 ])
 def test_config_copies_are_not_options(tmp_path, capsys, command, option):
-    """The pump and coupling powers and the success probability come from
-    the config alone; fit-eit inverts the optical depth from the baseline."""
-    path = ["--csv" if command == "fit-eit" else "--out", str(tmp_path / "x.csv")]
+    """The pump and coupling powers, the success probability, the fit
+    commands' starting values and the fit onset come from the config alone;
+    fit-eit inverts the optical depth from the baseline."""
+    path = ["--csv" if command.startswith("fit-") else "--out", str(tmp_path / "x.csv")]
     with pytest.raises(SystemExit) as exc:
         main([command, option, "1", *path])
     assert exc.value.code == 2
@@ -465,6 +507,9 @@ csv_texts = st.lists(
 # The cross response overflows without a warning (exit 2).
 @example(command="simulate-biphoton",
          values={("medium", "decay3_mhz"): "1e300", ("medium", "decay4_mhz"): "1e300"}, csv=None)
+# The far-field series of the EIT fit's gradient squared a huge argument
+# (RuntimeWarning).
+@example(command="fit-eit", values={("medium", "decay3_mhz"): "1e300"}, csv=None)
 # Inputs of the fits: simulated, empty, header only, ragged, malformed,
 # non-finite, one column, too short, and spectra without a window.
 @example(command="fit-eit", values={}, csv=None)
@@ -487,7 +532,8 @@ csv_texts = st.lists(
 def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
     """Whatever the [medium], [drive] and run-timing values, and whatever a
     fit command's CSV holds, a command ends in success, a usage error or a
-    numerical error, never in a traceback."""
+    numerical error, never in a traceback.  The fit commands read the drawn
+    config too."""
     work = tmp_path_factory.mktemp("contract")
     text = "".join(
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
@@ -501,7 +547,7 @@ def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
             assert main([*CONTRACT_SOURCES[command], *config, "--out", str(data)]) in (0, 2, 3)
         else:
             data.write_text(csv)
-        argv = [command, "--csv", str(data)]
+        argv = [command, "--csv", str(data), *config]
     else:
         argv = [command, *CONTRACT_COMMANDS[command], *config, "--out", str(work / "out.csv")]
     assert main(argv) in (0, 2, 3)
@@ -555,6 +601,32 @@ def test_usage_error_writes_no_output(tmp_path, capsys, command, text, args):
     assert not out.exists() and not tags.exists()
     if "MISSING" in args:
         assert f"cannot write {missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate-eit", "fit-biphoton"])
+def test_closed_stdout_is_usage_error(tmp_path, command):
+    """A reader that closed the pipe ends the run with exit 2 and one line,
+    whether the CSV write or the final flush of a short report meets it."""
+    packet = tmp_path / "wp.csv"
+    t = np.arange(0.0, 4000.0, 25.6)
+    y = 10.0 + np.where(t >= 200.0, 420.0 * np.exp(-(t - 200.0) / 260.0), 0.0)
+    packet.write_text("delay_ns,counts\n" + "".join(f"{a},{b}\n" for a, b in zip(t, y)))
+    argv = {"simulate-eit": [], "fit-biphoton": ["--csv", str(packet)]}[command]
+    env = dict(os.environ)
+    package_root = str(Path(sfwm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sfwm.cli", command, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.strip().splitlines()[-1] == "sfwm: error: cannot write stdout"
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
 
 class TestSynth:
@@ -797,8 +869,8 @@ def base_argv(tmp_path):
     return {
         "simulate-eit": ["--config", cfg, "--out", out],
         "simulate-biphoton": ["--config", cfg, "--out", out],
-        "fit-eit": ["--csv", str(eit)],
-        "fit-biphoton": ["--csv", str(packet)],
+        "fit-eit": ["--config", cfg, "--csv", str(eit)],
+        "fit-biphoton": ["--config", cfg, "--csv", str(packet)],
         "sweep": ["--config", cfg, "--powers-mw", "1", "--anchor-power-mw", "1",
                   "--anchor-rate-per-mhz", "1500", "--out", out],
         "synth": ["--config", cfg, "--out", out, "--timetags", str(tmp_path / "tags.txt")],
@@ -811,7 +883,15 @@ class TestFloatOptionContract:
 
     def test_every_command_has_a_base_invocation(self, base_argv, capsys):
         assert set(subcommands(sfwm.cli.build_parser())) == set(base_argv)
-        assert len(float_options()) >= 10
+        assert sorted(float_options()) == [
+            ("simulate-biphoton", "--tau-max-ns"),
+            ("simulate-eit", "--delta-max-mhz"),
+            ("simulate-eit", "--delta-min-mhz"),
+            ("sweep", "--anchor-power-mw"),
+            ("sweep", "--anchor-rate-per-mhz"),
+            ("synth", "--peak-sbr"),
+            ("synth", "--tau-max-ns"),
+        ]
         for command, argv in base_argv.items():
             assert main([command, *argv]) == 0, command
 

@@ -1,9 +1,11 @@
+import configparser
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 import sfwm
-from sfwm.config import _SCHEMA, load_config
+from sfwm.config import _DEFAULTS, _SCHEMA, load_config
 from sfwm.errors import UsageError
 
 
@@ -149,3 +151,13 @@ def test_negative_seed_rejected(tmp_path):
 def test_invalid_run_timing_rejected(tmp_path, line):
     with pytest.raises(UsageError):
         load_config(write(tmp_path, f"[run]\n{line}\n"))
+
+
+def test_readme_table_matches_the_defaults():
+    """The README's config table names every section and key that the
+    loader accepts, and no other, each with the loader's default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Configuration file\n", 1)[1].split("```ini\n", 1)[1]
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.read_string(table.split("\n```", 1)[0])
+    assert {section: dict(parser[section]) for section in parser.sections()} == _DEFAULTS

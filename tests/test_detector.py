@@ -85,6 +85,13 @@ class TestExpectedBins:
         expected = 840.0 * 560.0 * 25.6e-9 * 1200.0
         assert means[0] == pytest.approx(expected, rel=1e-12)
 
+    def test_background_fills_the_packet_bins(self):
+        """The background per bin follows the packet's bin width, not the
+        model's."""
+        w = exponential_packet(0.0, 260.0, span_ns=4000.0, bin_ns=12.8)
+        means = sfwm.expected_bins(w, model(bin_ns=25.6), 1.0, success_probability=0.0)
+        assert means[0] == pytest.approx(840.0 * 560.0 * 12.8e-9 * 1200.0, rel=1e-12)
+
 
 class TestSynthHistogram:
     def test_deterministic_per_seed(self):
@@ -124,6 +131,11 @@ class TestSynthHistogram:
     def test_bad_delay_grid_is_usage_error(self, delay):
         with pytest.raises(UsageError):
             sfwm.CoincidenceHistogram(delay, np.ones(delay.size, dtype=int), 10.0)
+
+    @pytest.mark.parametrize("bin_ns", [25.6, np.nan, np.inf, 0.0, -10.0])
+    def test_bin_width_is_the_grid_step(self, bin_ns):
+        with pytest.raises(UsageError, match="bin width"):
+            sfwm.CoincidenceHistogram(np.arange(0.0, 100.0, 10.0), np.ones(10, dtype=int), bin_ns)
 
 
 def pair_loop_counts(triggers, partners, window_ns, bin_ns):
