@@ -39,11 +39,11 @@ y(tau) + y(tau + P) + ... with period P = 2*pi/h.  The slowest amplitude decay
 is exp(-gamma*t), with gamma the ground-state decoherence, so the aliased copy
 adds about 2*exp(-gamma*P) relative error to g2, its area and its peak.
 :func:`predict_packet`, the one path from a scenario to a filtered
-packet, therefore sizes the grid from the scenario unless given a count:
-P >= max(delay span, 20/gamma), so count = the smallest 7-smooth integer not
-below 1 + half_width*P/pi, capped at the 32768 samples of the default grid
-(and at that cap when gamma = 0).  It also widens the window while |A| has
-not decayed at its edges.
+packet, therefore sizes the grid from the scenario: P >= max(delay span,
+20/gamma), so count = the smallest 7-smooth integer not below
+1 + half_width*P/pi, capped at the scenario grid's count (and at that cap
+when gamma = 0).  It also widens the window while |A| has not decayed at its
+edges.
 
 Ownership: each stage writes only into arrays it allocated itself, never
 into its arguments or into a memo entry, and returns arrays that no other
@@ -74,9 +74,9 @@ if TYPE_CHECKING:
 
 # Default edge-decay requirement on |A| relative to its peak.
 EDGE_DECAY_TOL = 1e-3
-# Samples of the default grid; a derived count never exceeds it on the window
-# it starts from.
-DEFAULT_COUNT = 32768
+# Most samples of any spectral grid: the default grid's 32768 widened four
+# times.  A packet on it takes about 80 MB.
+MAX_COUNT = 1 << 19
 # Decay margin gamma*P of the derived grid, where P = 2*pi/spacing is the
 # period of the synthesized packet.  The aliased copy y(tau + P) adds about
 # 2*exp(-gamma*P) relative error to g2: 4e-9 at a margin of 20.
@@ -107,25 +107,21 @@ class SpectralGrid:
     The cross response falls off only as 1/delta out to the Doppler width, so
     the window must be much wider than the transparency feature it resolves;
     the default covers +-64 Gamma with a spacing fine enough for sub-MHz
-    features.  A ``count`` of None leaves the number of samples to
-    :func:`predict_packet`, which derives it from the scenario; such a grid
-    cannot be sampled directly.
+    features.  Sampled directly, the grid has ``count`` samples; as a
+    scenario's grid, ``count`` is the most that :func:`predict_packet` may
+    use on this window, and it derives fewer where the scenario needs fewer.
+    A count must be an integer in [1024, MAX_COUNT].
     """
 
     half_width: float = 64.0
-    count: int | None = DEFAULT_COUNT
+    count: int = 32768
 
     def __post_init__(self):
-        if self.count is not None and self.count < 1024:
-            raise UsageError("spectral grid needs at least 1024 samples")
+        if not (isinstance(self.count, (int, np.integer)) and 1024 <= self.count <= MAX_COUNT):
+            raise UsageError(f"grid count {self.count!r} is not within 1024 to {MAX_COUNT} samples")
         # Written so that nan fails every comparison.
         if not 0.0 < self.half_width < math.inf:
             raise UsageError("half_width must be finite and positive")
-
-    def _samples(self) -> int:
-        if self.count is None:
-            raise UsageError("grid count is derived per scenario; sample it through predict_packet")
-        return self.count
 
     @property
     def delta(self) -> np.ndarray:
@@ -133,11 +129,11 @@ class SpectralGrid:
         antisymmetric: the lower half mirrors the upper, and an odd count
         has delta = 0 at its midpoint.  Read-only, and shared by grids of
         the same half-width and count."""
-        return _grid_delta(self.half_width, self._samples())
+        return _grid_delta(self.half_width, self.count)
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.half_width / (self._samples() - 1)
+        return 2.0 * self.half_width / (self.count - 1)
 
 
 @dataclass(eq=False)
@@ -471,23 +467,19 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     """Etalon-filtered wave packet of a scenario on the delay grid ``tau_ns``.
 
     Reads the scenario's medium, drive, quadrature, etalons and onset.  The
-    spectral grid starts from ``scenario.grid``.  A grid without a count gets
-    one from _derived_count, capped at DEFAULT_COUNT; a grid with a count is
-    used as given.  Strong coupling spreads the amplitude tail: while |A| has
-    not decayed at the window edges, the window doubles, up to MAX_WIDENINGS
-    times.  A given count doubles with it, keeping the spacing; a derived one
-    is derived again with its cap doubled.  Raises GridTooNarrowError if the
-    widest window still fails.
+    spectral grid starts from ``scenario.grid``'s window, with a count from
+    _derived_count capped at the grid's count.  Strong coupling spreads the
+    amplitude tail: while |A| has not decayed at the window edges, the window
+    doubles, up to MAX_WIDENINGS times, and the count is derived again with
+    its cap doubled.  Raises GridTooNarrowError if the widest window still
+    fails, and UsageError if a widened count would pass MAX_COUNT.
     """
     m, d, start = scenario.medium, scenario.drive, scenario.grid
     tau_ns = np.asarray(tau_ns, dtype=float)
     span = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0])) if tau_ns.size else 0.0
     for widening in range(MAX_WIDENINGS + 1):
         half_width = start.half_width * 2**widening
-        if start.count is None:
-            count = _derived_count(half_width, m.gamma, span, DEFAULT_COUNT << widening)
-        else:
-            count = start.count << widening
+        count = _derived_count(half_width, m.gamma, span, start.count << widening)
         try:
             amp = spectral_amplitude(SpectralGrid(half_width, count), m, d, scenario.q)
             break

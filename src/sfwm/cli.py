@@ -37,6 +37,9 @@ from .errors import (
 from .physics import Spectrum, eit_spectrum, spectrum_fwhm
 from .units import DEFAULT_UNITS
 
+# Most detunings simulate-eit evaluates; their spectrum takes about 90 MB.
+MAX_POINTS = 1_000_000
+
 
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
@@ -99,8 +102,8 @@ def cmd_simulate_eit(args) -> int:
     scenario = load_config(args.config)
     if not (np.isfinite(args.delta_min_mhz) and np.isfinite(args.delta_max_mhz)):
         raise UsageError("--delta-min-mhz and --delta-max-mhz must be finite")
-    if args.points < 2 or not args.delta_min_mhz < args.delta_max_mhz:
-        raise UsageError("need at least 2 points and delta-min below delta-max")
+    if not 2 <= args.points <= MAX_POINTS or not args.delta_min_mhz < args.delta_max_mhz:
+        raise UsageError(f"need 2 to {MAX_POINTS} points and delta-min below delta-max")
     lo = DEFAULT_UNITS.frequency_from_hz(args.delta_min_mhz * 1e6)
     hi = DEFAULT_UNITS.frequency_from_hz(args.delta_max_mhz * 1e6)
     spectrum = eit_spectrum(
@@ -203,7 +206,12 @@ def cmd_fit_biphoton(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_config(args.config)
-    powers = [float(p) for p in args.powers_mw.split(",") if p.strip()]
+    powers = []
+    for token in filter(str.strip, args.powers_mw.split(",")):
+        try:
+            powers.append(float(token))
+        except ValueError:
+            raise UsageError(f"--powers-mw: {token.strip()!r} is not a number") from None
     if not powers:
         raise UsageError("empty power list")
     anchor = None
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--delta-min-mhz", type=float, default=-12.0)
     p.add_argument("--delta-max-mhz", type=float, default=12.0)
-    p.add_argument("--points", type=int, default=481)
+    p.add_argument("--points", type=int, default=481, help=f"at most {MAX_POINTS}")
     p.set_defaults(func=cmd_simulate_eit)
 
     p = sub.add_parser("simulate-biphoton", help="predicted wave packet on a delay grid")

@@ -22,42 +22,6 @@ from .units import DEFAULT_UNITS
 
 _MHZ = 1e6
 
-# An empty value, given or default, means the key's default; where that is
-# empty too, load_config works the value out (see the README's table).
-_DEFAULTS = {
-    "medium": {
-        "od_stokes": "80",
-        "od_anti_stokes": "",
-        "decoherence_mhz": "0.168",
-        "doppler_width_mhz": "324",
-        "decay3_mhz": "6.0",
-        "decay4_mhz": "6.0",
-    },
-    "drive": {
-        "coupling_rabi_mhz": "",
-        "coupling_power_mw": "",
-        "pump_rabi_mhz": "12.0",
-        "pump_detuning_mhz": "-2000",
-    },
-    "quadrature": {"half_range": "4.0", "step_mhz": "0.75"},
-    "grid": {"half_width_mhz": "384", "count": ""},
-    "etalons": {"fwhm_mhz": "45, 60", "centers_mhz": "0, 0"},
-    "detection": {
-        "eff_anti_stokes": "0.084",
-        "eff_stokes": "0.13",
-        "dark_anti_stokes_cps": "140",
-        "dark_stokes_cps": "220",
-        "trigger_cps": "840",
-        "bin_ns": "25.6",
-        "accumulation_s": "1200",
-        "success_probability": "",
-    },
-    "run": {"seed": "1", "onset_ns": "150", "rise_ns": "35", "fit_onset_ns": "200"},
-}
-
-# The accepted keys of each section.
-_SCHEMA = {section: set(keys) for section, keys in _DEFAULTS.items()}
-
 
 def _float(section: str, key: str, raw: str) -> float:
     try:
@@ -73,15 +37,70 @@ def _int(section: str, key: str, raw: str) -> int:
         raise UsageError(f"[{section}] {key} = {raw!r} is not an integer") from exc
 
 
-def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
+def _mhz(section: str, key: str, raw: str) -> float:
+    """A frequency in MHz, in Gamma units."""
+    return DEFAULT_UNITS.frequency_from_hz(_float(section, key, raw) * _MHZ)
+
+
+def _mhz_list(section: str, key: str, raw: str) -> tuple[float, ...]:
+    """Comma-separated frequencies in MHz, in Hz."""
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
+        return tuple(float(part) * _MHZ for part in raw.split(",") if part.strip())
     except ValueError as exc:
         raise UsageError(f"[{section}] {key} = {raw!r} is not a comma-separated list") from exc
 
 
-def _gamma_units(mhz: float) -> float:
-    return DEFAULT_UNITS.frequency_from_hz(mhz * _MHZ)
+# Each key's field and parser.  The fields of [medium], [drive], [quadrature],
+# [grid], [etalons] and [detection] are those of MediumParams, DriveParams,
+# DopplerQuadrature, SpectralGrid, EtalonChain and DetectionModel; seed is
+# DetectionModel's, and the coupling pair, success_probability and the run
+# timing are Scenario's.
+_KEYS = {
+    "medium": {
+        "od_stokes": ("alpha_s", _float),
+        "od_anti_stokes": ("alpha_as", _float),
+        "decoherence_mhz": ("gamma", _mhz),
+        "doppler_width_mhz": ("gamma_doppler", _mhz),
+        "decay3_mhz": ("gamma3", _mhz),
+        "decay4_mhz": ("gamma4", _mhz),
+    },
+    "drive": {
+        "coupling_rabi_mhz": ("omega_c", _mhz),
+        "coupling_power_mw": ("coupling_power_mw", _float),
+        "pump_rabi_mhz": ("omega_p", _mhz),
+        "pump_detuning_mhz": ("delta_p", _mhz),
+    },
+    "quadrature": {"half_range": ("half_range", _float), "step_mhz": ("step", _mhz)},
+    "grid": {"half_width_mhz": ("half_width", _mhz), "count": ("count", _int)},
+    "etalons": {"fwhm_mhz": ("fwhm_hz", _mhz_list), "centers_mhz": ("centers_hz", _mhz_list)},
+    "detection": {
+        "eff_anti_stokes": ("eff_as", _float),
+        "eff_stokes": ("eff_s", _float),
+        "dark_anti_stokes_cps": ("dark_as", _float),
+        "dark_stokes_cps": ("dark_s", _float),
+        "trigger_cps": ("trigger_rate", _float),
+        "bin_ns": ("bin_ns", _float),
+        "accumulation_s": ("accumulation_s", _float),
+        "success_probability": ("success_probability", _float),
+    },
+    "run": {
+        "seed": ("seed", _int),
+        "onset_ns": ("onset_ns", _float),
+        "rise_ns": ("rise_ns", _float),
+        "fit_onset_ns": ("fit_onset_ns", _float),
+    },
+}
+
+# A key left out or empty keeps its field's default, which the library
+# dataclass holds.  These are the defaults of the fields that have none; the
+# coupling pair's is in load_config.
+_DEFAULTS = {
+    ("medium", "od_stokes"): "80",
+    ("medium", "decoherence_mhz"): "0.168",
+    ("run", "onset_ns"): "150",
+    ("run", "rise_ns"): "35",
+    ("run", "fit_onset_ns"): "200",
+}
 
 
 @dataclass(frozen=True)
@@ -89,9 +108,12 @@ class Scenario:
     """One operating point of the source: everything a prediction reads.
 
     :func:`load_config` builds it from a config file, all defaults without
-    one; ``dataclasses.replace`` derives another.  ``drive.omega_c`` sets the
-    physics and ``coupling_power_mw`` the background law; ``q`` is None for
-    the exact Doppler average.  The run timing is in ns: the instrumental
+    one; ``dataclasses.replace`` derives another.  Each part keeps its own
+    class's defaults for the keys a file leaves out.  ``drive.omega_c`` sets
+    the physics and ``coupling_power_mw`` the background law; ``q`` is None
+    for the exact Doppler average; ``grid.count`` is the most samples
+    :func:`~sfwm.biphoton.predict_packet` may use on the starting window.
+    The run timing is in ns: the instrumental
     onset of the packet, the detector rise time and the onset of the
     exponential fit.  ``source_sha256`` and ``seed`` (the detection seed)
     are provenance for output headers.
@@ -131,7 +153,7 @@ class Scenario:
 
 def load_config(path: str | Path | None = None) -> Scenario:
     """Parse and validate a config file into a Scenario; ``None`` yields all defaults."""
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     raw_bytes = b""
     if path is not None:
         raw_bytes = Path(path).read_bytes()
@@ -141,82 +163,50 @@ def load_config(path: str | Path | None = None) -> Scenario:
             raise UsageError(f"cannot parse config {path}: {exc}") from exc
 
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _KEYS:
             raise UsageError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _SCHEMA[section]
+        unknown = set(parser[section]) - set(_KEYS[section])
         if unknown:
             raise UsageError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
-    def value(section: str, key: str):
-        raw = parser.get(section, key, fallback="").strip() or _DEFAULTS[section][key]
-        if raw == "":
-            return None
-        if key in ("fwhm_mhz", "centers_mhz"):
-            return _float_list(section, key, raw)
-        if key in ("seed", "count"):
-            return _int(section, key, raw)
-        return _float(section, key, raw)
+    def fields(section: str) -> dict:
+        """The section's values by field name, for the keys given or defaulted."""
+        values = {}
+        for key, (name, parse) in _KEYS[section].items():
+            raw = parser.get(section, key, fallback="").strip() or _DEFAULTS.get((section, key))
+            if raw:
+                values[name] = parse(section, key, raw)
+        return values
 
-    medium = MediumParams(
-        alpha_s=value("medium", "od_stokes"),
-        gamma=_gamma_units(value("medium", "decoherence_mhz")),
-        alpha_as=value("medium", "od_anti_stokes"),
-        gamma_doppler=_gamma_units(value("medium", "doppler_width_mhz")),
-        gamma3=_gamma_units(value("medium", "decay3_mhz")),
-        gamma4=_gamma_units(value("medium", "decay4_mhz")),
-    )
+    medium = MediumParams(**fields("medium"))
 
     # The coupling: a key left out follows from the other by the
     # Omega_c = 2.7*sqrt(P/mW) Gamma calibration, and 1 mW stands in for both.
-    rabi_mhz = value("drive", "coupling_rabi_mhz")
-    power_mw = value("drive", "coupling_power_mw")
-    if rabi_mhz is None:
+    drive = fields("drive")
+    power_mw = drive.pop("coupling_power_mw", None)
+    if "omega_c" not in drive:
         power_mw = 1.0 if power_mw is None else power_mw
-        omega_c = omega_c_from_power(power_mw)
-    else:
-        omega_c = _gamma_units(rabi_mhz)
-    drive = DriveParams(
-        omega_c=omega_c,
-        omega_p=_gamma_units(value("drive", "pump_rabi_mhz")),
-        delta_p=_gamma_units(value("drive", "pump_detuning_mhz")),
-    )
+        drive["omega_c"] = omega_c_from_power(power_mw)
+    drive = DriveParams(**drive)
     if power_mw is None:
         power_mw = (drive.omega_c / RABI_PER_ROOT_MW) ** 2
 
     # Without [quadrature] values the Doppler average is exact; any value there
     # selects the trapezoidal reference rule.
-    q = None
-    if parser.has_section("quadrature") and any(v.strip() for v in parser["quadrature"].values()):
-        q = DopplerQuadrature(
-            half_range=value("quadrature", "half_range"),
-            step=_gamma_units(value("quadrature", "step_mhz")),
-        )
-
+    quadrature = fields("quadrature")
+    detection, run = fields("detection"), fields("run")
+    success_probability = detection.pop("success_probability", None)
+    if "seed" in run:
+        detection["seed"] = run.pop("seed")
     return Scenario(
         medium=medium,
         drive=drive,
-        q=q,
-        grid=SpectralGrid(
-            half_width=_gamma_units(value("grid", "half_width_mhz")), count=value("grid", "count")
-        ),
-        etalons=EtalonChain(
-            fwhm_hz=tuple(f * _MHZ for f in value("etalons", "fwhm_mhz")),
-            centers_hz=tuple(c * _MHZ for c in value("etalons", "centers_mhz")),
-        ),
-        detection=DetectionModel(
-            eff_as=value("detection", "eff_anti_stokes"),
-            eff_s=value("detection", "eff_stokes"),
-            dark_as=value("detection", "dark_anti_stokes_cps"),
-            dark_s=value("detection", "dark_stokes_cps"),
-            trigger_rate=value("detection", "trigger_cps"),
-            bin_ns=value("detection", "bin_ns"),
-            accumulation_s=value("detection", "accumulation_s"),
-            seed=value("run", "seed"),
-        ),
-        onset_ns=value("run", "onset_ns"),
-        rise_ns=value("run", "rise_ns"),
-        fit_onset_ns=value("run", "fit_onset_ns"),
+        q=DopplerQuadrature(**quadrature) if quadrature else None,
+        grid=SpectralGrid(**fields("grid")),
+        etalons=EtalonChain(**fields("etalons")),
+        detection=DetectionModel(**detection),
+        **run,
         coupling_power_mw=power_mw,
-        success_probability=value("detection", "success_probability"),
+        success_probability=success_probability,
         source_sha256=hashlib.sha256(raw_bytes).hexdigest()[:16],
     )

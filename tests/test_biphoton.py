@@ -12,7 +12,8 @@ from scipy.integrate import quad
 import sfwm
 from sfwm import analysis, biphoton
 from sfwm.biphoton import (
-    DEFAULT_COUNT,
+    MAX_COUNT,
+    MAX_WIDENINGS,
     _derived_count,
     _etalon_response,
     _grid_delta,
@@ -29,6 +30,7 @@ from oracles import doppler_average
 from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS, scenario
 
 SMALL_GRID = sfwm.SpectralGrid(half_width=24.0, count=4096)
+DEFAULT_COUNT = sfwm.SpectralGrid().count
 FAST_QUAD = sfwm.DopplerQuadrature(step=0.25)
 
 
@@ -83,12 +85,13 @@ class TestSpectralGrid:
         steps = np.diff(g.delta)
         np.testing.assert_allclose(steps, g.spacing, rtol=1e-12)
 
-    def test_grid_without_count_cannot_be_sampled(self, medium_a, drive_a):
-        g = sfwm.SpectralGrid(count=None)
-        with pytest.raises(UsageError):
-            g.delta
-        with pytest.raises(UsageError):
-            sfwm.spectral_amplitude(g, medium_a, drive_a)
+    def test_maximum_count(self):
+        """Checked when the grid is built, before any array is; a count that
+        is not an integer fails the same check."""
+        assert sfwm.SpectralGrid(count=MAX_COUNT).count == MAX_COUNT == 1 << 19
+        for count in (MAX_COUNT + 1, 99_999_999, 2_000_000_000, 2048.5, None):
+            with pytest.raises(UsageError, match=f"1024 to {MAX_COUNT} samples"):
+                sfwm.SpectralGrid(count=count)
 
 
 def full_grid_pair(delta, m, d):
@@ -784,17 +787,28 @@ class TestPredictPacket:
         return (sfwm.MediumParams(alpha_s=82.0, gamma=gamma),
                 sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw)))
 
+    @staticmethod
+    def dense_packet(m, d, count):
+        """The packet on ``count`` samples over the default window, widened at
+        its own spacing while |A| has not decayed at the edges."""
+        for widening in range(MAX_WIDENINGS + 1):
+            grid = sfwm.SpectralGrid(64.0 * 2**widening, count << widening)
+            try:
+                amp = sfwm.spectral_amplitude(grid, m, d)
+                break
+            except GridTooNarrowError:
+                pass
+        return sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS)
+
     @pytest.mark.parametrize("p_mw", [0.02, 0.5, 5.0])
     @pytest.mark.parametrize("gamma", [0.015, 0.024, 0.028])
     def test_derived_grid_matches_four_times_denser(self, gamma, p_mw):
-        """At 5 mW both windows are widened, the explicit one at its own spacing."""
+        """At 5 mW both windows are widened, the dense one at its own spacing."""
         m, d = self.medium_drive(gamma, p_mw)
         count = _derived_count(64.0, gamma, self.SPAN, DEFAULT_COUNT)
         assert count < DEFAULT_COUNT
         derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
-        dense = sfwm.predict_packet(
-            scenario(m, d, grid=sfwm.SpectralGrid(count=4 * count)), DELAY_NS
-        )
+        dense = self.dense_packet(m, d, 4 * count)
         np.testing.assert_allclose(_figures(derived), _figures(dense), rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("gamma", [0.006, 0.0])
@@ -806,12 +820,29 @@ class TestPredictPacket:
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(derived.g2, direct.g2)
 
-    def test_explicit_grid_is_used_as_given(self, medium_a, drive_a):
+    def test_count_below_the_need_is_used(self, medium_a, drive_a):
+        """8192 samples are fewer than the 14580 gamma = 0.028 derives, so the
+        count caps the grid."""
         grid = sfwm.SpectralGrid(count=8192)
-        given = sfwm.predict_packet(scenario(medium_a, drive_a, grid=grid), DELAY_NS)
+        capped = sfwm.predict_packet(scenario(medium_a, drive_a, grid=grid), DELAY_NS)
         amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
-        assert np.array_equal(given.g2, direct.g2)
+        assert np.array_equal(capped.g2, direct.g2)
+
+    def test_count_above_the_need_is_a_cap_only(self, medium_a, drive_a):
+        """A larger count than the derived one changes nothing."""
+        derived = sfwm.predict_packet(scenario(medium_a, drive_a), DELAY_NS)
+        grid = sfwm.SpectralGrid(count=65536)
+        roomy = sfwm.predict_packet(scenario(medium_a, drive_a, grid=grid), DELAY_NS)
+        assert np.array_equal(roomy.g2, derived.g2)
+
+    def test_widening_past_the_maximum_count(self, medium_a):
+        """A count that doubles past MAX_COUNT on widening is a usage error."""
+        d = sfwm.DriveParams(omega_c=31.2 / 6.0)
+        m = dataclasses.replace(medium_a, gamma=0.0)
+        grid = sfwm.SpectralGrid(count=MAX_COUNT)
+        with pytest.raises(UsageError, match="samples"):
+            sfwm.predict_packet(scenario(m, d, grid=grid), DELAY_NS)
 
     @pytest.mark.parametrize("half_width", [8.0, 24.0, 64.0, 128.0, 1024.0])
     def test_count_never_exceeds_the_default_grid(self, half_width):

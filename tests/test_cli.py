@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import sfwm
 import sfwm.cli
-from sfwm.cli import main
-from sfwm.config import _SCHEMA
+from sfwm.cli import MAX_POINTS, main
+from sfwm.config import _KEYS
 
 from conftest import exponential_packet
 
@@ -417,7 +418,7 @@ def default_sweep_rows(tmp_path_factory):
 
 
 def test_sweep_keys_cover_the_medium():
-    assert {key for section, key in SWEEP_KEYS if section == "medium"} == _SCHEMA["medium"]
+    assert {key for section, key in SWEEP_KEYS if section == "medium"} == set(_KEYS["medium"])
 
 
 @pytest.mark.parametrize("section,key", sorted(SWEEP_KEYS))
@@ -460,11 +461,15 @@ def test_config_copies_are_not_options(tmp_path, capsys, command, option):
 
 # Values of the exit-code contract; a key left out or left empty keeps its
 # default.
+CONTRACT_SECTIONS = ("medium", "drive", "grid", "etalons", "run")
 CONTRACT_KEYS = [
-    *((section, key) for section in ("medium", "drive") for key in sorted(_SCHEMA[section])),
+    *((section, key) for section in CONTRACT_SECTIONS[:-1] for key in sorted(_KEYS[section])),
     ("run", "onset_ns"), ("run", "rise_ns"), ("run", "fit_onset_ns"),
 ]
 CONTRACT_VALUES = ["", "0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300"]
+# The option of a command that takes a count or a list, and values drawn for it.
+CONTRACT_OPTIONS = {"simulate-eit": "--points", "sweep": "--powers-mw"}
+CONTRACT_OPTION_VALUES = ["0", "2", "1e300", "abc", "1,x", "100000000000"]
 CONTRACT_COMMANDS = {
     "simulate-eit": [],
     "simulate-biphoton": ["--tau-max-ns", "1000"],
@@ -493,51 +498,63 @@ csv_texts = st.lists(
         st.sampled_from(CONTRACT_KEYS), st.sampled_from(CONTRACT_VALUES), max_size=2
     ),
     csv=st.none() | csv_texts,
+    option=st.none() | st.sampled_from(CONTRACT_OPTION_VALUES),
 )
 # A negative power made the derived Rabi frequency complex (TypeError).
-@example(command="sweep", values={("drive", "coupling_power_mw"): "-1"}, csv=None)
+@example(command="sweep", values={("drive", "coupling_power_mw"): "-1"}, csv=None, option=None)
 # Squaring a huge Rabi frequency raised OverflowError.
-@example(command="simulate-eit", values={("drive", "coupling_rabi_mhz"): "1e300"}, csv=None)
+@example(command="simulate-eit", values={("drive", "coupling_rabi_mhz"): "1e300"}, csv=None,
+         option=None)
 # A non-finite or huge rise time reached np.arange (ValueError).
-@example(command="simulate-biphoton", values={("run", "rise_ns"): "nan"}, csv=None)
-@example(command="sweep", values={("run", "rise_ns"): "1e300"}, csv=None)
+@example(command="simulate-biphoton", values={("run", "rise_ns"): "nan"}, csv=None, option=None)
+@example(command="sweep", values={("run", "rise_ns"): "1e300"}, csv=None, option=None)
 # An infinite onset wrote a packet of nan before the fit refused it.
-@example(command="simulate-biphoton", values={("run", "onset_ns"): "-inf"}, csv=None)
-@example(command="synth", values={("medium", "od_stokes"): "1e300"}, csv=None)
+@example(command="simulate-biphoton", values={("run", "onset_ns"): "-inf"}, csv=None, option=None)
+@example(command="synth", values={("medium", "od_stokes"): "1e300"}, csv=None, option=None)
 # The cross response overflows without a warning (exit 2).
 @example(command="simulate-biphoton",
-         values={("medium", "decay3_mhz"): "1e300", ("medium", "decay4_mhz"): "1e300"}, csv=None)
+         values={("medium", "decay3_mhz"): "1e300", ("medium", "decay4_mhz"): "1e300"}, csv=None,
+         option=None)
 # The far-field series of the EIT fit's gradient squared a huge argument
 # (RuntimeWarning).
-@example(command="fit-eit", values={("medium", "decay3_mhz"): "1e300"}, csv=None)
+@example(command="fit-eit", values={("medium", "decay3_mhz"): "1e300"}, csv=None, option=None)
 # Inputs of the fits: simulated, empty, header only, ragged, malformed,
 # non-finite, one column, too short, and spectra without a window.
-@example(command="fit-eit", values={}, csv=None)
-@example(command="fit-biphoton", values={}, csv=None)
-@example(command="fit-eit", values={("drive", "coupling_rabi_mhz"): "0"}, csv=None)
-@example(command="fit-biphoton", values={("drive", "pump_rabi_mhz"): "0"}, csv=None)
-@example(command="fit-eit", values={}, csv="")
-@example(command="fit-biphoton", values={}, csv="delay_ns,counts\n")
-@example(command="fit-eit", values={}, csv="a,b\n1,2\n3\n")
-@example(command="fit-biphoton", values={}, csv="a,b\n1,2,3\n4,5,6\n")
-@example(command="fit-eit", values={}, csv="a,b\n1,2\n3,x\n")
-@example(command="fit-biphoton", values={}, csv="a,b\n0,1\n25.6,nan\n")
-@example(command="fit-eit", values={}, csv="a,b\n0,inf\n1,0.5\n")
-@example(command="fit-biphoton", values={}, csv="a\n0\n25.6\n")
-@example(command="fit-eit", values={}, csv="a,b\n0,0.5\n1,0.5\n")
-@example(command="fit-biphoton", values={}, csv="a,b\n25.6,1\n0,2\n")
+@example(command="fit-eit", values={}, csv=None, option=None)
+@example(command="fit-biphoton", values={}, csv=None, option=None)
+@example(command="fit-eit", values={("drive", "coupling_rabi_mhz"): "0"}, csv=None, option=None)
+@example(command="fit-biphoton", values={("drive", "pump_rabi_mhz"): "0"}, csv=None, option=None)
+@example(command="fit-eit", values={}, csv="", option=None)
+@example(command="fit-biphoton", values={}, csv="delay_ns,counts\n", option=None)
+@example(command="fit-eit", values={}, csv="a,b\n1,2\n3\n", option=None)
+@example(command="fit-biphoton", values={}, csv="a,b\n1,2,3\n4,5,6\n", option=None)
+@example(command="fit-eit", values={}, csv="a,b\n1,2\n3,x\n", option=None)
+@example(command="fit-biphoton", values={}, csv="a,b\n0,1\n25.6,nan\n", option=None)
+@example(command="fit-eit", values={}, csv="a,b\n0,inf\n1,0.5\n", option=None)
+@example(command="fit-biphoton", values={}, csv="a\n0\n25.6\n", option=None)
+@example(command="fit-eit", values={}, csv="a,b\n0,0.5\n1,0.5\n", option=None)
+@example(command="fit-biphoton", values={}, csv="a,b\n25.6,1\n0,2\n", option=None)
 # A falling delay grid overflowed exp in the decay fit (RuntimeWarning).
 @example(command="fit-biphoton", values={},
-         csv="a,b\n" + "".join(f"{481.6 - 25.6 * k:.1f},{1000 >> k}\n" for k in range(12)))
-def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
-    """Whatever the [medium], [drive] and run-timing values, and whatever a
-    fit command's CSV holds, a command ends in success, a usage error or a
-    numerical error, never in a traceback.  The fit commands read the drawn
-    config too."""
+         csv="a,b\n" + "".join(f"{481.6 - 25.6 * k:.1f},{1000 >> k}\n" for k in range(12)),
+         option=None)
+# A power that is not a number raised ValueError.
+@example(command="sweep", values={}, csv=None, option="abc")
+# Counts past any memory: numpy's allocation failed, or the process was killed.
+@example(command="simulate-eit", values={}, csv=None, option="100000000000")
+@example(command="simulate-biphoton", values={("grid", "count"): "2000000000"}, csv=None,
+         option=None)
+@example(command="sweep", values={("grid", "count"): "99999999"}, csv=None, option=None)
+def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv, option):
+    """Whatever the [medium], [drive], [grid], [etalons] and run-timing
+    values, whatever a fit command's CSV holds, and whatever the point count
+    of simulate-eit or the power list of sweep, a command ends in success, a
+    usage error or a numerical error, never in a traceback.  The fit commands
+    read the drawn config too."""
     work = tmp_path_factory.mktemp("contract")
     text = "".join(
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
-        for section in ("medium", "drive", "run")
+        for section in CONTRACT_SECTIONS
     )
     (work / "run.ini").write_text(text + CONTRACT_DETECTION)
     config = ["--config", str(work / "run.ini")]
@@ -550,7 +567,15 @@ def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv):
         argv = [command, "--csv", str(data), *config]
     else:
         argv = [command, *CONTRACT_COMMANDS[command], *config, "--out", str(work / "out.csv")]
-    assert main(argv) in (0, 2, 3)
+        if option is not None and command in CONTRACT_OPTIONS:
+            # The last value given is the one argparse keeps.
+            argv += [CONTRACT_OPTIONS[command], option]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        # argparse's own usage errors, such as --points abc.
+        code = exc.code
+    assert code in (0, 2, 3)
 
 
 # Usage errors that each writing command meets after its config has loaded:
@@ -809,6 +834,21 @@ class TestNonfiniteArguments:
         code = main(["sweep", "--config", strong_config, "--powers-mw", powers,
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("powers", ["abc", "1, x ,5"])
+    def test_sweep_nonnumeric_power_is_usage_error(self, tmp_path, capsys, powers):
+        code = main(["sweep", "--powers-mw", powers, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        bad = powers if powers == "abc" else "x"
+        assert f"--powers-mw: {bad!r} is not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [MAX_POINTS + 1, 100_000_000_000])
+    def test_eit_points_past_the_maximum_is_usage_error(self, tmp_path, capsys, points):
+        """Rejected before any spectrum is computed."""
+        with mock.patch.object(sfwm.cli, "eit_spectrum", side_effect=AssertionError("computed")):
+            code = main(["simulate-eit", "--points", str(points), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"need 2 to {MAX_POINTS} points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bound", ["--delta-min-mhz=-inf", "--delta-max-mhz=inf"])
     def test_eit_detuning_bounds_checked_up_front(self, strong_config, tmp_path, capsys, recwarn,

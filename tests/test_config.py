@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import sfwm
-from sfwm.config import _DEFAULTS, _SCHEMA, load_config
+from sfwm.biphoton import MAX_COUNT
+from sfwm.config import _KEYS, load_config
 from sfwm.errors import UsageError
 
 
@@ -32,7 +33,7 @@ def test_defaults_without_file():
     assert cfg.q is None  # exact Doppler average
     g = cfg.grid
     assert g.half_width == pytest.approx(64.0)
-    assert g.count is None  # derived per scenario by predict_packet
+    assert g.count == 32768  # the most samples predict_packet may use
     e = cfg.etalons
     assert e.fwhm_hz == (45e6, 60e6)
     dm = cfg.detection
@@ -101,12 +102,38 @@ def test_fractional_count_rejected(tmp_path):
     assert load_config(write(tmp_path, "[grid]\ncount = 8192\n")).grid.count == 8192
 
 
+@pytest.mark.parametrize("count", [MAX_COUNT + 1, 99_999_999, 2_000_000_000])
+def test_count_past_the_maximum_rejected(tmp_path, count):
+    """Rejected on loading, before any grid array is built."""
+    with pytest.raises(UsageError, match=f"1024 to {MAX_COUNT} samples"):
+        load_config(write(tmp_path, f"[grid]\ncount = {count}\n"))
+    assert load_config(write(tmp_path, f"[grid]\ncount = {MAX_COUNT}\n")).grid.count == MAX_COUNT
+
+
+def test_library_defaults_are_the_loaded_defaults(tmp_path):
+    """A key left out keeps the library dataclass's default, so the two agree."""
+    cfg = load_config(None)
+    assert cfg.medium == sfwm.MediumParams(alpha_s=80.0, gamma=cfg.medium.gamma)
+    assert cfg.drive == sfwm.DriveParams(omega_c=cfg.drive.omega_c)
+    assert cfg.grid == sfwm.SpectralGrid()
+    assert cfg.etalons == sfwm.EtalonChain()
+    assert cfg.detection == sfwm.DetectionModel()
+    q = load_config(write(tmp_path, "[quadrature]\nhalf_range = 4\n")).q
+    assert q == sfwm.DopplerQuadrature()
+
+
+def test_inline_comments(tmp_path):
+    cfg = load_config(write(tmp_path, "[medium]  # the cell\nod_stokes = 81  # depth\n"
+                                      "decay3_mhz = 5 ; rate\n"))
+    assert (cfg.medium.alpha_s, cfg.medium.gamma3) == (81.0, 5.0 / 6.0)
+
+
 @pytest.mark.parametrize(
     "section,key",
     [
         (section, key)
-        for section in sorted(_SCHEMA)
-        for key in sorted(_SCHEMA[section])
+        for section in sorted(_KEYS)
+        for key in sorted(_KEYS[section])
     ],
 )
 def test_empty_value_means_default(tmp_path, section, key):
@@ -153,11 +180,17 @@ def test_invalid_run_timing_rejected(tmp_path, line):
         load_config(write(tmp_path, f"[run]\n{line}\n"))
 
 
-def test_readme_table_matches_the_defaults():
+def test_readme_table_matches_the_defaults(tmp_path):
     """The README's config table names every section and key that the
-    loader accepts, and no other, each with the loader's default."""
+    loader accepts, and no other, and loads into the default scenario."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Configuration file\n", 1)[1].split("```ini\n", 1)[1]
+    table = table.split("\n```", 1)[0]
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
-    parser.read_string(table.split("\n```", 1)[0])
-    assert {section: dict(parser[section]) for section in parser.sections()} == _DEFAULTS
+    parser.read_string(table)
+    assert {section: set(parser[section]) for section in parser.sections()} == {
+        section: set(keys) for section, keys in _KEYS.items()
+    }
+    cfg = load_config(write(tmp_path, table))
+    default = load_config(None)
+    assert dataclasses.replace(cfg, source_sha256=default.source_sha256) == default
