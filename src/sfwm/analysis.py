@@ -44,7 +44,6 @@ from .physics import (
     _edges,
     _transmission_raw,
     eit_spectrum,
-    eit_transmission,
     spectrum_baseline,
     spectrum_fwhm,
 )
@@ -56,6 +55,7 @@ if TYPE_CHECKING:
 # Delay span of every packet of a sweep: the 4 us window of the detection chain.
 SWEEP_SPAN_NS = 4000.0
 RABI_PER_ROOT_MW = 2.7  # the coupling calibration Omega_c = 2.7*sqrt(P/mW) Gamma
+FIT_ONSET_NS = 200.0  # onset of the exponential fit; the [run] fit_onset_ns default
 
 
 @dataclass
@@ -116,6 +116,11 @@ _LM_GTOL = 1e-8  # cosine between residuals and each Jacobian column that ends a
 # just short of the step and gradient tests on 17 of 1000 noisy spectra
 # (sigma = 0.005, 0.2 to 2.75 mW).
 _EIT_FTOL = 1e-13
+# Factor on both start values of the EIT fit's second solve, made when the
+# first ends with the coupling off.  In 3600 random spectra (noise <= 0.03,
+# guesses 0.3-3x Omega_c and 0.1-10x gamma) 88 fits ended there; from a
+# tenth of the start 27 of them ended lower.
+_EIT_RESTART = 0.1
 # Smallest damping: it keeps the scaled, damped 2x2 determinant positive in
 # floating point when the two Jacobian columns are nearly collinear.
 _LM_DAMPING_MIN = 1e-10
@@ -312,7 +317,7 @@ def _fit_decay(z, wd, W, tau):
     return math.exp(u), False
 
 
-def fit_exponential(w: WavePacket, x0_ns: float = 200.0) -> ExpFit:
+def fit_exponential(w: WavePacket, x0_ns: float = FIT_ONSET_NS) -> ExpFit:
     """Fit y0 + S*exp(-(x - x0)/tau) to a wave packet with the onset fixed.
 
     Stage 1 estimates the baseline from the pre-onset window [0, x0 - 2*bin]
@@ -560,7 +565,10 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     evaluation at alpha = 1 gives k and Newton's method solves for alpha.
     Stage 2 fits the remaining two parameters against the full spectrum by
     the bounded 2x2 Levenberg-Marquardt solver from the supplied initial
-    guesses, with the analytic Jacobian of the exact Doppler average.  It
+    guesses, with the analytic Jacobian of the exact Doppler average.  A
+    solve that ends with the coupling on its bound 0 is repeated once from
+    a tenth of both guesses, and the repeat is kept if it ends at a lower
+    cost (and converged, where the first did).  It
     reads ``gamma``, ``gamma_doppler`` and ``gamma3`` of ``m0`` and
     ``omega_c`` of ``d0``; the other fields are not read.
     Deterministic given data and guesses.  Raises UsageError on a short or
@@ -577,9 +585,8 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
         raise InversionError(f"baseline transmission {target!r} is outside (0, 1)")
 
     edge_deltas = np.concatenate(_edges(data.delta))
-    unit_depth = eit_transmission(
-        edge_deltas, replace(m0, alpha_s=1.0, alpha_as=1.0), replace(d0, omega_c=0.0)
-    )
+    # The kernel on raw floats: m0 and the detunings are already validated.
+    unit_depth, _ = _transmission_raw(edge_deltas, 1.0, m0.gamma, m0.gamma_doppler, m0.gamma3, 0.0)
     alpha_s = _invert_baseline(-np.log(unit_depth), target)
 
     # The solver works in (omega_c^2, gamma): T depends on the coupling only
@@ -594,9 +601,16 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
         )
         return t - data.transmission, gradient
 
-    square, gamma, r, converged = _solve_2x2(
-        evaluate, max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4), 0.0, 1e-9
-    )
+    start = max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4)
+    square, gamma, r, converged = _solve_2x2(evaluate, *start, 0.0, 1e-9)
+    if square == 0.0:
+        # With the coupling off T does not depend on gamma, so a solve that
+        # lands on the bound stops there.  From a poor start the first step
+        # often does, past an interior minimum; from a window a tenth as
+        # wide in both parameters the solver often grows the window instead.
+        retry = _solve_2x2(evaluate, _EIT_RESTART * start[0], _EIT_RESTART * start[1], 0.0, 1e-9)
+        if retry[2] @ retry[2] < r @ r and (retry[3] or not converged):
+            square, gamma, r, converged = retry
     omega_c = math.sqrt(square)
     fit = EitFit(
         alpha_s=alpha_s,

@@ -86,6 +86,8 @@ MAX_WIDENINGS = 4
 # Longest delay axis built (25.6 ms of 25.6 ns bins); past it the axis alone
 # would take gigabytes.
 MAX_DELAY_BINS = 1_000_000
+# Detector response time; the [run] rise_ns default.
+RISE_NS = 35.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -497,7 +499,7 @@ def wavepacket_area(w: WavePacket) -> float:
     return float(np.trapezoid(w.g2, w.tau_ns))
 
 
-def rise_time_convolve(w: WavePacket, rc_ns: float = 35.0) -> WavePacket:
+def rise_time_convolve(w: WavePacket, rc_ns: float = RISE_NS) -> WavePacket:
     """Convolve with the causal detector response (1/rc)*exp(-t/rc), t >= 0.
 
     The discrete kernel is normalized to unit sum, so the packet area is

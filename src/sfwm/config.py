@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import RABI_PER_ROOT_MW, omega_c_from_power
-from .biphoton import EtalonChain, SpectralGrid
+from .analysis import FIT_ONSET_NS, RABI_PER_ROOT_MW, omega_c_from_power
+from .biphoton import RISE_NS, EtalonChain, SpectralGrid
 from .detector import DetectionModel
 from .errors import UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams
@@ -93,13 +93,14 @@ _KEYS = {
 
 # A key left out or empty keeps its field's default, which the library
 # dataclass holds.  These are the defaults of the fields that have none; the
-# coupling pair's is in load_config.
+# coupling pair's is in load_config, and the two response and fit times are
+# also the keyword defaults of rise_time_convolve and fit_exponential.
 _DEFAULTS = {
     ("medium", "od_stokes"): "80",
     ("medium", "decoherence_mhz"): "0.168",
     ("run", "onset_ns"): "150",
-    ("run", "rise_ns"): "35",
-    ("run", "fit_onset_ns"): "200",
+    ("run", "rise_ns"): repr(RISE_NS),
+    ("run", "fit_onset_ns"): repr(FIT_ONSET_NS),
 }
 
 

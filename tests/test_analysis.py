@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq, least_squares
 
 import sfwm
-from sfwm import analysis
+from sfwm import analysis, physics
 from sfwm.errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -101,6 +102,28 @@ def decay_solves(monkeypatch):
     monkeypatch.setattr(analysis, "_decay_profile", counted_profile)
     monkeypatch.setattr(analysis, "_fit_decay", recorded_solve)
     return solves
+
+
+@pytest.fixture
+def eit_solves(monkeypatch):
+    """Every stage-2 solve fit_eit makes, as (start, model evaluations,
+    result), and the count of all its model evaluations in calls[0]."""
+    solves, calls = [], [0]
+    solve, model = analysis._solve_2x2, analysis._transmission_raw
+
+    def counted_model(*args):
+        calls[0] += 1
+        return model(*args)
+
+    def recorded_solve(evaluate, p1, p2, lo1, lo2):
+        before = calls[0]
+        result = solve(evaluate, p1, p2, lo1, lo2)
+        solves.append(((p1, p2), calls[0] - before, result))
+        return result
+
+    monkeypatch.setattr(analysis, "_transmission_raw", counted_model)
+    monkeypatch.setattr(analysis, "_solve_2x2", recorded_solve)
+    return solves, calls
 
 
 def assert_no_worse_than_oracle(solves):
@@ -582,6 +605,89 @@ class TestFitEitOracle:
         assert fit.gamma == pytest.approx(gamma, rel=1e-6)
 
 
+def _random_eit_case(alpha, omega_c, gamma, noise, seed, omega_offset, gamma_offset):
+    """A 161-point spectrum over +-1.5 Gamma with Gaussian noise, and guesses
+    offset from the truth."""
+    grid = np.linspace(-1.5, 1.5, 161)
+    clean = sfwm.eit_spectrum(grid, sfwm.MediumParams(alpha, gamma), sfwm.DriveParams(omega_c))
+    noisy = clean.transmission + np.random.default_rng(seed).normal(0.0, noise, grid.size)
+    return (sfwm.Spectrum(grid, noisy), sfwm.MediumParams(alpha_s=70.0, gamma=gamma * gamma_offset),
+            sfwm.DriveParams(omega_c=omega_c * omega_offset))
+
+
+def _calibration_cases(seed):
+    """Spectra as the calibration benchmark draws them: alpha 80-82 and gamma
+    0.024-0.028, 2-2.75 mW, sigma = 0.005, guesses OD 70, 0.85 Omega_c and
+    1.25 gamma."""
+    rng = np.random.default_rng(seed)
+    medium = sfwm.MediumParams(rng.uniform(80.0, 82.0), rng.uniform(0.024, 0.028))
+    grid = np.linspace(-1.5, 1.5, 161)
+    for p_mw in (2.0, 2.25, 2.5, 2.75):
+        omega_c = sfwm.omega_c_from_power(p_mw)
+        clean = sfwm.eit_spectrum(grid, medium, sfwm.DriveParams(omega_c))
+        yield (sfwm.Spectrum(grid, clean.transmission + rng.normal(0.0, 0.005, grid.size)),
+               sfwm.MediumParams(70.0, 1.25 * medium.gamma), sfwm.DriveParams(0.85 * omega_c))
+
+
+# Random spectra (_random_eit_case arguments; noise <= 0.03, guesses 0.3-3x
+# Omega_c and 0.1-10x gamma) where the first solve ends with the coupling off,
+# above the interior minimum the scipy oracle finds.
+BOUND_CASES = {
+    "low-depth": (2.4579470148743634, 2.8385334490743297, 0.02880413768489425,
+                  0.026639960811078847, 3596762112, 1.6574533106200118, 0.14277350810942158),
+    "weak-coupling": (41.998859217308265, 0.3160584883027895, 0.034752946837464535,
+                      0.01885560045022566, 2680230947, 1.9227726400930245, 0.6197448481363285),
+    "deep": (128.89715135651525, 0.29612650073354696, 0.20804829124320423,
+             0.0025357996098014824, 2009584141, 2.8967720574783806, 0.21103037802073052),
+    "quiet": (41.58187269040715, 0.10041814389963366, 0.26792345346409235,
+              0.00036307428337561395, 1519569252, 1.8606416428278492, 1.0314242114912597),
+}
+
+
+class TestFitEitStages:
+    @pytest.mark.parametrize("data, m0, d0", _test_fit_eit_cases() + _noisy_eit_cases()[::5])
+    def test_stage_one_alpha_is_the_coupling_off_transmission(self, data, m0, d0):
+        """The optical depth inverted from eit_transmission at unit depth with
+        the coupling off, bit for bit."""
+        edge = np.concatenate(physics._edges(data.delta))
+        unit = sfwm.eit_transmission(
+            edge, replace(m0, alpha_s=1.0, alpha_as=1.0), replace(d0, omega_c=0.0)
+        )
+        alpha = analysis._invert_baseline(-np.log(unit), sfwm.spectrum_baseline(data))
+        assert sfwm.fit_eit(data, m0, d0).alpha_s == alpha
+
+    @pytest.mark.parametrize("case", BOUND_CASES.values(), ids=BOUND_CASES)
+    def test_bound_fit_restarts_inside(self, eit_solves, case):
+        data, m0, d0 = _random_eit_case(*case)
+        fit = sfwm.fit_eit(data, m0, d0)
+        (start, _, first), (restart, _, _) = eit_solves[0]
+        assert first[0] == 0.0
+        assert restart == (analysis._EIT_RESTART * start[0], analysis._EIT_RESTART * start[1])
+        assert fit.converged and fit.omega_c > 0.0
+        assert fit.residual_norm < np.linalg.norm(first[2])
+        alpha, omega_c, gamma = oracle_eit_fit(data, m0, d0)
+        oracle = sfwm.eit_transmission(
+            data.delta, sfwm.MediumParams(alpha, gamma), sfwm.DriveParams(omega_c)
+        )
+        assert fit.residual_norm <= np.linalg.norm(oracle - data.transmission) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_interior_fit_solves_once(self, eit_solves, seed):
+        """A fit that ends inside the bounds is its one solve from the guesses:
+        the same result and the same model evaluations, plus stage 1's."""
+        solves, calls = eit_solves
+        for data, m0, d0 in _calibration_cases(seed):
+            solves.clear()
+            calls[0] = 0
+            fit = sfwm.fit_eit(data, m0, d0)
+            [(start, evaluations, (square, gamma, r, converged))] = solves
+            assert start == (max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4))
+            assert square > 0.0 and converged
+            assert (fit.omega_c, fit.gamma) == (math.sqrt(square), gamma)
+            assert fit.residual_norm == float(np.linalg.norm(r))
+            assert calls[0] == 1 + evaluations
+
+
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -596,15 +702,11 @@ class TestFitEitOracle:
 def test_fit_eit_outcomes(alpha, omega_c, gamma, noise, seed, omega_offset, gamma_offset):
     """A fit converges within its bounds, or raises ConvergenceError carrying
     the best iterate or InversionError, and never warns."""
-    grid = np.linspace(-1.5, 1.5, 161)
-    clean = sfwm.eit_spectrum(grid, sfwm.MediumParams(alpha, gamma), sfwm.DriveParams(omega_c))
-    noisy = clean.transmission + np.random.default_rng(seed).normal(0.0, noise, grid.size)
-    m0 = sfwm.MediumParams(alpha_s=70.0, gamma=gamma * gamma_offset)
-    d0 = sfwm.DriveParams(omega_c=omega_c * omega_offset)
+    data, m0, d0 = _random_eit_case(alpha, omega_c, gamma, noise, seed, omega_offset, gamma_offset)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = sfwm.fit_eit(sfwm.Spectrum(grid, noisy), m0, d0)
+            fit = sfwm.fit_eit(data, m0, d0)
     except ConvergenceError as exc:
         assert isinstance(exc.best, sfwm.EitFit)
         return

@@ -20,6 +20,7 @@ from sfwm.cli import MAX_POINTS, main
 from sfwm.config import _KEYS
 
 from conftest import exponential_packet
+from oracles import faddeeva_horner
 
 STRONG_CONFIG = """\
 [medium]
@@ -326,6 +327,31 @@ power_mw,tau_ns,linewidth_hz,eit_fwhm_hz,rate_pairs_per_s,brightness_pairs_per_s
 2,149.127582573,1067240.14663,976751.172491,0.00109679742417,0.0020553901156,6.77937036604e-09
 5,69.6964159021,2283545.58885,2111382.13675,0.00127512443616,0.00111679350076,9.28406668398e-09
 """
+
+
+class TestFaddeevaBlocks:
+    """The default commands against the same commands with the Faddeeva
+    function's polynomial evaluated by Horner's rule over all 36
+    coefficients, its earlier form."""
+
+    @staticmethod
+    def block_and_horner(tmp_path, command):
+        """The command's CSV columns, as is and with Horner's rule."""
+        block, horner = tmp_path / "block.csv", tmp_path / "horner.csv"
+        assert main([command, "--out", str(block)]) == 0
+        with mock.patch.object(sfwm.physics, "_faddeeva", faddeeva_horner):
+            assert main([command, "--out", str(horner)]) == 0
+        return read_csv(block)[1], read_csv(horner)[1]
+
+    @pytest.mark.parametrize("command", ["simulate-eit", "sweep"])
+    def test_printed_values(self, tmp_path, command):
+        """Equal up to one unit in the twelfth printed digit."""
+        block, horner = self.block_and_horner(tmp_path, command)
+        np.testing.assert_allclose(block, horner, rtol=2e-11, atol=0.0)
+
+    def test_simulate_biphoton(self, tmp_path):
+        block, horner = self.block_and_horner(tmp_path, "simulate-biphoton")
+        assert np.all(np.abs(block - horner) <= 1e-13 * np.abs(horner).max(axis=0))
 
 
 class TestSweep:

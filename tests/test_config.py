@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,18 @@ def test_library_defaults_are_the_loaded_defaults(tmp_path):
     assert cfg.detection == sfwm.DetectionModel()
     q = load_config(write(tmp_path, "[quadrature]\nhalf_range = 4\n")).q
     assert q == sfwm.DopplerQuadrature()
+
+
+def test_run_timing_defaults_are_the_keyword_defaults():
+    """[run] rise_ns and fit_onset_ns default to the response time and fit
+    onset that rise_time_convolve and fit_exponential take without them."""
+    cfg = load_config(None)
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert cfg.rise_ns == default(sfwm.rise_time_convolve, "rc_ns") == 35.0
+    assert cfg.fit_onset_ns == default(sfwm.fit_exponential, "x0_ns") == 200.0
 
 
 def test_inline_comments(tmp_path):

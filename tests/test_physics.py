@@ -7,9 +7,9 @@ from scipy.special import wofz
 
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
-from sfwm.physics import _chi_pair_raw, _faddeeva, _transmission_raw
+from sfwm.physics import _FADDEEVA_CHUNK, _chi_pair_raw, _faddeeva, _transmission_raw
 
-from oracles import doppler_average
+from oracles import doppler_average, faddeeva_horner
 
 # Independent high-precision evaluations (40-digit arithmetic) of the two
 # response functions, frozen as regression constants.
@@ -182,21 +182,62 @@ class TestDopplerAverage:
             doppler_average(lambda w: np.full(w.shape, np.nan), medium())
 
 
+def faddeeva_domain(n, seed):
+    """n points of the upper half plane: log-uniform magnitudes over
+    |Re z| <= 1e12, 1e-10 <= Im z <= 1e12, plus a dense patch where the
+    function has structure, |Re z| <= 10 near the real axis."""
+    rng = np.random.default_rng(seed)
+    x = 10.0 ** rng.uniform(-12.0, 12.0, n) * rng.choice([-1.0, 1.0], n)
+    y = 10.0 ** rng.uniform(-10.0, 12.0, n)
+    x[: n // 4] = rng.uniform(-10.0, 10.0, n // 4)
+    y[: n // 4] = 10.0 ** rng.uniform(-10.0, 1.0, n // 4)
+    return x + 1j * y
+
+
+def assert_close_to_horner(z):
+    w, ref = _faddeeva(z), faddeeva_horner(z)
+    assert w.shape == z.shape and w.dtype == complex
+    if z.size:
+        assert np.max(np.abs(w - ref) / np.abs(ref)) < 1e-14
+
+
 class TestFaddeeva:
-    """The numpy Faddeeva function against scipy.special.wofz as the oracle."""
+    """The numpy Faddeeva function against scipy.special.wofz as the oracle,
+    and its block evaluation against Horner's rule over the same
+    coefficients."""
 
     def test_upper_half_plane_accuracy(self):
-        rng = np.random.default_rng(5)
-        n = 100_000
-        # Log-uniform magnitudes over the whole domain, plus a dense patch
-        # where the function has structure: |Re z| <= 10 near the real axis.
-        x = 10.0 ** rng.uniform(-12.0, 12.0, n) * rng.choice([-1.0, 1.0], n)
-        y = 10.0 ** rng.uniform(-10.0, 12.0, n)
-        x[: n // 4] = rng.uniform(-10.0, 10.0, n // 4)
-        y[: n // 4] = 10.0 ** rng.uniform(-10.0, 1.0, n // 4)
-        z = x + 1j * y
+        z = faddeeva_domain(100_000, 5)
         ref = wofz(z)
         assert np.max(np.abs(_faddeeva(z) - ref) / np.abs(ref)) < 1e-12
+
+    def test_block_form_against_horner(self):
+        assert_close_to_horner(faddeeva_domain(100_000, 6))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, _FADDEEVA_CHUNK - 1, _FADDEEVA_CHUNK,
+                                      _FADDEEVA_CHUNK + 1, 3 * _FADDEEVA_CHUNK + 5])
+    def test_sizes_around_the_chunk(self, size):
+        assert_close_to_horner(faddeeva_domain(size, size))
+
+    def test_two_dimensional_argument(self):
+        assert_close_to_horner(faddeeva_domain(3 * 1001, 8).reshape(3, 1001))
+        assert_close_to_horner(faddeeva_domain(3 * 1001, 8).reshape(1001, 3).T)
+
+    def test_chunks_are_independent(self):
+        """A call equals calls on its chunk-sized pieces, bit for bit."""
+        z = faddeeva_domain(3 * _FADDEEVA_CHUNK + 5, 9)
+        pieces = [_faddeeva(z[i : i + _FADDEEVA_CHUNK]) for i in range(0, z.size, _FADDEEVA_CHUNK)]
+        assert np.array_equal(_faddeeva(z), np.concatenate(pieces))
+
+    @pytest.mark.parametrize("size", [5, 3 * _FADDEEVA_CHUNK + 5])
+    def test_argument_untouched_and_result_fresh(self, size):
+        z = faddeeva_domain(size, 10)
+        before = z.copy()
+        first, second = _faddeeva(z), _faddeeva(z)
+        assert np.array_equal(z, before)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, z) and not np.shares_memory(second, z)
 
     def test_arguments_of_the_doppler_average(self, medium_a, drive_a, medium_b, drive_b):
         """Every pole the exact average passes, at both conftest parameter sets."""
