@@ -34,6 +34,7 @@ from .errors import (
     DegenerateDataError,
     DomainError,
     InversionError,
+    NumericsError,
     PeakShapeError,
     UsageError,
 )
@@ -642,7 +643,8 @@ def sweep_predict(
     (power_mw, pairs_per_s_per_MHz)`` fixes the rate per linewidth at one power.
     The brightness divides the rate by the pump power that the scenario's
     ``drive.omega_p`` implies and by the linewidth.  The EIT width is nan
-    at a power whose spectrum has no measurable transparency window.
+    at a power whose spectrum has no measurable transparency window.  Raises
+    NumericsError if an anchored rate is not finite.
     """
     powers = np.asarray(powers_mw, dtype=float)
     if powers.size == 0:
@@ -680,11 +682,13 @@ def sweep_predict(
         if idx.size == 0:
             raise UsageError(f"anchor power {anchor_power} mW is not in the sweep")
         i = int(idx[0])
-        rate_scale = per_mhz * (linewidths[i] / 1e6) / areas[i]
+        with np.errstate(all="ignore"):
+            rate_scale = per_mhz * (linewidths[i] / 1e6) / areas[i]
+            rates = rate_scale * areas
+        if not np.all(np.isfinite(rates)):
+            raise NumericsError(f"anchored rates are not finite (rate scale {rate_scale:.6g})")
     else:
-        rate_scale = 1.0
-
-    rates = rate_scale * areas
+        rate_scale, rates = 1.0, areas
     # The calibration of DriveParams: omega_p = 2.0 at 0.5 mW, P ~ omega_p^2.
     pump_mw = 0.5 * (scenario.drive.omega_p / 2.0) ** 2
     return SweepPrediction(

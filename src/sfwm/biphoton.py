@@ -18,8 +18,8 @@ transform, computed exactly by Bluestein's convolution with FFTs.  Narrowband
 etalon filters multiply A by a single-pole amplitude response per etalon, so
 the squared magnitude of each factor is a Lorentzian of the stated FWHM.
 
-The spectral grid is exactly antisymmetric, delta[::-1] == -delta.  With the
-exact Doppler average the self response is anti-conjugate in delta,
+The spectral grid is exactly antisymmetric, delta[::-1] == -delta.  Under
+either Doppler rule the self response is anti-conjugate in delta,
 Z(-delta) = -conj Z(delta) (see physics._averaged_pair), so the
 phase-matching factor is conjugate and is evaluated on delta >= 0 only; the
 cross response has no such symmetry and is formed at every detuning.
@@ -270,12 +270,8 @@ def spectral_amplitude(
     with np.errstate(over="ignore", invalid="ignore"):
         # A = C * expm1(2iZ)/(2iZ), formed in the array of the cross response C.
         values, self_ = averaged_susceptibilities(grid, m, d, q)
-        if q is None:
-            # The exact Z is anti-conjugate in delta, so the factor is conjugate.
-            n = grid.count
-            values *= _unfold(_phase_matching(self_[n // 2 :]), n, 1.0)
-        else:
-            values *= _phase_matching(self_)
+        # Z is anti-conjugate in delta, so the factor is conjugate.
+        values *= _unfold(_phase_matching(self_[grid.count // 2 :]), grid.count, 1.0)
     amp = BiphotonAmplitude(grid, values)
     peak = float(np.abs(amp.values).max())
     if peak > 0.0:

@@ -28,17 +28,17 @@ relative.  Its degree-35 polynomial is evaluated in Paterson-Stockmeyer
 blocks, one small real matrix product per chunk of 2048 points; the chunk
 keeps that product on OpenBLAS's single-threaded path and the work buffers
 a fixed size on large grids.  That closed form is the default; an explicit
-:class:`DopplerQuadrature` selects the uniform trapezoidal rule over the raw
-integrands instead, which serves as the reference path.
+:class:`DopplerQuadrature` selects the uniform trapezoidal reference rule
+instead; the rules differ only in :func:`_doppler_mean`.
 
 The self response's pole P is written once, in :func:`_self_pole`, with its
-two limits (coupling off, and the dark point delta = gamma = 0); the exact
-pair average and the exact transmission, which is also the EIT fit's
-model, both take P from it.  P obeys P(-delta) = -conj P(delta), the Gaussian
-weight is even and w(-conj z) = conj w(z), so its average is anti-conjugate
-in delta.  On an antisymmetric detuning grid the closed form therefore
-evaluates the pole and w on delta >= 0 only and mirrors the rest; the pump
-pole Delta_p + i*G4/2 breaks the symmetry of the cross response, which is
+two limits (coupling off, and the dark point delta = gamma = 0); the pair
+average and the transmission, which is also the EIT fit's model, both take
+P from it.  P obeys P(-delta) = -conj P(delta) and either rule's weight is
+even, so the mean of 1/(omega_d - P) is anti-conjugate in delta.  On an
+antisymmetric detuning grid the pair average therefore evaluates the pole
+and its mean on delta >= 0 only and mirrors the rest; the pump pole
+Delta_p + i*G4/2 breaks the symmetry of the cross response, which is
 assembled at every detuning from the mirrored average.
 
 The probe (Stokes) transmission follows from the averaged self response:
@@ -66,7 +66,10 @@ import numpy as np
 from .errors import DomainError, PeakShapeError, UsageError
 from .units import DEFAULT_UNITS
 
-_CHUNK = 256  # delta rows per vectorized block; keeps temporaries ~15 MB
+# Most nodes of a Doppler quadrature (8 MB per node array), and most terms
+# of one block of the trapezoid sum (16 MB).  At the bound a 481-point
+# spectrum takes seconds, and a sweep over eight powers tens of minutes.
+MAX_NODES = 1 << 20
 
 
 def _require_finite(name: str, value) -> None:
@@ -156,18 +159,23 @@ class DopplerQuadrature:
             raise UsageError("step above Gamma/4 cannot resolve the resonance features")
 
     def nodes(self, medium: MediumParams) -> np.ndarray:
-        lim = self.half_range * medium.gamma_doppler
-        return np.arange(-lim, lim + 0.5 * self.step, self.step)
+        """step*(-k..k) with k = floor(half_range*gamma_doppler/step): exactly
+        symmetric, as the half-grid mirror needs.  Past MAX_NODES nodes,
+        UsageError before any array is built."""
+        ratio = self.half_range * medium.gamma_doppler / self.step
+        k = math.floor(ratio) if ratio < MAX_NODES else ratio
+        if 2 * k + 1 > MAX_NODES:
+            raise UsageError(f"quadrature needs {2 * k + 1:.0f} nodes, more than {MAX_NODES}")
+        return self.step * np.arange(-k, k + 1)
 
     def weights(self, medium: MediumParams) -> np.ndarray:
         """Gaussian weight times trapezoid weight at each node; sums to ~1."""
         x = self.nodes(medium)
         gauss = np.exp(-((x / medium.gamma_doppler) ** 2))
         gauss /= np.sqrt(np.pi) * medium.gamma_doppler
-        trap = np.full_like(x, self.step)
-        trap[0] *= 0.5
-        trap[-1] *= 0.5
-        return gauss * trap
+        gauss *= self.step
+        gauss[[0, -1]] *= 0.5
+        return gauss
 
 
 @dataclass(eq=False)
@@ -189,23 +197,6 @@ def _cross_prefactor(m: MediumParams) -> float:
     # huge depths; equal depths give the larger one exactly.
     hi = max(m.alpha_as, m.alpha_s)
     return hi * np.sqrt(min(m.alpha_as, m.alpha_s) / hi) * np.sqrt(m.gamma3 * m.gamma4) / 4.0
-
-
-def _chi_pair_raw(delta, omega_d, m: MediumParams, d: DriveParams):
-    """Both responses from one shared denominator evaluation.
-
-    With the coupling off the two-photon factor cancels and the self response
-    is the two-level one, finite also at delta = gamma = 0.
-    """
-    if d.omega_c == 0.0:
-        self_ = -(m.alpha_s * m.gamma3 / 8.0) / (delta + omega_d + 0.5j * m.gamma3)
-        return np.zeros_like(self_), self_
-    two_photon = delta + 1j * m.gamma
-    inv = 1.0 / (d.omega_c**2 - 4.0 * two_photon * (delta + omega_d + 0.5j * m.gamma3))
-    pump = d.omega_p / (d.delta_p - omega_d + 0.5j * m.gamma4)
-    cross = _cross_prefactor(m) * d.omega_c * pump * inv
-    self_ = (m.alpha_s * m.gamma3 / 2.0) * two_photon * inv
-    return cross, self_
 
 
 def _weideman_coefficients(n: int) -> tuple[float, np.ndarray]:
@@ -277,12 +268,29 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(z))
 
 
-def _mean_inverse(z, gamma_doppler: float):
-    """<1/(omega_d - z)> over the normalized Gaussian, for Im z < 0."""
-    u = np.negative(z)
-    u /= gamma_doppler
-    w = _faddeeva(u)
-    return np.multiply(-1j * math.sqrt(math.pi) / gamma_doppler, w, out=w)
+def _doppler_mean(z: np.ndarray, m: MediumParams, q: DopplerQuadrature | None) -> np.ndarray:
+    """<1/(omega_d - z)> over the normalized Gaussian, for Im z < 0.
+
+    Exact without a quadrature, -i*sqrt(pi)/Gamma_D * w(-z/Gamma_D); with
+    one, on a 1-D array, the sum over its nodes x and weights v of v/(x - z),
+    in blocks of at most MAX_NODES terms.
+    """
+    if q is None:
+        u = np.negative(z)
+        u /= m.gamma_doppler
+        w = _faddeeva(u)
+        return np.multiply(-1j * math.sqrt(math.pi) / m.gamma_doppler, w, out=w)
+    # Complex weights: numpy's matmul runs BLAS only on operands of one dtype.
+    nodes, weights = q.nodes(m), q.weights(m).astype(complex)
+    out = np.empty(z.size, dtype=complex)
+    rows = max(1, min(z.size, MAX_NODES // nodes.size))
+    block = np.empty((rows, nodes.size), dtype=complex)
+    for start in range(0, z.size, rows):
+        b = block[: z.size - start]
+        np.subtract(nodes, z[start : start + rows, None], out=b)
+        np.divide(1.0, b, out=b)
+        np.matmul(b, weights, out=out[start : start + rows])
+    return out
 
 
 def _unfold(upper: np.ndarray, n: int, sign: float) -> np.ndarray:
@@ -323,41 +331,28 @@ def _self_pole(delta: np.ndarray, gamma: float, gamma3: float, square: float):
 def _averaged_pair(
     delta: np.ndarray, m: MediumParams, d: DriveParams, q: DopplerQuadrature | None = None
 ):
-    """Doppler-averaged (cross, self) responses on a 1-D detuning array.
+    """Doppler-averaged (cross, self) responses on an antisymmetric 1-D
+    detuning array, delta[::-1] == -delta, as a SpectralGrid's is.
 
-    Without a quadrature the averages are exact, and ``delta`` must be
-    antisymmetric, delta[::-1] == -delta, as a SpectralGrid's is.  The self
-    response is a single pole P in omega_d (:func:`_self_pole`), and the
-    cross response splits into partial fractions over P and the pump pole
-    Q = Delta_p + i*G4/2; at the dark point the self response and P's share
-    of the cross response vanish.
+    The self response is a single pole P in omega_d (:func:`_self_pole`),
+    and the cross response splits into partial fractions over P and the pump
+    pole Q = Delta_p + i*G4/2; at the dark point the self response and P's
+    share of the cross response vanish.  The means of 1/(omega_d - P) and
+    1/(omega_d - Q) come from :func:`_doppler_mean`, exact without a
+    quadrature and by its trapezoidal rule with one.
 
-    P(-delta) = -conj P(delta) and the Gaussian weight is even, so the mean
-    <1/(omega_d - P)>, and with it the self response, is anti-conjugate in
-    delta: the pole and its Faddeeva evaluation are needed on delta >= 0
+    P(-delta) = -conj P(delta) and the Doppler weight is even under either
+    rule, so the mean <1/(omega_d - P)>, and with it the self response, is
+    anti-conjugate in delta: the pole and its mean are needed on delta >= 0
     only, and the lower half is filled by _unfold.  The pump detuning breaks
     that symmetry for Q, so the cross response is formed on the whole array.
-
-    With a quadrature the raw integrands are summed by the trapezoidal rule
-    at every detuning instead, on any array.
     """
-    if q is not None:
-        nodes = q.nodes(m)[None, :]
-        w = q.weights(m)
-        cross = np.empty(delta.size, dtype=complex)
-        self_ = np.empty(delta.size, dtype=complex)
-        for i in range(0, delta.size, _CHUNK):
-            cross_block, self_block = _chi_pair_raw(delta[i : i + _CHUNK, None], nodes, m, d)
-            cross[i : i + _CHUNK] = cross_block @ w
-            self_[i : i + _CHUNK] = self_block @ w
-        return cross, self_
-
     n = delta.size
     pole, dark = _self_pole(delta[n // 2 :], m.gamma, m.gamma3, d.omega_c**2)
     pump_pole = d.delta_p + 0.5j * m.gamma4
-    # One call for both poles.  Im Q > 0: the average at Q is the
-    # conjugate of the one at conj(Q).
-    means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
+    # One call for both poles.  Im Q > 0: the mean at Q is the conjugate of
+    # the one at conj(Q), as the nodes and weights of either rule are real.
+    means = _doppler_mean(np.append(pole, np.conj(pump_pole)), m, q)
     means[:-1][dark] = 0.0
     mean_p = _unfold(means[:-1], n, -1.0)
     if d.omega_c == 0.0:
@@ -386,14 +381,18 @@ def eit_transmission(
 ):
     """Probe transmission T(delta) in (0, 1] through the Doppler-averaged medium.
 
-    The Doppler average is exact unless a quadrature is given.
+    The Doppler average is exact unless a quadrature is given; with one,
+    T = exp((alpha_s*G3/2) * Im <1/(omega_d - P)>) with P of :func:`_self_pole`.
     """
     _require_finite("delta", delta)
     arr = np.atleast_1d(np.asarray(delta, dtype=float))
     if q is None:
         t, _ = _transmission_raw(arr, m.alpha_s, m.gamma, m.gamma_doppler, m.gamma3, d.omega_c**2)
     else:
-        t = np.exp(-4.0 * _averaged_pair(arr, m, d, q)[1].imag)
+        pole, dark = _self_pole(arr, m.gamma, m.gamma3, d.omega_c**2)
+        mean = _doppler_mean(pole.ravel(), m, q).reshape(pole.shape)
+        mean[dark] = 0.0
+        t = np.exp((0.5 * m.alpha_s * m.gamma3) * mean.imag)
     return float(t[0]) if np.isscalar(delta) or np.ndim(delta) == 0 else t
 
 

@@ -7,9 +7,52 @@ from typing import Callable
 import numpy as np
 
 from sfwm.errors import DomainError
-from sfwm.physics import _INV_SQRT_PI, _W_COEFFS, _W_SCALE, DopplerQuadrature, MediumParams
+from sfwm.physics import (
+    _INV_SQRT_PI,
+    _W_COEFFS,
+    _W_SCALE,
+    DopplerQuadrature,
+    DriveParams,
+    MediumParams,
+    _cross_prefactor,
+)
 
 DEFAULT_QUADRATURE = DopplerQuadrature()
+# Detuning rows per block of raw_pair_average.
+_RAW_ROWS = 256
+
+
+def _chi_pair_raw(delta, omega_d, m: MediumParams, d: DriveParams):
+    """Both responses at Doppler shift ``omega_d``, from one shared
+    denominator evaluation: the per-velocity integrands.
+
+    With the coupling off the two-photon factor cancels and the self response
+    is the two-level one, finite also at delta = gamma = 0.
+    """
+    if d.omega_c == 0.0:
+        self_ = -(m.alpha_s * m.gamma3 / 8.0) / (delta + omega_d + 0.5j * m.gamma3)
+        return np.zeros_like(self_), self_
+    two_photon = delta + 1j * m.gamma
+    inv = 1.0 / (d.omega_c**2 - 4.0 * two_photon * (delta + omega_d + 0.5j * m.gamma3))
+    pump = d.omega_p / (d.delta_p - omega_d + 0.5j * m.gamma4)
+    cross = _cross_prefactor(m) * d.omega_c * pump * inv
+    self_ = (m.alpha_s * m.gamma3 / 2.0) * two_photon * inv
+    return cross, self_
+
+
+def raw_pair_average(delta: np.ndarray, m: MediumParams, d: DriveParams, q: DopplerQuadrature):
+    """Trapezoid-averaged (cross, self) responses on any 1-D detuning array,
+    with the raw integrands summed at every detuning and node: the package's
+    earlier trapezoid path, against which its pole form is checked."""
+    nodes = q.nodes(m)[None, :]
+    w = q.weights(m)
+    cross = np.empty(delta.size, dtype=complex)
+    self_ = np.empty(delta.size, dtype=complex)
+    for i in range(0, delta.size, _RAW_ROWS):
+        cross_block, self_block = _chi_pair_raw(delta[i : i + _RAW_ROWS, None], nodes, m, d)
+        cross[i : i + _RAW_ROWS] = cross_block @ w
+        self_[i : i + _RAW_ROWS] = self_block @ w
+    return cross, self_
 
 
 def doppler_average(

@@ -23,13 +23,15 @@ from sfwm.biphoton import (
     _synthesis_factors,
 )
 from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
-from sfwm.physics import _averaged_pair, _chi_pair_raw, _cross_prefactor, _mean_inverse
+from sfwm.physics import _averaged_pair, _cross_prefactor, _doppler_mean
 
-from oracles import doppler_average
+from oracles import _chi_pair_raw, doppler_average, raw_pair_average
 
 from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS, scenario
 
 SMALL_GRID = sfwm.SpectralGrid(half_width=24.0, count=4096)
+# Odd: delta = 0 is a sample.
+SMALL_GRID_ODD = sfwm.SpectralGrid(half_width=24.0, count=4097)
 DEFAULT_COUNT = sfwm.SpectralGrid().count
 FAST_QUAD = sfwm.DopplerQuadrature(step=0.25)
 
@@ -94,12 +96,12 @@ class TestSpectralGrid:
                 sfwm.SpectralGrid(count=count)
 
 
-def full_grid_pair(delta, m, d):
-    """Closed-form (cross, self) evaluated at every detuning of ``delta``,
+def full_grid_pair(delta, m, d, q=None):
+    """Pole-form (cross, self) evaluated at every detuning of ``delta``,
     without the mirror symmetry: the oracle of the half-grid path."""
     level = delta + 0.5j * m.gamma3
     if d.omega_c == 0.0:
-        mean_p = _mean_inverse(-level, m.gamma_doppler)
+        mean_p = _doppler_mean(-level, m, q)
         cross = np.zeros(delta.size, dtype=complex)
     else:
         two_photon = delta + 1j * m.gamma
@@ -108,7 +110,7 @@ def full_grid_pair(delta, m, d):
         pump_pole = d.delta_p + 0.5j * m.gamma4
         # Both poles in one call, as the program makes it: numpy's complex
         # arithmetic can round a one-element array differently.
-        means = _mean_inverse(np.append(pole, np.conj(pump_pole)), m.gamma_doppler)
+        means = _doppler_mean(np.append(pole, np.conj(pump_pole)), m, q)
         mean_p = np.where(dark, 0.0, means[:-1])
         mean_q = np.conj(means[-1])
         front = _cross_prefactor(m) * d.omega_p * d.omega_c / (
@@ -118,8 +120,8 @@ def full_grid_pair(delta, m, d):
     return cross, -(m.alpha_s * m.gamma3 / 8.0) * mean_p
 
 
-def full_grid_amplitude(delta, m, d):
-    cross, self_ = full_grid_pair(delta, m, d)
+def full_grid_amplitude(delta, m, d, q=None):
+    cross, self_ = full_grid_pair(delta, m, d, q)
     return cross * _phase_matching(self_)
 
 
@@ -179,6 +181,33 @@ class TestHalfGrid:
             assert np.max(np.abs(value - oracle)) <= 1e-14 * np.max(np.abs(oracle))
         amp = sfwm.spectral_amplitude(grid, m, d, edge_tol=np.inf).values
         oracle = full_grid_amplitude(grid.delta, m, d)
+        assert np.max(np.abs(amp - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        m=media,
+        d=drives,
+        q=st.builds(sfwm.DopplerQuadrature, half_range=st.floats(3.0, 4.5),
+                    step=st.sampled_from([0.125, 0.25])),
+        half_width=st.floats(4.0, 256.0),
+        count=st.integers(1024, 2048),
+    )
+    @example(m=sfwm.MediumParams(80.0, 0.0), d=sfwm.DriveParams(2.6),
+             q=sfwm.DopplerQuadrature(step=0.25), half_width=24.0, count=1071)
+    @example(m=sfwm.MediumParams(80.0, 0.0), d=sfwm.DriveParams(0.0),
+             q=sfwm.DopplerQuadrature(step=0.25), half_width=64.0, count=1025)
+    @example(m=sfwm.MediumParams(80.0, 0.028), d=sfwm.DriveParams(2.6),
+             q=sfwm.DopplerQuadrature(half_range=3.3, step=0.17), half_width=24.0, count=1024)
+    def test_trapezoid_matches_the_full_grid_oracle(self, m, d, q, half_width, count):
+        """The same for the trapezoidal rule, whose symmetric nodes and
+        weights keep the self average anti-conjugate; the last example has
+        no integer number of steps in half_range*gamma_doppler."""
+        grid = sfwm.SpectralGrid(half_width, count)
+        pair = sfwm.averaged_susceptibilities(grid, m, d, q)
+        for value, oracle in zip(pair, full_grid_pair(grid.delta, m, d, q)):
+            assert np.max(np.abs(value - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+        amp = sfwm.spectral_amplitude(grid, m, d, q, edge_tol=np.inf).values
+        oracle = full_grid_amplitude(grid.delta, m, d, q)
         assert np.max(np.abs(amp - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("case", ["strong", "weak", "5 mW widened", "dark point"])
@@ -268,6 +297,32 @@ class TestSpectralAmplitude:
             z_ref = doppler_average(lambda w: pair(w)[1], medium_a)
             assert abs(cross[idx] - c_ref) <= 1e-12 * abs(c_ref)
             assert abs(self_[idx] - z_ref) <= 1e-12 * abs(z_ref)
+
+    @pytest.mark.parametrize(
+        "case, step",
+        [("strong", 0.0625), ("strong", 0.125), ("strong", 0.25), ("weak", 0.25),
+         ("5 mW widened", 0.25), ("dark point", 0.25), ("coupling off", 0.25)],
+    )
+    def test_trapezoid_matches_the_raw_integrand_sum(
+        self, case, step, medium_a, drive_a, medium_b, drive_b
+    ):
+        """The pole-form trapezoid against the raw integrands summed over the
+        same nodes at every detuning, within 1e-13 of each response's peak."""
+        grid, m, d = {
+            "strong": (SMALL_GRID_ODD, medium_a, drive_a),
+            "weak": (SMALL_GRID_ODD, medium_b, drive_b),
+            "5 mW widened": (
+                sfwm.SpectralGrid(half_width=256.0, count=8192),
+                sfwm.MediumParams(alpha_s=82.0, gamma=0.025),
+                sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(5.0)),
+            ),
+            "dark point": (SMALL_GRID_ODD, sfwm.MediumParams(80.0, 0.0), drive_a),
+            "coupling off": (SMALL_GRID_ODD, medium_a, sfwm.DriveParams(omega_c=0.0)),
+        }[case]
+        q = sfwm.DopplerQuadrature(step=step)
+        pair = sfwm.averaged_susceptibilities(grid, m, d, q)
+        for value, ref in zip(pair, raw_pair_average(grid.delta, m, d, q)):
+            assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", ["strong", "weak", "5 mW widened"])
     def test_closed_form_matches_trapezoid(self, case, medium_a, drive_a, medium_b, drive_b):
@@ -588,6 +643,10 @@ OWNERSHIP_CASES = {
     "dark point": (sfwm.MediumParams(80.0, 0.0), sfwm.DriveParams(2.6), None),
     "coupling off": (sfwm.MediumParams(80.0, 0.028), sfwm.DriveParams(0.0), None),
     "quadrature": (sfwm.MediumParams(80.0, 0.028), sfwm.DriveParams(2.6), FAST_QUAD),
+    "quadrature dark point": (sfwm.MediumParams(80.0, 0.0), sfwm.DriveParams(2.6), FAST_QUAD),
+    "quadrature coupling off": (
+        sfwm.MediumParams(80.0, 0.028), sfwm.DriveParams(0.0), FAST_QUAD
+    ),
 }
 
 

@@ -109,6 +109,18 @@ class TestSimulateEit:
         assert code == 2
         assert "quadrature" in capsys.readouterr().err
 
+    def test_quadrature_past_the_node_bound_is_usage_error(self, tmp_path, capsys):
+        """A step of 2.47 kHz over +-4 Doppler widths needs 1049393 nodes,
+        just past MAX_NODES: refused before any node array is built."""
+        cfg = tmp_path / "fine.ini"
+        cfg.write_text("[quadrature]\nstep_mhz = 0.00247\n")
+        out = tmp_path / "x.csv"
+        code = main(["simulate-eit", "--config", str(cfg), "--points", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"needs 1049393 nodes, more than {sfwm.physics.MAX_NODES}" in err
+        assert not out.exists()
+
     def test_quadrature_section_reaches_the_spectrum(self, strong_config, tmp_path):
         exact, trapezoid = tmp_path / "exact.csv", tmp_path / "trapezoid.csv"
         coarse = tmp_path / "coarse.ini"
@@ -380,6 +392,19 @@ class TestSweep:
         code = main(["sweep", "--config", strong_config, "--powers-mw", "-1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_overflowing_anchor_is_numerics_error(self, strong_config, tmp_path, capsys):
+        """An anchor rate of 1e308 pairs/s/MHz overflows the rate scale: exit
+        3 without a warning, and no CSV of infinite rates."""
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", "--config", strong_config, "--powers-mw", "0.5,1",
+                         "--anchor-power-mw", "1", "--anchor-rate-per-mhz", "1e308",
+                         "--out", str(out)])
+        assert code == 3
+        assert "rate scale inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_brightness_peaks_near_one_milliwatt(self, strong_config, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

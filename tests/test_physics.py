@@ -7,9 +7,9 @@ from scipy.special import wofz
 
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
-from sfwm.physics import _FADDEEVA_CHUNK, _chi_pair_raw, _faddeeva, _transmission_raw
+from sfwm.physics import _FADDEEVA_CHUNK, MAX_NODES, _faddeeva, _transmission_raw
 
-from oracles import doppler_average, faddeeva_horner
+from oracles import _chi_pair_raw, doppler_average, faddeeva_horner, raw_pair_average
 
 # Independent high-precision evaluations (40-digit arithmetic) of the two
 # response functions, frozen as regression constants.
@@ -58,6 +58,44 @@ class TestParams:
     def test_quadrature_weights_normalized(self):
         q = sfwm.DopplerQuadrature()
         assert q.weights(medium()).sum() == pytest.approx(1.0, abs=1e-7)
+
+    @pytest.mark.parametrize(
+        "q, m",
+        [
+            (sfwm.DopplerQuadrature(), medium()),
+            (sfwm.DopplerQuadrature(step=sfwm.DEFAULT_UNITS.frequency_from_hz(1.5e6)), medium()),
+            (sfwm.DopplerQuadrature(half_range=5.0, step=0.0625), medium()),
+            (sfwm.DopplerQuadrature(step=0.125), medium(gamma_doppler=200.0 / 6.0)),
+            (sfwm.DopplerQuadrature(half_range=4.3, step=0.17), medium(gamma_doppler=61.7)),
+        ],
+        ids=["default", "1.5 MHz", "fine", "200 MHz Doppler", "no integer ratio"],
+    )
+    def test_nodes_are_symmetric(self, q, m):
+        """Exactly, as the half-grid mirror of the trapezoid needs; where
+        half_range*gamma_doppler/step is an integer the nodes are those of
+        np.arange over +-half_range*gamma_doppler."""
+        x = q.nodes(m)
+        assert np.array_equal(x[::-1], -x) and x[x.size // 2] == 0.0
+        lim = q.half_range * m.gamma_doppler
+        assert x[-1] <= lim < x[-1] + q.step
+        if (lim / q.step).is_integer():
+            assert np.array_equal(x, np.arange(-lim, lim + 0.5 * q.step, q.step))
+
+    def test_node_bound(self):
+        """MAX_NODES - 1 nodes are built; MAX_NODES + 1 are refused before
+        any node array is, also by a spectrum of one detuning."""
+        m = medium()
+        lim = 4.0 * m.gamma_doppler
+        below = sfwm.DopplerQuadrature(step=lim / (MAX_NODES // 2 - 1))
+        assert below.nodes(m).size == MAX_NODES - 1
+        over = sfwm.DopplerQuadrature(step=lim / (MAX_NODES // 2))
+        message = f"needs {MAX_NODES + 1} nodes, more than {MAX_NODES}"
+        with pytest.raises(UsageError, match=message):
+            over.nodes(m)
+        with pytest.raises(UsageError, match=message):
+            sfwm.eit_transmission(0.0, m, sfwm.DriveParams(omega_c=2.6), over)
+        with pytest.raises(UsageError, match="needs inf nodes"):
+            sfwm.DopplerQuadrature(step=5e-324).weights(m)
 
 
 class TestCrossChi:
@@ -379,6 +417,21 @@ class TestTransmission:
         vector = sfwm.eit_transmission(grid, medium_a, drive_a)
         scalars = [sfwm.eit_transmission(x, medium_a, drive_a) for x in grid]
         np.testing.assert_allclose(vector, scalars, rtol=1e-13)
+
+    @pytest.mark.parametrize("omega_c, gamma", [(2.6, 0.028), (0.65, 0.024), (0.0, 0.028),
+                                                (2.6, 0.0), (0.0, 0.0)])
+    def test_trapezoid_matches_the_raw_integrand_sum(self, omega_c, gamma):
+        """On detunings neither sorted nor symmetric, with delta = 0 (the
+        dark point at gamma = 0): T from the trapezoid mean of the self pole
+        against T from the raw self integrand summed over the same nodes.
+        A 2-D array gives the same values in its shape."""
+        delta = np.array([0.3, -2.0, 0.0, 1e-3, 17.5, -0.04, 250.0, -0.3])
+        m, d = sfwm.MediumParams(80.0, gamma), sfwm.DriveParams(omega_c)
+        q = sfwm.DopplerQuadrature(step=0.25)
+        expected = np.exp(-4.0 * raw_pair_average(delta, m, d, q)[1].imag)
+        t = sfwm.eit_transmission(delta, m, d, q)
+        np.testing.assert_allclose(t, expected, rtol=1e-13)
+        assert np.array_equal(sfwm.eit_transmission(delta.reshape(2, 4), m, d, q), t.reshape(2, 4))
 
     def test_quadrature_step_convergence(self, medium_a, drive_a, medium_b, drive_b):
         """Halving the Doppler step moves the transmission by < 1e-3 everywhere."""
