@@ -13,8 +13,10 @@ depth.  The delay-time wave packet is its squared Fourier transform,
     G2(tau) = | (1/2pi) * integral d(delta) exp(-i*delta*tau) A(delta) |^2,
 
 evaluated by trapezoidal quadrature on the spectral grid.  Both the spectral
-and the delay grids are uniform, so the sum over the grid is a chirp-z
-transform, computed exactly by Bluestein's convolution with FFTs.  Narrowband
+and the delay grids are uniform.  Where the spacing h and the delay step s
+satisfy h*s = 2*pi/M for an integer M, the sum over the grid folds modulo M
+into one FFT of length M; on any other grid it is a chirp-z transform,
+computed exactly by Bluestein's convolution with FFTs.  Narrowband
 etalon filters multiply A by a single-pole amplitude response per etalon, so
 the squared magnitude of each factor is a Lorentzian of the stated FWHM.
 
@@ -28,22 +30,24 @@ Three one-entry memos hold the arrays that do not depend on the medium or
 the drive, so a sweep over powers on one grid builds them once; each array
 is read-only.  _grid_delta holds a SpectralGrid's detunings, keyed on its
 half-width and count.
-_synthesis_factors holds the transform length, the trapezoid-weighted chirp
-and the Bluestein kernel spectrum, keyed on the grid count and spacing, the
-delay-axis length, the product of the two spacings and the phase offset
+_fold_factors holds the trapezoid weights times the onset phase of the
+folded synthesis, keyed on the grid count and spacing and the phase offset
 spacing*(first delay - onset).  _etalon_response holds the product of the
-etalon responses, keyed on the grid and the etalon chain.
+etalon responses, keyed on the grid and the etalon chain.  The chirp-z
+synthesis builds its chirp and kernel on each call.
 
 On a grid of spacing h the sum returns the periodized amplitude
 y(tau) + y(tau + P) + ... with period P = 2*pi/h.  The slowest amplitude decay
 is exp(-gamma*t), with gamma the ground-state decoherence, so the aliased copy
 adds about 2*exp(-gamma*P) relative error to g2, its area and its peak.
 :func:`predict_packet`, the one path from a scenario to a filtered
-packet, therefore sizes the grid from the scenario: P >= max(delay span,
-20/gamma), so count = the smallest 7-smooth integer not below
-1 + half_width*P/pi, capped at the scenario grid's count (and at that cap
-when gamma = 0).  It also widens the window while |A| has not decayed at its
-edges.
+packet, therefore locks the spacing to the delay bin: P = M*s, with M the
+smallest integer such that M >= the delay count and P >= 20/gamma, and
+h = 2*pi/P.  The window is K = ceil(half_width/h) whole steps, 2K + 1
+samples.  Where those would pass the scenario grid's count, and at
+gamma = 0, the scenario grid is used as given, and its packet is a chirp-z
+transform.  It also widens the window, at the same spacing and with the
+count doubled, while |A| has not decayed at its edges.
 
 Ownership: each stage writes only into arrays it allocated itself, never
 into its arguments or into a memo entry, and returns arrays that no other
@@ -74,11 +78,13 @@ if TYPE_CHECKING:
 
 # Default edge-decay requirement on |A| relative to its peak.
 EDGE_DECAY_TOL = 1e-3
+# Fewest samples of any spectral grid.
+MIN_COUNT = 1024
 # Most samples of any spectral grid: the default grid's 32768 widened four
 # times.  A packet on it takes about 80 MB.
 MAX_COUNT = 1 << 19
-# Decay margin gamma*P of the derived grid, where P = 2*pi/spacing is the
-# period of the synthesized packet.  The aliased copy y(tau + P) adds about
+# Decay margin gamma*P of predict_packet's grid, where P = 2*pi/spacing is
+# the period of the synthesized packet.  The aliased copy y(tau + P) adds about
 # 2*exp(-gamma*P) relative error to g2: 4e-9 at a margin of 20.
 ALIAS_DECAY_MARGIN = 20.0
 # Doublings of the window tried when |A| has not decayed at its edges.
@@ -111,16 +117,19 @@ class SpectralGrid:
     the default covers +-64 Gamma with a spacing fine enough for sub-MHz
     features.  Sampled directly, the grid has ``count`` samples; as a
     scenario's grid, ``count`` is the most that :func:`predict_packet` may
-    use on this window, and it derives fewer where the scenario needs fewer.
-    A count must be an integer in [1024, MAX_COUNT].
+    use on this window: it locks its own spacing to the delay bin, or uses
+    this grid as given where the locked grid would need more samples.
+    A count must be an integer in [MIN_COUNT, MAX_COUNT].
     """
 
     half_width: float = 64.0
     count: int = 32768
 
     def __post_init__(self):
-        if not (isinstance(self.count, (int, np.integer)) and 1024 <= self.count <= MAX_COUNT):
-            raise UsageError(f"grid count {self.count!r} is not within 1024 to {MAX_COUNT} samples")
+        if not (isinstance(self.count, (int, np.integer)) and MIN_COUNT <= self.count <= MAX_COUNT):
+            raise UsageError(
+                f"grid count {self.count!r} is not within {MIN_COUNT} to {MAX_COUNT} samples"
+            )
         # Written so that nan fails every comparison.
         if not 0.0 < self.half_width < math.inf:
             raise UsageError("half_width must be finite and positive")
@@ -333,7 +342,6 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=1)
 def _synthesis_factors(
     n_delta: int, n_tau: int, h: float, b: float, shift: float
 ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -343,8 +351,7 @@ def _synthesis_factors(
     c_k = k - (n_delta - 1)/2, with w_k the trapezoid weights of spacing h
     over 2*pi; the kernel spectrum is the FFT of the Bluestein kernel
     exp(i*b*(lag + (n_delta - 1)/2)^2/2) over the circular lags from
-    -(n_delta - 1) to n_tau - 1.  Both arrays are read-only.  One entry: the
-    last grid, delay axis and onset.
+    -(n_delta - 1) to n_tau - 1.
     """
     size = _next_fast_len(n_delta + n_tau - 1)
     centered = np.arange(n_delta, dtype=float)
@@ -365,9 +372,40 @@ def _synthesis_factors(
     spectrum = np.multiply(0.5j * b, lag)
     np.exp(spectrum, out=spectrum)
     np.fft.fft(spectrum, out=spectrum)
-    chirp.flags.writeable = False
-    spectrum.flags.writeable = False
     return size, chirp, spectrum
+
+
+@functools.lru_cache(maxsize=1)
+def _fold_factors(n_delta: int, h: float, shift: float) -> np.ndarray:
+    """Read-only factors w_k*exp(-i*c_k*shift) of the folded synthesis, over
+    the centered indices c_k = k - (n_delta - 1)/2, with w_k the trapezoid
+    weights of spacing h over 2*pi.  One entry: the last grid and onset."""
+    factors = np.arange(n_delta, dtype=complex)
+    factors -= 0.5 * (n_delta - 1)
+    # factors = exp(-i*shift*centered)
+    factors *= -1j * shift
+    np.exp(factors, out=factors)
+    factors *= h / (2.0 * np.pi)
+    factors[[0, -1]] *= 0.5
+    factors.flags.writeable = False
+    return factors
+
+
+def _fold_period(b: float, n_delta: int, n_tau: int) -> int:
+    """The period M, in delay bins, of a synthesis whose spacing product
+    b = h*s is 2*pi/M to 1e-12 relative, or 0 where there is none.
+
+    M must hold the n_tau delays, and stay below n_delta + n_tau, the least
+    length of the chirp-z transform: the fold's one FFT is then shorter than
+    each of the chirp-z transform's two, and a grid of few samples on a long
+    period does not build a long, mostly empty FFT.
+    """
+    turns = 2.0 * np.pi / b if b > 0.0 else math.inf
+    # Also false for inf, which round() cannot take.
+    if not turns < n_delta + n_tau:
+        return 0
+    period = round(turns)
+    return period if period >= n_tau and abs(turns - period) <= 1e-12 * turns else 0
 
 
 def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacket:
@@ -379,7 +417,10 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
 
     The quadrature is valid only while one grid step of the spectral grid
     cannot wind through a full phase turn over the delay span; otherwise an
-    AliasingError is raised.
+    AliasingError is raised.  Where the spacings h and s satisfy
+    h*s = 2*pi/M for an integer M with n_tau <= M < count + n_tau, as on
+    :func:`predict_packet`'s grids, the sum folds into one FFT of length M;
+    on any other grid it is a chirp-z transform.
     """
     tau_ns = np.asarray(tau_ns, dtype=float)
     if tau_ns.size < 2:
@@ -397,47 +438,79 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
 
     # With delta_k = delta_c + (k - c)*h about the grid midpoint c and
     # tau_j = tau_0 + j*s, the phase delta_k*tau_j is delta_c*tau_j plus
-    # (k - c)*h*tau_0 plus b*(k - c)*j with b = h*s, and
-    # (k - c)*j = ((k - c)^2 + j^2 - (j - k + c)^2)/2.  Terms in j alone are a
-    # phase of each output and drop out of |.|^2; what remains is a convolution
-    # over k of the chirped amplitude with the kernel exp(i*b*(j - k + c)^2/2),
-    # done by FFT on a circular buffer of the lags j - k from -(n_delta - 1) to
-    # n_tau - 1.
+    # (k - c)*h*tau_0 plus b*(k - c)*j with b = h*s.  Terms in j alone are a
+    # phase of each output and drop out of |.|^2.
     h = a.grid.spacing
     n_tau = tau_ns.size
     b = h * span / (n_tau - 1)
     tau0 = DEFAULT_UNITS.time_from_ns(float(tau_ns[0]) - onset_ns)
     n_delta = a.grid.count
-    size, chirp, kernel = _synthesis_factors(n_delta, n_tau, h, b, h * tau0)
-    # y = ifft(fft(a.values * chirp, size) * kernel)[:n_tau], in one buffer
-    f = np.empty(size, dtype=complex)
-    np.multiply(a.values, chirp, out=f[:n_delta])
-    f[n_delta:] = 0.0
-    np.fft.fft(f, out=f)
-    f *= kernel
-    np.fft.ifft(f, out=f)
-    y = f[:n_tau]
+    period = _fold_period(b, n_delta, n_tau)
+    if period:
+        # b*k*j = 2*pi*k*j/M depends on k only modulo M, so the weighted terms
+        # sum into M residues and one FFT of length M gives every output:
+        # y = fft((a.values * factors, zero-padded).reshape(-1, M).sum(0))[:n_tau]
+        rows = -(-n_delta // period)
+        f = np.empty(rows * period, dtype=complex)
+        np.multiply(a.values, _fold_factors(n_delta, h, h * tau0), out=f[:n_delta])
+        f[n_delta:] = 0.0
+        y = f.reshape(rows, period).sum(axis=0)
+        np.fft.fft(y, out=y)
+    else:
+        # (k - c)*j = ((k - c)^2 + j^2 - (j - k + c)^2)/2, so what remains is a
+        # convolution over k of the chirped amplitude with the kernel
+        # exp(i*b*(j - k + c)^2/2), done by FFT on a circular buffer of the
+        # lags j - k from -(n_delta - 1) to n_tau - 1:
+        # y = ifft(fft(a.values * chirp, size) * kernel)[:n_tau], in one buffer
+        size, chirp, kernel = _synthesis_factors(n_delta, n_tau, h, b, h * tau0)
+        y = np.empty(size, dtype=complex)
+        np.multiply(a.values, chirp, out=y[:n_delta])
+        y[n_delta:] = 0.0
+        np.fft.fft(y, out=y)
+        y *= kernel
+        np.fft.ifft(y, out=y)
+    y = y[:n_tau]
     # g2 = y.real**2 + y.imag**2
     np.square(y.real, out=packet.g2)
     packet.g2 += np.square(y.imag, out=y.imag)
     return packet
 
 
-def _derived_count(half_width: float, gamma: float, span: float, cap: int) -> int:
-    """Samples of a grid over +-half_width whose packet period P = 2*pi/spacing
-    covers both the delay span and the decay margin: P >= max(span, 20/gamma).
+def _locked_spacing(gamma: float, n_tau: int, step: float) -> float:
+    """Spacing h = 2*pi/(M*step) of predict_packet's grids for n_tau delays
+    in steps of ``step`` (1/Gamma), or 0.0 where there is none.
 
-    The count is the smallest 7-smooth integer not below 1 + half_width*P/pi,
-    at least 1024 and at most ``cap``; without decoherence nothing bounds the
-    aliased tail, and the cap is used.
+    On it the packet repeats after M delay bins.  M is the smallest integer
+    with M >= n_tau and M*step >= ALIAS_DECAY_MARGIN/gamma, so the period
+    covers both the delay span and the decay margin.  Without decoherence
+    nothing bounds the period; past 2**53 bins M is not exact in floats, and
+    on a step so small that h overflows there is no grid.
     """
-    if gamma > 0.0:
-        period = max(span, ALIAS_DECAY_MARGIN / gamma)
-        need = 1.0 + half_width * period / math.pi
-        # Also false for nan.
-        if need < cap:
-            return min(max(_next_fast_len(math.ceil(need)), 1024), cap)
-    return cap
+    if not gamma > 0.0:
+        return 0.0
+    bins = max(n_tau, ALIAS_DECAY_MARGIN / gamma / step)
+    # Also false for inf.
+    if not bins < 2.0**53:
+        return 0.0
+    h = 2.0 * np.pi / (math.ceil(bins) * step)
+    return h if h < math.inf else 0.0
+
+
+def _locked_grid(half_width: float, h: float, cap: int) -> SpectralGrid:
+    """The grid of 2K + 1 samples at spacing h, K = ceil(half_width/h) but at
+    least MIN_COUNT // 2: its window is half_width rounded up to whole steps.
+
+    Where that grid would pass ``cap``, or h is 0.0, it is the cap's own,
+    SpectralGrid(half_width, cap), on which the packet is a chirp-z
+    transform.
+    """
+    steps = half_width / h if h > 0.0 else math.inf
+    # Also false for inf.
+    if steps < cap // 2:
+        k = max(math.ceil(steps), MIN_COUNT // 2)
+        if 2 * k + 1 <= cap:
+            return SpectralGrid(k * h, 2 * k + 1)
+    return SpectralGrid(half_width, cap)
 
 
 def _check_delay_span(span_ns: float, bin_ns: float, name: str) -> None:
@@ -465,21 +538,29 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     """Etalon-filtered wave packet of a scenario on the delay grid ``tau_ns``.
 
     Reads the scenario's medium, drive, quadrature, etalons and onset.  The
-    spectral grid starts from ``scenario.grid``'s window, with a count from
-    _derived_count capped at the grid's count.  Strong coupling spreads the
-    amplitude tail: while |A| has not decayed at the window edges, the window
-    doubles, up to MAX_WIDENINGS times, and the count is derived again with
-    its cap doubled.  Raises GridTooNarrowError if the widest window still
-    fails, and UsageError if a widened count would pass MAX_COUNT.
+    delay grid is checked first: at least two samples, uniform and
+    increasing, else UsageError.  The spectral spacing is locked to the
+    delay step by _locked_spacing, and each grid covers its window in whole
+    steps, within ``scenario.grid``'s count; where the locked grid would pass
+    that count, the grid is that count over the window, as given.  Strong
+    coupling spreads the amplitude tail: while |A| has not decayed at the
+    window edges, the window doubles, with the count cap doubled and at the
+    same spacing, up to MAX_WIDENINGS times.  Raises GridTooNarrowError if
+    the widest window still fails, and UsageError if a widened count would
+    pass MAX_COUNT.
     """
     m, d, start = scenario.medium, scenario.drive, scenario.grid
     tau_ns = np.asarray(tau_ns, dtype=float)
-    span = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0])) if tau_ns.size else 0.0
+    if tau_ns.size < 2:
+        raise UsageError("delay grid needs at least two samples")
+    if not _is_delay_grid(tau_ns):
+        raise UsageError("delay grid must be uniform and increasing")
+    step = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0])) / (tau_ns.size - 1)
+    h = _locked_spacing(m.gamma, tau_ns.size, step)
     for widening in range(MAX_WIDENINGS + 1):
-        half_width = start.half_width * 2**widening
-        count = _derived_count(half_width, m.gamma, span, start.count << widening)
+        grid = _locked_grid(start.half_width * 2**widening, h, start.count << widening)
         try:
-            amp = spectral_amplitude(SpectralGrid(half_width, count), m, d, scenario.q)
+            amp = spectral_amplitude(grid, m, d, scenario.q)
             break
         except GridTooNarrowError:
             if widening == MAX_WIDENINGS:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 from unittest import mock
@@ -12,17 +13,21 @@ from scipy.integrate import quad
 import sfwm
 from sfwm import analysis, biphoton
 from sfwm.biphoton import (
+    ALIAS_DECAY_MARGIN,
     MAX_COUNT,
     MAX_WIDENINGS,
-    _derived_count,
     _etalon_response,
+    _fold_factors,
+    _fold_period,
     _grid_delta,
     _is_delay_grid,
+    _locked_grid,
+    _locked_spacing,
     _next_fast_len,
     _phase_matching,
     _synthesis_factors,
 )
-from sfwm.errors import AliasingError, GridTooNarrowError, UsageError
+from sfwm.errors import AliasingError, GridTooNarrowError, NumericsError, UsageError
 from sfwm.physics import _averaged_pair, _cross_prefactor, _doppler_mean
 
 from oracles import _chi_pair_raw, doppler_average, raw_pair_average
@@ -34,6 +39,23 @@ SMALL_GRID = sfwm.SpectralGrid(half_width=24.0, count=4096)
 SMALL_GRID_ODD = sfwm.SpectralGrid(half_width=24.0, count=4097)
 DEFAULT_COUNT = sfwm.SpectralGrid().count
 FAST_QUAD = sfwm.DopplerQuadrature(step=0.25)
+
+
+def delay_step(tau_ns):
+    """The delay step of ``tau_ns`` in 1/Gamma, as predict_packet takes it."""
+    return sfwm.DEFAULT_UNITS.time_from_ns(tau_ns[-1] - tau_ns[0]) / (tau_ns.size - 1)
+
+
+def locked(half_width, gamma, cap=DEFAULT_COUNT, tau_ns=DELAY_NS):
+    """predict_packet's spacing and first grid for the delay axis ``tau_ns``."""
+    h = _locked_spacing(gamma, tau_ns.size, delay_step(tau_ns))
+    return h, _locked_grid(half_width, h, cap)
+
+
+def chirp_z(amp, tau_ns, onset_ns=0.0):
+    """The packet by the chirp-z transform, whatever the grid."""
+    with mock.patch.object(biphoton, "_fold_period", return_value=0):
+        return sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns).g2
 
 
 def mp_phase_matching(z: complex) -> complex:
@@ -565,72 +587,77 @@ class TestWavePacket:
 
 
 class TestKernelMemo:
-    """The memoized synthesis factors give bit-identical packets."""
+    """The memoized fold factors give bit-identical packets."""
 
     @staticmethod
     def fresh(amp, tau_ns, onset_ns=0.0):
-        _synthesis_factors.cache_clear()
+        _fold_factors.cache_clear()
         return sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns).g2
 
-    def test_hit_equals_fresh_computation(self, amplitude_a):
-        amp = sfwm.apply_etalons(amplitude_a)
+    @staticmethod
+    def locked_amplitude(m, d, half_width=64.0, tau_ns=DELAY_NS):
+        grid = locked(half_width, m.gamma, tau_ns=tau_ns)[1]
+        return sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d, FAST_QUAD, edge_tol=1.0))
+
+    def test_hit_equals_fresh_computation(self, medium_a, drive_a):
+        amp = self.locked_amplitude(medium_a, drive_a)
         fresh = self.fresh(amp, DELAY_NS, ONSET_NS)
         hit = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS).g2
-        assert _synthesis_factors.cache_info().hits == 1
+        assert _fold_factors.cache_info().hits == 1
         assert np.array_equal(hit, fresh)
 
-    def test_no_stale_kernel_across_grids_and_delay_axes(self, medium_a, drive_a):
-        amps = [
-            sfwm.spectral_amplitude(sfwm.SpectralGrid(half_width, 4096), medium_a, drive_a,
-                                    FAST_QUAD, edge_tol=1.0)
-            for half_width in (24.0, 32.0)
-        ]
-        # The second axis differs in length, the third only in step.
-        axes = [np.arange(0.0, 1500.0, 25.6), np.arange(0.0, 1500.0, 12.8), 20.0 * np.arange(59)]
-        assert axes[0].size == axes[2].size
-        cases = [(amps[0], axes[0]), (amps[1], axes[0]), (amps[1], axes[1]), (amps[1], axes[2]),
-                 (amps[0], axes[0])]
-        _synthesis_factors.cache_clear()
+    def test_no_stale_factors_across_grids_and_delay_axes(self, medium_a, drive_a):
+        """Each amplitude is on the grid locked to its delay axis; the second
+        axis differs from the first in length, which the factors do not
+        depend on, the third in step.  Every packet is the fresh one."""
+        axes = [np.arange(0.0, 1500.0, 25.6), np.arange(0.0, 3000.0, 25.6), 20.0 * np.arange(59)]
+        cases = [(self.locked_amplitude(medium_a, drive_a, half_width, tau), tau)
+                 for half_width, tau in [(24.0, axes[0]), (32.0, axes[0]), (32.0, axes[1]),
+                                         (32.0, axes[2])]]
+        cases.append(cases[0])
+        _fold_factors.cache_clear()
         served = [sfwm.wavepacket(amp, tau).g2 for amp, tau in cases]
-        assert _synthesis_factors.cache_info().misses == len(cases)
+        assert _fold_factors.cache_info().misses >= 4
         for (amp, tau), g2 in zip(cases, served):
             assert np.array_equal(g2, self.fresh(amp, tau))
 
-    def test_new_onset_is_a_miss(self, amplitude_a):
-        """The chirp depends on the onset; the grid and delay axis do not change."""
-        amp = sfwm.apply_etalons(amplitude_a)
-        _synthesis_factors.cache_clear()
+    def test_new_onset_is_a_miss(self, medium_a, drive_a):
+        """The factors depend on the onset; the grid and delay axis do not change."""
+        amp = self.locked_amplitude(medium_a, drive_a)
+        _fold_factors.cache_clear()
         sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         later = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS + 40.0).g2
-        assert _synthesis_factors.cache_info().misses == 2
+        assert _fold_factors.cache_info().misses == 2
         assert np.array_equal(later, self.fresh(amp, DELAY_NS, ONSET_NS + 40.0))
 
-    def test_spectrum_is_read_only(self):
+    def test_chirp_z_transform_length(self):
         size, chirp, spectrum = _synthesis_factors(1024, 157, 0.125, 0.01, 0.5)
         assert size == _next_fast_len(1024 + 157 - 1)
-        for array in (chirp, spectrum):
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        assert chirp.size == 1024 and spectrum.size == size
 
     def test_each_memo_holds_one_entry(self):
         """One grid's factors at most stay resident, whatever a run sweeps."""
-        for memo in (_synthesis_factors, _etalon_response, _grid_delta):
+        for memo in (_fold_factors, _etalon_response, _grid_delta):
             assert memo.cache_info().maxsize == 1
 
     def test_sweep_equals_sweep_with_memo_cleared_per_power(self):
+        """The sweep's packets all fold, and its powers share the factors of
+        each grid."""
         scenario = sfwm.load_config()
         powers = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
-        _synthesis_factors.cache_clear()
-        memo = analysis.sweep_predict(scenario, powers)
-        assert _synthesis_factors.cache_info().hits > 0
+        _fold_factors.cache_clear()
+        with mock.patch.object(biphoton, "_synthesis_factors", wraps=_synthesis_factors) as chirp:
+            memo = analysis.sweep_predict(scenario, powers)
+        assert _fold_factors.cache_info().hits > 0
+        chirp.assert_not_called()
 
         def cleared(*args, **kwargs):
-            _synthesis_factors.cache_clear()
+            _fold_factors.cache_clear()
             return sfwm.predict_packet(*args, **kwargs)
 
         with mock.patch.object(analysis, "predict_packet", side_effect=cleared):
             fresh = analysis.sweep_predict(scenario, powers)
-        assert _synthesis_factors.cache_info().hits == 0
+        assert _fold_factors.cache_info().hits == 0
         for name in ("tau_ns", "linewidth_hz", "eit_fwhm_hz", "rate_pairs_per_s",
                      "brightness", "sbr"):
             assert np.array_equal(getattr(memo, name), getattr(fresh, name)), name
@@ -669,7 +696,7 @@ class TestOwnership:
         entries = (
             OWNERSHIP_GRID.delta,
             _etalon_response(OWNERSHIP_GRID, biphoton.DEFAULT_ETALONS),
-            *_synthesis_factors(OWNERSHIP_GRID.count, 157, OWNERSHIP_GRID.spacing, 0.01, 0.5)[1:],
+            _fold_factors(OWNERSHIP_GRID.count, OWNERSHIP_GRID.spacing, 0.5),
         )
         for array in entries:
             with pytest.raises(ValueError):
@@ -724,27 +751,38 @@ class TestOwnership:
             assert not np.shares_memory(out, amp.values)
             assert not np.shares_memory(out, response)
 
-    def test_wavepacket(self):
-        amp = sfwm.apply_etalons(self.amplitude("strong"))
+    @pytest.mark.parametrize("factors", ["_synthesis_factors", "_fold_factors"])
+    def test_wavepacket(self, factors):
+        """By the chirp-z transform on OWNERSHIP_GRID, and by the fold, whose
+        factors are memoized, on the locked grid over the same window."""
+        m, d, _ = OWNERSHIP_CASES["strong"]
+        fold = factors == "_fold_factors"
+        grid = locked(24.0, m.gamma)[1] if fold else OWNERSHIP_GRID
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d, edge_tol=np.inf))
         values = amp.values.copy()
         tau = DELAY_NS.copy()
+        build = getattr(biphoton, factors)
         entries = []
 
         def spy(*args):
-            entries.append(_synthesis_factors(*args))
-            return entries[-1]
+            entry = build(*args)
+            entries.append(entry[1:] if isinstance(entry, tuple) else (entry,))
+            return entry
 
-        with mock.patch.object(biphoton, "_synthesis_factors", spy):
+        with mock.patch.object(biphoton, factors, spy):
             first = sfwm.wavepacket(amp, tau, onset_ns=ONSET_NS)
-            memo = [array.copy() for array in entries[0][1:]]
+            copies = [array.copy() for array in entries[0]]
             second = sfwm.wavepacket(amp, tau, onset_ns=ONSET_NS)
         assert np.array_equal(tau, DELAY_NS) and np.array_equal(amp.values, values)
-        assert entries[0] is entries[1]
-        for array, copy in zip(entries[0][1:], memo):
-            assert np.array_equal(array, copy) and not array.flags.writeable
+        assert len(entries) == 2
+        for array, copy in zip(entries[0], copies):
+            assert np.array_equal(array, copy)
+        if fold:
+            assert all(a is b for a, b in zip(*entries))
+            assert not any(array.flags.writeable for array in entries[0])
         self.assert_fresh(first.g2, second.g2)
         for g2 in (first.g2, second.g2):
-            for array in (amp.values, tau, *entries[0][1:]):
+            for array in (amp.values, tau, *entries[0]):
                 assert not np.shares_memory(g2, array)
 
     @pytest.mark.parametrize("tau", [DELAY_NS, *BAD_DELAY_GRIDS.values()],
@@ -829,6 +867,102 @@ class TestDelayAxis:
             sfwm.sweep_predict(fine, [1.0])
 
 
+class TestFold:
+    """The folded synthesis on predict_packet's grids against the chirp-z
+    transform on the same grids, within 1e-12 of the packet's peak."""
+
+    @pytest.mark.parametrize("onset_ns", [0.0, 37.3, 150.0])
+    @pytest.mark.parametrize("half_width", [64.0, 128.0])
+    def test_matches_the_chirp_z(self, half_width, onset_ns, medium_a, drive_a):
+        """The default delay axis, on the first window and on the widened
+        one; the onsets of 37.3 and 150 ns are not whole bins.  The largest
+        deviation seen is 1.0e-14 of the peak."""
+        h, _ = locked(64.0, medium_a.gamma)
+        grid = _locked_grid(half_width, h, MAX_COUNT)
+        assert grid.count % 2 == 1
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
+        _fold_factors.cache_clear()
+        fold = sfwm.wavepacket(amp, DELAY_NS, onset_ns=onset_ns).g2
+        assert _fold_factors.cache_info().misses == 1
+        reference = chirp_z(amp, DELAY_NS, onset_ns)
+        assert np.max(np.abs(fold - reference)) <= 1e-12 * reference.max()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        half_width=st.floats(8.0, 256.0),
+        gamma=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+        bin_ns=st.floats(5.0, 60.0),
+        onset_ns=st.floats(-300.0, 300.0),
+        cap=st.integers(1024, DEFAULT_COUNT),
+    )
+    @example(half_width=64.0, gamma=0.028, bin_ns=25.6, onset_ns=150.0, cap=DEFAULT_COUNT)
+    @example(half_width=64.0, gamma=0.0, bin_ns=25.6, onset_ns=0.0, cap=1024)
+    @example(half_width=8.0, gamma=1.0, bin_ns=5.0, onset_ns=37.3, cap=1024)
+    def test_locked_grid(self, half_width, gamma, bin_ns, onset_ns, cap):
+        """Over a 4 us delay axis: the grid's period M holds the delays and
+        is the smallest that meets the decay margin, its window is
+        half_width rounded up to whole steps (unless the 1024-sample floor
+        binds), and its count is at most the cap; where that count would
+        pass the cap, and at gamma = 0, the grid is SpectralGrid(half_width,
+        cap).  The packet on it matches the chirp-z transform, by the fold
+        wherever a locked grid's M is below count + n_tau."""
+        tau = sfwm.delay_axis(4000.0, bin_ns)
+        step, n_tau = delay_step(tau), tau.size
+        h, grid = locked(half_width, gamma, cap, tau)
+        assert grid.count <= cap
+        if gamma == 0.0:
+            assert h == 0.0
+        else:
+            turns = 2.0 * np.pi / (h * step)
+            period = round(turns)
+            assert abs(turns - period) <= 1e-12 * turns
+            need = max(n_tau, ALIAS_DECAY_MARGIN / gamma / step)
+            assert need * (1.0 - 1e-12) <= period < need + 1.0
+        k = max(math.ceil(half_width / h), 512) if h else math.inf
+        fits = 2 * k + 1 <= cap
+        if fits:
+            assert grid.count == 2 * k + 1
+            assert grid.spacing == pytest.approx(h, rel=1e-14)
+            if k > 512:
+                assert half_width * (1.0 - 1e-14) <= grid.half_width < half_width + h
+        else:
+            assert grid == sfwm.SpectralGrid(half_width, cap)
+
+        m = sfwm.MediumParams(alpha_s=80.0, gamma=gamma)
+        amp = sfwm.apply_etalons(
+            sfwm.spectral_amplitude(grid, m, sfwm.DriveParams(2.7), edge_tol=np.inf)
+        )
+        if grid.spacing * step * (n_tau - 1) > 2.0 * np.pi:
+            # Only a cap's grid can be too coarse for the delay span.
+            assert not fits
+            with pytest.raises(AliasingError):
+                sfwm.wavepacket(amp, tau, onset_ns=onset_ns)
+            return
+        _fold_factors.cache_clear()
+        packet = sfwm.wavepacket(amp, tau, onset_ns=onset_ns).g2
+        if fits:
+            assert _fold_factors.cache_info().misses == int(period < grid.count + n_tau)
+        reference = chirp_z(amp, tau, onset_ns)
+        assert np.max(np.abs(packet - reference)) <= 1e-12 * reference.max()
+
+    def test_fold_period(self):
+        """Only a spacing product within 1e-12 of 2*pi/M folds, and only for
+        n_tau <= M < n_delta + n_tau."""
+        for b, expected in [
+            (2.0 * np.pi / 741, 741),
+            (2.0 * np.pi / 741 * (1.0 + 5e-13), 741),
+            (2.0 * np.pi / 741 * (1.0 + 5e-12), 0),
+            (2.0 * np.pi / 741.5, 0),
+            (2.0 * np.pi / 156, 0),
+            (2.0 * np.pi / 157, 157),
+            (2.0 * np.pi / (16384 + 156), 16384 + 156),
+            (2.0 * np.pi / (16384 + 157), 0),
+            (0.0, 0),
+            (5e-324, 0),
+        ]:
+            assert _fold_period(b, 16384, 157) == expected, b
+
+
 def _figures(packet):
     """Fitted tau, area and rise-convolved peak: what a sweep reads off a packet."""
     return np.array([
@@ -839,19 +973,25 @@ def _figures(packet):
 
 
 class TestPredictPacket:
-    SPAN = sfwm.DEFAULT_UNITS.time_from_ns(DELAY_NS[-1] - DELAY_NS[0])
-
     @staticmethod
     def medium_drive(gamma, p_mw):
         return (sfwm.MediumParams(alpha_s=82.0, gamma=gamma),
                 sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw)))
 
     @staticmethod
-    def dense_packet(m, d, count):
-        """The packet on ``count`` samples over the default window, widened at
-        its own spacing while |A| has not decayed at the edges."""
+    def direct(grid, m, d):
+        """The packet of the public API on ``grid``."""
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d))
+        return sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
+
+    @staticmethod
+    def dense_packet(m, d, h):
+        """The packet on each window of spacing h with four times the steps,
+        spacing h/4, widened while |A| has not decayed at the edges; the
+        edge samples are those of the window's own grid."""
         for widening in range(MAX_WIDENINGS + 1):
-            grid = sfwm.SpectralGrid(64.0 * 2**widening, count << widening)
+            window = _locked_grid(64.0 * 2**widening, h, DEFAULT_COUNT << widening)
+            grid = sfwm.SpectralGrid(window.half_width, 4 * (window.count - 1) + 1)
             try:
                 amp = sfwm.spectral_amplitude(grid, m, d)
                 break
@@ -862,26 +1002,28 @@ class TestPredictPacket:
     @pytest.mark.parametrize("p_mw", [0.02, 0.5, 5.0])
     @pytest.mark.parametrize("gamma", [0.015, 0.024, 0.028])
     def test_derived_grid_matches_four_times_denser(self, gamma, p_mw):
-        """At 5 mW both windows are widened, the dense one at its own spacing."""
+        """At 5 mW both windows are widened, the dense one on the same
+        window as the locked grid."""
         m, d = self.medium_drive(gamma, p_mw)
-        count = _derived_count(64.0, gamma, self.SPAN, DEFAULT_COUNT)
-        assert count < DEFAULT_COUNT
+        h, grid = locked(64.0, gamma)
+        assert grid.count < DEFAULT_COUNT
         derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
-        dense = self.dense_packet(m, d, 4 * count)
+        dense = self.dense_packet(m, d, h)
         np.testing.assert_allclose(_figures(derived), _figures(dense), rtol=1e-8, atol=0.0)
 
     @pytest.mark.parametrize("gamma", [0.006, 0.0])
     def test_cap_binds_and_reproduces_the_default_grid(self, gamma):
         m, d = self.medium_drive(gamma, 0.5)
-        assert _derived_count(64.0, gamma, self.SPAN, DEFAULT_COUNT) == DEFAULT_COUNT
+        assert locked(64.0, gamma)[1] == sfwm.SpectralGrid()
         derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
         amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(), m, d))
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(derived.g2, direct.g2)
 
     def test_count_below_the_need_is_used(self, medium_a, drive_a):
-        """8192 samples are fewer than the 14580 gamma = 0.028 derives, so the
-        count caps the grid."""
+        """8192 samples are fewer than the 14571 of the grid gamma = 0.028
+        locks, so the count is used as given."""
+        assert locked(64.0, medium_a.gamma)[1].count == 14571
         grid = sfwm.SpectralGrid(count=8192)
         capped = sfwm.predict_packet(scenario(medium_a, drive_a, grid=grid), DELAY_NS)
         amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
@@ -905,29 +1047,67 @@ class TestPredictPacket:
 
     @pytest.mark.parametrize("half_width", [8.0, 24.0, 64.0, 128.0, 1024.0])
     def test_count_never_exceeds_the_default_grid(self, half_width):
-        """The default count is the cap on every window, and below it the
-        count is a 7-smooth size whose period covers both limits, with less
-        than 10% to spare."""
+        """The default count caps every window's grid.  Below the cap the
+        grid is locked, an odd count whose period is the smallest that holds
+        the delays and the decay margin; at the cap it is the default grid
+        on the window."""
         for gamma in (0.0, 1e-4, 0.006, 0.015, 0.028, 0.3, 10.0, np.inf):
-            for span in (0.0, 10.0, self.SPAN, 2000.0, np.nan):
-                count = _derived_count(half_width, gamma, span, DEFAULT_COUNT)
-                assert 1024 <= count <= DEFAULT_COUNT
-                if 1024 < count < DEFAULT_COUNT:
-                    bound = max(span, 20.0 / gamma)
-                    assert bound <= np.pi * (count - 1) / half_width < 1.1 * bound
-                    assert count == _next_fast_len(count)
+            for bins in (2, 10, 157, 2000):
+                tau = 25.6 * np.arange(bins)
+                step = delay_step(tau)
+                h, grid = locked(half_width, gamma, tau_ns=tau)
+                assert 1024 <= grid.count <= DEFAULT_COUNT
+                if grid.count == DEFAULT_COUNT:
+                    assert grid == sfwm.SpectralGrid(half_width, DEFAULT_COUNT)
+                    assert h == 0.0 or 2 * math.ceil(half_width / h) + 1 > DEFAULT_COUNT
+                    continue
+                period = round(2.0 * np.pi / (h * step))
+                need = max(bins, ALIAS_DECAY_MARGIN / gamma / step)
+                assert period >= bins and need * (1.0 - 1e-12) <= period < need + 1.0
 
-    def test_widening_rederives_the_count(self, medium_a):
+    def test_widening_keeps_the_spacing(self, medium_a):
         """A 31.2 MHz coupling fails the edge test on the default window and
-        succeeds once widened; the wider window needs no more than twice the
-        derived count."""
+        succeeds once widened; the wider grid has the first grid's spacing,
+        and about twice its samples."""
         d = sfwm.DriveParams(omega_c=31.2 / 6.0)
+        h, first = locked(64.0, medium_a.gamma)
         with pytest.raises(GridTooNarrowError):
-            sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_a, d)
+            sfwm.spectral_amplitude(first, medium_a, d)
         packet = sfwm.predict_packet(scenario(medium_a, d), DELAY_NS)
-        wide = sfwm.SpectralGrid(
-            half_width=128.0, count=_derived_count(128.0, medium_a.gamma, self.SPAN, 2 * DEFAULT_COUNT)
-        )
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(wide, medium_a, d))
-        assert np.array_equal(packet.g2, sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS).g2)
-        assert wide.count <= 2 * _derived_count(64.0, medium_a.gamma, self.SPAN, DEFAULT_COUNT)
+        wide = _locked_grid(128.0, h, 2 * DEFAULT_COUNT)
+        assert wide.spacing == pytest.approx(first.spacing, rel=1e-14)
+        assert wide.count in (2 * first.count - 1, 2 * first.count - 3)
+        assert np.array_equal(packet.g2, self.direct(wide, medium_a, d).g2)
+
+    @pytest.mark.parametrize(
+        "tau", [np.empty(0), np.array([0.0]), *BAD_DELAY_GRIDS.values()],
+        ids=["empty", "one sample", *BAD_DELAY_GRIDS.keys()],
+    )
+    def test_short_or_bad_delay_axis_is_rejected_first(self, medium_a, drive_a, tau):
+        """A delay axis of fewer than two samples, or not uniform and
+        increasing, is a usage error before any amplitude is evaluated."""
+        with mock.patch.object(biphoton, "spectral_amplitude") as amplitude:
+            with pytest.raises(UsageError, match="delay grid"):
+                sfwm.predict_packet(scenario(medium_a, drive_a), tau)
+        amplitude.assert_not_called()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        gamma=st.sampled_from([0.0, 1e-6, 10.0]),
+        cap=st.integers(1024, MAX_COUNT),
+        span_ns=st.sampled_from([0.0, 10.0, 25.6, 4000.0]),
+        omega_c=st.sampled_from([2.7, 31.2 / 6.0]),
+    )
+    @example(gamma=0.0, cap=MAX_COUNT, span_ns=4000.0, omega_c=31.2 / 6.0)
+    @example(gamma=10.0, cap=1024, span_ns=4000.0, omega_c=2.7)
+    @example(gamma=1e-6, cap=1024, span_ns=10.0, omega_c=2.7)
+    def test_every_outcome_is_a_packet_or_a_contract_error(self, gamma, cap, span_ns, omega_c):
+        """Any decoherence, any cap, a delay span shorter than one bin, and a
+        widening past MAX_COUNT: a packet, a UsageError or a NumericsError."""
+        s = scenario(sfwm.MediumParams(80.0, gamma), sfwm.DriveParams(omega_c),
+                     grid=sfwm.SpectralGrid(count=cap))
+        try:
+            packet = sfwm.predict_packet(s, sfwm.delay_axis(span_ns, 25.6))
+        except (UsageError, NumericsError):
+            return
+        assert np.all(np.isfinite(packet.g2)) and packet.g2.size >= 2

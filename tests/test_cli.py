@@ -330,14 +330,14 @@ class TestFitCommands:
 # np.linspace detuning wrote it, 12 significant digits.
 FULL_GRID_SWEEP = """\
 power_mw,tau_ns,linewidth_hz,eit_fwhm_hz,rate_pairs_per_s,brightness_pairs_per_s_mw_mhz,sbr
-0.02,464.603201247,342561.012633,326611.647299,3.4646303533e-05,0.000202278147573,2.15621036407e-10
-0.05,451.949851448,352151.776535,341311.886272,8.42097398779e-05,0.000478258214151,4.92434061421e-10
-0.1,432.063255317,368360.283207,355196.51898,0.000160873354177,0.000873456566907,8.92677533004e-10
-0.2,396.383661628,401517.414815,380759.867093,0.000294755492761,0.00146820776328,1.56294895439e-09
-0.5,314.929442789,505366.985324,463663.631013,0.000583587796703,0.00230956043292,3.04571906276e-09
-1,231.618037236,687143.993583,622184.054318,0.000855231431323,0.00248923497639,4.73452739817e-09
-2,149.127582573,1067240.14663,976751.172491,0.00109679742417,0.0020553901156,6.77937036604e-09
-5,69.6964159021,2283545.58885,2111382.13675,0.00127512443616,0.00111679350076,9.28406668398e-09
+0.02,464.603179791,342561.028454,326611.647299,3.46463038828e-05,0.000202278140273,2.15621064488e-10
+0.05,451.949829947,352151.793287,341311.886272,8.42097404988e-05,0.000478258194926,4.92434124284e-10
+0.1,432.063233771,368360.301576,355196.51898,0.00016087335502,0.000873456527926,8.92677645266e-10
+0.2,396.38364008,401517.436642,380759.867093,0.000294755494288,0.00146820769107,1.56294915147e-09
+0.5,314.929421476,505367.019525,463663.631013,0.000583587800811,0.00230956029287,3.04571945645e-09
+1,231.618016655,687144.054641,622184.054318,0.000855231439317,0.00248923477848,4.73452813212e-09
+2,149.127582215,1067240.14919,976751.172491,0.00109679742377,0.0020553901099,6.77937037514e-09
+5,69.6964155649,2283545.5999,2111382.13675,0.00127512443513,0.00111679349446,9.28406669636e-09
 """
 
 
@@ -869,6 +869,19 @@ class TestNonfiniteArguments:
                      f"--tau-max-ns={value}"])
         assert code == 2
         assert f"spans more than {sfwm.biphoton.MAX_DELAY_BINS} bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate-biphoton", "synth"])
+    @pytest.mark.parametrize("value", ["10", "0"])
+    def test_short_tau_max_is_usage_error(self, strong_config, tmp_path, capsys, command, value):
+        """A span shorter than two bins stops before any amplitude is evaluated."""
+        out = tmp_path / "x.csv"
+        with mock.patch.object(sfwm.biphoton, "spectral_amplitude") as amplitude:
+            code = main([command, "--config", strong_config, "--out", str(out),
+                         f"--tau-max-ns={value}"])
+        assert code == 2
+        assert "at least two samples" in capsys.readouterr().err
+        amplitude.assert_not_called()
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
