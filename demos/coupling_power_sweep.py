@@ -34,7 +34,7 @@ imax = int(np.argmax(sweep.brightness))
 print(f"\nbrightness peaks at {sweep.powers_mw[imax]:g} mW with "
       f"{sweep.brightness[imax]:.0f} pairs/(s mW MHz)")
 print(f"low-power decay constant approaches 1/(2*gamma) = "
-      f"{sfwm.DEFAULT_UNITS.time_to_ns(1 / (2 * scenario.medium.gamma)):.0f} ns "
+      f"{sfwm.units.time_to_ns(1 / (2 * scenario.medium.gamma)):.0f} ns "
       f"(got {sweep.tau_ns[0]:.0f} ns at 0.02 mW)")
 
 np.savetxt(

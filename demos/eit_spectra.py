@@ -31,7 +31,7 @@ for label, p in CASES.items():
     name = "eit_" + label.split()[0] + ".csv"
     np.savetxt(
         name,
-        np.column_stack([sfwm.DEFAULT_UNITS.frequency_to_hz(spectrum.delta),
+        np.column_stack([sfwm.units.frequency_to_hz(spectrum.delta),
                          spectrum.transmission]),
         delimiter=",",
         header="detuning_hz,transmission",

@@ -25,7 +25,6 @@ from .analysis import (
     sbr,
     spectral_brightness,
     sweep_predict,
-    tau_from_linewidth,
 )
 from .biphoton import (
     BiphotonAmplitude,
@@ -62,4 +61,4 @@ from .physics import (
     spectrum_baseline,
     spectrum_fwhm,
 )
-from .units import DEFAULT_UNITS, GAMMA_HZ, UnitSystem
+from .units import GAMMA_HZ

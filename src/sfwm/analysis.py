@@ -454,13 +454,6 @@ def linewidth_from_tau(tau_ns: float) -> float:
     return 1.0 / (2.0 * math.pi * tau_ns * 1e-9)
 
 
-def tau_from_linewidth(linewidth_hz: float) -> float:
-    """Decay constant in ns from a linewidth in Hz; inverse of linewidth_from_tau."""
-    if not (linewidth_hz > 0) or not math.isfinite(linewidth_hz):
-        raise DomainError(f"linewidth must be positive, got {linewidth_hz!r}")
-    return 1.0 / (2.0 * math.pi * linewidth_hz) * 1e9
-
-
 def sbr(fit: ExpFit) -> float:
     """Peak signal-to-background ratio S/y0, the maximum pair correlation.
 
@@ -640,7 +633,8 @@ def sweep_predict(
     its decay constant, and its area stands in for the pair rate.  The SBR
     proxy is the rise-time-convolved packet peak over the power-dependent
     background rate.  Rates are relative unless anchored: ``rate_anchor=
-    (power_mw, pairs_per_s_per_MHz)`` fixes the rate per linewidth at one power.
+    (power_mw, pairs_per_s_per_MHz)`` fixes the rate per linewidth at the
+    first power within 1e-5 relative of ``power_mw``.
     The brightness divides the rate by the pump power that the scenario's
     ``drive.omega_p`` implies and by the linewidth.  The EIT width is nan
     at a power whose spectrum has no measurable transparency window.  Raises
@@ -678,7 +672,7 @@ def sweep_predict(
 
     if rate_anchor is not None:
         anchor_power, per_mhz = rate_anchor
-        idx = np.nonzero(np.isclose(powers, anchor_power))[0]
+        idx = np.nonzero(np.isclose(powers, anchor_power, atol=0.0))[0]
         if idx.size == 0:
             raise UsageError(f"anchor power {anchor_power} mW is not in the sweep")
         i = int(idx[0])

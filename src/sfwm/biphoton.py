@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair, _unfold
-from .units import DEFAULT_UNITS
+from .units import frequency_to_hz, time_from_ns
 
 if TYPE_CHECKING:
     from .config import Scenario
@@ -297,7 +297,7 @@ def spectral_amplitude(
 def _etalon_response(grid: SpectralGrid, e: EtalonChain) -> np.ndarray:
     """Read-only product of the etalons' responses on the grid.  One entry:
     the last grid and chain."""
-    f_hz = DEFAULT_UNITS.frequency_to_hz(grid.delta)
+    f_hz = frequency_to_hz(grid.delta)
     response = np.ones(grid.count, dtype=complex)
     offset = np.empty(grid.count)
     pole = np.empty(grid.count, dtype=complex)
@@ -429,7 +429,7 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     packet = WavePacket(tau_ns, np.zeros(tau_ns.size), float(tau_ns[1] - tau_ns[0]))
     if not math.isfinite(onset_ns):
         raise UsageError(f"onset must be finite, got {onset_ns!r} ns")
-    span = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0]))
+    span = time_from_ns(float(tau_ns[-1] - tau_ns[0]))
     if a.grid.spacing * span > 2.0 * np.pi:
         raise AliasingError(
             f"spectral spacing {a.grid.spacing:.3e} Gamma cannot support a "
@@ -443,7 +443,7 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     h = a.grid.spacing
     n_tau = tau_ns.size
     b = h * span / (n_tau - 1)
-    tau0 = DEFAULT_UNITS.time_from_ns(float(tau_ns[0]) - onset_ns)
+    tau0 = time_from_ns(float(tau_ns[0]) - onset_ns)
     n_delta = a.grid.count
     period = _fold_period(b, n_delta, n_tau)
     if period:
@@ -555,7 +555,7 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
         raise UsageError("delay grid needs at least two samples")
     if not _is_delay_grid(tau_ns):
         raise UsageError("delay grid must be uniform and increasing")
-    step = DEFAULT_UNITS.time_from_ns(float(tau_ns[-1] - tau_ns[0])) / (tau_ns.size - 1)
+    step = time_from_ns(float(tau_ns[-1] - tau_ns[0])) / (tau_ns.size - 1)
     h = _locked_spacing(m.gamma, tau_ns.size, step)
     for widening in range(MAX_WIDENINGS + 1):
         grid = _locked_grid(start.half_width * 2**widening, h, start.count << widening)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .errors import (
     UsageError,
 )
 from .physics import Spectrum, eit_spectrum, spectrum_fwhm
-from .units import DEFAULT_UNITS
+from .units import frequency_from_hz, frequency_to_hz
 
 # Most detunings simulate-eit evaluates; their spectrum takes about 90 MB.
 MAX_POINTS = 1_000_000
@@ -104,8 +105,8 @@ def cmd_simulate_eit(args) -> int:
         raise UsageError("--delta-min-mhz and --delta-max-mhz must be finite")
     if not 2 <= args.points <= MAX_POINTS or not args.delta_min_mhz < args.delta_max_mhz:
         raise UsageError(f"need 2 to {MAX_POINTS} points and delta-min below delta-max")
-    lo = DEFAULT_UNITS.frequency_from_hz(args.delta_min_mhz * 1e6)
-    hi = DEFAULT_UNITS.frequency_from_hz(args.delta_max_mhz * 1e6)
+    lo = frequency_from_hz(args.delta_min_mhz * 1e6)
+    hi = frequency_from_hz(args.delta_max_mhz * 1e6)
     spectrum = eit_spectrum(
         np.linspace(lo, hi, args.points), scenario.medium, scenario.drive, scenario.q
     )
@@ -113,7 +114,7 @@ def cmd_simulate_eit(args) -> int:
         summary = f"EIT FWHM: {spectrum_fwhm(spectrum) / 1e3:.1f} kHz"
     except PeakShapeError:
         summary = "no transparency window above the baseline"
-    rows = zip(DEFAULT_UNITS.frequency_to_hz(spectrum.delta), spectrum.transmission)
+    rows = zip(frequency_to_hz(spectrum.delta), spectrum.transmission)
     _write_csv(args.out, _meta(scenario, "simulate-eit"), ["detuning_hz", "transmission"], rows)
     _note(summary)
     return 0
@@ -134,8 +135,11 @@ def cmd_simulate_biphoton(args) -> int:
             f"linewidth: {linewidth_from_tau(fit.tau_ns) / 1e3:.1f} kHz",
         ]
         if scenario.success_probability is not None:
+            # The trigger count cancels out of the ratio, so one trigger gives
+            # it, also where the chain expects none and 0/0 would leave it nan.
+            one_trigger = replace(scenario.detection, trigger_rate=1.0, accumulation_s=1.0)
             means = expected_bins(
-                smoothed, scenario.detection, scenario.coupling_power_mw,
+                smoothed, one_trigger, scenario.coupling_power_mw,
                 success_probability=scenario.success_probability,
             )
             floor = means.min()
@@ -156,20 +160,20 @@ def cmd_fit_eit(args) -> int:
     header, data = _read_csv(args.csv)
     if data.size == 0 or len(header) < 2:
         raise UsageError(f"{args.csv} contains no usable spectrum")
-    spectrum = Spectrum(DEFAULT_UNITS.frequency_from_hz(data[:, 0]), data[:, 1])
+    spectrum = Spectrum(frequency_from_hz(data[:, 0]), data[:, 1])
     fit = fit_eit(spectrum, scenario.medium, scenario.drive)
     _report(
         {
             "alpha_s": fit.alpha_s,
             "omega_c_gamma_units": fit.omega_c,
-            "coupling_rabi_mhz": DEFAULT_UNITS.frequency_to_hz(fit.omega_c) / 1e6,
+            "coupling_rabi_mhz": frequency_to_hz(fit.omega_c) / 1e6,
             "gamma_gamma_units": fit.gamma,
-            "decoherence_mhz": DEFAULT_UNITS.frequency_to_hz(fit.gamma) / 1e6,
+            "decoherence_mhz": frequency_to_hz(fit.gamma) / 1e6,
             "residual_norm": fit.residual_norm,
             "converged": fit.converged,
             "initial_guess": {
-                "coupling_rabi_mhz": DEFAULT_UNITS.frequency_to_hz(scenario.drive.omega_c) / 1e6,
-                "decoherence_mhz": DEFAULT_UNITS.frequency_to_hz(scenario.medium.gamma) / 1e6,
+                "coupling_rabi_mhz": frequency_to_hz(scenario.drive.omega_c) / 1e6,
+                "decoherence_mhz": frequency_to_hz(scenario.medium.gamma) / 1e6,
             },
         }
     )

@@ -18,7 +18,7 @@ from .biphoton import RISE_NS, EtalonChain, SpectralGrid
 from .detector import DetectionModel
 from .errors import UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams
-from .units import DEFAULT_UNITS
+from .units import frequency_from_hz
 
 _MHZ = 1e6
 
@@ -39,7 +39,7 @@ def _int(section: str, key: str, raw: str) -> int:
 
 def _mhz(section: str, key: str, raw: str) -> float:
     """A frequency in MHz, in Gamma units."""
-    return DEFAULT_UNITS.frequency_from_hz(_float(section, key, raw) * _MHZ)
+    return frequency_from_hz(_float(section, key, raw) * _MHZ)
 
 
 def _mhz_list(section: str, key: str, raw: str) -> tuple[float, ...]:

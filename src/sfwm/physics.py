@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PeakShapeError, UsageError
-from .units import DEFAULT_UNITS
+from .units import GAMMA_HZ, frequency_to_hz
 
 # Most nodes of a Doppler quadrature (8 MB per node array), and most terms
 # of one block of the trapezoid sum (16 MB).  At the bound a 481-point
@@ -120,7 +120,7 @@ class DriveParams:
 
     omega_c: float
     omega_p: float = 2.0
-    delta_p: float = -2.0e9 / 6.0e6
+    delta_p: float = -2.0e9 / GAMMA_HZ
 
     def __post_init__(self):
         for name in ("omega_c", "omega_p", "delta_p"):
@@ -519,4 +519,4 @@ def spectrum_fwhm(s: Spectrum) -> float:
         raise PeakShapeError("peak does not fall to half height on the right")
     right = np.interp(half, [t[i], t[i - 1]], [s.delta[i], s.delta[i - 1]])
 
-    return DEFAULT_UNITS.frequency_to_hz(float(right - left))
+    return frequency_to_hz(float(right - left))

@@ -227,7 +227,7 @@ def test_criterion_8_numerical_hygiene(packet_a):
     tau = np.arange(50.0, 800.0, 5.0)
     g = sfwm.wavepacket(pole, tau).g2
     slope = np.polyfit(tau, np.log(g), 1)[0]
-    pole_err = abs(-1.0 / slope / sfwm.DEFAULT_UNITS.time_to_ns(1.0 / (2.0 * g_h)) - 1.0)
+    pole_err = abs(-1.0 / slope / sfwm.units.time_to_ns(1.0 / (2.0 * g_h)) - 1.0)
 
     ok = (
         doppler_shift < 0.01

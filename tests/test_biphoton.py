@@ -43,7 +43,7 @@ FAST_QUAD = sfwm.DopplerQuadrature(step=0.25)
 
 def delay_step(tau_ns):
     """The delay step of ``tau_ns`` in 1/Gamma, as predict_packet takes it."""
-    return sfwm.DEFAULT_UNITS.time_from_ns(tau_ns[-1] - tau_ns[0]) / (tau_ns.size - 1)
+    return sfwm.units.time_from_ns(tau_ns[-1] - tau_ns[0]) / (tau_ns.size - 1)
 
 
 def locked(half_width, gamma, cap=DEFAULT_COUNT, tau_ns=DELAY_NS):
@@ -150,13 +150,13 @@ def full_grid_amplitude(delta, m, d, q=None):
 def full_grid_packet(values, grid, tau_ns, onset_ns, chain):
     """Etalon divisions and the chirp-z synthesis with the chirp and the
     kernel built for this packet alone, on the np.linspace detunings."""
-    f_hz = sfwm.DEFAULT_UNITS.frequency_to_hz(np.linspace(-grid.half_width, grid.half_width,
+    f_hz = sfwm.units.frequency_to_hz(np.linspace(-grid.half_width, grid.half_width,
                                                           grid.count))
     for fwhm, center in zip(chain.fwhm_hz, chain.centers_hz):
         values = values / (1.0 - 2j * (f_hz - center) / fwhm)
     n, n_tau, h = grid.count, tau_ns.size, grid.spacing
-    b = h * sfwm.DEFAULT_UNITS.time_from_ns(tau_ns[-1] - tau_ns[0]) / (n_tau - 1)
-    tau0 = sfwm.DEFAULT_UNITS.time_from_ns(tau_ns[0] - onset_ns)
+    b = h * sfwm.units.time_from_ns(tau_ns[-1] - tau_ns[0]) / (n_tau - 1)
+    tau0 = sfwm.units.time_from_ns(tau_ns[0] - onset_ns)
     centered = np.arange(n) - 0.5 * (n - 1)
     w = np.full(n, h / (2.0 * np.pi))
     w[[0, -1]] *= 0.5
@@ -439,7 +439,7 @@ class TestEtalons:
 
     def test_each_chain_matches_the_unmemoized_filter(self, amplitude_a):
         """Two chains on one grid: the memo keeps no stale response."""
-        f_hz = sfwm.DEFAULT_UNITS.frequency_to_hz(amplitude_a.grid.delta)
+        f_hz = sfwm.units.frequency_to_hz(amplitude_a.grid.delta)
         chains = [sfwm.EtalonChain(), sfwm.EtalonChain((30e6,), (2e6,)), sfwm.EtalonChain()]
         _etalon_response.cache_clear()
         for chain in chains:
@@ -478,12 +478,12 @@ class TestWavePacket:
         tau = np.arange(0.0, 800.0, 5.0)
         packet = sfwm.wavepacket(amp, tau)
         sel = tau >= 50.0
-        expected = np.exp(-2.0 * g_h * sfwm.DEFAULT_UNITS.time_from_ns(tau[sel]))
+        expected = np.exp(-2.0 * g_h * sfwm.units.time_from_ns(tau[sel]))
         ratio = packet.g2[sel] / expected
         assert np.max(np.abs(ratio / ratio.mean() - 1.0)) < 0.01
         slope = np.polyfit(tau[sel], np.log(packet.g2[sel]), 1)[0]
         decay_ns = -1.0 / slope
-        assert decay_ns == pytest.approx(sfwm.DEFAULT_UNITS.time_to_ns(1.0 / (2 * g_h)), rel=0.01)
+        assert decay_ns == pytest.approx(sfwm.units.time_to_ns(1.0 / (2 * g_h)), rel=0.01)
 
     def test_negative_delays_are_empty(self, amplitude_a):
         tau = np.arange(-1000.0, 500.0, 25.6)
@@ -560,7 +560,7 @@ class TestWavePacket:
         onset_ns = 77.0
         packet = sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns)
 
-        tau = sfwm.DEFAULT_UNITS.time_from_ns(tau_ns - onset_ns)
+        tau = sfwm.units.time_from_ns(tau_ns - onset_ns)
         w = np.full(count, grid.spacing)
         w[[0, -1]] *= 0.5
         phases = np.exp(-1j * np.outer(grid.delta, tau))
@@ -1078,6 +1078,26 @@ class TestPredictPacket:
         assert wide.spacing == pytest.approx(first.spacing, rel=1e-14)
         assert wide.count in (2 * first.count - 1, 2 * first.count - 3)
         assert np.array_equal(packet.g2, self.direct(wide, medium_a, d).g2)
+
+    def test_widening_gives_up_after_the_last_doubling(self, medium_a, monkeypatch):
+        """From a +-1 Gamma window of 1024 samples a 2.6 Gamma coupling still
+        fails the edge test on the widest window, +-16 Gamma: predict_packet
+        tries MAX_WIDENINGS + 1 windows and raises the last one's
+        GridTooNarrowError."""
+        windows = []
+        amplitude = biphoton.spectral_amplitude
+
+        def recorded(grid, *args):
+            windows.append(grid.half_width)
+            return amplitude(grid, *args)
+
+        monkeypatch.setattr(biphoton, "spectral_amplitude", recorded)
+        narrow = scenario(medium_a, sfwm.DriveParams(omega_c=2.6), grid=sfwm.SpectralGrid(1.0, 1024))
+        with pytest.raises(GridTooNarrowError, match="grid edge"):
+            sfwm.predict_packet(narrow, DELAY_NS)
+        assert len(windows) == MAX_WIDENINGS + 1
+        # The locked grids round their windows up to whole steps of 0.0088.
+        assert windows[0] == 1.0 and 16.0 <= windows[-1] < 16.01
 
     @pytest.mark.parametrize(
         "tau", [np.empty(0), np.array([0.0]), *BAD_DELAY_GRIDS.values()],

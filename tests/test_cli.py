@@ -221,6 +221,28 @@ class TestSimulateBiphoton:
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines[1:] == [f"{t:.12g},{g:.12g}" for t, g in zip(packet.tau_ns, packet.g2)]
 
+    @pytest.mark.parametrize("line", ["accumulation_s = 0", "trigger_cps = 0"])
+    def test_sbr_estimate_without_triggers(self, tmp_path, capsys, line):
+        """The trigger count cancels out of the SBR estimate, so a chain that
+        expects no triggers prints the value of any positive count."""
+        cfg = tmp_path / "none.ini"
+        estimates = []
+        for text in ("", line):
+            cfg.write_text(f"[detection]\nsuccess_probability = 0.0088\n{text}\n")
+            argv = ["simulate-biphoton", "--config", str(cfg), "--out", str(tmp_path / "wp.csv")]
+            assert main(argv) == 0
+            estimates.append(re.search(r"predicted SBR: (\S+)", capsys.readouterr().err).group(1))
+        assert estimates[1] == estimates[0] != "nan"
+
+    def test_window_that_widening_cannot_fix_exit_code(self, tmp_path, capsys):
+        """A +-1 Gamma window still cuts the 2.6 Gamma amplitude after the
+        last doubling: exit 3, and no CSV."""
+        cfg, out = tmp_path / "narrow.ini", tmp_path / "wp.csv"
+        cfg.write_text("[drive]\ncoupling_rabi_mhz = 15.6\n[grid]\nhalf_width_mhz = 6\ncount = 1024\n")
+        assert main(["simulate-biphoton", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("sfwm: numerical error: |A| at the grid edge")
+        assert not out.exists()
+
     def test_coarse_grid_aliasing_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "coarse.ini"
         cfg.write_text("[grid]\nhalf_width_mhz = 576\ncount = 2048\n")
@@ -278,6 +300,32 @@ class TestFitCommands:
         assert report["sbr"] == pytest.approx(42.0, rel=1e-6)
         assert report["cs_violation"] == pytest.approx(441.0, rel=1e-6)
         assert report["onset_ns"] == 200.0
+
+    def test_fit_eit_out_of_steps_exit_code(self, weak_config, tmp_path, capsys, monkeypatch):
+        """A solve cut to one step from the default guesses does not converge:
+        exit 3 with the numerical-error prefix."""
+        out = tmp_path / "eit.csv"
+        assert main(["simulate-eit", "--config", weak_config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sfwm.analysis, "_LM_MAX_STEPS", 1)
+        assert main(["fit-eit", "--csv", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sfwm: numerical error: EIT fit did not converge")
+        assert captured.out == ""
+
+    def test_fit_biphoton_out_of_steps_exit_code(self, tmp_path, capsys, monkeypatch):
+        packet = sfwm.synth_histogram(
+            exponential_packet(1.0, 260.0, span_ns=4000.0), sfwm.DetectionModel(seed=0), 1.0,
+            peak_sbr=42.0,
+        )
+        path = tmp_path / "wp.csv"
+        path.write_text("delay_ns,counts\n" + "\n".join(
+            f"{t},{c}" for t, c in zip(packet.delay_ns, packet.counts)) + "\n")
+        monkeypatch.setattr(sfwm.analysis, "_NEWTON_MAX_STEPS", 1)
+        assert main(["fit-biphoton", "--csv", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sfwm: numerical error: exponential fit did not converge")
+        assert captured.out == ""
 
     def test_fit_biphoton_reads_the_fit_onset(self, tmp_path, capsys):
         t = np.arange(0.0, 8000.0, 25.6)
@@ -405,6 +453,18 @@ class TestSweep:
         assert code == 3
         assert "rate scale inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_anchor_matches_its_own_power(self, tmp_path):
+        """Powers far below 1e-8 mW are told apart: the anchor fixes the rate
+        per MHz of linewidth at 2e-9 mW, not at the 1e-9 mW row."""
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--powers-mw", "1e-9,2e-9", "--anchor-power-mw", "2e-9",
+                     "--anchor-rate-per-mhz", "1500", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        per_mhz = rows[:, header.index("rate_pairs_per_s")] / (
+            rows[:, header.index("linewidth_hz")] / 1e6)
+        assert per_mhz[1] == pytest.approx(1500.0, rel=1e-9)
+        assert per_mhz[0] == pytest.approx(750.0, rel=1e-3)
 
     def test_brightness_peaks_near_one_milliwatt(self, strong_config, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -724,6 +784,26 @@ class TestSynth:
         assert rows.size == 0
         trig, part = sfwm.read_timetags(tags)
         assert trig.size == 0 and part.size == 0
+
+    @pytest.mark.parametrize(
+        "pair, omega_c, p_mw",
+        [("coupling_rabi_mhz = 15.6\ncoupling_power_mw = 1", 2.6, 1.0),
+         ("coupling_rabi_mhz = 15.6", 2.6, (2.6 / 2.7) ** 2),
+         ("coupling_power_mw = 1", 2.7, 1.0)],
+        ids=["both", "rabi only", "power only"],
+    )
+    def test_coupling_pair(self, tmp_path, pair, omega_c, p_mw):
+        """The packet's Omega_c is coupling_rabi_mhz where it is set, and the
+        background's power, written as the p_mw line, is coupling_power_mw
+        where it is set; a key left out follows from the other."""
+        cfg, out = tmp_path / "pair.ini", tmp_path / "h.csv"
+        cfg.write_text(f"[drive]\n{pair}\n[detection]\naccumulation_s = 0\n"
+                       "success_probability = 0.0088\n")
+        scenario = sfwm.load_config(cfg)
+        assert scenario.drive.omega_c == pytest.approx(omega_c, rel=1e-15)
+        assert scenario.coupling_power_mw == pytest.approx(p_mw, rel=1e-15)
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert f"# p_mw: {scenario.coupling_power_mw}" in out.read_text().splitlines()
 
     def test_missing_normalization_rejected(self, tmp_path):
         cfg = tmp_path / "none.ini"

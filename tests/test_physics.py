@@ -63,7 +63,7 @@ class TestParams:
         "q, m",
         [
             (sfwm.DopplerQuadrature(), medium()),
-            (sfwm.DopplerQuadrature(step=sfwm.DEFAULT_UNITS.frequency_from_hz(1.5e6)), medium()),
+            (sfwm.DopplerQuadrature(step=sfwm.units.frequency_from_hz(1.5e6)), medium()),
             (sfwm.DopplerQuadrature(half_range=5.0, step=0.0625), medium()),
             (sfwm.DopplerQuadrature(step=0.125), medium(gamma_doppler=200.0 / 6.0)),
             (sfwm.DopplerQuadrature(half_range=4.3, step=0.17), medium(gamma_doppler=61.7)),
