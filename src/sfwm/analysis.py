@@ -43,7 +43,7 @@ from .physics import (
     MediumParams,
     Spectrum,
     _edges,
-    _transmission_raw,
+    _transmission,
     eit_spectrum,
     spectrum_baseline,
     spectrum_fwhm,
@@ -580,7 +580,7 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
 
     edge_deltas = np.concatenate(_edges(data.delta))
     # The kernel on raw floats: m0 and the detunings are already validated.
-    unit_depth, _ = _transmission_raw(edge_deltas, 1.0, m0.gamma, m0.gamma_doppler, m0.gamma3, 0.0)
+    unit_depth, _ = _transmission(edge_deltas, 1.0, m0.gamma, 0.0, m0)
     alpha_s = _invert_baseline(-np.log(unit_depth), target)
 
     # The solver works in (omega_c^2, gamma): T depends on the coupling only
@@ -590,9 +590,7 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     # from the bracketed inversion, and the bounds keep square >= 0 and
     # gamma > 0, so nothing is rechecked per evaluation.
     def evaluate(square, gamma):
-        t, gradient = _transmission_raw(
-            data.delta, alpha_s, gamma, m0.gamma_doppler, m0.gamma3, square
-        )
+        t, gradient = _transmission(data.delta, alpha_s, gamma, square, m0)
         return t - data.transmission, gradient
 
     start = max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4)

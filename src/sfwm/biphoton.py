@@ -37,13 +37,13 @@ etalon responses, keyed on the grid and the etalon chain.  The chirp-z
 synthesis builds its chirp and kernel on each call.
 
 On a grid of spacing h the sum returns the periodized amplitude
-y(tau) + y(tau + P) + ... with period P = 2*pi/h.  The slowest amplitude decay
-is exp(-gamma*t), with gamma the ground-state decoherence, so the aliased copy
-adds about 2*exp(-gamma*P) relative error to g2, its area and its peak.
-:func:`predict_packet`, the one path from a scenario to a filtered
-packet, therefore locks the spacing to the delay bin: P = M*s, with M the
-smallest integer such that M >= the delay count and P >= 20/gamma, and
-h = 2*pi/P.  The window is K = ceil(half_width/h) whole steps, 2K + 1
+y(t) + y(t + P) + ... of the arguments t = tau - onset, with period P = 2*pi/h.
+The slowest amplitude decay is exp(-gamma*t), with gamma the ground-state
+decoherence, so a copy adds about 2*exp(-gamma*P) relative error to g2, its
+area and its peak.  :func:`predict_packet` therefore locks the spacing to
+the delay bin: P = M*s and h = 2*pi/P, with M the smallest integer such
+that P holds the delays counted from the onset and 20/gamma past the first
+argument.  The window is K = ceil(half_width/h) whole steps, 2K + 1
 samples.  Where those would pass the scenario grid's count, and at
 gamma = 0, the scenario grid is used as given, and its packet is a chirp-z
 transform.  It also widens the window, at the same spacing and with the
@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair, _unfold
-from .units import frequency_to_hz, time_from_ns
+from .units import frequency_to_hz, time_from_ns, time_to_ns
 
 if TYPE_CHECKING:
     from .config import Scenario
@@ -416,8 +416,9 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     before the onset probe the (essentially empty) negative-delay branch.
 
     The quadrature is valid only while one grid step of the spectral grid
-    cannot wind through a full phase turn over the delay span; otherwise an
-    AliasingError is raised.  Where the spacings h and s satisfy
+    cannot wind through a full phase turn over the delay span or over any
+    argument tau - onset; otherwise an AliasingError is raised.  Where the
+    spacings h and s satisfy
     h*s = 2*pi/M for an integer M with n_tau <= M < count + n_tau, as on
     :func:`predict_packet`'s grids, the sum folds into one FFT of length M;
     on any other grid it is a chirp-z transform.
@@ -429,21 +430,22 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     packet = WavePacket(tau_ns, np.zeros(tau_ns.size), float(tau_ns[1] - tau_ns[0]))
     if not math.isfinite(onset_ns):
         raise UsageError(f"onset must be finite, got {onset_ns!r} ns")
+    h = a.grid.spacing
     span = time_from_ns(float(tau_ns[-1] - tau_ns[0]))
-    if a.grid.spacing * span > 2.0 * np.pi:
+    tau0 = time_from_ns(float(tau_ns[0]) - onset_ns)
+    reach = max(span, tau0 + span, -tau0)
+    if h * reach > 2.0 * np.pi:
         raise AliasingError(
-            f"spectral spacing {a.grid.spacing:.3e} Gamma cannot support a "
-            f"{tau_ns[-1] - tau_ns[0]:.0f} ns delay span; use more samples"
+            f"spectral spacing {h:.3e} Gamma cannot support delays reaching "
+            f"{time_to_ns(reach):.4g} ns from the onset; use more samples"
         )
 
     # With delta_k = delta_c + (k - c)*h about the grid midpoint c and
     # tau_j = tau_0 + j*s, the phase delta_k*tau_j is delta_c*tau_j plus
     # (k - c)*h*tau_0 plus b*(k - c)*j with b = h*s.  Terms in j alone are a
     # phase of each output and drop out of |.|^2.
-    h = a.grid.spacing
     n_tau = tau_ns.size
     b = h * span / (n_tau - 1)
-    tau0 = time_from_ns(float(tau_ns[0]) - onset_ns)
     n_delta = a.grid.count
     period = _fold_period(b, n_delta, n_tau)
     if period:
@@ -476,19 +478,22 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacke
     return packet
 
 
-def _locked_spacing(gamma: float, n_tau: int, step: float) -> float:
+def _locked_spacing(gamma: float, n_tau: int, step: float, first: float) -> float:
     """Spacing h = 2*pi/(M*step) of predict_packet's grids for n_tau delays
-    in steps of ``step`` (1/Gamma), or 0.0 where there is none.
+    in steps of ``step`` (1/Gamma), the first ``first`` past the onset, or
+    0.0 where there is none.
 
     On it the packet repeats after M delay bins.  M is the smallest integer
-    with M >= n_tau and M*step >= ALIAS_DECAY_MARGIN/gamma, so the period
-    covers both the delay span and the decay margin.  Without decoherence
-    nothing bounds the period; past 2**53 bins M is not exact in floats, and
-    on a step so small that h overflows there is no grid.
+    with M >= n_tau + max(first, 0)/step, so each copy y(t - P) of an
+    argument t = tau - onset falls before the onset, where the packet is
+    empty, and M*step >= ALIAS_DECAY_MARGIN/gamma - first, the decay margin
+    past the first argument.  Without decoherence nothing bounds the period;
+    past 2**53 bins M is not exact in floats, and on a step so small that h
+    overflows there is no grid.
     """
     if not gamma > 0.0:
         return 0.0
-    bins = max(n_tau, ALIAS_DECAY_MARGIN / gamma / step)
+    bins = max(n_tau, n_tau + first / step, (ALIAS_DECAY_MARGIN / gamma - first) / step)
     # Also false for inf.
     if not bins < 2.0**53:
         return 0.0
@@ -540,13 +545,14 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     Reads the scenario's medium, drive, quadrature, etalons and onset.  The
     delay grid is checked first: at least two samples, uniform and
     increasing, else UsageError.  The spectral spacing is locked to the
-    delay step by _locked_spacing, and each grid covers its window in whole
-    steps, within ``scenario.grid``'s count; where the locked grid would pass
-    that count, the grid is that count over the window, as given.  Strong
-    coupling spreads the amplitude tail: while |A| has not decayed at the
-    window edges, the window doubles, with the count cap doubled and at the
-    same spacing, up to MAX_WIDENINGS times.  Raises GridTooNarrowError if
-    the widest window still fails, and UsageError if a widened count would
+    delay step and the onset by _locked_spacing, and each grid covers its
+    window in whole steps, within ``scenario.grid``'s count; where the locked
+    grid would pass that count, the grid is that count over the window, as
+    given.  Strong coupling spreads the amplitude tail: while |A| has not
+    decayed at the window edges, the window doubles, with the count cap
+    doubled and at the same spacing, up to MAX_WIDENINGS times, skipping a
+    window whose grid repeats the last.  Raises GridTooNarrowError if the
+    widest window still fails, and UsageError if a widened count would
     pass MAX_COUNT.
     """
     m, d, start = scenario.medium, scenario.drive, scenario.grid
@@ -556,15 +562,22 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     if not _is_delay_grid(tau_ns):
         raise UsageError("delay grid must be uniform and increasing")
     step = time_from_ns(float(tau_ns[-1] - tau_ns[0])) / (tau_ns.size - 1)
-    h = _locked_spacing(m.gamma, tau_ns.size, step)
+    first = time_from_ns(float(tau_ns[0]) - scenario.onset_ns)
+    h = _locked_spacing(m.gamma, tau_ns.size, step, first)
+    last = None
     for widening in range(MAX_WIDENINGS + 1):
         grid = _locked_grid(start.half_width * 2**widening, h, start.count << widening)
+        if grid == last:  # both windows within the 1025-sample floor
+            continue
+        last = grid
         try:
             amp = spectral_amplitude(grid, m, d, scenario.q)
             break
-        except GridTooNarrowError:
-            if widening == MAX_WIDENINGS:
-                raise
+        except GridTooNarrowError as exc:
+            # Its traceback would hold the failed window's arrays.
+            narrow = exc.with_traceback(None)
+    else:
+        raise narrow
     return wavepacket(apply_etalons(amp, scenario.etalons), tau_ns, onset_ns=scenario.onset_ns)
 
 

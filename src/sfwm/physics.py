@@ -29,7 +29,8 @@ blocks, one small real matrix product per chunk of 2048 points; the chunk
 keeps that product on OpenBLAS's single-threaded path and the work buffers
 a fixed size on large grids.  That closed form is the default; an explicit
 :class:`DopplerQuadrature` selects the uniform trapezoidal reference rule
-instead; the rules differ only in :func:`_doppler_mean`.
+instead; the rules differ only in :func:`_doppler_mean`, the one caller of
+the Faddeeva function.
 
 The self response's pole P is written once, in :func:`_self_pole`, with its
 two limits (coupling off, and the dark point delta = gamma = 0); the pair
@@ -44,8 +45,11 @@ assembled at every detuning from the mirrored average.
 The probe (Stokes) transmission follows from the averaged self response:
 
     T(delta) = exp(-<Im[4*self(delta, omega_d)]>_Doppler)
+             = exp((alpha_s*G3/2) * Im <1/(omega_d - P)>)
 
-where the factor 4 restores the full self-susceptibility exponent.
+where the factor 4 restores the full self-susceptibility exponent; one
+function, :func:`_transmission`, gives it to :func:`eit_transmission` and,
+with its gradient, to the EIT fit.
 
 All functions here are pure, and write only into arrays they allocated
 themselves, never into an argument.  The grid-sized ones make each result
@@ -381,73 +385,55 @@ def eit_transmission(
 ):
     """Probe transmission T(delta) in (0, 1] through the Doppler-averaged medium.
 
-    The Doppler average is exact unless a quadrature is given; with one,
-    T = exp((alpha_s*G3/2) * Im <1/(omega_d - P)>) with P of :func:`_self_pole`.
+    The Doppler average is exact unless a quadrature is given; either way T
+    comes from :func:`_transmission`, the EIT fit's model.
     """
     _require_finite("delta", delta)
     arr = np.atleast_1d(np.asarray(delta, dtype=float))
-    if q is None:
-        t, _ = _transmission_raw(arr, m.alpha_s, m.gamma, m.gamma_doppler, m.gamma3, d.omega_c**2)
-    else:
-        pole, dark = _self_pole(arr, m.gamma, m.gamma3, d.omega_c**2)
-        mean = _doppler_mean(pole.ravel(), m, q).reshape(pole.shape)
-        mean[dark] = 0.0
-        t = np.exp((0.5 * m.alpha_s * m.gamma3) * mean.imag)
-    return float(t[0]) if np.isscalar(delta) or np.ndim(delta) == 0 else t
+    t, _ = _transmission(arr.ravel(), m.alpha_s, m.gamma, d.omega_c**2, m, q)
+    return float(t[0]) if np.isscalar(delta) or np.ndim(delta) == 0 else t.reshape(arr.shape)
 
 
-def _transmission_raw(
+def _transmission(
     delta: np.ndarray,
     alpha_s: float,
     gamma: float,
-    gamma_doppler: float,
-    gamma3: float,
     square: float,
+    m: MediumParams,
+    q: DopplerQuadrature | None = None,
 ):
-    """Exact-path T on a 1-D detuning array, and a function giving
-    (dT/d(omega_c^2), dT/d gamma), on raw floats with omega_c^2 = square.
+    """T on a 1-D detuning array with Omega_c^2 = square, and a function
+    giving the EIT fit's (dT/d(Omega_c^2), dT/d gamma).
 
-    The caller validates the parameters; the EIT fit does so once, not per
-    evaluation.  T depends on the coupling only through omega_c^2, the
-    variable the EIT fit uses.  T = exp(-g*Re w(u)) with u = -P/Gamma_D, the
-    self-response pole P of :func:`_self_pole`, and
-    g = alpha_s*G3*sqrt(pi)/(2*Gamma_D); at the dark point w vanishes and
-    T = 1.  The derivative w'(u) = -2u*w(u) + 2i/sqrt(pi) reuses the one
-    Faddeeva evaluation; the gradient needs gamma > 0, which the EIT fit's
-    bound keeps.
+    Raw floats, and only Gamma_D and G3 of ``m``: the caller validates them,
+    the EIT fit once, not per evaluation.  T = exp((alpha_s*G3/2) * Im mu)
+    with mu = <1/(omega_d - P)> from :func:`_self_pole` and
+    :func:`_doppler_mean`; mu = 0 and T = 1 at the dark point.  By parts over
+    the exact Gaussian, dmu/dP = -2*(1 + P*mu)/Gamma_D^2, so the gradient
+    needs no second average; it needs gamma > 0, as the fit's bound keeps.
     """
-    pole, dark = _self_pole(delta, gamma, gamma3, square)
-    u = pole / -gamma_doppler
-    w = _faddeeva(u)
-    w[dark] = 0.0
-    gain = 0.5 * alpha_s * gamma3 * math.sqrt(math.pi) / gamma_doppler
-    t = np.exp(-gain * w.real)
+    pole, dark = _self_pole(delta, gamma, m.gamma3, square)
+    mean = _doppler_mean(pole, m, q)
+    mean[dark] = 0.0
+    t = np.exp((0.5 * alpha_s * m.gamma3) * mean.imag)
 
     def gradient():
-        dw = 2j * _INV_SQRT_PI - 2.0 * u * w
-        # The two terms cancel to O(1/u^2) for large |u| (small gamma at
-        # delta = 0), where the asymptotic series is exact to rounding.
-        far = np.abs(u) > 30.0
+        # slope = Gamma_D^2 * dmu/dP.  Its terms cancel to O(v), v = (Gamma_D/P)^2,
+        # for |P| far past Gamma_D (small gamma at delta = 0), where the
+        # asymptotic series is exact to rounding.
+        slope = pole * mean
+        slope += 1.0
+        slope *= -2.0
+        far = np.abs(pole) > 30.0 * m.gamma_doppler
         if far.any():
-            # Past |u| = 1e150, u**-2 would overflow on the way to a value
-            # below 1e-300; the series is 0 there to rounding.
-            v = u[far]
-            huge = np.abs(v) > 1e150
-            v[huge] = 1.0
-            v **= -2
-            v[huge] = 0.0
-            dw[far] = -1j * _INV_SQRT_PI * v * (
-                1.0 + v * (1.5 + v * (3.75 + v * (13.125 + v * 59.0625)))
-            )
-        dw_dpole = dw / -gamma_doppler
+            v = m.gamma_doppler / pole[far]
+            v *= v
+            slope[far] = v * (1.0 + v * (1.5 + v * (3.75 + v * (13.125 + v * 59.0625))))
         two_photon = delta + 1j * gamma
         dpole_dsquare = 0.25 / two_photon
         dpole_dgamma = -1j * square * dpole_dsquare / two_photon
-        scale = -gain * t
-        return (
-            scale * (dw_dpole * dpole_dsquare).real,
-            scale * (dw_dpole * dpole_dgamma).real,
-        )
+        scale = (0.5 * alpha_s * m.gamma3 / m.gamma_doppler**2) * t
+        return scale * (slope * dpole_dsquare).imag, scale * (slope * dpole_dgamma).imag
 
     return t, gradient
 

@@ -109,7 +109,7 @@ def eit_solves(monkeypatch):
     """Every stage-2 solve fit_eit makes, as (start, model evaluations,
     result), and the count of all its model evaluations in calls[0]."""
     solves, calls = [], [0]
-    solve, model = analysis._solve_2x2, analysis._transmission_raw
+    solve, model = analysis._solve_2x2, analysis._transmission
 
     def counted_model(*args):
         calls[0] += 1
@@ -121,7 +121,7 @@ def eit_solves(monkeypatch):
         solves.append(((p1, p2), calls[0] - before, result))
         return result
 
-    monkeypatch.setattr(analysis, "_transmission_raw", counted_model)
+    monkeypatch.setattr(analysis, "_transmission", counted_model)
     monkeypatch.setattr(analysis, "_solve_2x2", recorded_solve)
     return solves, calls
 

@@ -46,9 +46,15 @@ def delay_step(tau_ns):
     return sfwm.units.time_from_ns(tau_ns[-1] - tau_ns[0]) / (tau_ns.size - 1)
 
 
-def locked(half_width, gamma, cap=DEFAULT_COUNT, tau_ns=DELAY_NS):
-    """predict_packet's spacing and first grid for the delay axis ``tau_ns``."""
-    h = _locked_spacing(gamma, tau_ns.size, delay_step(tau_ns))
+def first_argument(tau_ns, onset_ns):
+    """The first delay's distance from the onset in 1/Gamma, as predict_packet takes it."""
+    return sfwm.units.time_from_ns(tau_ns[0] - onset_ns)
+
+
+def locked(half_width, gamma, cap=DEFAULT_COUNT, tau_ns=DELAY_NS, onset_ns=0.0):
+    """predict_packet's spacing and first grid for the delay axis ``tau_ns``
+    and the onset ``onset_ns``."""
+    h = _locked_spacing(gamma, tau_ns.size, delay_step(tau_ns), first_argument(tau_ns, onset_ns))
     return h, _locked_grid(half_width, h, cap)
 
 
@@ -899,16 +905,18 @@ class TestFold:
     @example(half_width=64.0, gamma=0.0, bin_ns=25.6, onset_ns=0.0, cap=1024)
     @example(half_width=8.0, gamma=1.0, bin_ns=5.0, onset_ns=37.3, cap=1024)
     def test_locked_grid(self, half_width, gamma, bin_ns, onset_ns, cap):
-        """Over a 4 us delay axis: the grid's period M holds the delays and
-        is the smallest that meets the decay margin, its window is
+        """Over a 4 us delay axis: the grid's period M holds the delays
+        (counted from the onset where they start after it) and is the
+        smallest that also meets the decay margin past the first of them;
+        its window is
         half_width rounded up to whole steps (unless the 1024-sample floor
         binds), and its count is at most the cap; where that count would
         pass the cap, and at gamma = 0, the grid is SpectralGrid(half_width,
         cap).  The packet on it matches the chirp-z transform, by the fold
         wherever a locked grid's M is below count + n_tau."""
         tau = sfwm.delay_axis(4000.0, bin_ns)
-        step, n_tau = delay_step(tau), tau.size
-        h, grid = locked(half_width, gamma, cap, tau)
+        step, n_tau, first = delay_step(tau), tau.size, first_argument(tau, onset_ns)
+        h, grid = locked(half_width, gamma, cap, tau, onset_ns)
         assert grid.count <= cap
         if gamma == 0.0:
             assert h == 0.0
@@ -916,7 +924,7 @@ class TestFold:
             turns = 2.0 * np.pi / (h * step)
             period = round(turns)
             assert abs(turns - period) <= 1e-12 * turns
-            need = max(n_tau, ALIAS_DECAY_MARGIN / gamma / step)
+            need = max(n_tau, n_tau + first / step, (ALIAS_DECAY_MARGIN / gamma - first) / step)
             assert need * (1.0 - 1e-12) <= period < need + 1.0
         k = max(math.ceil(half_width / h), 512) if h else math.inf
         fits = 2 * k + 1 <= cap
@@ -932,8 +940,9 @@ class TestFold:
         amp = sfwm.apply_etalons(
             sfwm.spectral_amplitude(grid, m, sfwm.DriveParams(2.7), edge_tol=np.inf)
         )
-        if grid.spacing * step * (n_tau - 1) > 2.0 * np.pi:
-            # Only a cap's grid can be too coarse for the delay span.
+        span = step * (n_tau - 1)
+        if grid.spacing * max(span, first + span, -first) > 2.0 * np.pi:
+            # Only a cap's grid can be too coarse for the delays from the onset.
             assert not fits
             with pytest.raises(AliasingError):
                 sfwm.wavepacket(amp, tau, onset_ns=onset_ns)
@@ -1005,7 +1014,7 @@ class TestPredictPacket:
         """At 5 mW both windows are widened, the dense one on the same
         window as the locked grid."""
         m, d = self.medium_drive(gamma, p_mw)
-        h, grid = locked(64.0, gamma)
+        h, grid = locked(64.0, gamma, onset_ns=ONSET_NS)
         assert grid.count < DEFAULT_COUNT
         derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
         dense = self.dense_packet(m, d, h)
@@ -1065,12 +1074,37 @@ class TestPredictPacket:
                 need = max(bins, ALIAS_DECAY_MARGIN / gamma / step)
                 assert period >= bins and need * (1.0 - 1e-12) <= period < need + 1.0
 
+    @pytest.mark.parametrize("early_ns", [0.0, 469.6])
+    def test_onset_near_the_period_leaves_the_window_empty(self, medium_a, drive_a, early_ns):
+        """At an onset of the period the default axis locks without one,
+        18969.6 ns, or 469.6 ns less, a period of the span and the decay
+        margin alone brought the packet's copy y(t + P) back into the
+        window.  The period counts the onset, so the window stays below
+        1e-12 of the onset-0 peak."""
+        h = _locked_spacing(medium_a.gamma, DELAY_NS.size, delay_step(DELAY_NS), 0.0)
+        period_ns = sfwm.units.time_to_ns(2.0 * np.pi / h)
+        s = scenario(medium_a, drive_a)
+        peak = sfwm.predict_packet(dataclasses.replace(s, onset_ns=0.0), DELAY_NS).g2.max()
+        late = sfwm.predict_packet(dataclasses.replace(s, onset_ns=period_ns - early_ns), DELAY_NS)
+        assert late.g2.max() < 1e-12 * peak
+
+    def test_negative_onset_has_no_interior_peak(self):
+        """At 6 MHz decoherence the packet has fallen below 1e-98 of its peak
+        3000 ns past the onset, where the window starts.  A period of the
+        delay span alone put the copy y(t - P) inside the window, a peak at
+        1049.6 ns; the period holds the 3000 ns too, so the window stays
+        below 1e-12 of the onset-0 peak."""
+        s = scenario(sfwm.MediumParams(alpha_s=80.0, gamma=1.0), sfwm.DriveParams(omega_c=2.7))
+        peak = sfwm.predict_packet(dataclasses.replace(s, onset_ns=0.0), DELAY_NS).g2.max()
+        early = sfwm.predict_packet(dataclasses.replace(s, onset_ns=-3000.0), DELAY_NS)
+        assert early.g2.max() < 1e-12 * peak
+
     def test_widening_keeps_the_spacing(self, medium_a):
         """A 31.2 MHz coupling fails the edge test on the default window and
         succeeds once widened; the wider grid has the first grid's spacing,
         and about twice its samples."""
         d = sfwm.DriveParams(omega_c=31.2 / 6.0)
-        h, first = locked(64.0, medium_a.gamma)
+        h, first = locked(64.0, medium_a.gamma, onset_ns=ONSET_NS)
         with pytest.raises(GridTooNarrowError):
             sfwm.spectral_amplitude(first, medium_a, d)
         packet = sfwm.predict_packet(scenario(medium_a, d), DELAY_NS)
@@ -1082,22 +1116,24 @@ class TestPredictPacket:
     def test_widening_gives_up_after_the_last_doubling(self, medium_a, monkeypatch):
         """From a +-1 Gamma window of 1024 samples a 2.6 Gamma coupling still
         fails the edge test on the widest window, +-16 Gamma: predict_packet
-        tries MAX_WIDENINGS + 1 windows and raises the last one's
-        GridTooNarrowError."""
-        windows = []
+        raises the last window's GridTooNarrowError.  The +-2 and +-4 Gamma
+        windows both round up to the 1025-sample floor, one grid, so it is
+        evaluated once: MAX_WIDENINGS distinct grids in all."""
+        grids = []
         amplitude = biphoton.spectral_amplitude
 
         def recorded(grid, *args):
-            windows.append(grid.half_width)
+            grids.append(grid)
             return amplitude(grid, *args)
 
         monkeypatch.setattr(biphoton, "spectral_amplitude", recorded)
         narrow = scenario(medium_a, sfwm.DriveParams(omega_c=2.6), grid=sfwm.SpectralGrid(1.0, 1024))
         with pytest.raises(GridTooNarrowError, match="grid edge"):
             sfwm.predict_packet(narrow, DELAY_NS)
-        assert len(windows) == MAX_WIDENINGS + 1
-        # The locked grids round their windows up to whole steps of 0.0088.
-        assert windows[0] == 1.0 and 16.0 <= windows[-1] < 16.01
+        assert len(set(grids)) == len(grids) == MAX_WIDENINGS
+        assert grids[1].count == 1025
+        # The locked grids round their windows up to whole steps of 0.0087.
+        assert grids[0].half_width == 1.0 and 16.0 <= grids[-1].half_width < 16.01
 
     @pytest.mark.parametrize(
         "tau", [np.empty(0), np.array([0.0]), *BAD_DELAY_GRIDS.values()],

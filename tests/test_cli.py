@@ -250,6 +250,17 @@ class TestSimulateBiphoton:
         assert code == 3
         assert "spacing" in capsys.readouterr().err
 
+    def test_onset_beyond_any_period_exit_code(self, tmp_path, capsys):
+        """An onset of 1e300 ns puts the delays farther from it than any
+        grid's period reaches: exit 3, and no CSV."""
+        cfg, out = tmp_path / "late.ini", tmp_path / "wp.csv"
+        cfg.write_text("[run]\nonset_ns = 1e300\n")
+        assert main(["simulate-biphoton", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sfwm: numerical error: spectral spacing")
+        assert "from the onset" in err
+        assert not out.exists()
+
 
 class TestFitCommands:
     def test_fit_eit_round_trip(self, weak_config, tmp_path, capsys):
@@ -374,18 +385,20 @@ class TestFitCommands:
         assert report["sbr"] == pytest.approx(42.0, rel=0.15)
 
 
-# `sfwm sweep` on the default config as the closed form evaluated at every
-# np.linspace detuning wrote it, 12 significant digits.
+# `sfwm sweep` on the default config, 12 significant digits.  First written
+# by the closed form evaluated at every np.linspace detuning; re-recorded
+# when the grid's period came to count the 150 ns onset, which moved the
+# values by at most 3.6e-8 relative.
 FULL_GRID_SWEEP = """\
 power_mw,tau_ns,linewidth_hz,eit_fwhm_hz,rate_pairs_per_s,brightness_pairs_per_s_mw_mhz,sbr
-0.02,464.603179791,342561.028454,326611.647299,3.46463038828e-05,0.000202278140273,2.15621064488e-10
-0.05,451.949829947,352151.793287,341311.886272,8.42097404988e-05,0.000478258194926,4.92434124284e-10
-0.1,432.063233771,368360.301576,355196.51898,0.00016087335502,0.000873456527926,8.92677645266e-10
-0.2,396.38364008,401517.436642,380759.867093,0.000294755494288,0.00146820769107,1.56294915147e-09
-0.5,314.929421476,505367.019525,463663.631013,0.000583587800811,0.00230956029287,3.04571945645e-09
-1,231.618016655,687144.054641,622184.054318,0.000855231439317,0.00248923477848,4.73452813212e-09
-2,149.127582215,1067240.14919,976751.172491,0.00109679742377,0.0020553901099,6.77937037514e-09
-5,69.6964155649,2283545.5999,2111382.13675,0.00127512443513,0.00111679349446,9.28406669636e-09
+0.02,464.603184705,342561.02483,326611.647299,3.4646303833e-05,0.000202278142122,2.15621058153e-10
+0.05,451.949834876,352151.789447,341311.886272,8.42097403901e-05,0.000478258199525,4.92434109873e-10
+0.1,432.063238717,368360.297359,355196.51898,0.000160873354829,0.000873456536884,8.92677619185e-10
+0.2,396.383645041,401517.431617,380759.867093,0.000294755493917,0.0014682077076,1.56294910555e-09
+0.5,314.929426398,505367.011626,463663.631013,0.000583587799865,0.00230956032523,3.04571936494e-09
+1,231.618021408,687144.040537,622184.054318,0.000855231437473,0.0024892348242,4.73452796305e-09
+2,149.127582529,1067240.14694,976751.172491,0.00109679742412,0.00205539011489,6.77937036715e-09
+5,69.6964158604,2283545.59022,2111382.13675,0.00127512443603,0.00111679349998,9.28406668553e-09
 """
 
 
@@ -416,8 +429,9 @@ class TestFaddeevaBlocks:
 
 class TestSweep:
     def test_default_sweep_matches_the_full_grid_values(self, tmp_path):
-        """The half-grid amplitude moves the sweep's values by at most 1e-10
-        relative, and a rerun writes the same bytes."""
+        """The sweep's values stay within 1e-10 relative of the recorded
+        ones, which the full-grid amplitude first wrote, and a rerun writes
+        the same bytes."""
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", "--out", str(a)]) == 0
         assert main(["sweep", "--out", str(b)]) == 0

@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import wofz
 
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
-from sfwm.physics import _FADDEEVA_CHUNK, MAX_NODES, _faddeeva, _transmission_raw
+from sfwm.biphoton import _grid_delta
+from sfwm.physics import _FADDEEVA_CHUNK, MAX_NODES, _averaged_pair, _faddeeva, _transmission
 
 from oracles import _chi_pair_raw, doppler_average, faddeeva_horner, raw_pair_average
 
@@ -307,7 +309,7 @@ class TestTransmissionGradient:
     @staticmethod
     def model(delta, square, gamma):
         m = medium(alpha_s=80.0, gamma=gamma)
-        return _transmission_raw(delta, m.alpha_s, m.gamma, m.gamma_doppler, m.gamma3, square)
+        return _transmission(delta, m.alpha_s, m.gamma, square, m)
 
     @pytest.mark.parametrize("omega_c, gamma", [(2.6, 0.028), (0.65, 0.024), (0.05, 0.3)])
     def test_against_eit_transmission_and_central_differences(self, omega_c, gamma):
@@ -417,6 +419,52 @@ class TestTransmission:
         vector = sfwm.eit_transmission(grid, medium_a, drive_a)
         scalars = [sfwm.eit_transmission(x, medium_a, drive_a) for x in grid]
         np.testing.assert_allclose(vector, scalars, rtol=1e-13)
+
+    # SpectralGrid's detunings over +-2 Gamma at 401 samples, below its
+    # 1024-sample floor; _averaged_pair is what averaged_susceptibilities
+    # returns on them.
+    PROPERTY_DELTA = _grid_delta(2.0, 401)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha_s=st.floats(1.0, 200.0),
+        gamma=st.floats(1e-3, 0.5),
+        omega_c=st.floats(0.0, 5.0),
+        gamma_doppler=st.floats(20.0, 100.0),
+        q=st.sampled_from([None, sfwm.DopplerQuadrature(4.0, 0.125)]),
+    )
+    def test_one_path_under_either_rule(self, alpha_s, gamma, omega_c, gamma_doppler, q):
+        """T against exp(-4*Im Z) with Z from the pair average, which takes
+        the same mean on half the detunings and mirrors it; a (200, 2) array and scalar calls
+        give the same values.  Under the exact rule, from gamma = 0.01 and
+        omega_c = 0.1 on (below, the steps' rounding swamps the slopes), the
+        fit's gradient matches central differences of exp(-4*Im Z) within
+        1e-6 of their largest value."""
+        delta = self.PROPERTY_DELTA
+
+        def pair_transmission(square, g):
+            m = sfwm.MediumParams(alpha_s=alpha_s, gamma=g, gamma_doppler=gamma_doppler)
+            _, self_ = _averaged_pair(delta, m, sfwm.DriveParams(np.sqrt(square)), q)
+            return np.exp(-4.0 * self_.imag)
+
+        m = sfwm.MediumParams(alpha_s=alpha_s, gamma=gamma, gamma_doppler=gamma_doppler)
+        d = sfwm.DriveParams(omega_c=omega_c)
+        t = sfwm.eit_transmission(delta, m, d, q)
+        square = omega_c**2
+        np.testing.assert_allclose(t, pair_transmission(square, gamma), rtol=1e-12, atol=0.0)
+        block = sfwm.eit_transmission(delta[:400].reshape(200, 2), m, d, q)
+        assert np.array_equal(block, t[:400].reshape(200, 2))
+        scalars = [sfwm.eit_transmission(x, m, d, q) for x in delta[::10]]
+        np.testing.assert_allclose(scalars, t[::10], rtol=1e-13, atol=0.0)
+        if q is not None or gamma < 0.01 or omega_c < 0.1:
+            return
+        _, gradient = _transmission(delta, alpha_s, gamma, square, m)
+        for analytic, h, shift in zip(gradient(), (1e-4 * square, 1e-4 * gamma),
+                                      ((1.0, 0.0), (0.0, 1.0))):
+            up = pair_transmission(square + h * shift[0], gamma + h * shift[1])
+            down = pair_transmission(square - h * shift[0], gamma - h * shift[1])
+            central = (up - down) / (2.0 * h)
+            assert np.max(np.abs(analytic - central)) <= 1e-6 * np.max(np.abs(central))
 
     @pytest.mark.parametrize("omega_c, gamma", [(2.6, 0.028), (0.65, 0.024), (0.0, 0.028),
                                                 (2.6, 0.0), (0.0, 0.0)])
