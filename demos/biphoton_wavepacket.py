@@ -32,7 +32,7 @@ for label, alpha_s, gamma, omega_c in (
     # the etalons, then Fourier-synthesized.
     packet = sfwm.predict_packet(scenario, DELAY_NS)
 
-    fit = sfwm.fit_exponential(packet)
+    fit = sfwm.fit_exponential(packet, x0_ns=scenario.fit_onset_ns)
     linewidth = sfwm.linewidth_from_tau(fit.tau_ns)
     print(f"{label}:")
     print(f"  fitted decay constant {fit.tau_ns:.0f} ns "

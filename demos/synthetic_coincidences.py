@@ -28,8 +28,8 @@ hist = sfwm.synth_histogram(packet, dm, P_MW, success_probability=SUCCESS)
 print(f"synthesized {hist.counts.sum()} coincidences over {hist.counts.size} bins "
       f"(peak {hist.counts.max()}, floor ~{np.median(hist.counts):.0f})")
 
-fit = sfwm.fit_exponential(hist.to_wavepacket())
-truth = sfwm.fit_exponential(packet)
+fit = sfwm.fit_exponential(hist.to_wavepacket(), x0_ns=scenario.fit_onset_ns)
+truth = sfwm.fit_exponential(packet, x0_ns=scenario.fit_onset_ns)
 print(f"fitted tau {fit.tau_ns:.0f} +/- {fit.tau_err:.0f} ns "
       f"(noiseless packet gives {truth.tau_ns:.0f} ns)")
 print(f"peak correlation (SBR) {sfwm.sbr(fit):.1f}")

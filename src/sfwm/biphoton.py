@@ -49,6 +49,10 @@ gamma = 0, the scenario grid is used as given, and its packet is a chirp-z
 transform.  It also widens the window, at the same spacing and with the
 count doubled, while |A| has not decayed at its edges.
 
+Each run value (the etalon chain, the onset, the detector response time)
+reaches a stage as an argument without a default; predict_packet reads it
+from a Scenario, whose config holds its one default.
+
 Ownership: each stage writes only into arrays it allocated itself, never
 into its arguments or into a memo entry, and returns arrays that no other
 call holds (apply_etalons returns a new amplitude).  Inside a stage the
@@ -76,7 +80,7 @@ from .units import frequency_to_hz, time_from_ns, time_to_ns
 if TYPE_CHECKING:
     from .config import Scenario
 
-# Default edge-decay requirement on |A| relative to its peak.
+# Edge-decay requirement on |A| relative to its peak.
 EDGE_DECAY_TOL = 1e-3
 # Fewest samples of any spectral grid.
 MIN_COUNT = 1024
@@ -92,8 +96,6 @@ MAX_WIDENINGS = 4
 # Longest delay axis built (25.6 ms of 25.6 ns bins); past it the axis alone
 # would take gigabytes.
 MAX_DELAY_BINS = 1_000_000
-# Detector response time; the [run] rise_ns default.
-RISE_NS = 35.0
 
 
 @functools.lru_cache(maxsize=1)
@@ -178,38 +180,21 @@ class EtalonChain:
             raise UsageError("etalon centers must be finite")
 
 
-DEFAULT_ETALONS = EtalonChain()
-
-
-def _step_tolerance(step: float) -> float:
-    """How far a delay step may stray from ``step``: rtol = atol = 1e-9, the
-    test of np.allclose."""
-    return 1e-9 + 1e-9 * abs(step)
-
-
-def _is_delay_grid(t: np.ndarray) -> bool:
-    """Whether ``t`` increases in steps that are finite and equal to the
-    first within _step_tolerance.  Fewer than two samples pass."""
-    if t.size < 2:
-        return True
-    steps = t[1:] - t[:-1]
-    first = float(steps[0])
-    return 0.0 < first < math.inf and bool(np.abs(steps - first).max() <= _step_tolerance(first))
-
-
 def _check_delay_grid(t: np.ndarray, bin_ns: float, name: str) -> None:
-    """Raise UsageError, naming the grid as ``name``, unless ``t`` is a delay
-    grid, ``bin_ns`` is finite and positive, and the first step is
-    ``bin_ns`` within _step_tolerance."""
-    if not _is_delay_grid(t):
-        raise UsageError(f"{name} must be uniform and increasing")
+    """Raise UsageError, naming the grid as ``name``, unless ``t`` increases
+    in finite steps equal to the first, ``bin_ns`` is finite and positive,
+    and the first step is ``bin_ns``.  Steps agree within rtol = atol =
+    1e-9, the test of np.allclose.  Fewer than two samples pass the step
+    tests."""
+    first = float(t[1] - t[0]) if t.size >= 2 else bin_ns
+    tol = 1e-9 + 1e-9 * abs(first)
     # Written so that nan fails every comparison.
+    if t.size >= 2 and not (0.0 < first < math.inf and np.abs(np.diff(t) - first).max() <= tol):
+        raise UsageError(f"{name} must be uniform and increasing")
     if not 0.0 < bin_ns < math.inf:
         raise UsageError(f"bin width must be finite and positive, got {bin_ns!r}")
-    if t.size >= 2:
-        first = float(t[1] - t[0])
-        if not abs(bin_ns - first) <= _step_tolerance(first):
-            raise UsageError(f"bin width {bin_ns!r} ns differs from the {name} step {first!r} ns")
+    if not abs(bin_ns - first) <= tol:
+        raise UsageError(f"bin width {bin_ns!r} ns differs from the {name} step {first!r} ns")
 
 
 @dataclass(eq=False)
@@ -267,12 +252,11 @@ def spectral_amplitude(
     m: MediumParams,
     d: DriveParams,
     q: DopplerQuadrature | None = None,
-    edge_tol: float = EDGE_DECAY_TOL,
 ) -> BiphotonAmplitude:
     """Assemble the pair amplitude A = C * expm1(2iZ)/(2iZ) on the grid.
 
     Raises GridTooNarrowError if the amplitude has not decayed below
-    ``edge_tol`` of its peak at the grid edges (a zero amplitude, as with
+    EDGE_DECAY_TOL of its peak at the grid edges (a zero amplitude, as with
     omega_p = 0, passes trivially), and DomainError where the cross response
     overflows, as it does at decay rates far past any vapor's.
     """
@@ -285,10 +269,10 @@ def spectral_amplitude(
     peak = float(np.abs(amp.values).max())
     if peak > 0.0:
         edge = max(abs(amp.values[0]), abs(amp.values[-1])) / peak
-        if edge > edge_tol:
+        if edge > EDGE_DECAY_TOL:
             raise GridTooNarrowError(
                 f"|A| at the grid edge is {edge:.3e} of its peak "
-                f"(limit {edge_tol:.1e}); increase SpectralGrid.half_width"
+                f"(limit {EDGE_DECAY_TOL:.1e}); increase SpectralGrid.half_width"
             )
     return amp
 
@@ -312,8 +296,8 @@ def _etalon_response(grid: SpectralGrid, e: EtalonChain) -> np.ndarray:
     return response
 
 
-def apply_etalons(a: BiphotonAmplitude, e: EtalonChain = DEFAULT_ETALONS) -> BiphotonAmplitude:
-    """Filter the amplitude through the etalon chain.
+def apply_etalons(a: BiphotonAmplitude, e: EtalonChain) -> BiphotonAmplitude:
+    """Filter the amplitude through ``e``, a scenario's etalon chain.
 
     Each etalon contributes the causal single-pole response
     1 / (1 - 2i*(f - center)/FWHM), whose squared magnitude is a unit-peak
@@ -408,12 +392,13 @@ def _fold_period(b: float, n_delta: int, n_tau: int) -> int:
     return period if period >= n_tau and abs(turns - period) <= 1e-12 * turns else 0
 
 
-def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float = 0.0) -> WavePacket:
+def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
     """Fourier-synthesize G2 on a uniform delay grid (ns).
 
-    ``onset_ns`` shifts the packet to later delays, standing in for the fixed
-    instrumental delay between the trigger and the partner photon; samples
-    before the onset probe the (essentially empty) negative-delay branch.
+    ``onset_ns``, a scenario's ``onset_ns``, shifts the packet to later
+    delays, standing in for the fixed instrumental delay between the trigger
+    and the partner photon; samples before the onset probe the (essentially
+    empty) negative-delay branch.
 
     The quadrature is valid only while one grid step of the spectral grid
     cannot wind through a full phase turn over the delay span or over any
@@ -559,8 +544,7 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     tau_ns = np.asarray(tau_ns, dtype=float)
     if tau_ns.size < 2:
         raise UsageError("delay grid needs at least two samples")
-    if not _is_delay_grid(tau_ns):
-        raise UsageError("delay grid must be uniform and increasing")
+    _check_delay_grid(tau_ns, float(tau_ns[1] - tau_ns[0]), "delay grid")
     step = time_from_ns(float(tau_ns[-1] - tau_ns[0])) / (tau_ns.size - 1)
     first = time_from_ns(float(tau_ns[0]) - scenario.onset_ns)
     h = _locked_spacing(m.gamma, tau_ns.size, step, first)
@@ -589,8 +573,9 @@ def wavepacket_area(w: WavePacket) -> float:
     return float(np.trapezoid(w.g2, w.tau_ns))
 
 
-def rise_time_convolve(w: WavePacket, rc_ns: float = RISE_NS) -> WavePacket:
-    """Convolve with the causal detector response (1/rc)*exp(-t/rc), t >= 0.
+def rise_time_convolve(w: WavePacket, rc_ns: float) -> WavePacket:
+    """Convolve with the causal detector response (1/rc)*exp(-t/rc), t >= 0,
+    of response time ``rc_ns``, a scenario's ``rise_ns``.
 
     The discrete kernel is normalized to unit sum, so the packet area is
     preserved up to truncation of the far tail.  A response time below the

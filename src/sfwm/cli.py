@@ -35,7 +35,7 @@ from .errors import (
     PeakShapeError,
     UsageError,
 )
-from .physics import Spectrum, eit_spectrum, spectrum_fwhm
+from .physics import MIN_WIDTH_POINTS, Spectrum, eit_spectrum, spectrum_fwhm
 from .units import frequency_from_hz, frequency_to_hz
 
 # Most detunings simulate-eit evaluates; their spectrum takes about 90 MB.
@@ -103,8 +103,10 @@ def cmd_simulate_eit(args) -> int:
     scenario = load_config(args.config)
     if not (np.isfinite(args.delta_min_mhz) and np.isfinite(args.delta_max_mhz)):
         raise UsageError("--delta-min-mhz and --delta-max-mhz must be finite")
-    if not 2 <= args.points <= MAX_POINTS or not args.delta_min_mhz < args.delta_max_mhz:
-        raise UsageError(f"need 2 to {MAX_POINTS} points and delta-min below delta-max")
+    points_ok = MIN_WIDTH_POINTS <= args.points <= MAX_POINTS
+    if not points_ok or not args.delta_min_mhz < args.delta_max_mhz:
+        raise UsageError(f"need {MIN_WIDTH_POINTS} to {MAX_POINTS} points "
+                         "and delta-min below delta-max")
     lo = frequency_from_hz(args.delta_min_mhz * 1e6)
     hi = frequency_from_hz(args.delta_max_mhz * 1e6)
     spectrum = eit_spectrum(
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--delta-min-mhz", type=float, default=-12.0)
     p.add_argument("--delta-max-mhz", type=float, default=12.0)
-    p.add_argument("--points", type=int, default=481, help=f"at most {MAX_POINTS}")
+    p.add_argument("--points", type=int, default=481, help=f"{MIN_WIDTH_POINTS} to {MAX_POINTS}")
     p.set_defaults(func=cmd_simulate_eit)
 
     p = sub.add_parser("simulate-biphoton", help="predicted wave packet on a delay grid")

@@ -74,6 +74,8 @@ from .units import GAMMA_HZ, frequency_to_hz
 # of one block of the trapezoid sum (16 MB).  At the bound a 481-point
 # spectrum takes seconds, and a sweep over eight powers tens of minutes.
 MAX_NODES = 1 << 20
+# Fewest samples of a spectrum whose width spectrum_fwhm measures.
+MIN_WIDTH_POINTS = 5
 
 
 def _require_finite(name: str, value) -> None:
@@ -184,7 +186,9 @@ class DopplerQuadrature:
 
 @dataclass(eq=False)
 class Spectrum:
-    """Transmission sampled on a detuning grid (Gamma units)."""
+    """Transmission on a detuning grid (Gamma units).  The detunings are
+    non-empty, finite and strictly increasing, else UsageError, so the edge
+    samples that the baseline reads are the outermost detunings."""
 
     delta: np.ndarray
     transmission: np.ndarray
@@ -194,6 +198,12 @@ class Spectrum:
         self.transmission = np.asarray(self.transmission, dtype=float)
         if self.delta.size != self.transmission.size:
             raise UsageError("delta and transmission lengths differ")
+        if self.delta.size == 0:
+            raise UsageError("empty detuning grid")
+        if not np.isfinite(self.delta).all():
+            raise UsageError("detuning grid must be finite")
+        if self.delta.size > 1 and not (np.diff(self.delta) > 0).all():
+            raise UsageError("detuning grid must be strictly increasing")
 
 
 def _cross_prefactor(m: MediumParams) -> float:
@@ -444,18 +454,13 @@ def eit_spectrum(
     d: DriveParams,
     q: DopplerQuadrature | None = None,
 ) -> Spectrum:
-    """Pointwise transmission over a sorted detuning grid (Gamma units).
+    """Pointwise transmission over a detuning grid (Gamma units), which
+    :class:`Spectrum` checks.
 
     The grid should extend to at least ten times the expected window width
     so that the baseline estimate in :func:`spectrum_fwhm` sits on the flat
     absorption background.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise UsageError("empty detuning grid")
-    _require_finite("grid", grid)
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise UsageError("detuning grid must be strictly increasing")
     return Spectrum(grid, eit_transmission(grid, m, d, q))
 
 
@@ -480,7 +485,7 @@ def spectrum_fwhm(s: Spectrum) -> float:
     """
     t = s.transmission
     n = t.size
-    if n < 5:
+    if n < MIN_WIDTH_POINTS:
         raise UsageError("spectrum too short for a width measurement")
     baseline = spectrum_baseline(s)
     ipk = int(np.argmax(t))

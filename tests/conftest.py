@@ -9,6 +9,10 @@ import sfwm
 # instrumental onset placing the packet past the fit window start.
 DELAY_NS = np.arange(0.0, 4000.0, 25.6)
 ONSET_NS = 150.0
+# The default config's etalon chain and detector response time; the stages
+# take both from their caller.
+ETALONS = sfwm.load_config().etalons
+RISE_NS = sfwm.load_config().rise_ns
 
 # Delay grids every delay-grid check rejects, since a grid must be uniform and
 # increasing; equal infinite steps would pass np.allclose.
@@ -60,12 +64,12 @@ def amplitude_b(medium_b, drive_b):
 
 @pytest.fixture(scope="session")
 def packet_a(amplitude_a):
-    return sfwm.wavepacket(sfwm.apply_etalons(amplitude_a), DELAY_NS, onset_ns=ONSET_NS)
+    return sfwm.wavepacket(sfwm.apply_etalons(amplitude_a, ETALONS), DELAY_NS, onset_ns=ONSET_NS)
 
 
 @pytest.fixture(scope="session")
 def packet_b(amplitude_b):
-    return sfwm.wavepacket(sfwm.apply_etalons(amplitude_b), DELAY_NS, onset_ns=ONSET_NS)
+    return sfwm.wavepacket(sfwm.apply_etalons(amplitude_b, ETALONS), DELAY_NS, onset_ns=ONSET_NS)
 
 
 def exponential_packet(amplitude, tau_ns, onset_ns=200.0, baseline=0.0,

@@ -6,14 +6,16 @@ lines.  Tolerances are fixed here and nowhere else.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import sfwm
+from sfwm import biphoton
 
-from conftest import DELAY_NS, ONSET_NS, exponential_packet, scenario
+from conftest import DELAY_NS, ETALONS, ONSET_NS, exponential_packet, scenario
 
 POWERS_MW = [0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0]
 
@@ -64,7 +66,7 @@ def test_criterion_2_wavepacket_time_constants():
             sfwm.MediumParams(alpha_s=alpha, gamma=gamma),
             sfwm.DriveParams(omega_c=omega_c),
         )
-        packet = sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS)
+        packet = sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS)
         fitted[label] = (sfwm.fit_exponential(packet).tau_ns, target)
         timings[label] = time.perf_counter() - start
 
@@ -196,7 +198,7 @@ def test_criterion_8_numerical_hygiene(packet_a):
 
     def fitted_tau(grid, quadrature):
         amp = sfwm.spectral_amplitude(grid, medium, drive, quadrature)
-        packet = sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS)
+        packet = sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS)
         return sfwm.fit_exponential(packet).tau_ns
 
     base = sfwm.fit_exponential(packet_a).tau_ns
@@ -210,22 +212,24 @@ def test_criterion_8_numerical_hygiene(packet_a):
     tau_axis = np.arange(0.0, 1500.0, 25.6)
     small = sfwm.SpectralGrid(half_width=24.0, count=8192)
     fast = sfwm.DopplerQuadrature(step=0.25)
-    g2 = [
-        sfwm.wavepacket(
-            sfwm.spectral_amplitude(
-                small, medium, sfwm.DriveParams(omega_c=2.6, omega_p=om), fast, edge_tol=1.0
-            ),
-            tau_axis,
-        ).g2
-        for om in (1.0, 3.0)
-    ]
+    with mock.patch.object(biphoton, "EDGE_DECAY_TOL", 1.0):
+        g2 = [
+            sfwm.wavepacket(
+                sfwm.spectral_amplitude(
+                    small, medium, sfwm.DriveParams(omega_c=2.6, omega_p=om), fast
+                ),
+                tau_axis,
+                onset_ns=0.0,
+            ).g2
+            for om in (1.0, 3.0)
+        ]
     scaling_err = float(np.max(np.abs(g2[1] - 9.0 * g2[0]) / (9.0 * g2[0])))
 
     g_h = 0.1
     pole_grid = sfwm.SpectralGrid(half_width=256.0, count=32768)
     pole = sfwm.BiphotonAmplitude(pole_grid, 1.0 / (g_h - 1j * pole_grid.delta))
     tau = np.arange(50.0, 800.0, 5.0)
-    g = sfwm.wavepacket(pole, tau).g2
+    g = sfwm.wavepacket(pole, tau, onset_ns=0.0).g2
     slope = np.polyfit(tau, np.log(g), 1)[0]
     pole_err = abs(-1.0 / slope / sfwm.units.time_to_ns(1.0 / (2.0 * g_h)) - 1.0)
 

@@ -18,7 +18,7 @@ from sfwm.errors import (
     UsageError,
 )
 
-from conftest import DELAY_NS, ONSET_NS, exponential_packet
+from conftest import DELAY_NS, ETALONS, ONSET_NS, exponential_packet
 
 # Criterion 7's two round-trip scenarios: (tau ns, peak SBR, accumulation s, power mW).
 ROUND_TRIP_SCENARIOS = [(260.0, 42.0, 1200.0, 1.0), (560.0, 5.4, 2400.0, 0.05)]
@@ -264,7 +264,7 @@ class TestFitExponentialOracle:
     def test_noiseless_model_packets(self, p_mw, medium_b):
         drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
         amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive)
-        self.check(sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS))
+        self.check(sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS))
 
 
 class TestDecaySolver:
@@ -280,7 +280,7 @@ class TestDecaySolver:
     def test_noiseless_model_packets_no_worse_than_scipy(self, decay_solves, p_mw, medium_b):
         drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
         amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive)
-        sfwm.fit_exponential(sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS))
+        sfwm.fit_exponential(sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS))
         assert_no_worse_than_oracle(decay_solves)
 
     # (tau ns, onset ns, accumulation s, peak SBR, seed): a decay far below

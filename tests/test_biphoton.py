@@ -19,8 +19,8 @@ from sfwm.biphoton import (
     _etalon_response,
     _fold_factors,
     _fold_period,
+    _check_delay_grid,
     _grid_delta,
-    _is_delay_grid,
     _locked_grid,
     _locked_spacing,
     _next_fast_len,
@@ -32,7 +32,7 @@ from sfwm.physics import _averaged_pair, _cross_prefactor, _doppler_mean
 
 from oracles import _chi_pair_raw, doppler_average, raw_pair_average
 
-from conftest import BAD_DELAY_GRIDS, DELAY_NS, ONSET_NS, scenario
+from conftest import BAD_DELAY_GRIDS, DELAY_NS, ETALONS, ONSET_NS, RISE_NS, scenario
 
 SMALL_GRID = sfwm.SpectralGrid(half_width=24.0, count=4096)
 # Odd: delta = 0 is a sample.
@@ -207,7 +207,8 @@ class TestHalfGrid:
         pair = sfwm.averaged_susceptibilities(grid, m, d)
         for value, oracle in zip(pair, full_grid_pair(grid.delta, m, d)):
             assert np.max(np.abs(value - oracle)) <= 1e-14 * np.max(np.abs(oracle))
-        amp = sfwm.spectral_amplitude(grid, m, d, edge_tol=np.inf).values
+        with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
+            amp = sfwm.spectral_amplitude(grid, m, d).values
         oracle = full_grid_amplitude(grid.delta, m, d)
         assert np.max(np.abs(amp - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -234,7 +235,8 @@ class TestHalfGrid:
         pair = sfwm.averaged_susceptibilities(grid, m, d, q)
         for value, oracle in zip(pair, full_grid_pair(grid.delta, m, d, q)):
             assert np.max(np.abs(value - oracle)) <= 1e-14 * np.max(np.abs(oracle))
-        amp = sfwm.spectral_amplitude(grid, m, d, q, edge_tol=np.inf).values
+        with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
+            amp = sfwm.spectral_amplitude(grid, m, d, q).values
         oracle = full_grid_amplitude(grid.delta, m, d, q)
         assert np.max(np.abs(amp - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -482,7 +484,7 @@ class TestWavePacket:
         grid = sfwm.SpectralGrid(half_width=256.0, count=32768)
         amp = sfwm.BiphotonAmplitude(grid, 1.0 / (g_h - 1j * grid.delta))
         tau = np.arange(0.0, 800.0, 5.0)
-        packet = sfwm.wavepacket(amp, tau)
+        packet = sfwm.wavepacket(amp, tau, onset_ns=0.0)
         sel = tau >= 50.0
         expected = np.exp(-2.0 * g_h * sfwm.units.time_from_ns(tau[sel]))
         ratio = packet.g2[sel] / expected
@@ -493,7 +495,7 @@ class TestWavePacket:
 
     def test_negative_delays_are_empty(self, amplitude_a):
         tau = np.arange(-1000.0, 500.0, 25.6)
-        packet = sfwm.wavepacket(sfwm.apply_etalons(amplitude_a), tau)
+        packet = sfwm.wavepacket(sfwm.apply_etalons(amplitude_a, ETALONS), tau, onset_ns=0.0)
         early = packet.g2[tau < -50.0]
         assert early.max() < 1e-6 * packet.g2.max()
 
@@ -501,17 +503,17 @@ class TestWavePacket:
         coarse = sfwm.SpectralGrid(half_width=64.0, count=1024)
         amp = sfwm.BiphotonAmplitude(coarse, np.ones(1024, dtype=complex))
         with pytest.raises(AliasingError):
-            sfwm.wavepacket(amp, np.arange(0.0, 4000.0, 25.6))
+            sfwm.wavepacket(amp, np.arange(0.0, 4000.0, 25.6), onset_ns=0.0)
 
     def test_nonuniform_delay_grid_rejected(self, amplitude_a):
         with pytest.raises(UsageError):
-            sfwm.wavepacket(amplitude_a, np.array([0.0, 10.0, 30.0]))
+            sfwm.wavepacket(amplitude_a, np.array([0.0, 10.0, 30.0]), onset_ns=0.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tau", BAD_DELAY_GRIDS.values(), ids=BAD_DELAY_GRIDS.keys())
     def test_bad_delay_grid_is_usage_error(self, amplitude_a, tau):
         with pytest.raises(UsageError):
-            sfwm.wavepacket(amplitude_a, tau)
+            sfwm.wavepacket(amplitude_a, tau, onset_ns=0.0)
         with pytest.raises(UsageError):
             sfwm.WavePacket(tau, np.ones(tau.size), 10.0)
 
@@ -543,7 +545,12 @@ class TestWavePacket:
             jitter = 10.0 ** rng.uniform(-12.0, -7.0) * max(step, 1.0)
             t = rng.uniform(-1e4, 1e4) + step * np.arange(20) + rng.normal(0.0, jitter, 20)
             steps = np.diff(t)
-            assert _is_delay_grid(t) == (
+            try:
+                _check_delay_grid(t, steps[0], "delay grid")
+                uniform = True
+            except UsageError:
+                uniform = False
+            assert uniform == (
                 steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-9, atol=1e-9)
             )
 
@@ -552,8 +559,9 @@ class TestWavePacket:
         packets = []
         for omega_p in (1.1, 3.3):
             d = sfwm.DriveParams(omega_c=2.6, omega_p=omega_p)
-            amp = sfwm.spectral_amplitude(SMALL_GRID, medium_a, d, FAST_QUAD, edge_tol=1.0)
-            packets.append(sfwm.wavepacket(amp, tau).g2)
+            with mock.patch.object(biphoton, "EDGE_DECAY_TOL", 1.0):
+                amp = sfwm.spectral_amplitude(SMALL_GRID, medium_a, d, FAST_QUAD)
+            packets.append(sfwm.wavepacket(amp, tau, onset_ns=0.0).g2)
         rel = np.abs(packets[1] - 9.0 * packets[0]) / (9.0 * packets[0])
         assert np.max(rel) < 1e-12
 
@@ -561,7 +569,7 @@ class TestWavePacket:
     def test_matches_direct_fourier_sum(self, count, medium_a, drive_a):
         """The chirp-z synthesis against the plain trapezoidal Fourier sum."""
         grid = sfwm.SpectralGrid(half_width=64.0, count=count)
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a), ETALONS)
         tau_ns = np.arange(-333.3, 3000.0, 12.8)
         onset_ns = 77.0
         packet = sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns)
@@ -603,7 +611,9 @@ class TestKernelMemo:
     @staticmethod
     def locked_amplitude(m, d, half_width=64.0, tau_ns=DELAY_NS):
         grid = locked(half_width, m.gamma, tau_ns=tau_ns)[1]
-        return sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d, FAST_QUAD, edge_tol=1.0))
+        with mock.patch.object(biphoton, "EDGE_DECAY_TOL", 1.0):
+            amp = sfwm.spectral_amplitude(grid, m, d, FAST_QUAD)
+        return sfwm.apply_etalons(amp, ETALONS)
 
     def test_hit_equals_fresh_computation(self, medium_a, drive_a):
         amp = self.locked_amplitude(medium_a, drive_a)
@@ -622,7 +632,7 @@ class TestKernelMemo:
                                          (32.0, axes[2])]]
         cases.append(cases[0])
         _fold_factors.cache_clear()
-        served = [sfwm.wavepacket(amp, tau).g2 for amp, tau in cases]
+        served = [sfwm.wavepacket(amp, tau, onset_ns=0.0).g2 for amp, tau in cases]
         assert _fold_factors.cache_info().misses >= 4
         for (amp, tau), g2 in zip(cases, served):
             assert np.array_equal(g2, self.fresh(amp, tau))
@@ -696,12 +706,13 @@ class TestOwnership:
     @staticmethod
     def amplitude(case):
         m, d, q = OWNERSHIP_CASES[case]
-        return sfwm.spectral_amplitude(OWNERSHIP_GRID, m, d, q, edge_tol=np.inf)
+        with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
+            return sfwm.spectral_amplitude(OWNERSHIP_GRID, m, d, q)
 
     def test_memo_entries_are_read_only(self):
         entries = (
             OWNERSHIP_GRID.delta,
-            _etalon_response(OWNERSHIP_GRID, biphoton.DEFAULT_ETALONS),
+            _etalon_response(OWNERSHIP_GRID, ETALONS),
             _fold_factors(OWNERSHIP_GRID.count, OWNERSHIP_GRID.spacing, 0.5),
         )
         for array in entries:
@@ -746,10 +757,10 @@ class TestOwnership:
     def test_apply_etalons(self, case):
         amp = self.amplitude(case)
         before = amp.values.copy()
-        first = sfwm.apply_etalons(amp)
-        response = _etalon_response(OWNERSHIP_GRID, biphoton.DEFAULT_ETALONS)
+        first = sfwm.apply_etalons(amp, ETALONS)
+        response = _etalon_response(OWNERSHIP_GRID, ETALONS)
         response_before = response.copy()
-        second = sfwm.apply_etalons(amp)
+        second = sfwm.apply_etalons(amp, ETALONS)
         assert np.array_equal(amp.values, before)
         assert np.array_equal(response, response_before) and not response.flags.writeable
         self.assert_fresh(first.values, second.values)
@@ -764,7 +775,8 @@ class TestOwnership:
         m, d, _ = OWNERSHIP_CASES["strong"]
         fold = factors == "_fold_factors"
         grid = locked(24.0, m.gamma)[1] if fold else OWNERSHIP_GRID
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d, edge_tol=np.inf))
+        with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
+            amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d), ETALONS)
         values = amp.values.copy()
         tau = DELAY_NS.copy()
         build = getattr(biphoton, factors)
@@ -794,9 +806,9 @@ class TestOwnership:
     @pytest.mark.parametrize("tau", [DELAY_NS, *BAD_DELAY_GRIDS.values()],
                              ids=["good", *BAD_DELAY_GRIDS.keys()])
     def test_one_delay_grid_check_per_packet(self, amplitude_a, tau):
-        with mock.patch.object(biphoton, "_is_delay_grid", wraps=_is_delay_grid) as check:
+        with mock.patch.object(biphoton, "_check_delay_grid", wraps=_check_delay_grid) as check:
             try:
-                sfwm.wavepacket(amplitude_a, tau)
+                sfwm.wavepacket(amplitude_a, tau, onset_ns=0.0)
             except UsageError:
                 pass
         assert check.call_count == 1
@@ -839,7 +851,7 @@ class TestAreaAndRise:
             sfwm.rise_time_convolve(w, rc_ns=rc_ns)
 
     def test_area_conserved_on_predicted_packet(self, packet_a):
-        smeared = sfwm.rise_time_convolve(packet_a)
+        smeared = sfwm.rise_time_convolve(packet_a, RISE_NS)
         assert sfwm.wavepacket_area(smeared) == pytest.approx(
             sfwm.wavepacket_area(packet_a), rel=1e-3
         )
@@ -886,7 +898,7 @@ class TestFold:
         h, _ = locked(64.0, medium_a.gamma)
         grid = _locked_grid(half_width, h, MAX_COUNT)
         assert grid.count % 2 == 1
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a), ETALONS)
         _fold_factors.cache_clear()
         fold = sfwm.wavepacket(amp, DELAY_NS, onset_ns=onset_ns).g2
         assert _fold_factors.cache_info().misses == 1
@@ -937,9 +949,10 @@ class TestFold:
             assert grid == sfwm.SpectralGrid(half_width, cap)
 
         m = sfwm.MediumParams(alpha_s=80.0, gamma=gamma)
-        amp = sfwm.apply_etalons(
-            sfwm.spectral_amplitude(grid, m, sfwm.DriveParams(2.7), edge_tol=np.inf)
-        )
+        with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
+            amp = sfwm.apply_etalons(
+                sfwm.spectral_amplitude(grid, m, sfwm.DriveParams(2.7)), ETALONS
+            )
         span = step * (n_tau - 1)
         if grid.spacing * max(span, first + span, -first) > 2.0 * np.pi:
             # Only a cap's grid can be too coarse for the delays from the onset.
@@ -977,7 +990,7 @@ def _figures(packet):
     return np.array([
         sfwm.fit_exponential(packet).tau_ns,
         sfwm.wavepacket_area(packet),
-        sfwm.rise_time_convolve(packet).g2.max(),
+        sfwm.rise_time_convolve(packet, RISE_NS).g2.max(),
     ])
 
 
@@ -990,7 +1003,7 @@ class TestPredictPacket:
     @staticmethod
     def direct(grid, m, d):
         """The packet of the public API on ``grid``."""
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d))
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d), ETALONS)
         return sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
 
     @staticmethod
@@ -1006,7 +1019,7 @@ class TestPredictPacket:
                 break
             except GridTooNarrowError:
                 pass
-        return sfwm.wavepacket(sfwm.apply_etalons(amp), DELAY_NS, onset_ns=ONSET_NS)
+        return sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS)
 
     @pytest.mark.parametrize("p_mw", [0.02, 0.5, 5.0])
     @pytest.mark.parametrize("gamma", [0.015, 0.024, 0.028])
@@ -1025,7 +1038,7 @@ class TestPredictPacket:
         m, d = self.medium_drive(gamma, 0.5)
         assert locked(64.0, gamma)[1] == sfwm.SpectralGrid()
         derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(), m, d))
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(), m, d), ETALONS)
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(derived.g2, direct.g2)
 
@@ -1035,7 +1048,7 @@ class TestPredictPacket:
         assert locked(64.0, medium_a.gamma)[1].count == 14571
         grid = sfwm.SpectralGrid(count=8192)
         capped = sfwm.predict_packet(scenario(medium_a, drive_a, grid=grid), DELAY_NS)
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a))
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a), ETALONS)
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(capped.g2, direct.g2)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import sfwm
 import sfwm.cli
 from sfwm.cli import MAX_POINTS, main
+from sfwm.physics import MIN_WIDTH_POINTS
 from sfwm.config import _KEYS
 
 from conftest import exponential_packet
@@ -115,7 +116,7 @@ class TestSimulateEit:
         cfg = tmp_path / "fine.ini"
         cfg.write_text("[quadrature]\nstep_mhz = 0.00247\n")
         out = tmp_path / "x.csv"
-        code = main(["simulate-eit", "--config", str(cfg), "--points", "2", "--out", str(out)])
+        code = main(["simulate-eit", "--config", str(cfg), "--points", "5", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert f"needs 1049393 nodes, more than {sfwm.physics.MAX_NODES}" in err
@@ -216,7 +217,8 @@ class TestSimulateBiphoton:
         assert main(["simulate-biphoton", "--config", str(cfg), "--out", str(out)]) == 0
         medium = sfwm.MediumParams(alpha_s=80.0, gamma=0.168 / 6.0)
         drive = sfwm.DriveParams(omega_c=2.7)
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive))
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive)
+        amp = sfwm.apply_etalons(amp, sfwm.load_config(cfg).etalons)
         packet = sfwm.wavepacket(amp, np.arange(0.0, 4000.0, 25.6), onset_ns=150.0)
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert lines[1:] == [f"{t:.12g},{g:.12g}" for t, g in zip(packet.tau_ns, packet.g2)]
@@ -294,6 +296,22 @@ class TestFitCommands:
         assert report["alpha_s"] == pytest.approx(80.0, rel=0.01)
         assert report["omega_c_gamma_units"] == pytest.approx(2.7, rel=0.01)
         assert report["decoherence_mhz"] == pytest.approx(0.168, rel=0.01)
+
+    def test_fit_eit_shuffled_csv_is_usage_error(self, tmp_path, capsys):
+        """The baseline is read from the outermost detunings, so a spectrum
+        whose rows are out of order is refused, not fitted."""
+        out, shuffled = tmp_path / "eit.csv", tmp_path / "shuffled.csv"
+        assert main(["simulate-eit", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        rows = lines[start:]
+        order = np.random.default_rng(0).permutation(len(rows))
+        shuffled.write_text("\n".join(lines[:start] + [rows[i] for i in order]) + "\n")
+        capsys.readouterr()
+        assert main(["fit-eit", "--csv", str(shuffled)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "detuning grid must be strictly increasing" in captured.err
 
     def test_fit_eit_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -709,7 +727,7 @@ def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv, opt
 LATE_USAGE_ERRORS = [
     ("simulate-eit", "", ["--points", "1"]),
     ("simulate-eit", "", ["--delta-min-mhz", "1", "--delta-max-mhz", "-1"]),
-    # Three points make a CSV but no width measurement.
+    # Three points are too few for the width measurement.
     ("simulate-eit", "", ["--points", "3"]),
     ("simulate-biphoton", "", ["--tau-max-ns", "1e30"]),
     # Fewer than 10 bins past the fit onset.
@@ -847,8 +865,8 @@ class TestSynth:
         medium = sfwm.MediumParams(alpha_s=82.0, gamma=0.144 / 6.0)
         drive = sfwm.DriveParams(omega_c=3.9 / 6.0)
         amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive)
-        packet = sfwm.wavepacket(sfwm.apply_etalons(amp), np.arange(0.0, 4000.0, 25.6),
-                                 onset_ns=150.0)
+        packet = sfwm.wavepacket(sfwm.apply_etalons(amp, sfwm.load_config().etalons),
+                                 np.arange(0.0, 4000.0, 25.6), onset_ns=150.0)
         truth = sfwm.fit_exponential(packet).tau_ns
         assert report["tau_ns"] == pytest.approx(truth, abs=3.0 * report["tau_err_ns"])
         assert 476.0 <= truth <= 644.0  # 560 ns +/- 15% for the underlying packet
@@ -1006,7 +1024,18 @@ class TestNonfiniteArguments:
         with mock.patch.object(sfwm.cli, "eit_spectrum", side_effect=AssertionError("computed")):
             code = main(["simulate-eit", "--points", str(points), "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert f"need 2 to {MAX_POINTS} points" in capsys.readouterr().err
+        assert f"need {MIN_WIDTH_POINTS} to {MAX_POINTS} points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", [2, 4])
+    def test_eit_points_below_the_width_minimum_is_usage_error(self, tmp_path, capsys, points):
+        """Fewer points than the width measurement needs are rejected before
+        any spectrum is computed, and the message names the bound."""
+        out = tmp_path / "x.csv"
+        with mock.patch.object(sfwm.cli, "eit_spectrum", side_effect=AssertionError("computed")):
+            code = main(["simulate-eit", "--points", str(points), "--out", str(out)])
+        assert code == 2
+        assert f"need {MIN_WIDTH_POINTS} to {MAX_POINTS} points" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bound", ["--delta-min-mhz=-inf", "--delta-max-mhz=inf"])
     def test_eit_detuning_bounds_checked_up_front(self, strong_config, tmp_path, capsys, recwarn,

@@ -1,5 +1,6 @@
 """The package runs on numpy and the standard library; scipy is a test oracle only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -63,3 +64,40 @@ def test_failing_hypothesis_test_fails_alone(pytester):
     )
     result = pytester.runpytest_subprocess()
     result.assert_outcomes(failed=1, passed=1)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def settable_values(package: Path) -> list[str]:
+    """``module.owner.name`` of each function parameter with a default,
+    positional or keyword-only, and each dataclass field with a default."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                found += [f"{path.stem}.{node.name}.{a.arg}" for a in named]
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [
+                    f"{path.stem}.{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                ]
+    return found
+
+
+def test_settable_values():
+    """The run values a caller can leave out.  The config holds the one
+    default of each run value, so a new knob here is a deliberate change:
+    update the count in the same diff."""
+    found = settable_values(ROOT / "src" / "sfwm")
+    assert len(found) == 36, "\n".join(found)

@@ -523,6 +523,18 @@ class TestSpectrum:
         with pytest.raises(UsageError):
             sfwm.eit_spectrum(np.array([0.0, -1.0, 1.0]), medium_a, drive_a)
 
+    @pytest.mark.parametrize(
+        "delta",
+        [[], [0.0, -1.0, 1.0], [-1.0, 0.0, 0.0, 1.0], [-1.0, np.nan, 1.0], [-np.inf, 0.0, 1.0]],
+        ids=["empty", "unsorted", "repeated", "nan", "inf"],
+    )
+    def test_spectrum_rejects_a_bad_detuning_grid(self, delta):
+        """Baseline and width read the outermost samples as the outermost
+        detunings, so a Spectrum's detunings are non-empty, finite and
+        strictly increasing."""
+        with pytest.raises(UsageError, match="detuning grid"):
+            sfwm.Spectrum(delta, np.full(len(delta), 0.5))
+
     def test_fwhm_of_synthetic_lorentzian(self):
         # 1 MHz FWHM peak on a flat baseline, in Gamma units (1 MHz = 1/6 Gamma).
         delta = np.linspace(-2, 2, 4001)
