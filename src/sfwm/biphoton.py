@@ -46,8 +46,10 @@ that P holds the delays counted from the onset and 20/gamma past the first
 argument.  The window is K = ceil(half_width/h) whole steps, 2K + 1
 samples.  Where those would pass the scenario grid's count, and at
 gamma = 0, the scenario grid is used as given, and its packet is a chirp-z
-transform.  It also widens the window, at the same spacing and with the
-count doubled, while |A| has not decayed at its edges.
+transform; at gamma > 0 a copy of that packet must still be at most
+EDGE_DECAY_TOL of it, else AliasingError.  It also widens the window, at
+the same spacing and with the count doubled, while |A| has not decayed at
+its edges.
 
 Each run value (the etalon chain, the onset, the detector response time)
 reaches a stage as an argument without a default; predict_packet reads it
@@ -538,7 +540,11 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
     doubled and at the same spacing, up to MAX_WIDENINGS times, skipping a
     window whose grid repeats the last.  Raises GridTooNarrowError if the
     widest window still fails, and UsageError if a widened count would
-    pass MAX_COUNT.
+    pass MAX_COUNT.  At gamma > 0 it raises AliasingError, after
+    wavepacket's own check, unless a copy of the packet is at most
+    EDGE_DECAY_TOL of it: gamma*(P + first) >= ln(1/EDGE_DECAY_TOL), with
+    P = 2*pi/spacing and first the first delay past the onset.  Only a grid
+    used as given can fail, since a locked one keeps ALIAS_DECAY_MARGIN.
     """
     m, d, start = scenario.medium, scenario.drive, scenario.grid
     tau_ns = np.asarray(tau_ns, dtype=float)
@@ -562,7 +568,14 @@ def predict_packet(scenario: Scenario, tau_ns) -> WavePacket:
             narrow = exc.with_traceback(None)
     else:
         raise narrow
-    return wavepacket(apply_etalons(amp, scenario.etalons), tau_ns, onset_ns=scenario.onset_ns)
+    packet = wavepacket(apply_etalons(amp, scenario.etalons), tau_ns, onset_ns=scenario.onset_ns)
+    period = 2.0 * np.pi / amp.grid.spacing
+    if m.gamma > 0.0 and m.gamma * (period + first) < math.log(1.0 / EDGE_DECAY_TOL):
+        raise AliasingError(
+            f"the {amp.grid.count}-sample grid repeats the packet every {time_to_ns(period):.5g} ns, "
+            f"leaving copies above {EDGE_DECAY_TOL:.1e} of it; increase [grid] count"
+        )
+    return packet
 
 
 def wavepacket_area(w: WavePacket) -> float:

@@ -218,8 +218,6 @@ def cmd_sweep(args) -> int:
             powers.append(float(token))
         except ValueError:
             raise UsageError(f"--powers-mw: {token.strip()!r} is not a number") from None
-    if not powers:
-        raise UsageError("empty power list")
     anchor = None
     if args.anchor_power_mw is not None or args.anchor_rate_per_mhz is not None:
         if args.anchor_power_mw is None or args.anchor_rate_per_mhz is None:

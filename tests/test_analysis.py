@@ -191,6 +191,23 @@ class TestFitExponential:
         with pytest.raises(UsageError):
             sfwm.fit_exponential(w, x0_ns=300.0)
 
+    def test_one_baseline_bin_takes_its_poisson_error(self):
+        """15 bins from the onset leave one tail bin for the baseline, whose
+        error is then the root of its count."""
+        w = exponential_packet(100.0, 60.0, onset_ns=0.0, baseline=5.0, span_ns=15 * 25.6)
+        fit = sfwm.fit_exponential(w, x0_ns=0.0)
+        assert fit.baseline == w.g2[-1]
+        assert fit.baseline_err == math.sqrt(w.g2[-1])
+
+    def test_onset_amplitude_overflows_to_inf(self):
+        """With the onset 1e6 ns before the first bin the amplitude there is
+        exp(1e6/260) times the first bin's: inf, with an infinite error, and
+        the decay constant is still recovered."""
+        w = exponential_packet(500.0, 260.0, onset_ns=0.0)
+        fit = sfwm.fit_exponential(w, x0_ns=-1e6)
+        assert fit.amplitude == math.inf and fit.amplitude_err == math.inf
+        assert fit.tau_ns == pytest.approx(260.0, rel=1e-6)
+
     def test_all_zero_data(self):
         w = sfwm.WavePacket(np.arange(0.0, 4000.0, 25.6), np.zeros(157), 25.6)
         with pytest.raises(DegenerateDataError):
@@ -438,6 +455,15 @@ class TestScalarMetrics:
         assert sfwm.background_rate(0.0) == 240.0
         assert sfwm.background_rate(1.0) == 560.0
         assert sfwm.background_rate(0.05) == pytest.approx(305.4, abs=0.1)
+        with pytest.raises(DomainError):
+            sfwm.background_rate(-0.1)
+
+
+def test_truncated_holds_a_parameter_the_step_pushes_out_of_its_bound():
+    """A parameter on its bound stays put while the other takes its whole
+    step; cutting the step at the bound would leave both where they were."""
+    assert analysis._truncated(1.0, 2.0, 1.0, 0.0, -0.5, 0.25) == (1.0, 2.25)
+    assert analysis._truncated(2.0, 1.0, 0.0, 1.0, 0.25, -0.5) == (2.25, 1.0)
 
 
 def test_average_low_power_gamma():

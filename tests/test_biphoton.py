@@ -1052,6 +1052,30 @@ class TestPredictPacket:
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(capped.g2, direct.g2)
 
+    def test_capped_grid_within_the_decay_budget_is_used(self):
+        """A count of 8192 at gamma = 0.026 and the 150 ns onset, as the
+        benchmark's tiny sweep runs it: gamma*(P + first) is 10.3, past
+        ln(1/EDGE_DECAY_TOL) = 6.9, so the packet is the direct one."""
+        m, d = self.medium_drive(0.026, 0.5)
+        grid = sfwm.SpectralGrid(count=8192)
+        assert locked(64.0, m.gamma, cap=grid.count, onset_ns=ONSET_NS)[1] == grid
+        capped = sfwm.predict_packet(scenario(m, d, grid=grid), DELAY_NS)
+        assert np.array_equal(capped.g2, self.direct(grid, m, d).g2)
+
+    @pytest.mark.parametrize("onset_ns", [38000.0, 40000.0, 42000.0])
+    def test_capped_grid_short_of_the_decay_budget_is_aliasing_error(
+        self, medium_a, drive_a, onset_ns
+    ):
+        """The default grid repeats the packet every 42.65 us, which holds
+        the delays from these onsets; but gamma*(P + first) is 4.9, 2.8 and
+        0.70, below ln(1/EDGE_DECAY_TOL), so a copy of the packet passes
+        EDGE_DECAY_TOL of it.  At 42000 ns the sum put a spurious peak at
+        delay 0; more samples are the remedy."""
+        assert locked(64.0, medium_a.gamma, onset_ns=onset_ns)[1] == sfwm.SpectralGrid()
+        s = dataclasses.replace(scenario(medium_a, drive_a), onset_ns=onset_ns)
+        with pytest.raises(AliasingError, match=r"increase \[grid\] count"):
+            sfwm.predict_packet(s, DELAY_NS)
+
     def test_count_above_the_need_is_a_cap_only(self, medium_a, drive_a):
         """A larger count than the derived one changes nothing."""
         derived = sfwm.predict_packet(scenario(medium_a, drive_a), DELAY_NS)

@@ -263,6 +263,17 @@ class TestSimulateBiphoton:
         assert "from the onset" in err
         assert not out.exists()
 
+    def test_capped_grid_short_of_the_decay_budget_exit_code(self, tmp_path, capsys):
+        """At an onset of 42000 ns the default count caps the grid, whose
+        42.65 us period holds the delays from the onset but leaves a copy of
+        the packet above EDGE_DECAY_TOL of it: exit 3, naming the remedy,
+        and no CSV of the spurious peak at delay 0."""
+        cfg, out = tmp_path / "late.ini", tmp_path / "wp.csv"
+        cfg.write_text("[run]\nonset_ns = 42000\n")
+        assert main(["simulate-biphoton", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "increase [grid] count" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommands:
     def test_fit_eit_round_trip(self, weak_config, tmp_path, capsys):
@@ -472,6 +483,11 @@ class TestSweep:
         code = main(["sweep", "--config", strong_config, "--powers-mw", "-1",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_empty_power_list_rejected(self, tmp_path, capsys):
+        """A list of separators alone meets the sweep's own check: exit 2."""
+        assert main(["sweep", "--powers-mw", ",", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "empty power list" in capsys.readouterr().err
 
     def test_overflowing_anchor_is_numerics_error(self, strong_config, tmp_path, capsys):
         """An anchor rate of 1e308 pairs/s/MHz overflows the rate scale: exit

@@ -72,6 +72,11 @@ class TestExpectedBins:
         with pytest.raises(UsageError, match=re.escape("must lie in [0, 1]")):
             sfwm.generate_timetags(w, model(), 1.0, p)
 
+    def test_negative_peak_sbr_is_usage_error(self):
+        w = exponential_packet(1.0, 260.0, span_ns=4000.0)
+        with pytest.raises(UsageError, match="peak SBR must be nonnegative"):
+            sfwm.expected_bins(w, model(), 1.0, peak_sbr=-1.0)
+
     def test_doubling_accumulation_doubles_means_exactly(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         m1 = sfwm.expected_bins(w, model(accumulation_s=1200.0), 1.0, success_probability=0.0088)
@@ -187,6 +192,10 @@ class TestBuildHistogram:
         hist = sfwm.build_histogram(triggers, partners, 102.4, 25.6)
         # trigger 0 sees delays 10, 60, 90; trigger 50 sees 10, 40.
         assert hist.counts.sum() == 5
+
+    def test_window_shorter_than_one_bin_rejected(self):
+        with pytest.raises(UsageError, match="shorter than one bin"):
+            sfwm.build_histogram(np.array([0.0]), np.array([10.0]), 20.0, 25.6)
 
     def test_unsorted_streams_rejected(self):
         with pytest.raises(UsageError):

@@ -535,6 +535,18 @@ class TestSpectrum:
         with pytest.raises(UsageError, match="detuning grid"):
             sfwm.Spectrum(delta, np.full(len(delta), 0.5))
 
+    def test_spectrum_rejects_mismatched_lengths(self):
+        with pytest.raises(UsageError, match="lengths differ"):
+            sfwm.Spectrum(np.linspace(-1, 1, 5), np.full(4, 0.5))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_fwhm_needs_a_half_height_crossing_on_each_side(self, side):
+        """A peak on the scan's edge never falls to half height on that side."""
+        t = np.linspace(1.0, 0.0, 101)
+        s = sfwm.Spectrum(np.linspace(-1, 1, 101), t if side == "left" else t[::-1])
+        with pytest.raises(PeakShapeError, match=f"half height on the {side}"):
+            sfwm.spectrum_fwhm(s)
+
     def test_fwhm_of_synthetic_lorentzian(self):
         # 1 MHz FWHM peak on a flat baseline, in Gamma units (1 MHz = 1/6 Gamma).
         delta = np.linspace(-2, 2, 4001)
