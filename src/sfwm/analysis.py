@@ -580,7 +580,9 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
 
     edge_deltas = np.concatenate(_edges(data.delta))
     # The kernel on raw floats: m0 and the detunings are already validated.
-    unit_depth, _ = _transmission(edge_deltas, 1.0, m0.gamma, 0.0, m0)
+    # Both calls take the exact Doppler rule, whose by-parts gradient the
+    # solver uses.
+    unit_depth, _ = _transmission(edge_deltas, 1.0, m0.gamma, 0.0, m0, None)
     alpha_s = _invert_baseline(-np.log(unit_depth), target)
 
     # The solver works in (omega_c^2, gamma): T depends on the coupling only
@@ -590,7 +592,7 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     # from the bracketed inversion, and the bounds keep square >= 0 and
     # gamma > 0, so nothing is rechecked per evaluation.
     def evaluate(square, gamma):
-        t, gradient = _transmission(data.delta, alpha_s, gamma, square, m0)
+        t, gradient = _transmission(data.delta, alpha_s, gamma, square, m0, None)
         return t - data.transmission, gradient
 
     start = max(d0.omega_c, 1e-3) ** 2, max(m0.gamma, 1e-4)

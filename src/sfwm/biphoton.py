@@ -237,14 +237,14 @@ def averaged_susceptibilities(
     grid: SpectralGrid,
     m: MediumParams,
     d: DriveParams,
-    q: DopplerQuadrature | None = None,
+    q: DopplerQuadrature | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Doppler-averaged cross and self responses on the spectral grid.
 
     Returns (cross_avg, self_avg).  The self average Z is what the
     phase-matching factor expm1(2iZ)/(2iZ) acts on; it is exactly linear in
-    the Stokes optical depth.  The average is exact in closed form unless a
-    quadrature is given, which selects the trapezoidal reference rule.
+    the Stokes optical depth.  The average is exact in closed form where
+    ``q`` is None; a quadrature selects the trapezoidal reference rule.
     """
     return _averaged_pair(grid.delta, m, d, q)
 
@@ -253,7 +253,7 @@ def spectral_amplitude(
     grid: SpectralGrid,
     m: MediumParams,
     d: DriveParams,
-    q: DopplerQuadrature | None = None,
+    q: DopplerQuadrature | None,
 ) -> BiphotonAmplitude:
     """Assemble the pair amplitude A = C * expm1(2iZ)/(2iZ) on the grid.
 

@@ -40,6 +40,11 @@ _WIDTH_EDGES = np.array(
 _READ_CHUNK = 1 << 20  # body bytes parsed per step, extended to a line end
 _MAX_RECORD = 22  # "1,-" and 19 digits
 _GATHER_BLOCK = 1 << 20  # pairings gathered at once, unless one trigger has more
+# The largest mean numpy's Poisson sampler takes.
+_POISSON_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+# Most expected events (triggers plus background) in one time-tag
+# acquisition; a synth --timetags run at a tenth of it peaks near 340 MB.
+MAX_TIMETAG_EVENTS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,8 @@ def expected_bins(
     Exactly one normalization must be chosen: ``success_probability`` scales
     the packet so its total signal counts equal that probability per trigger;
     ``peak_sbr`` pins the peak signal to a multiple of the flat background.
-    The background fills each bin of the packet's width ``w.bin_ns``.
+    The background fills each bin of the packet's width ``w.bin_ns``.  A
+    mean past what numpy's Poisson sampler takes is a UsageError.
     """
     if (success_probability is None) == (peak_sbr is None):
         raise UsageError("choose exactly one of success_probability, peak_sbr")
@@ -151,6 +157,12 @@ def expected_bins(
     means = bkg_per_bin + scale * w.g2
     if np.any(~np.isfinite(means)) or np.any(means < 0):
         raise UsageError("expected counts must be finite and nonnegative")
+    if np.any(means > _POISSON_MAX):
+        knob = "peak_sbr" if peak_sbr is not None else "success_probability"
+        raise UsageError(
+            f"expected counts reach {means.max():.3g} per bin, past the Poisson sampler's "
+            f"{_POISSON_MAX:.3g}: lower {knob}, trigger_cps or accumulation_s"
+        )
     return means
 
 
@@ -184,9 +196,16 @@ def generate_timetags(
     true partner with the given success probability, at a delay drawn from
     the normalized wave-packet density (uniform within a bin).  Uncorrelated
     partner events ride on top as a Poisson process at the power-dependent
-    background rate, which includes dark counts.
+    background rate, which includes dark counts.  More than
+    MAX_TIMETAG_EVENTS expected events is a UsageError.
     """
     _check_success_probability(success_probability)
+    events = (dm.trigger_rate + background_rate(p_mw)) * dm.accumulation_s
+    if events > MAX_TIMETAG_EVENTS:
+        raise UsageError(
+            f"time tags of {events:.3g} expected events exceed {MAX_TIMETAG_EVENTS}: "
+            "lower [detection] accumulation_s or trigger_cps"
+        )
     rng = np.random.Generator(np.random.PCG64(dm.seed))
     duration_s = dm.accumulation_s
     duration_ns = duration_s * 1e9

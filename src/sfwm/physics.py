@@ -343,7 +343,7 @@ def _self_pole(delta: np.ndarray, gamma: float, gamma3: float, square: float):
 
 
 def _averaged_pair(
-    delta: np.ndarray, m: MediumParams, d: DriveParams, q: DopplerQuadrature | None = None
+    delta: np.ndarray, m: MediumParams, d: DriveParams, q: DopplerQuadrature | None
 ):
     """Doppler-averaged (cross, self) responses on an antisymmetric 1-D
     detuning array, delta[::-1] == -delta, as a SpectralGrid's is.
@@ -391,12 +391,13 @@ def eit_transmission(
     delta,
     m: MediumParams,
     d: DriveParams,
-    q: DopplerQuadrature | None = None,
+    q: DopplerQuadrature | None,
 ):
     """Probe transmission T(delta) in (0, 1] through the Doppler-averaged medium.
 
-    The Doppler average is exact unless a quadrature is given; either way T
-    comes from :func:`_transmission`, the EIT fit's model.
+    The Doppler average is exact where ``q`` is None and the quadrature's
+    trapezoidal rule otherwise; either way T comes from
+    :func:`_transmission`, the EIT fit's model.
     """
     _require_finite("delta", delta)
     arr = np.atleast_1d(np.asarray(delta, dtype=float))
@@ -410,7 +411,7 @@ def _transmission(
     gamma: float,
     square: float,
     m: MediumParams,
-    q: DopplerQuadrature | None = None,
+    q: DopplerQuadrature | None,
 ):
     """T on a 1-D detuning array with Omega_c^2 = square, and a function
     giving the EIT fit's (dT/d(Omega_c^2), dT/d gamma).
@@ -473,7 +474,7 @@ def _edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def spectrum_baseline(s: Spectrum) -> float:
     """Baseline transmission: mean over the outermost 10% of samples per side."""
     left, right = _edges(s.transmission)
-    return 0.5 * (left.mean() + right.mean())
+    return float(0.5 * (left.mean() + right.mean()))
 
 
 def spectrum_fwhm(s: Spectrum) -> float:

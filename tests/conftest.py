@@ -53,13 +53,13 @@ def drive_b():
 @pytest.fixture(scope="session")
 def amplitude_a(medium_a, drive_a):
     """Unfiltered pair amplitude for the strong-coupling parameter set."""
-    return sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_a, drive_a)
+    return sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_a, drive_a, None)
 
 
 @pytest.fixture(scope="session")
 def amplitude_b(medium_b, drive_b):
     """Unfiltered pair amplitude for the weak-coupling parameter set."""
-    return sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive_b)
+    return sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive_b, None)
 
 
 @pytest.fixture(scope="session")

@@ -65,6 +65,7 @@ def test_criterion_2_wavepacket_time_constants():
             sfwm.SpectralGrid(),
             sfwm.MediumParams(alpha_s=alpha, gamma=gamma),
             sfwm.DriveParams(omega_c=omega_c),
+            None,
         )
         packet = sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS)
         fitted[label] = (sfwm.fit_exponential(packet).tau_ns, target)

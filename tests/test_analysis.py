@@ -154,11 +154,12 @@ def oracle_eit_fit(data, m0, d0):
         return sfwm.DriveParams(omega_c, d0.omega_p, d0.delta_p)
 
     alpha = brentq(
-        lambda a: np.mean(sfwm.eit_transmission(edge, medium(a, m0.gamma), drive(0.0))) - target,
+        lambda a: np.mean(sfwm.eit_transmission(edge, medium(a, m0.gamma), drive(0.0), None))
+        - target,
         1e-6, 1e5, xtol=1e-14, rtol=1e-15, maxiter=500,
     )
     omega_c, gamma = least_squares(
-        lambda p: sfwm.eit_transmission(data.delta, medium(alpha, p[1]), drive(p[0]))
+        lambda p: sfwm.eit_transmission(data.delta, medium(alpha, p[1]), drive(p[0]), None)
         - data.transmission,
         [max(d0.omega_c, 1e-3), max(m0.gamma, 1e-4)], bounds=([0.0, 1e-9], [np.inf, np.inf]),
         x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=5000,
@@ -280,7 +281,7 @@ class TestFitExponentialOracle:
     @pytest.mark.parametrize("p_mw", [0.02, 0.5, 1.0])
     def test_noiseless_model_packets(self, p_mw, medium_b):
         drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
-        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive)
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive, None)
         self.check(sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS))
 
 
@@ -296,7 +297,7 @@ class TestDecaySolver:
     @pytest.mark.parametrize("p_mw", [0.02, 0.5, 1.0])
     def test_noiseless_model_packets_no_worse_than_scipy(self, decay_solves, p_mw, medium_b):
         drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
-        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive)
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(), medium_b, drive, None)
         sfwm.fit_exponential(sfwm.wavepacket(sfwm.apply_etalons(amp, ETALONS), DELAY_NS, onset_ns=ONSET_NS))
         assert_no_worse_than_oracle(decay_solves)
 
@@ -543,7 +544,9 @@ class TestFitEit:
 
     def test_baseline_out_of_range(self):
         bright = sfwm.Spectrum(self.GRID, np.full(self.GRID.size, 1.2))
-        with pytest.raises(InversionError):
+        with pytest.raises(
+            InversionError, match=r"^baseline transmission 1\.2 is outside \(0, 1\)$"
+        ):
             sfwm.fit_eit(
                 bright, sfwm.MediumParams(alpha_s=80.0, gamma=0.02), sfwm.DriveParams(omega_c=1.0)
             )
@@ -669,7 +672,7 @@ class TestFitEitStages:
         the coupling off, bit for bit."""
         edge = np.concatenate(physics._edges(data.delta))
         unit = sfwm.eit_transmission(
-            edge, replace(m0, alpha_s=1.0, alpha_as=1.0), replace(d0, omega_c=0.0)
+            edge, replace(m0, alpha_s=1.0, alpha_as=1.0), replace(d0, omega_c=0.0), None
         )
         alpha = analysis._invert_baseline(-np.log(unit), sfwm.spectrum_baseline(data))
         assert sfwm.fit_eit(data, m0, d0).alpha_s == alpha
@@ -685,7 +688,7 @@ class TestFitEitStages:
         assert fit.residual_norm < np.linalg.norm(first[2])
         alpha, omega_c, gamma = oracle_eit_fit(data, m0, d0)
         oracle = sfwm.eit_transmission(
-            data.delta, sfwm.MediumParams(alpha, gamma), sfwm.DriveParams(omega_c)
+            data.delta, sfwm.MediumParams(alpha, gamma), sfwm.DriveParams(omega_c), None
         )
         assert fit.residual_norm <= np.linalg.norm(oracle - data.transmission) * (1.0 + 1e-9)
 

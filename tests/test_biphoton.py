@@ -204,11 +204,11 @@ class TestHalfGrid:
         np.linspace(-24, 24, 1071) has its midpoint at -3.6e-15, not 0."""
         grid = sfwm.SpectralGrid(half_width, count)
         assert np.array_equal(grid.delta[::-1], -grid.delta)
-        pair = sfwm.averaged_susceptibilities(grid, m, d)
+        pair = sfwm.averaged_susceptibilities(grid, m, d, None)
         for value, oracle in zip(pair, full_grid_pair(grid.delta, m, d)):
             assert np.max(np.abs(value - oracle)) <= 1e-14 * np.max(np.abs(oracle))
         with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
-            amp = sfwm.spectral_amplitude(grid, m, d).values
+            amp = sfwm.spectral_amplitude(grid, m, d, None).values
         oracle = full_grid_amplitude(grid.delta, m, d)
         assert np.max(np.abs(amp - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
@@ -259,7 +259,7 @@ class TestHalfGrid:
         }[case]
         linspace = np.linspace(-grid.half_width, grid.half_width, grid.count)
         oracle = full_grid_amplitude(linspace, m, d)
-        amp = sfwm.spectral_amplitude(grid, m, d)
+        amp = sfwm.spectral_amplitude(grid, m, d, None)
         assert np.max(np.abs(amp.values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         chain = sfwm.EtalonChain()
         packet = sfwm.wavepacket(sfwm.apply_etalons(amp, chain), DELAY_NS, onset_ns=ONSET_NS).g2
@@ -373,7 +373,7 @@ class TestSpectralAmplitude:
                 sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(5.0)),
             ),
         }[case]
-        exact = sfwm.averaged_susceptibilities(grid, m, d)
+        exact = sfwm.averaged_susceptibilities(grid, m, d, None)
         trapezoid = sfwm.averaged_susceptibilities(grid, m, d, sfwm.DopplerQuadrature())
         for fast, ref in zip(exact, trapezoid):
             assert np.max(np.abs(fast - ref)) <= 1e-7 * np.max(np.abs(ref))
@@ -387,7 +387,7 @@ class TestSpectralAmplitude:
         idx = int(np.searchsorted(grid.delta, 4.0 * m.gamma_doppler))
         delta = float(grid.delta[idx])
         gd = m.gamma_doppler
-        exact = sfwm.averaged_susceptibilities(grid, m, d)
+        exact = sfwm.averaged_susceptibilities(grid, m, d, None)
         for index, value in enumerate(exact):
             parts = [
                 quad(
@@ -416,10 +416,10 @@ class TestSpectralAmplitude:
         grid = sfwm.SpectralGrid(64.0, 1024)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cross, self_ = sfwm.averaged_susceptibilities(grid, m, d)
+            cross, self_ = sfwm.averaged_susceptibilities(grid, m, d, None)
         assert np.all(np.isfinite(cross)) and np.all(np.isfinite(self_))
         # Both averages are linear in a common optical depth.
-        unit_cross, unit_self = sfwm.averaged_susceptibilities(grid, m_unit, d)
+        unit_cross, unit_self = sfwm.averaged_susceptibilities(grid, m_unit, d, None)
         np.testing.assert_allclose(cross, 1e300 * unit_cross, rtol=1e-12)
         np.testing.assert_allclose(self_, 1e300 * unit_self, rtol=1e-12)
 
@@ -569,7 +569,7 @@ class TestWavePacket:
     def test_matches_direct_fourier_sum(self, count, medium_a, drive_a):
         """The chirp-z synthesis against the plain trapezoidal Fourier sum."""
         grid = sfwm.SpectralGrid(half_width=64.0, count=count)
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a), ETALONS)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a, None), ETALONS)
         tau_ns = np.arange(-333.3, 3000.0, 12.8)
         onset_ns = 77.0
         packet = sfwm.wavepacket(amp, tau_ns, onset_ns=onset_ns)
@@ -776,7 +776,7 @@ class TestOwnership:
         fold = factors == "_fold_factors"
         grid = locked(24.0, m.gamma)[1] if fold else OWNERSHIP_GRID
         with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
-            amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d), ETALONS)
+            amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d, None), ETALONS)
         values = amp.values.copy()
         tau = DELAY_NS.copy()
         build = getattr(biphoton, factors)
@@ -898,7 +898,7 @@ class TestFold:
         h, _ = locked(64.0, medium_a.gamma)
         grid = _locked_grid(half_width, h, MAX_COUNT)
         assert grid.count % 2 == 1
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a), ETALONS)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a, None), ETALONS)
         _fold_factors.cache_clear()
         fold = sfwm.wavepacket(amp, DELAY_NS, onset_ns=onset_ns).g2
         assert _fold_factors.cache_info().misses == 1
@@ -951,7 +951,7 @@ class TestFold:
         m = sfwm.MediumParams(alpha_s=80.0, gamma=gamma)
         with mock.patch.object(biphoton, "EDGE_DECAY_TOL", np.inf):
             amp = sfwm.apply_etalons(
-                sfwm.spectral_amplitude(grid, m, sfwm.DriveParams(2.7)), ETALONS
+                sfwm.spectral_amplitude(grid, m, sfwm.DriveParams(2.7), None), ETALONS
             )
         span = step * (n_tau - 1)
         if grid.spacing * max(span, first + span, -first) > 2.0 * np.pi:
@@ -1003,7 +1003,7 @@ class TestPredictPacket:
     @staticmethod
     def direct(grid, m, d):
         """The packet of the public API on ``grid``."""
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d), ETALONS)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, m, d, None), ETALONS)
         return sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
 
     @staticmethod
@@ -1015,7 +1015,7 @@ class TestPredictPacket:
             window = _locked_grid(64.0 * 2**widening, h, DEFAULT_COUNT << widening)
             grid = sfwm.SpectralGrid(window.half_width, 4 * (window.count - 1) + 1)
             try:
-                amp = sfwm.spectral_amplitude(grid, m, d)
+                amp = sfwm.spectral_amplitude(grid, m, d, None)
                 break
             except GridTooNarrowError:
                 pass
@@ -1038,7 +1038,7 @@ class TestPredictPacket:
         m, d = self.medium_drive(gamma, 0.5)
         assert locked(64.0, gamma)[1] == sfwm.SpectralGrid()
         derived = sfwm.predict_packet(scenario(m, d), DELAY_NS)
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(), m, d), ETALONS)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(sfwm.SpectralGrid(), m, d, None), ETALONS)
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(derived.g2, direct.g2)
 
@@ -1048,7 +1048,7 @@ class TestPredictPacket:
         assert locked(64.0, medium_a.gamma)[1].count == 14571
         grid = sfwm.SpectralGrid(count=8192)
         capped = sfwm.predict_packet(scenario(medium_a, drive_a, grid=grid), DELAY_NS)
-        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a), ETALONS)
+        amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, medium_a, drive_a, None), ETALONS)
         direct = sfwm.wavepacket(amp, DELAY_NS, onset_ns=ONSET_NS)
         assert np.array_equal(capped.g2, direct.g2)
 
@@ -1143,7 +1143,7 @@ class TestPredictPacket:
         d = sfwm.DriveParams(omega_c=31.2 / 6.0)
         h, first = locked(64.0, medium_a.gamma, onset_ns=ONSET_NS)
         with pytest.raises(GridTooNarrowError):
-            sfwm.spectral_amplitude(first, medium_a, d)
+            sfwm.spectral_amplitude(first, medium_a, d, None)
         packet = sfwm.predict_packet(scenario(medium_a, d), DELAY_NS)
         wide = _locked_grid(128.0, h, 2 * DEFAULT_COUNT)
         assert wide.spacing == pytest.approx(first.spacing, rel=1e-14)

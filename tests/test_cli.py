@@ -217,7 +217,7 @@ class TestSimulateBiphoton:
         assert main(["simulate-biphoton", "--config", str(cfg), "--out", str(out)]) == 0
         medium = sfwm.MediumParams(alpha_s=80.0, gamma=0.168 / 6.0)
         drive = sfwm.DriveParams(omega_c=2.7)
-        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive)
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive, None)
         amp = sfwm.apply_etalons(amp, sfwm.load_config(cfg).etalons)
         packet = sfwm.wavepacket(amp, np.arange(0.0, 4000.0, 25.6), onset_ns=150.0)
         lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
@@ -586,6 +586,59 @@ def test_every_key_reaches_the_sweep(tmp_path, default_sweep_rows, section, key)
     assert changed != default_sweep_rows
 
 
+# One changed value for each [detection] key that reaches synth's counts or
+# time tags, on a short acquisition with time tags.
+SYNTH_KEYS = {
+    "trigger_cps": "2000",
+    "bin_ns": "12.8",
+    "accumulation_s": "30",
+    "success_probability": "0.02",
+}
+SYNTH_BASE = {"accumulation_s": "20", "success_probability": "0.0088"}
+# [detection] keys that synth writes only into its model fingerprint.  A
+# detection chain driven by the pair rate, which reads them, empties this set.
+FINGERPRINT_ONLY = {
+    "eff_anti_stokes": "0.5",
+    "eff_stokes": "0.5",
+    "dark_anti_stokes_cps": "1000",
+    "dark_stokes_cps": "1000",
+}
+
+
+def synth_outputs(tmp_path, **changed):
+    """synth's data rows and time-tag records, without the header lines."""
+    cfg, out, tags = tmp_path / "synth.ini", tmp_path / "synth.csv", tmp_path / "tags.txt"
+    cfg.write_text(
+        "[detection]\n" + "".join(f"{k} = {v}\n" for k, v in (SYNTH_BASE | changed).items())
+    )
+    argv = ["synth", "--config", str(cfg), "--out", str(out), "--timetags", str(tags)]
+    assert main(argv) == 0
+    return [
+        [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        for path in (out, tags)
+    ]
+
+
+@pytest.fixture(scope="module")
+def default_synth_outputs(tmp_path_factory):
+    return synth_outputs(tmp_path_factory.mktemp("default"))
+
+
+def test_synth_keys_cover_the_detection_section():
+    assert set(SYNTH_KEYS) | set(FINGERPRINT_ONLY) == set(_KEYS["detection"])
+
+
+@pytest.mark.parametrize("key", sorted(SYNTH_KEYS))
+def test_every_detection_key_reaches_synth(tmp_path, default_synth_outputs, key):
+    counts, tags = synth_outputs(tmp_path, **{key: SYNTH_KEYS[key]})
+    assert counts != default_synth_outputs[0] or tags != default_synth_outputs[1]
+
+
+@pytest.mark.parametrize("key", sorted(FINGERPRINT_ONLY))
+def test_fingerprint_only_keys_leave_synth_data_alone(tmp_path, default_synth_outputs, key):
+    assert synth_outputs(tmp_path, **{key: FINGERPRINT_ONLY[key]}) == default_synth_outputs
+
+
 def test_brightness_divides_by_the_configured_pump_power(tmp_path):
     """Four times the pump Rabi frequency is 16 times the pump power: the
     pair rate rises 16-fold and the rate per pump power stays put."""
@@ -620,14 +673,15 @@ def test_config_copies_are_not_options(tmp_path, capsys, command, option):
 
 # Values of the exit-code contract; a key left out or left empty keeps its
 # default.
-CONTRACT_SECTIONS = ("medium", "drive", "grid", "etalons", "run")
+CONTRACT_SECTIONS = ("medium", "drive", "grid", "etalons", "detection", "run")
 CONTRACT_KEYS = [
     *((section, key) for section in CONTRACT_SECTIONS[:-1] for key in sorted(_KEYS[section])),
     ("run", "onset_ns"), ("run", "rise_ns"), ("run", "fit_onset_ns"),
 ]
 CONTRACT_VALUES = ["", "0", "-1", "-2.5", "nan", "inf", "-inf", "1e300", "-1e300"]
-# The option of a command that takes a count or a list, and values drawn for it.
-CONTRACT_OPTIONS = {"simulate-eit": "--points", "sweep": "--powers-mw"}
+# The option of a command that takes a count, a list or a normalization, and
+# values drawn for it.
+CONTRACT_OPTIONS = {"simulate-eit": "--points", "sweep": "--powers-mw", "synth": "--peak-sbr"}
 CONTRACT_OPTION_VALUES = ["0", "2", "1e300", "abc", "1,x", "100000000000"]
 CONTRACT_COMMANDS = {
     "simulate-eit": [],
@@ -635,9 +689,13 @@ CONTRACT_COMMANDS = {
     "sweep": ["--powers-mw", "1"],
     "synth": ["--tau-max-ns", "1000"],
 }
-# The success probability of synth (simulate-biphoton reads it too); the drawn
-# values never write a [detection] section.
-CONTRACT_DETECTION = "[detection]\nsuccess_probability = 0.0088\n"
+# [detection] values that drawn ones replace: a short acquisition, and the
+# success probability of synth (simulate-biphoton reads it too) unless synth
+# draws --peak-sbr.  synth writes time tags whenever it has no --peak-sbr.
+CONTRACT_DETECTION = {
+    ("detection", "accumulation_s"): "60",
+    ("detection", "success_probability"): "0.0088",
+}
 # The fit commands read the CSV that a simulation writes under the same
 # config values, or a drawn CSV text.
 CONTRACT_SOURCES = {
@@ -704,18 +762,32 @@ csv_texts = st.lists(
 @example(command="simulate-biphoton", values={("grid", "count"): "2000000000"}, csv=None,
          option=None)
 @example(command="sweep", values={("grid", "count"): "99999999"}, csv=None, option=None)
+# Expected counts past numpy's Poisson sampler raised ValueError.
+@example(command="synth", values={}, csv=None, option="1e300")
+@example(command="synth",
+         values={("detection", "trigger_cps"): "1e18", ("detection", "success_probability"): "0.5"},
+         csv=None, option=None)
+# Time tags past any memory: numpy's allocation failed.
+@example(command="synth",
+         values={("detection", "accumulation_s"): "1e9",
+                 ("detection", "success_probability"): "0.5"},
+         csv=None, option=None)
 def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv, option):
-    """Whatever the [medium], [drive], [grid], [etalons] and run-timing
-    values, whatever a fit command's CSV holds, and whatever the point count
-    of simulate-eit or the power list of sweep, a command ends in success, a
-    usage error or a numerical error, never in a traceback.  The fit commands
-    read the drawn config too."""
+    """Whatever the [medium], [drive], [grid], [etalons], [detection] and
+    run-timing values, whatever a fit command's CSV holds, and whatever the
+    point count of simulate-eit, the power list of sweep or the peak SBR of
+    synth, a command ends in success, a usage error or a numerical error,
+    never in a traceback.  The fit commands read the drawn config too."""
     work = tmp_path_factory.mktemp("contract")
+    detection = dict(CONTRACT_DETECTION)
+    if command == "synth" and option is not None:
+        del detection["detection", "success_probability"]
+    values = detection | values
     text = "".join(
         f"[{section}]\n" + "".join(f"{k} = {v}\n" for (s, k), v in values.items() if s == section)
         for section in CONTRACT_SECTIONS
     )
-    (work / "run.ini").write_text(text + CONTRACT_DETECTION)
+    (work / "run.ini").write_text(text)
     config = ["--config", str(work / "run.ini")]
     if command in CONTRACT_SOURCES:
         data = work / "in.csv"
@@ -729,6 +801,8 @@ def test_config_values_exit_0_2_or_3(tmp_path_factory, command, values, csv, opt
         if option is not None and command in CONTRACT_OPTIONS:
             # The last value given is the one argparse keeps.
             argv += [CONTRACT_OPTIONS[command], option]
+        elif command == "synth":
+            argv += ["--timetags", str(work / "tags.txt")]
     try:
         code = main(argv)
     except SystemExit as exc:
@@ -880,7 +954,7 @@ class TestSynth:
 
         medium = sfwm.MediumParams(alpha_s=82.0, gamma=0.144 / 6.0)
         drive = sfwm.DriveParams(omega_c=3.9 / 6.0)
-        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive)
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(count=8192), medium, drive, None)
         packet = sfwm.wavepacket(sfwm.apply_etalons(amp, sfwm.load_config().etalons),
                                  np.arange(0.0, 4000.0, 25.6), onset_ns=150.0)
         truth = sfwm.fit_exponential(packet).tau_ns

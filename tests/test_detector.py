@@ -77,6 +77,21 @@ class TestExpectedBins:
         with pytest.raises(UsageError, match="peak SBR must be nonnegative"):
             sfwm.expected_bins(w, model(), 1.0, peak_sbr=-1.0)
 
+    @pytest.mark.parametrize("normalization,fields,name", [
+        ({"peak_sbr": 1e300}, {}, "peak_sbr"),
+        ({"success_probability": 0.5}, {"trigger_rate": 1e18}, "success_probability"),
+    ])
+    def test_counts_past_the_poisson_sampler_are_usage_error(self, normalization, fields, name):
+        w = exponential_packet(1.0, 260.0, span_ns=4000.0)
+        with pytest.raises(UsageError, match=f"lower {name}, trigger_cps or accumulation_s"):
+            sfwm.expected_bins(w, model(**fields), 1.0, **normalization)
+
+    def test_poisson_bound_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(detector._POISSON_MAX)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(detector._POISSON_MAX, np.inf))
+
     def test_doubling_accumulation_doubles_means_exactly(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         m1 = sfwm.expected_bins(w, model(accumulation_s=1200.0), 1.0, success_probability=0.0088)
@@ -333,6 +348,19 @@ class TestTimeTags:
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         trig, part = sfwm.generate_timetags(w, model(accumulation_s=0.0), 1.0, 0.0088)
         assert trig.size == 0 and part.size == 0
+
+    def test_expected_events_bound(self, monkeypatch):
+        """(trigger_cps + background) * accumulation_s, 14000 here, may reach
+        the bound but not pass it; past it nothing is drawn."""
+        w = exponential_packet(1.0, 260.0, span_ns=4000.0)
+        with pytest.raises(UsageError, match="accumulation_s or trigger_cps"):
+            sfwm.generate_timetags(w, model(accumulation_s=1e9), 1.0, 0.5)
+        monkeypatch.setattr(detector, "MAX_TIMETAG_EVENTS", 14000)
+        trig, _ = sfwm.generate_timetags(w, model(accumulation_s=10.0), 1.0, 0.5)
+        assert trig.size > 0
+        monkeypatch.setattr(detector, "MAX_TIMETAG_EVENTS", 13999)
+        with pytest.raises(UsageError, match="accumulation_s or trigger_cps"):
+            sfwm.generate_timetags(w, model(accumulation_s=10.0), 1.0, 0.5)
 
     def test_zero_success_gives_pure_background(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)

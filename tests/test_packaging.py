@@ -100,4 +100,4 @@ def test_settable_values():
     default of each run value, so a new knob here is a deliberate change:
     update the count in the same diff."""
     found = settable_values(ROOT / "src" / "sfwm")
-    assert len(found) == 36, "\n".join(found)
+    assert len(found) == 31, "\n".join(found)

@@ -303,13 +303,13 @@ class TestTransmissionGradient:
         model's."""
         m = medium(alpha_s=80.0, gamma=gamma)
         d = sfwm.DriveParams(omega_c=np.sqrt(square))
-        _, self_ = sfwm.averaged_susceptibilities(cls.GRID, m, d)
+        _, self_ = sfwm.averaged_susceptibilities(cls.GRID, m, d, None)
         return np.exp(-4.0 * self_[::5].imag)
 
     @staticmethod
     def model(delta, square, gamma):
         m = medium(alpha_s=80.0, gamma=gamma)
-        return _transmission(delta, m.alpha_s, m.gamma, square, m)
+        return _transmission(delta, m.alpha_s, m.gamma, square, m, None)
 
     @pytest.mark.parametrize("omega_c, gamma", [(2.6, 0.028), (0.65, 0.024), (0.05, 0.3)])
     def test_against_eit_transmission_and_central_differences(self, omega_c, gamma):
@@ -362,10 +362,10 @@ class TestTransmissionGradient:
 class TestTransmission:
     def test_ideal_eit_is_fully_transparent(self):
         m = medium(gamma=0.0)
-        assert sfwm.eit_transmission(0.0, m, sfwm.DriveParams(omega_c=1.0)) == 1.0
+        assert sfwm.eit_transmission(0.0, m, sfwm.DriveParams(omega_c=1.0), None) == 1.0
 
     def test_coupling_off_baseline_regression(self):
-        t = sfwm.eit_transmission(0.0, medium(gamma=0.31), sfwm.DriveParams(omega_c=0.0))
+        t = sfwm.eit_transmission(0.0, medium(gamma=0.31), sfwm.DriveParams(omega_c=0.0), None)
         assert t == pytest.approx(BASELINE_T_82, rel=1e-8)
 
     def test_coupling_off_two_photon_resonance_is_finite(self):
@@ -375,8 +375,8 @@ class TestTransmission:
         d = sfwm.DriveParams(omega_c=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            t = sfwm.eit_transmission(0.0, m, d)
-        assert t == pytest.approx(sfwm.eit_transmission(1e-9, m, d), rel=1e-6)
+            t = sfwm.eit_transmission(0.0, m, d, None)
+        assert t == pytest.approx(sfwm.eit_transmission(1e-9, m, d, None), rel=1e-6)
         assert 0.0 < t < 1.0
 
     def test_coupling_off_two_photon_resonance_on_trapezoid_path(self):
@@ -387,10 +387,10 @@ class TestTransmission:
             warnings.simplefilter("error")
             t = sfwm.eit_transmission(0.0, m, d, sfwm.DopplerQuadrature())
         assert np.isfinite(t)
-        assert t == pytest.approx(sfwm.eit_transmission(0.0, m, d), rel=1e-7)
+        assert t == pytest.approx(sfwm.eit_transmission(0.0, m, d, None), rel=1e-7)
 
     def test_far_detuned_transparency(self):
-        t = sfwm.eit_transmission(500.0, medium(), sfwm.DriveParams(omega_c=1.0))
+        t = sfwm.eit_transmission(500.0, medium(), sfwm.DriveParams(omega_c=1.0), None)
         assert t > 0.99
 
     def test_bounded_on_random_parameters(self):
@@ -400,7 +400,7 @@ class TestTransmission:
                 alpha_s=rng.uniform(1, 150), gamma=rng.uniform(0, 0.2)
             )
             d = sfwm.DriveParams(omega_c=rng.uniform(0, 5))
-            t = sfwm.eit_transmission(rng.uniform(-10, 10), m, d)
+            t = sfwm.eit_transmission(rng.uniform(-10, 10), m, d, None)
             assert 0.0 < t <= 1.0
 
     def test_baseline_decreases_with_optical_depth(self):
@@ -410,14 +410,14 @@ class TestTransmission:
             lo = rng.uniform(5, 80)
             hi = lo + rng.uniform(1, 60)
             gamma = rng.uniform(0, 0.1)
-            t_lo = sfwm.eit_transmission(0.0, medium(alpha_s=lo, gamma=gamma), d)
-            t_hi = sfwm.eit_transmission(0.0, medium(alpha_s=hi, gamma=gamma), d)
+            t_lo = sfwm.eit_transmission(0.0, medium(alpha_s=lo, gamma=gamma), d, None)
+            t_hi = sfwm.eit_transmission(0.0, medium(alpha_s=hi, gamma=gamma), d, None)
             assert t_hi < t_lo
 
     def test_matches_scalar_evaluation(self, medium_a, drive_a):
         grid = np.linspace(-1, 1, 7)
-        vector = sfwm.eit_transmission(grid, medium_a, drive_a)
-        scalars = [sfwm.eit_transmission(x, medium_a, drive_a) for x in grid]
+        vector = sfwm.eit_transmission(grid, medium_a, drive_a, None)
+        scalars = [sfwm.eit_transmission(x, medium_a, drive_a, None) for x in grid]
         np.testing.assert_allclose(vector, scalars, rtol=1e-13)
 
     # SpectralGrid's detunings over +-2 Gamma at 401 samples, below its
@@ -458,7 +458,7 @@ class TestTransmission:
         np.testing.assert_allclose(scalars, t[::10], rtol=1e-13, atol=0.0)
         if q is not None or gamma < 0.01 or omega_c < 0.1:
             return
-        _, gradient = _transmission(delta, alpha_s, gamma, square, m)
+        _, gradient = _transmission(delta, alpha_s, gamma, square, m, None)
         for analytic, h, shift in zip(gradient(), (1e-4 * square, 1e-4 * gamma),
                                       ((1.0, 0.0), (0.0, 1.0))):
             up = pair_transmission(square + h * shift[0], gamma + h * shift[1])
