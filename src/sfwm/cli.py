@@ -250,6 +250,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.timetags == "-":
+        raise UsageError("--timetags needs a file path; '-' (stdout) is for --out only")
+    if args.timetags and args.out != "-" and (
+        os.path.realpath(args.timetags) == os.path.realpath(args.out)
+    ):
+        raise UsageError(f"--timetags {args.timetags} is also the --out file")
     scenario = load_config(args.config)
     dm = scenario.detection
     p_mw = scenario.coupling_power_mw

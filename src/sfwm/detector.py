@@ -30,15 +30,10 @@ from .analysis import background_rate
 from .biphoton import WavePacket, _check_delay_grid, _check_delay_span
 from .errors import UsageError
 
-TIMETAG_FORMAT = "sfwm-timetags v1"
+TIMETAG_FORMAT = "sfwm-timetags v2"
 _WRITE_BLOCK = 1 << 16  # records formatted per write call
 _MAX_STAMP_NS = 2.0**62 / 1e3  # rounded picosecond stamps stay within int64
-# Picosecond stamps at which the sign or the digit count changes.
-_WIDTH_EDGES = np.array(
-    sorted([1 - 10**k for k in range(1, 19)] + [0] + [10**k for k in range(1, 19)]), np.int64
-)
-_READ_CHUNK = 1 << 20  # body bytes parsed per step, extended to a line end
-_MAX_RECORD = 22  # "1,-" and 19 digits
+_READ_CHUNK = 1 << 20  # body bytes parsed per step, rounded down to whole records
 _GATHER_BLOCK = 1 << 20  # pairings gathered at once, unless one trigger has more
 # The largest mean numpy's Poisson sampler takes.
 _POISSON_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
@@ -249,8 +244,6 @@ def build_histogram(
     triggers = _real_stream(triggers_ns, "trigger")
     partners = _real_stream(partners_ns, "partner")
     for name, stream in (("trigger", triggers), ("partner", partners)):
-        if stream.ndim != 1:
-            raise UsageError(f"{name} stream must be one-dimensional, got shape {stream.shape}")
         # Written so that nan fails the comparison; then finite ends bound the rest.
         ordered = stream[1:] >= stream[:-1]
         if not ordered.all():
@@ -295,16 +288,20 @@ def build_histogram(
 
 
 def _real_stream(values, name: str) -> np.ndarray:
-    """``values`` as an at least one-dimensional float array; UsageError,
-    naming the stream, unless every value is a real number."""
+    """``values`` as a one-dimensional float array (a scalar becomes one
+    value); UsageError, naming the stream, unless it has one dimension and
+    every value is a real number."""
     try:
         stream = np.asarray(values)
         # A complex array would convert with a warning, dropping its imaginary part.
-        if not np.iscomplexobj(stream):
-            return np.atleast_1d(stream.astype(float, copy=False))
+        if np.iscomplexobj(stream):
+            raise TypeError
+        stream = np.atleast_1d(stream.astype(float, copy=False))
     except (TypeError, ValueError):
-        pass
-    raise UsageError(f"{name} stream must hold real numbers")
+        raise UsageError(f"{name} stream must hold real numbers") from None
+    if stream.ndim != 1:
+        raise UsageError(f"{name} stream must be one-dimensional, got shape {stream.shape}")
+    return stream
 
 
 def write_timetags(
@@ -313,24 +310,33 @@ def write_timetags(
     partners_ns: np.ndarray,
     dm: DetectionModel,
 ) -> None:
-    """Write both streams as text records: stream id (0 trigger, 1 partner)
-    and timestamp in integer picoseconds, merged in time order (a trigger
-    before a partner with the same stamp).  The header records the model's
-    seed, fingerprint and accumulation time.  Non-finite timestamps, or ones
-    too large for 64-bit picoseconds, are a UsageError."""
-    for stream in (triggers_ns, partners_ns):
+    """Write both streams as fixed-width text records: stream id (0 trigger,
+    1 partner), a comma and the timestamp in integer picoseconds, merged in
+    time order (a trigger before a partner with the same stamp).
+
+    Every stamp is zero-padded to the digit count of the largest |stamp|;
+    when any stamp is negative, every record gains a sign slot, ``-`` or
+    ``0``.  The header records the model's seed, fingerprint and
+    accumulation time.  A stream that is not one-dimensional and real, or
+    a timestamp that is not finite or too large for 64-bit picoseconds, is
+    a UsageError.
+    """
+    triggers = _real_stream(triggers_ns, "trigger")
+    partners = _real_stream(partners_ns, "partner")
+    for stream in (triggers, partners):
         # Written so that nan fails the comparison.
         if not np.all(np.abs(stream) < _MAX_STAMP_NS):
             raise UsageError("time tags must be finite and below 2^62 ps in magnitude")
     # One int64 key per record, 2*stamp + id, orders by stamp and then by id;
     # |stamp| < 2^62 keeps it from overflowing.  Both halves are sorted runs
     # when the streams are, which the stable sort merges in linear time.
-    key = np.concatenate(
-        [np.round(np.asarray(triggers_ns) * 1e3), np.round(np.asarray(partners_ns) * 1e3)]
-    ).astype(np.int64)
+    key = np.concatenate([np.round(triggers * 1e3), np.round(partners * 1e3)]).astype(np.int64)
     key <<= 1
-    key[len(triggers_ns) :] |= 1
+    key[triggers.size :] |= 1
     key.sort(kind="stable")
+    ends = (key[[0, -1]] >> 1).tolist() if key.size else [0]
+    signed = ends[0] < 0
+    width = len(str(max(abs(end) for end in ends)))
     header = (
         f"# {TIMETAG_FORMAT}\n"
         f"# seed: {dm.seed}\n"
@@ -342,36 +348,25 @@ def write_timetags(
         fh.write(header.encode())
         # Format one block at a time, so no full-length text is ever held.
         for start in range(0, key.size, _WRITE_BLOCK):
-            block = key[start : start + _WRITE_BLOCK]
-            stamps = block >> 1
-            # Sorted stamps change sign and digit count only at these cuts.
-            cuts = np.searchsorted(stamps, _WIDTH_EDGES).tolist()
-            fh.write(
-                b"".join(
-                    _format_records(block[lo:hi] & 1, stamps[lo:hi])
-                    for lo, hi in zip([0] + cuts, cuts + [block.size])
-                    if lo < hi
-                )
-            )
+            fh.write(_format_records(key[start : start + _WRITE_BLOCK], width, signed))
 
 
-def _format_records(ids: np.ndarray, stamps: np.ndarray) -> bytes:
-    """Text of records whose stamps share one sign and one digit count.
+def _format_records(key: np.ndarray, width: int, signed: bool) -> bytes:
+    """Text of the records with keys 2*stamp + id: the stamp in ``width``
+    digits, after a sign slot when ``signed``.
 
-    Row j of the (line length, records) matrix holds byte j of every line,
-    so each row is filled with one contiguous store.
+    Row j of the (record length, records) matrix holds byte j of every
+    record, so each row is filled with one contiguous store.
     """
-    first = int(stamps[0])
-    sign = first < 0
-    width = len(str(abs(first)))
-    rows = np.empty((3 + sign + width, ids.size), np.uint8)
-    rows[0] = ids
+    rows = np.empty((3 + signed + width, key.size), np.uint8)
+    rows[0] = key & 1
     rows[0] += ord("0")
     rows[1] = ord(",")
-    rows[2] = ord("-")  # the first digit row when there is no sign
+    if signed:
+        rows[2] = np.where(key < 0, ord("-"), ord("0"))
     rows[-1] = ord("\n")
-    digits = rows[2 + sign : -1]
-    values = np.abs(stamps)
+    digits = rows[2 + signed : -1]
+    values = np.abs(key >> 1)
     # Eight-digit limbs in uint32, where dividing by 10 is fastest.
     for stop in range(width, 0, -8):
         if stop > 8:
@@ -392,21 +387,45 @@ def _format_records(ids: np.ndarray, stamps: np.ndarray) -> bytes:
 def read_timetags(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a time-tag file back into (trigger, partner) streams in ns.
 
-    After the header line, each line is a record ``[01],-?[0-9]{1,19}``
-    (stream id, timestamp in ps below 2^63 in magnitude), a ``#`` comment
-    or empty; lines end in LF or CRLF.  Any other line is a UsageError that
-    names it.  The body is parsed in bounded chunks.
+    The first line must be ``# sfwm-timetags v2``; the ``#`` lines that
+    follow it end the header.  Every later line is a record of the first
+    record's length: ``[01],`` and a timestamp in ps below 2^63 in
+    magnitude, ``-?[0-9]+`` of at most 20 characters, then LF.  The body is
+    read in blocks of whole records, each parsed as one (records, length)
+    array.  Any other line, a truncated last record among them, is a
+    UsageError that names it; so is a v1 file.
     """
     with open(path, "rb") as fh:
-        if TIMETAG_FORMAT.encode() not in fh.readline():
+        first = fh.readline()
+        if first.startswith(b"# sfwm-timetags v1"):
+            raise UsageError(
+                f"{path} is a v1 time-tag file, which is no longer read: "
+                "write it again with `sfwm synth --timetags`"
+            )
+        if first != f"# {TIMETAG_FORMAT}\n".encode():
             raise UsageError(f"{path} is not a recognized time-tag file")
+        line, record = 2, fh.readline()
+        while record.startswith(b"#"):
+            line, record = line + 1, fh.readline()
+        size = len(record)
+        block = size * max(_READ_CHUNK // max(size, 1), 1)
+        chunk = record + fh.read(block - size)
         ids, stamps = [], []
-        line = 2
-        while chunk := fh.read(_READ_CHUNK):
-            chunk += fh.readline()
-            if not chunk.endswith(b"\n"):
-                chunk += b"\n"
-            line += _parse_lines(path, chunk, line, ids, stamps)
+        while chunk:
+            n = len(chunk) // size
+            rows = np.frombuffer(chunk, np.uint8, n * size).reshape(n, size)
+            bad = _parse_records(rows, ids, stamps) if n else 0
+            if bad < 0 and n * size < len(chunk):
+                bad = n  # a truncated last record
+            if bad >= 0:
+                shown = chunk[bad * size : (bad + 1) * size].split(b"\n")[0][:40]
+                raise UsageError(
+                    f"{path}, line {line + bad}: malformed time-tag record "
+                    f"{shown.decode(errors='replace')!r} (want a line of {size - 1} characters: "
+                    "a stream id 0 or 1, a comma and a zero-padded timestamp below 2^63 ps)"
+                )
+            line += n
+            chunk = fh.read(block)
     if not stamps:
         return np.empty(0), np.empty(0)
     ids = np.concatenate(ids)
@@ -416,90 +435,34 @@ def read_timetags(path) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.sort(np.compress(ids == i, stamps), kind="stable") / 1e3 for i in (0, 1))
 
 
-def _parse_lines(path, buf: bytes, first_line: int, ids: list, stamps: list) -> int:
-    """Parse whole body lines; append each record's id and stamp to the lists.
-
-    A chunk of records that all share the first line's length and ending is
-    parsed in place in one step.  Any other chunk is gathered by record
-    length, one step per distinct length, so the number of steps stays
-    bounded however the lengths vary.  Returns the number of lines.
-    """
-    text = np.frombuffer(buf, np.uint8)
-    rows = _single_stride(text, buf.index(b"\n") + 1)
-    if rows is not None and _parse_records(rows, ids, stamps) < 0:
-        return len(rows)
-    ends = np.flatnonzero(text == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    cr = text[ends - 1] == ord("\r")  # an empty first line reads the final newline
-    length = ends - starts - cr
-    records = np.flatnonzero((length > 0) & (text[starts] != ord("#")))
-    records = records[np.argsort(length[records], kind="stable")]
-    groups = np.flatnonzero(np.diff(length[records], prepend=-1, append=-1))
-    faults = []
-    for g, h in zip(groups[:-1].tolist(), groups[1:].tolist()):
-        # One byte past the longest record is enough to reject a longer line.
-        width = min(int(length[records[g]]), _MAX_RECORD + 1)
-        windows = np.lib.stride_tricks.sliding_window_view(text, width)
-        bad = _parse_records(windows[starts[records[g:h]]], ids, stamps)
-        if bad >= 0:
-            faults.append(int(records[g + bad]))
-
-    if faults:
-        k = min(faults)
-        shown = buf[starts[k] : starts[k] + min(int(length[k]), 40)].decode(errors="replace")
-        raise UsageError(
-            f"{path}, line {first_line + k}: malformed time-tag record {shown!r}"
-            " (want a stream id 0 or 1, a comma and an integer timestamp below 2^63 ps)"
-        )
-    return ends.size
-
-
-def _single_stride(text: np.ndarray, stride: int) -> np.ndarray | None:
-    """The records of a chunk whose lines all have the first line's length
-    ``stride`` (newline included) and ending, as a (lines, record length)
-    view, or None.
-
-    A row that then passes _parse_records holds only record bytes before its
-    line end, so it hides neither a comment nor a second line.
-    """
-    if text.size % stride or text[0] == ord("#"):
-        return None
-    rows = text.reshape(-1, stride)
-    if not (rows[:, -1] == ord("\n")).all():
-        return None
-    crlf = stride > 1 and bool(rows[0, -2] == ord("\r"))
-    if crlf and not (rows[:, -2] == ord("\r")).all():
-        return None
-    return rows[:, : stride - 1 - crlf]
-
-
-def _parse_records(lines: np.ndarray, ids: list, stamps: list) -> int:
-    """Parse records of equal length, rows of ``lines``; append their ids
-    and stamps to the lists and return -1, or return the first bad row."""
-    width = lines.shape[1]
-    if not 3 <= width <= _MAX_RECORD:
+def _parse_records(rows: np.ndarray, ids: list, stamps: list) -> int:
+    """Parse the records of a (records, record length) byte array; append
+    their ids and stamps to the lists and return -1, or return the first
+    bad row."""
+    count = rows.shape[1] - 3  # timestamp characters
+    if not 1 <= count <= 20:
         return 0
-    sign = lines[:, 2] == ord("-")
+    sign = rows[:, 2] == ord("-")
     # Digit j of every record in row j, so each step reads contiguous bytes.
-    digits = np.array(lines[:, 2:].T, order="C")  # a copy, even of one row
+    digits = np.array(rows[:, 2:-1].T, order="C")
     digits -= ord("0")
     digits[0, sign] = 0
-    stream = lines[:, 0] - ord("0")
+    stream = rows[:, 0] - ord("0")
     # Eight-digit limbs in uint32, then the value in uint64: 19 digits fit.
-    value = np.zeros(len(lines), np.uint64)
+    value = np.zeros(len(rows), np.uint64)
     start = 0
-    for stop in range((width - 2) % 8 or 8, width - 1, 8):
+    for stop in range(count % 8 or 8, count + 1, 8):
         limb = digits[start].astype(np.uint32)
         for j in range(start + 1, stop):
             limb *= 10
             limb += digits[j]
         value = value * 10 ** (stop - start) + limb
         start = stop
-    bad = (stream > 1) | (lines[:, 1] != ord(",")) | (value >= 2**63)
-    if width == 3:
+    bad = (stream > 1) | (rows[:, 1] != ord(",")) | (rows[:, -1] != ord("\n")) | (value >= 2**63)
+    if count == 1:
         bad |= sign  # no digit
-    elif width == _MAX_RECORD:
-        bad |= ~sign  # 20 digits
+    elif count == 20:
+        bad |= digits[0] != 0  # 20 digits, which may wrap in uint64
     if digits.max() > 9:
         bad |= (digits > 9).any(axis=0)
     if bad.any():

@@ -961,6 +961,19 @@ class TestSynth:
         assert report["tau_ns"] == pytest.approx(truth, abs=3.0 * report["tau_err_ns"])
         assert 476.0 <= truth <= 644.0  # 560 ns +/- 15% for the underlying packet
 
+    @pytest.mark.parametrize("out, tags", [("c.csv", "c.csv"), ("c.csv", "./sub/../c.csv"),
+                                           ("-", "-"), ("c.csv", "-")])
+    def test_timetags_path_clash_rejected(self, tmp_path, monkeypatch, capsys, out, tags):
+        """The tag file never replaces the CSV, and '-' is no tag file name."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        cfg = tmp_path / "short.ini"
+        cfg.write_text("[detection]\nsuccess_probability = 0.0088\naccumulation_s = 5\n")
+        assert main(["synth", "--config", str(cfg), "--out", out, "--timetags", tags]) == 2
+        captured = capsys.readouterr()
+        assert "--timetags" in captured.err and not captured.out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.ini", "sub"]
+
     def test_timetag_reruns_byte_identical(self, tmp_path):
         cfg = tmp_path / "short.ini"
         cfg.write_text(STRONG_CONFIG.replace("accumulation_s = 1200", "accumulation_s = 20"))
