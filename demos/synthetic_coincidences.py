@@ -13,19 +13,18 @@ import numpy as np
 
 import sfwm
 
-SUCCESS = 0.0088  # Stokes detections per trigger
-
+# The model's success probability is the Stokes detections per trigger.
 scenario = dataclasses.replace(
     sfwm.load_config(),
     medium=sfwm.MediumParams(alpha_s=80.0, gamma=0.028),
     drive=sfwm.DriveParams(omega_c=2.6),
-    detection=sfwm.DetectionModel(accumulation_s=1200.0, seed=42),
+    detection=sfwm.DetectionModel(accumulation_s=1200.0, seed=42, success_probability=0.0088),
 )
 P_MW = scenario.coupling_power_mw  # 1 mW: sets the background law
 dm = scenario.detection
 packet = sfwm.predict_packet(scenario, np.arange(0.0, 4000.0, dm.bin_ns))
 
-hist = sfwm.synth_histogram(packet, dm, P_MW, success_probability=SUCCESS)
+hist = sfwm.synth_histogram(packet, dm, P_MW)
 print(f"synthesized {hist.counts.sum()} coincidences over {hist.counts.size} bins "
       f"(peak {hist.counts.max()}, floor ~{np.median(hist.counts):.0f})")
 
@@ -35,7 +34,7 @@ print(f"fitted tau {fit.tau_ns:.0f} +/- {fit.tau_err:.0f} ns "
       f"(noiseless packet gives {truth.tau_ns:.0f} ns)")
 print(f"peak correlation (SBR) {sfwm.sbr(fit):.1f}")
 
-floor = sfwm.expected_bins(packet, dm, P_MW, success_probability=0.0)
+floor = sfwm.expected_bins(packet, dataclasses.replace(dm, success_probability=0.0), P_MW)
 detected = (hist.counts.sum() - floor.sum()) / dm.accumulation_s
 print(f"inferred source rate {sfwm.generation_rate(detected, dm):.0f} pairs/s "
       f"after collection-efficiency correction")
@@ -43,9 +42,9 @@ print(f"inferred source rate {sfwm.generation_rate(detected, dm):.0f} pairs/s "
 # Event-level realism: time tags of a 100 s acquisition rebuilt into a
 # histogram agree with the per-bin Poisson model in the mean.
 short = dataclasses.replace(dm, accumulation_s=100.0)
-trig, part = sfwm.generate_timetags(packet, short, P_MW, SUCCESS)
+trig, part = sfwm.generate_timetags(packet, short, P_MW)
 rebuilt = sfwm.build_histogram(trig, part, packet.tau_ns.size * short.bin_ns, short.bin_ns)
-means = sfwm.expected_bins(packet, short, P_MW, success_probability=SUCCESS)
+means = sfwm.expected_bins(packet, short, P_MW)
 worst = np.max(np.abs(rebuilt.counts - means) / np.sqrt(means))
 print(f"{trig.size} triggers, {part.size} partner events; "
       f"worst per-bin deviation from the model mean: {worst:.1f} sigma")

@@ -136,14 +136,11 @@ def cmd_simulate_biphoton(args) -> int:
             f"fitted decay constant: {fit.tau_ns:.1f} ns",
             f"linewidth: {linewidth_from_tau(fit.tau_ns) / 1e3:.1f} kHz",
         ]
-        if scenario.success_probability is not None:
+        if scenario.detection.success_probability is not None:
             # The trigger count cancels out of the ratio, so one trigger gives
             # it, also where the chain expects none and 0/0 would leave it nan.
             one_trigger = replace(scenario.detection, trigger_rate=1.0, accumulation_s=1.0)
-            means = expected_bins(
-                smoothed, one_trigger, scenario.coupling_power_mw,
-                success_probability=scenario.success_probability,
-            )
+            means = expected_bins(smoothed, one_trigger, scenario.coupling_power_mw)
             floor = means.min()
             summary.append(f"predicted SBR: {(means.max() - floor) / floor:.1f}")
         else:
@@ -250,19 +247,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.timetags == "-":
-        raise UsageError("--timetags needs a file path; '-' (stdout) is for --out only")
-    if args.timetags and args.out != "-" and (
+    if args.timetags in ("", "-"):
+        raise UsageError(f"--timetags needs a file path, not {args.timetags!r}; stdout is --out's")
+    if args.timetags is not None and args.out != "-" and (
         os.path.realpath(args.timetags) == os.path.realpath(args.out)
     ):
         raise UsageError(f"--timetags {args.timetags} is also the --out file")
     scenario = load_config(args.config)
     dm = scenario.detection
     p_mw = scenario.coupling_power_mw
-    success = scenario.success_probability
+    success = dm.success_probability
     if (success is None) == (args.peak_sbr is None):
         raise UsageError("give exactly one of --peak-sbr and [detection] success_probability")
-    if args.timetags and success is None:
+    if args.timetags is not None and success is None:
         raise UsageError("time tags need a success probability, not a peak SBR")
 
     rows, triggers, partners = [], np.empty(0), np.empty(0)
@@ -272,17 +269,13 @@ def cmd_synth(args) -> int:
         # two-stage exponential fit this data exists to validate.
         tau_axis = delay_axis(args.tau_max_ns, dm.bin_ns, name="--tau-max-ns")
         packet = predict_packet(scenario, tau_axis)
-        kwargs = (
-            {"peak_sbr": args.peak_sbr} if args.peak_sbr is not None
-            else {"success_probability": success}
-        )
-        hist = synth_histogram(packet, dm, p_mw, **kwargs)
+        hist = synth_histogram(packet, dm, p_mw, peak_sbr=args.peak_sbr)
         rows = zip(hist.delay_ns, hist.counts)
-        if args.timetags:
-            triggers, partners = generate_timetags(packet, dm, p_mw, success)
+        if args.timetags is not None:
+            triggers, partners = generate_timetags(packet, dm, p_mw)
     meta = _meta(scenario, "synth", p_mw=p_mw, model=dm.fingerprint())
     _write_csv(args.out, meta, ["delay_ns", "counts"], rows)
-    if args.timetags:
+    if args.timetags is not None:
         try:
             write_timetags(args.timetags, triggers, partners, dm)
         except OSError as exc:

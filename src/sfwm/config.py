@@ -52,9 +52,9 @@ def _mhz_list(section: str, key: str, raw: str) -> tuple[float, ...]:
 
 # Each key's field and parser.  The fields of [medium], [drive], [quadrature],
 # [grid], [etalons] and [detection] are those of MediumParams, DriveParams,
-# DopplerQuadrature, SpectralGrid, EtalonChain and DetectionModel; seed is
-# DetectionModel's, and the coupling pair, success_probability and the run
-# timing are Scenario's.
+# DopplerQuadrature, SpectralGrid, EtalonChain and DetectionModel, whose
+# fields include success_probability; seed is DetectionModel's, and the
+# coupling pair and the run timing are Scenario's.
 _KEYS = {
     "medium": {
         "od_stokes": ("alpha_s", _float),
@@ -116,8 +116,9 @@ class Scenario:
     :func:`~sfwm.biphoton.predict_packet` may use on the starting window.
     The run timing is in ns: the instrumental
     onset of the packet, the detector rise time and the onset of the
-    exponential fit.  ``source_sha256`` and ``seed`` (the detection seed)
-    are provenance for output headers.
+    exponential fit.  The success probability is ``detection``'s.
+    ``source_sha256`` and ``seed`` (the detection seed) are provenance for
+    output headers.
     """
 
     medium: MediumParams
@@ -130,7 +131,6 @@ class Scenario:
     rise_ns: float
     fit_onset_ns: float
     coupling_power_mw: float
-    success_probability: float | None
     source_sha256: str
 
     def __post_init__(self):
@@ -143,9 +143,6 @@ class Scenario:
             raise UsageError(
                 f"coupling power must be finite and nonnegative, got {self.coupling_power_mw!r} mW"
             )
-        p = self.success_probability
-        if p is not None and not 0.0 <= p <= 1.0:
-            raise UsageError(f"[detection] success_probability must be in [0, 1], got {p!r}")
 
     @property
     def seed(self) -> int:
@@ -196,7 +193,6 @@ def load_config(path: str | Path | None = None) -> Scenario:
     # selects the trapezoidal reference rule.
     quadrature = fields("quadrature")
     detection, run = fields("detection"), fields("run")
-    success_probability = detection.pop("success_probability", None)
     if "seed" in run:
         detection["seed"] = run.pop("seed")
     return Scenario(
@@ -208,6 +204,5 @@ def load_config(path: str | Path | None = None) -> Scenario:
         detection=DetectionModel(**detection),
         **run,
         coupling_power_mw=power_mw,
-        success_probability=success_probability,
         source_sha256=hashlib.sha256(raw_bytes).hexdigest()[:16],
     )

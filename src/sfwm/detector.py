@@ -49,6 +49,8 @@ class DetectionModel:
     The trigger rate is the anti-Stokes detection rate excluding dark counts;
     the dark rates of both counting modules are kept for bookkeeping (the
     Stokes dark rate is already part of the background law's constant term).
+    ``success_probability`` is the pair detections per trigger, in [0, 1];
+    None leaves the signal to a peak SBR, and time tags need it set.
     """
 
     eff_as: float = 0.084
@@ -59,6 +61,7 @@ class DetectionModel:
     bin_ns: float = 25.6
     accumulation_s: float = 1200.0
     seed: int = 1
+    success_probability: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.eff_as <= 1.0 and 0.0 < self.eff_s <= 1.0):
@@ -74,9 +77,13 @@ class DetectionModel:
             raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
         # A numpy integer seed would print, and so fingerprint, differently.
         object.__setattr__(self, "seed", int(self.seed))
+        p = self.success_probability
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise UsageError(f"[detection] success_probability must be in [0, 1], got {p!r}")
 
     def fingerprint(self) -> str:
-        """Stable hash of the model constants, for provenance headers."""
+        """Stable hash of the model constants, for provenance headers; the
+        success probability is not among them."""
         text = (
             f"{self.eff_as!r}|{self.eff_s!r}|{self.dark_as!r}|{self.dark_s!r}|"
             f"{self.trigger_rate!r}|{self.bin_ns!r}|{self.accumulation_s!r}|{self.seed!r}"
@@ -113,36 +120,30 @@ class CoincidenceHistogram:
         return WavePacket(self.delay_ns, self.counts.astype(float), self.bin_ns)
 
 
-def _check_success_probability(p: float) -> None:
-    """Raise UsageError unless ``p`` is a probability; nan is not."""
-    if not (0.0 <= p <= 1.0):
-        raise UsageError("success probability must lie in [0, 1]")
-
-
 def expected_bins(
     w: WavePacket,
     dm: DetectionModel,
     p_mw: float,
     *,
-    success_probability: float | None = None,
     peak_sbr: float | None = None,
 ) -> np.ndarray:
     """Per-bin expected counts for a wave packet under the detection model.
 
-    Exactly one normalization must be chosen: ``success_probability`` scales
-    the packet so its total signal counts equal that probability per trigger;
-    ``peak_sbr`` pins the peak signal to a multiple of the flat background.
+    Exactly one normalization must be chosen: the model's
+    ``success_probability`` scales the packet so its total signal counts
+    equal that probability per trigger; ``peak_sbr`` pins the peak signal to
+    a multiple of the flat background.
     The background fills each bin of the packet's width ``w.bin_ns``.  A
     mean past what numpy's Poisson sampler takes is a UsageError.
     """
+    success_probability = dm.success_probability
     if (success_probability is None) == (peak_sbr is None):
-        raise UsageError("choose exactly one of success_probability, peak_sbr")
+        raise UsageError("choose exactly one of the model's success_probability and peak_sbr")
     n_triggers = dm.trigger_rate * dm.accumulation_s
     bkg_per_bin = n_triggers * background_rate(p_mw) * (w.bin_ns * 1e-9)
 
     total = float(w.g2.sum())
     if success_probability is not None:
-        _check_success_probability(success_probability)
         scale = 0.0 if total == 0.0 else success_probability * n_triggers / total
     else:
         if peak_sbr < 0:
@@ -182,19 +183,20 @@ def generate_timetags(
     w: WavePacket,
     dm: DetectionModel,
     p_mw: float,
-    success_probability: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generate (trigger, partner) event streams in ns, sorted in time.
 
     The streams span the model's accumulation time.  Triggers form a
     homogeneous Poisson process at the trigger rate.  Each trigger yields a
-    true partner with the given success probability, at a delay drawn from
+    true partner with the model's success probability, at a delay drawn from
     the normalized wave-packet density (uniform within a bin).  Uncorrelated
     partner events ride on top as a Poisson process at the power-dependent
     background rate, which includes dark counts.  More than
-    MAX_TIMETAG_EVENTS expected events is a UsageError.
+    MAX_TIMETAG_EVENTS expected events, or a model without a success
+    probability, is a UsageError.
     """
-    _check_success_probability(success_probability)
+    if dm.success_probability is None:
+        raise UsageError("time tags need the model's success_probability")
     events = (dm.trigger_rate + background_rate(p_mw)) * dm.accumulation_s
     if events > MAX_TIMETAG_EVENTS:
         raise UsageError(
@@ -210,7 +212,7 @@ def generate_timetags(
     n_trig = rng.poisson(dm.trigger_rate * duration_s)
     triggers = np.sort(rng.uniform(0.0, duration_ns, n_trig))
 
-    paired = rng.random(n_trig) < success_probability
+    paired = rng.random(n_trig) < dm.success_probability
     n_pairs = int(paired.sum())
     total = float(w.g2.sum())
     if n_pairs and total > 0.0:

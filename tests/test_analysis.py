@@ -783,8 +783,8 @@ class TestGenerationRateRoundTrip:
         estimates = []
         within = 0
         for seed in range(100):
-            dm = sfwm.DetectionModel(accumulation_s=1200.0, seed=seed)
-            hist = sfwm.synth_histogram(shape, dm, p_mw, success_probability=success)
+            dm = sfwm.DetectionModel(accumulation_s=1200.0, seed=seed, success_probability=success)
+            hist = sfwm.synth_histogram(shape, dm, p_mw)
             signal = hist.counts.sum() - n_bins * bkg_per_bin
             est = sfwm.generation_rate(signal / dm.accumulation_s, dm)
             estimates.append(est)

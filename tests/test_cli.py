@@ -962,9 +962,9 @@ class TestSynth:
         assert 476.0 <= truth <= 644.0  # 560 ns +/- 15% for the underlying packet
 
     @pytest.mark.parametrize("out, tags", [("c.csv", "c.csv"), ("c.csv", "./sub/../c.csv"),
-                                           ("-", "-"), ("c.csv", "-")])
+                                           ("-", "-"), ("c.csv", "-"), ("c.csv", "")])
     def test_timetags_path_clash_rejected(self, tmp_path, monkeypatch, capsys, out, tags):
-        """The tag file never replaces the CSV, and '-' is no tag file name."""
+        """The tag file never replaces the CSV, and '-' and '' are no tag file names."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         cfg = tmp_path / "short.ini"

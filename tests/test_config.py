@@ -76,8 +76,8 @@ def test_bad_seed_rejected(tmp_path):
 
 def test_success_probability_optional(tmp_path):
     cfg = load_config(write(tmp_path, "[detection]\nsuccess_probability = 0.0088\n"))
-    assert cfg.success_probability == 0.0088
-    assert load_config(None).success_probability is None
+    assert cfg.detection.success_probability == 0.0088
+    assert load_config(None).detection.success_probability is None
 
 
 def test_etalon_lists(tmp_path):

@@ -50,9 +50,24 @@ class TestDetectionModel:
     def test_numpy_integer_seed_is_the_same_model(self):
         assert model(seed=np.int64(7)).fingerprint() == model(seed=7).fingerprint()
 
-    def test_fingerprint_tracks_fields(self):
+    @pytest.mark.parametrize("field, value", [
+        ("eff_as", 0.5), ("eff_s", 0.5), ("dark_as", 1.0), ("dark_s", 1.0),
+        ("trigger_rate", 1.0), ("bin_ns", 12.8), ("accumulation_s", 20.0), ("seed", 2),
+    ])
+    def test_fingerprint_tracks_fields(self, field, value):
         assert model().fingerprint() == model().fingerprint()
-        assert model(seed=1).fingerprint() != model(seed=2).fingerprint()
+        assert model(**{field: value}).fingerprint() != model().fingerprint()
+
+    def test_fingerprint_is_pinned(self):
+        """Synth CSV model lines and tag-file headers keep their hash, which
+        leaves out the success probability."""
+        assert model().fingerprint() == "2f7600ddbcb3c46a"
+        assert model(success_probability=0.0088).fingerprint() == "2f7600ddbcb3c46a"
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+    def test_invalid_success_probability_is_usage_error(self, p):
+        with pytest.raises(UsageError, match=re.escape("success_probability must be in [0, 1]")):
+            model(success_probability=p)
 
 
 class TestExpectedBins:
@@ -61,16 +76,7 @@ class TestExpectedBins:
         with pytest.raises(UsageError):
             sfwm.expected_bins(w, model(), 1.0)
         with pytest.raises(UsageError):
-            sfwm.expected_bins(w, model(), 1.0, peak_sbr=42.0, success_probability=0.01)
-
-    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
-    def test_invalid_success_probability_is_usage_error(self, p):
-        """The expectation and the time tags share one rule and its message."""
-        w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        with pytest.raises(UsageError, match=re.escape("must lie in [0, 1]")):
-            sfwm.expected_bins(w, model(), 1.0, success_probability=p)
-        with pytest.raises(UsageError, match=re.escape("must lie in [0, 1]")):
-            sfwm.generate_timetags(w, model(), 1.0, p)
+            sfwm.expected_bins(w, model(success_probability=0.01), 1.0, peak_sbr=42.0)
 
     def test_negative_peak_sbr_is_usage_error(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
@@ -79,7 +85,7 @@ class TestExpectedBins:
 
     @pytest.mark.parametrize("normalization,fields,name", [
         ({"peak_sbr": 1e300}, {}, "peak_sbr"),
-        ({"success_probability": 0.5}, {"trigger_rate": 1e18}, "success_probability"),
+        ({}, {"success_probability": 0.5, "trigger_rate": 1e18}, "success_probability"),
     ])
     def test_counts_past_the_poisson_sampler_are_usage_error(self, normalization, fields, name):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
@@ -94,13 +100,13 @@ class TestExpectedBins:
 
     def test_doubling_accumulation_doubles_means_exactly(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        m1 = sfwm.expected_bins(w, model(accumulation_s=1200.0), 1.0, success_probability=0.0088)
-        m2 = sfwm.expected_bins(w, model(accumulation_s=2400.0), 1.0, success_probability=0.0088)
+        m1 = sfwm.expected_bins(w, model(accumulation_s=1200.0, success_probability=0.0088), 1.0)
+        m2 = sfwm.expected_bins(w, model(accumulation_s=2400.0, success_probability=0.0088), 1.0)
         assert np.array_equal(2.0 * m1, m2)
 
     def test_background_only_is_uniform(self):
         w = exponential_packet(0.0, 260.0, span_ns=4000.0)
-        means = sfwm.expected_bins(w, model(), 1.0, success_probability=0.0)
+        means = sfwm.expected_bins(w, model(success_probability=0.0), 1.0)
         assert np.all(means == means[0])
         expected = 840.0 * 560.0 * 25.6e-9 * 1200.0
         assert means[0] == pytest.approx(expected, rel=1e-12)
@@ -109,7 +115,7 @@ class TestExpectedBins:
         """The background per bin follows the packet's bin width, not the
         model's."""
         w = exponential_packet(0.0, 260.0, span_ns=4000.0, bin_ns=12.8)
-        means = sfwm.expected_bins(w, model(bin_ns=25.6), 1.0, success_probability=0.0)
+        means = sfwm.expected_bins(w, model(bin_ns=25.6, success_probability=0.0), 1.0)
         assert means[0] == pytest.approx(840.0 * 560.0 * 12.8e-9 * 1200.0, rel=1e-12)
 
 
@@ -124,7 +130,7 @@ class TestSynthHistogram:
 
     def test_background_only_sample_mean(self):
         w = exponential_packet(0.0, 260.0, span_ns=4000.0)
-        hist = sfwm.synth_histogram(w, model(seed=3), 1.0, success_probability=0.0)
+        hist = sfwm.synth_histogram(w, model(seed=3, success_probability=0.0), 1.0)
         mu = 840.0 * 560.0 * 25.6e-9 * 1200.0
         n = hist.counts.size
         assert abs(hist.counts.mean() - mu) <= 3.0 * np.sqrt(mu / n)
@@ -134,9 +140,9 @@ class TestSynthHistogram:
         totals = []
         mu_total = None
         for seed in range(20):
-            dm = model(seed=seed)
-            mu_total = sfwm.expected_bins(w, dm, 1.0, success_probability=0.0088).sum()
-            totals.append(sfwm.synth_histogram(w, dm, 1.0, success_probability=0.0088).counts.sum())
+            dm = model(seed=seed, success_probability=0.0088)
+            mu_total = sfwm.expected_bins(w, dm, 1.0).sum()
+            totals.append(sfwm.synth_histogram(w, dm, 1.0).counts.sum())
         sigma_mean = np.sqrt(mu_total / len(totals))
         assert abs(np.mean(totals) - mu_total) <= 3.0 * sigma_mean
 
@@ -282,7 +288,8 @@ class TestBuildHistogram:
     @pytest.mark.parametrize("n_bins", [156, 2**18])  # about 0 and 4 partners a window
     def test_matches_two_searches_on_generated_tags(self, n_bins):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        trig, part = sfwm.generate_timetags(w, model(accumulation_s=70.0, seed=6), 1.0, 0.0088)
+        dm = model(accumulation_s=70.0, seed=6, success_probability=0.0088)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0)
         assert 90_000 < trig.size + part.size < 110_000
         hist = sfwm.build_histogram(trig, part, n_bins * 25.6, 25.6)
         np.testing.assert_array_equal(hist.counts,
@@ -344,9 +351,15 @@ class TestRoundTripUnbiased:
 
 
 class TestTimeTags:
+    def test_needs_a_success_probability(self):
+        w = exponential_packet(1.0, 260.0, span_ns=4000.0)
+        with pytest.raises(UsageError, match="success_probability"):
+            sfwm.generate_timetags(w, model(accumulation_s=20.0), 1.0)
+
     def test_empty_duration(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        trig, part = sfwm.generate_timetags(w, model(accumulation_s=0.0), 1.0, 0.0088)
+        dm = model(accumulation_s=0.0, success_probability=0.0088)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0)
         assert trig.size == 0 and part.size == 0
 
     def test_expected_events_bound(self, monkeypatch):
@@ -354,18 +367,20 @@ class TestTimeTags:
         the bound but not pass it; past it nothing is drawn."""
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         with pytest.raises(UsageError, match="accumulation_s or trigger_cps"):
-            sfwm.generate_timetags(w, model(accumulation_s=1e9), 1.0, 0.5)
+            sfwm.generate_timetags(w, model(accumulation_s=1e9, success_probability=0.5), 1.0)
+        dm = model(accumulation_s=10.0, success_probability=0.5)
         monkeypatch.setattr(detector, "MAX_TIMETAG_EVENTS", 14000)
-        trig, _ = sfwm.generate_timetags(w, model(accumulation_s=10.0), 1.0, 0.5)
+        trig, _ = sfwm.generate_timetags(w, dm, 1.0)
         assert trig.size > 0
         monkeypatch.setattr(detector, "MAX_TIMETAG_EVENTS", 13999)
         with pytest.raises(UsageError, match="accumulation_s or trigger_cps"):
-            sfwm.generate_timetags(w, model(accumulation_s=10.0), 1.0, 0.5)
+            sfwm.generate_timetags(w, dm, 1.0)
 
     def test_zero_success_gives_pure_background(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         duration = 50.0
-        trig, part = sfwm.generate_timetags(w, model(accumulation_s=duration, seed=5), 1.0, 0.0)
+        dm = model(accumulation_s=duration, seed=5, success_probability=0.0)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0)
         mu = sfwm.background_rate(1.0) * duration
         assert abs(part.size - mu) <= 3.0 * np.sqrt(mu)
         mu_t = 840.0 * duration
@@ -373,7 +388,8 @@ class TestTimeTags:
 
     def test_streams_are_sorted(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        trig, part = sfwm.generate_timetags(w, model(accumulation_s=20.0, seed=2), 1.0, 0.0088)
+        dm = model(accumulation_s=20.0, seed=2, success_probability=0.0088)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0)
         assert np.all(np.diff(trig) >= 0)
         assert np.all(np.diff(part) >= 0)
 
@@ -381,11 +397,11 @@ class TestTimeTags:
         """Event-level generator and per-bin Poisson model agree bin by bin."""
         w = exponential_packet(1.0, 260.0, onset_ns=200.0, span_ns=4000.0)
         duration = 400.0
-        dm = model(accumulation_s=duration, seed=14)
-        trig, part = sfwm.generate_timetags(w, dm, 1.0, 0.0088)
+        dm = model(accumulation_s=duration, seed=14, success_probability=0.0088)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0)
         window = w.tau_ns.size * 25.6
         hist = sfwm.build_histogram(trig, part, window, 25.6)
-        means = sfwm.expected_bins(w, dm, 1.0, success_probability=0.0088)
+        means = sfwm.expected_bins(w, dm, 1.0)
         assert hist.counts.size == means.size
         z = np.abs(hist.counts - means) / np.sqrt(means)
         assert z.max() <= 3.0
@@ -394,8 +410,8 @@ class TestTimeTags:
 
     def test_file_round_trip(self, tmp_path):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        dm = model(accumulation_s=5.0, seed=21)
-        trig, part = sfwm.generate_timetags(w, dm, 1.0, 0.0088)
+        dm = model(accumulation_s=5.0, seed=21, success_probability=0.0088)
+        trig, part = sfwm.generate_timetags(w, dm, 1.0)
         path = tmp_path / "tags.txt"
         sfwm.write_timetags(path, trig, part, dm)
         trig2, part2 = sfwm.read_timetags(path)
