@@ -29,12 +29,13 @@ cross response has no such symmetry and is formed at every detuning.
 Three one-entry memos hold the arrays that do not depend on the medium or
 the drive, so a sweep over powers on one grid builds them once; each array
 is read-only.  _grid_delta holds a SpectralGrid's detunings, keyed on its
-half-width and count.
-_fold_factors holds the trapezoid weights times the onset phase of the
-folded synthesis, keyed on the grid count and spacing and the phase offset
-spacing*(first delay - onset).  _etalon_response holds the product of the
-etalon responses, keyed on the grid and the etalon chain.  The chirp-z
-synthesis builds its chirp and kernel on each call.
+half-width and count.  _synthesis holds the plan of the Fourier
+synthesis, for either transform: its length, the trapezoid weights times
+the onset phase (and the chirp), and the chirp-z transform's kernel
+spectrum, keyed on the grid count and spacing, the delay count, the
+spacing product and the phase offset spacing*(first delay - onset).
+_etalon_response holds the product of the etalon responses, keyed on the
+grid and the etalon chain.
 
 On a grid of spacing h the sum returns the periodized amplitude
 y(t) + y(t + P) + ... of the arguments t = tau - onset, with period P = 2*pi/h.
@@ -328,55 +329,6 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _synthesis_factors(
-    n_delta: int, n_tau: int, h: float, b: float, shift: float
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Transform length, chirp and kernel spectrum of the chirp-z synthesis.
-
-    The chirp is w_k*exp(-i*c_k*(shift + b*c_k/2)) over the centered indices
-    c_k = k - (n_delta - 1)/2, with w_k the trapezoid weights of spacing h
-    over 2*pi; the kernel spectrum is the FFT of the Bluestein kernel
-    exp(i*b*(lag + (n_delta - 1)/2)^2/2) over the circular lags from
-    -(n_delta - 1) to n_tau - 1.
-    """
-    size = _next_fast_len(n_delta + n_tau - 1)
-    centered = np.arange(n_delta, dtype=float)
-    centered -= 0.5 * (n_delta - 1)
-    # chirp = exp(-i*centered * (shift + b*centered/2))
-    phase = np.multiply(0.5 * b, centered)
-    np.add(shift, phase, out=phase)
-    chirp = np.multiply(-1j, centered)
-    chirp *= phase
-    np.exp(chirp, out=chirp)
-    chirp *= h / (2.0 * np.pi)
-    chirp[[0, -1]] *= 0.5
-    # spectrum = fft(exp(i*b*(lag + (n_delta - 1)/2)^2/2))
-    lag = np.arange(size, dtype=float)
-    lag[n_tau:] -= size
-    lag += 0.5 * (n_delta - 1)
-    np.square(lag, out=lag)
-    spectrum = np.multiply(0.5j * b, lag)
-    np.exp(spectrum, out=spectrum)
-    np.fft.fft(spectrum, out=spectrum)
-    return size, chirp, spectrum
-
-
-@functools.lru_cache(maxsize=1)
-def _fold_factors(n_delta: int, h: float, shift: float) -> np.ndarray:
-    """Read-only factors w_k*exp(-i*c_k*shift) of the folded synthesis, over
-    the centered indices c_k = k - (n_delta - 1)/2, with w_k the trapezoid
-    weights of spacing h over 2*pi.  One entry: the last grid and onset."""
-    factors = np.arange(n_delta, dtype=complex)
-    factors -= 0.5 * (n_delta - 1)
-    # factors = exp(-i*shift*centered)
-    factors *= -1j * shift
-    np.exp(factors, out=factors)
-    factors *= h / (2.0 * np.pi)
-    factors[[0, -1]] *= 0.5
-    factors.flags.writeable = False
-    return factors
-
-
 def _fold_period(b: float, n_delta: int, n_tau: int) -> int:
     """The period M, in delay bins, of a synthesis whose spacing product
     b = h*s is 2*pi/M to 1e-12 relative, or 0 where there is none.
@@ -394,6 +346,49 @@ def _fold_period(b: float, n_delta: int, n_tau: int) -> int:
     return period if period >= n_tau and abs(turns - period) <= 1e-12 * turns else 0
 
 
+@functools.lru_cache(maxsize=1)
+def _synthesis(
+    n_delta: int, n_tau: int, h: float, b: float, shift: float
+) -> tuple[int, np.ndarray, np.ndarray | None]:
+    """Read-only plan of the synthesis of n_tau delays from n_delta samples
+    of spacing h at the spacing product b: (M, factors, None) where
+    _fold_period finds a period M, else the chirp-z transform's (size,
+    chirp, kernel spectrum).  One entry: the last grid, delay axis and onset.
+
+    The factors are w_k*exp(-i*c_k*(shift + q*c_k)) over the centered
+    indices c_k = k - (n_delta - 1)/2, with w_k the trapezoid weights of
+    spacing h over 2*pi, q = 0 for the fold and q = b/2 for the chirp.  The
+    kernel spectrum is the FFT of the Bluestein kernel
+    exp(i*b*(lag + (n_delta - 1)/2)^2/2) over the circular lags from
+    -(n_delta - 1) to n_tau - 1.
+    """
+    period = _fold_period(b, n_delta, n_tau)
+    centered = np.arange(n_delta, dtype=float)
+    centered -= 0.5 * (n_delta - 1)
+    # factors = exp(-i*centered * (shift + q*centered))
+    phase = np.multiply(0.0 if period else 0.5 * b, centered)
+    np.add(shift, phase, out=phase)
+    factors = np.multiply(-1j, centered)
+    factors *= phase
+    np.exp(factors, out=factors)
+    factors *= h / (2.0 * np.pi)
+    factors[[0, -1]] *= 0.5
+    factors.flags.writeable = False
+    if period:
+        return period, factors, None
+    size = _next_fast_len(n_delta + n_tau - 1)
+    # spectrum = fft(exp(i*b*(lag + (n_delta - 1)/2)^2/2))
+    lag = np.arange(size, dtype=float)
+    lag[n_tau:] -= size
+    lag += 0.5 * (n_delta - 1)
+    np.square(lag, out=lag)
+    spectrum = np.multiply(0.5j * b, lag)
+    np.exp(spectrum, out=spectrum)
+    np.fft.fft(spectrum, out=spectrum)
+    spectrum.flags.writeable = False
+    return size, factors, spectrum
+
+
 def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
     """Fourier-synthesize G2 on a uniform delay grid (ns).
 
@@ -405,8 +400,7 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
     The quadrature is valid only while one grid step of the spectral grid
     cannot wind through a full phase turn over the delay span or over any
     argument tau - onset; otherwise an AliasingError is raised.  Where the
-    spacings h and s satisfy
-    h*s = 2*pi/M for an integer M with n_tau <= M < count + n_tau, as on
+    spacings h and s have a period M that _fold_period accepts, as on
     :func:`predict_packet`'s grids, the sum folds into one FFT of length M;
     on any other grid it is a chirp-z transform.
     """
@@ -434,16 +428,18 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
     n_tau = tau_ns.size
     b = h * span / (n_tau - 1)
     n_delta = a.grid.count
-    period = _fold_period(b, n_delta, n_tau)
-    if period:
+    size, factors, kernel = _synthesis(n_delta, n_tau, h, b, h * tau0)
+    # The weighted amplitude, zero-padded to whole rows of the transform
+    # length; the chirp-z transform is longer than the grid, so one row.
+    rows = -(-n_delta // size)
+    y = np.empty(rows * size, dtype=complex)
+    np.multiply(a.values, factors, out=y[:n_delta])
+    y[n_delta:] = 0.0
+    if kernel is None:
         # b*k*j = 2*pi*k*j/M depends on k only modulo M, so the weighted terms
         # sum into M residues and one FFT of length M gives every output:
         # y = fft((a.values * factors, zero-padded).reshape(-1, M).sum(0))[:n_tau]
-        rows = -(-n_delta // period)
-        f = np.empty(rows * period, dtype=complex)
-        np.multiply(a.values, _fold_factors(n_delta, h, h * tau0), out=f[:n_delta])
-        f[n_delta:] = 0.0
-        y = f.reshape(rows, period).sum(axis=0)
+        y = y.reshape(rows, size).sum(axis=0)
         np.fft.fft(y, out=y)
     else:
         # (k - c)*j = ((k - c)^2 + j^2 - (j - k + c)^2)/2, so what remains is a
@@ -451,10 +447,6 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
         # exp(i*b*(j - k + c)^2/2), done by FFT on a circular buffer of the
         # lags j - k from -(n_delta - 1) to n_tau - 1:
         # y = ifft(fft(a.values * chirp, size) * kernel)[:n_tau], in one buffer
-        size, chirp, kernel = _synthesis_factors(n_delta, n_tau, h, b, h * tau0)
-        y = np.empty(size, dtype=complex)
-        np.multiply(a.values, chirp, out=y[:n_delta])
-        y[n_delta:] = 0.0
         np.fft.fft(y, out=y)
         y *= kernel
         np.fft.ifft(y, out=y)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,12 +82,9 @@ class DetectionModel:
             raise UsageError(f"[detection] success_probability must be in [0, 1], got {p!r}")
 
     def fingerprint(self) -> str:
-        """Stable hash of the model constants, for provenance headers; the
-        success probability is not among them."""
-        text = (
-            f"{self.eff_as!r}|{self.eff_s!r}|{self.dark_as!r}|{self.dark_s!r}|"
-            f"{self.trigger_rate!r}|{self.bin_ns!r}|{self.accumulation_s!r}|{self.seed!r}"
-        )
+        """Stable hash of every field, in declaration order, for provenance
+        headers."""
+        text = "|".join(repr(getattr(self, f.name)) for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -1038,6 +1038,7 @@ class TestConfigErrors:
             "[grid]\nhalf_width_mhz = inf\n",
             "[etalons]\nfwhm_mhz = nan, 60\n",
             "[etalons]\ncenters_mhz = 0, inf\n",
+            "[etalons]\nfwhm_mhz = 45,abc\n",
         ],
     )
     def test_nonfinite_grid_or_etalon_is_usage_error(self, text, tmp_path, recwarn):

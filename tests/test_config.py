@@ -69,6 +69,19 @@ def test_bad_number_rejected(tmp_path):
         load_config(write(tmp_path, "[medium]\nod_stokes = eighty\n"))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [b"[medium\nod_stokes = 80\n", b"od_stokes = 80\n", b"[medium]\nod_stokes = 80\nod_stokes = 81\n",
+     b"[medium]\nod_stokes = \xff\n"],
+    ids=["open bracket", "no section", "duplicate key", "not utf-8"],
+)
+def test_unparsable_file_rejected(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_bytes(text)
+    with pytest.raises(UsageError, match="cannot parse config"):
+        load_config(path)
+
+
 def test_bad_seed_rejected(tmp_path):
     with pytest.raises(UsageError):
         load_config(write(tmp_path, "[run]\nseed = 1.5\n"))

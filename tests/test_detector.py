@@ -53,6 +53,7 @@ class TestDetectionModel:
     @pytest.mark.parametrize("field, value", [
         ("eff_as", 0.5), ("eff_s", 0.5), ("dark_as", 1.0), ("dark_s", 1.0),
         ("trigger_rate", 1.0), ("bin_ns", 12.8), ("accumulation_s", 20.0), ("seed", 2),
+        ("success_probability", 0.0088),
     ])
     def test_fingerprint_tracks_fields(self, field, value):
         assert model().fingerprint() == model().fingerprint()
@@ -60,9 +61,10 @@ class TestDetectionModel:
 
     def test_fingerprint_is_pinned(self):
         """Synth CSV model lines and tag-file headers keep their hash, which
-        leaves out the success probability."""
-        assert model().fingerprint() == "2f7600ddbcb3c46a"
-        assert model(success_probability=0.0088).fingerprint() == "2f7600ddbcb3c46a"
+        covers the success probability: two acquisitions drawn at different
+        probabilities carry different model lines."""
+        assert model().fingerprint() == "3e4021ce4adff280"
+        assert model(success_probability=0.0088).fingerprint() == "d9f8b132fc6dc1b2"
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
     def test_invalid_success_probability_is_usage_error(self, p):
@@ -162,6 +164,16 @@ class TestSynthHistogram:
     def test_bin_width_is_the_grid_step(self, bin_ns):
         with pytest.raises(UsageError, match="bin width"):
             sfwm.CoincidenceHistogram(np.arange(0.0, 100.0, 10.0), np.ones(10, dtype=int), bin_ns)
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [(np.ones(10), "integers"), (np.r_[np.ones(9, dtype=int), -1], "nonnegative"),
+         (np.ones(9, dtype=int), "lengths differ")],
+        ids=["float", "negative", "short"],
+    )
+    def test_invalid_counts_are_usage_error(self, counts, match):
+        with pytest.raises(UsageError, match=match):
+            sfwm.CoincidenceHistogram(np.arange(0.0, 100.0, 10.0), counts, 10.0)
 
 
 def pair_loop_counts(triggers, partners, window_ns, bin_ns):

@@ -9,7 +9,9 @@ from scipy.special import wofz
 import sfwm
 from sfwm.errors import DomainError, PeakShapeError, UsageError
 from sfwm.biphoton import _grid_delta
-from sfwm.physics import _FADDEEVA_CHUNK, MAX_NODES, _averaged_pair, _faddeeva, _transmission
+from sfwm.physics import (
+    _FADDEEVA_CHUNK, MAX_NODES, MIN_WIDTH_POINTS, _averaged_pair, _faddeeva, _transmission,
+)
 
 from oracles import _chi_pair_raw, doppler_average, faddeeva_horner, raw_pair_average
 
@@ -554,6 +556,15 @@ class TestSpectrum:
         peak = 0.5 * (width / 2) ** 2 / (delta**2 + (width / 2) ** 2)
         s = sfwm.Spectrum(delta, 0.3 + peak)
         assert sfwm.spectrum_fwhm(s) == pytest.approx(1e6, rel=5e-3)
+
+    def test_fwhm_needs_min_width_points(self):
+        """A peak of MIN_WIDTH_POINTS samples has a width; one sample fewer is
+        a usage error."""
+        t = np.full(MIN_WIDTH_POINTS, 0.3)
+        t[MIN_WIDTH_POINTS // 2] = 0.8
+        assert sfwm.spectrum_fwhm(sfwm.Spectrum(np.linspace(-1, 1, MIN_WIDTH_POINTS), t)) > 0.0
+        with pytest.raises(UsageError, match="too short"):
+            sfwm.spectrum_fwhm(sfwm.Spectrum(np.linspace(-1, 1, MIN_WIDTH_POINTS - 1), t[1:]))
 
     def test_fwhm_needs_a_peak(self):
         s = sfwm.Spectrum(np.linspace(-1, 1, 101), np.full(101, 0.4))
