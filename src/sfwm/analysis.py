@@ -100,13 +100,6 @@ class SweepPrediction:
     rate_scale: float
 
 
-def _baseline_window_mask(tau_ns: np.ndarray, x0_ns: float, bin_ns: float) -> np.ndarray:
-    mask = tau_ns <= x0_ns - 2.0 * bin_ns
-    n_tail = max(1, tau_ns.size // 10)
-    mask[-n_tail:] = True
-    return mask
-
-
 _TAU_MIN_NS = 1e-6  # lower bound on the decay constant
 _LM_MAX_STEPS = 200  # trial steps per solve
 _LM_XTOL = 1e-8  # relative Gauss-Newton step of both parameters that ends a solve
@@ -342,13 +335,15 @@ def fit_exponential(w: WavePacket, x0_ns: float = FIT_ONSET_NS) -> ExpFit:
         raise DegenerateDataError("wave packet is identically zero")
     if y.max() > _MAX_PACKET_VALUE:
         raise UsageError(f"wave packet values must not exceed {_MAX_PACKET_VALUE:g}")
-    fit_mask = t >= x0_ns
-    if np.count_nonzero(fit_mask) < 10:
+    # The delays increase, so the fit region is a suffix and the baseline
+    # window a prefix joined with the last 10% of bins: whole where they meet.
+    first_fit = int(np.searchsorted(t, x0_ns))
+    if t.size - first_fit < 10:
         raise UsageError(f"need at least 10 bins past the onset at {x0_ns} ns")
 
-    base_mask = _baseline_window_mask(t, x0_ns, w.bin_ns)
-    n_base = int(np.count_nonzero(base_mask))
-    window = y[base_mask]
+    pre = int(np.searchsorted(t, x0_ns - 2.0 * w.bin_ns, side="right"))
+    window = np.concatenate((y[:pre], y[max(pre, t.size - t.size // 10):]))
+    n_base = window.size
     y0 = float(window.mean())
     # Standard error of the window mean from the scatter of its bins; for
     # Poisson counts this recovers sqrt(mean/N), and it vanishes for
@@ -359,8 +354,8 @@ def fit_exponential(w: WavePacket, x0_ns: float = FIT_ONSET_NS) -> ExpFit:
     else:
         y0_err = math.sqrt(float(np.maximum(window, 1.0).sum())) / n_base
 
-    tf = t[fit_mask]
-    yf = y[fit_mask]
+    tf = t[first_fit:]
+    yf = y[first_fit:]
     sigma = np.sqrt(np.maximum(yf, 1.0))
 
     if (yf == y0).all():
@@ -572,8 +567,6 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     """
     if data.delta.size < 10:
         raise UsageError("spectrum too short to fit")
-    if not np.isfinite(data.transmission).all():
-        raise UsageError("spectrum transmissions must be finite")
     target = spectrum_baseline(data)
     if not (0.0 < target < 1.0):
         raise InversionError(f"baseline transmission {target!r} is outside (0, 1)")

@@ -214,8 +214,8 @@ class WavePacket:
         if self.tau_ns.size != self.g2.size:
             raise UsageError("tau and g2 lengths differ")
         _check_delay_grid(self.tau_ns, self.bin_ns, "delay grid")
-        if np.any(self.g2 < 0):
-            raise UsageError("correlation values must be nonnegative")
+        if not (np.isfinite(self.g2).all() and (self.g2 >= 0).all()):
+            raise UsageError("correlation values must be finite and nonnegative")
 
 
 def _phase_matching(z: np.ndarray) -> np.ndarray:

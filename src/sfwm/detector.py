@@ -189,11 +189,14 @@ def generate_timetags(
     the normalized wave-packet density (uniform within a bin).  Uncorrelated
     partner events ride on top as a Poisson process at the power-dependent
     background rate, which includes dark counts.  More than
-    MAX_TIMETAG_EVENTS expected events, or a model without a success
-    probability, is a UsageError.
+    MAX_TIMETAG_EVENTS expected events, a model without a success
+    probability, or a non-finite or negative packet value is a UsageError.
     """
     if dm.success_probability is None:
         raise UsageError("time tags need the model's success_probability")
+    # Packets are mutable: the values may have changed since construction.
+    if not (np.isfinite(w.g2).all() and (w.g2 >= 0).all()):
+        raise UsageError("correlation values must be finite and nonnegative")
     events = (dm.trigger_rate + background_rate(p_mw)) * dm.accumulation_s
     if events > MAX_TIMETAG_EVENTS:
         raise UsageError(

@@ -472,7 +472,10 @@ def _edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectrum_baseline(s: Spectrum) -> float:
-    """Baseline transmission: mean over the outermost 10% of samples per side."""
+    """Baseline transmission: mean over the outermost 10% of samples per side.
+    A non-finite transmission anywhere is a UsageError."""
+    if not np.isfinite(s.transmission).all():
+        raise UsageError("spectrum transmissions must be finite")
     left, right = _edges(s.transmission)
     return float(0.5 * (left.mean() + right.mean()))
 
@@ -482,11 +485,10 @@ def spectrum_fwhm(s: Spectrum) -> float:
 
     The baseline is taken from the outer 10% of samples on each side and the
     half-height crossings are located by linear interpolation between the
-    bracketing samples, walking outward from the peak.
+    peak-side sample above half height and the nearest sample at or below it.
     """
     t = s.transmission
-    n = t.size
-    if n < MIN_WIDTH_POINTS:
+    if t.size < MIN_WIDTH_POINTS:
         raise UsageError("spectrum too short for a width measurement")
     baseline = spectrum_baseline(s)
     ipk = int(np.argmax(t))
@@ -497,18 +499,16 @@ def spectrum_fwhm(s: Spectrum) -> float:
         )
     half = baseline + 0.5 * (peak - baseline)
 
-    i = ipk
-    while i > 0 and t[i] > half:
-        i -= 1
-    if t[i] > half:
+    # The peak lies above half height, so it falls between the nearest
+    # samples at or below half height on its two sides.
+    below = np.flatnonzero(t <= half)
+    k = int(np.searchsorted(below, ipk))
+    if k == 0:
         raise PeakShapeError("peak does not fall to half height on the left")
-    left = np.interp(half, [t[i], t[i + 1]], [s.delta[i], s.delta[i + 1]])
-
-    i = ipk
-    while i < n - 1 and t[i] > half:
-        i += 1
-    if t[i] > half:
+    if k == below.size:
         raise PeakShapeError("peak does not fall to half height on the right")
-    right = np.interp(half, [t[i], t[i - 1]], [s.delta[i], s.delta[i - 1]])
+    i, j = below[k - 1], below[k]
+    left = np.interp(half, [t[i], t[i + 1]], [s.delta[i], s.delta[i + 1]])
+    right = np.interp(half, [t[j], t[j - 1]], [s.delta[j], s.delta[j - 1]])
 
     return frequency_to_hz(float(right - left))

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from sfwm.errors import DomainError
+from sfwm.biphoton import WavePacket
+from sfwm.errors import DomainError, PeakShapeError, UsageError
 from sfwm.physics import (
     _INV_SQRT_PI,
     _W_COEFFS,
     _W_SCALE,
+    MIN_WIDTH_POINTS,
     DopplerQuadrature,
     DriveParams,
     MediumParams,
+    Spectrum,
     _cross_prefactor,
+    spectrum_baseline,
 )
+from sfwm.units import frequency_to_hz
 
 DEFAULT_QUADRATURE = DopplerQuadrature()
 # Detuning rows per block of raw_pair_average.
@@ -92,3 +98,52 @@ def faddeeva_horner(z: np.ndarray) -> np.ndarray:
     p += _INV_SQRT_PI
     p /= den
     return p
+
+
+def masked_fit_windows(w: WavePacket, x0_ns: float) -> tuple[float, float, int]:
+    """(baseline, baseline error, fit-bin count) of fit_exponential's first
+    stage, with the baseline window [.., x0 - 2*bin] plus the last 10% of
+    bins and the fit region [x0, ..] taken as boolean masks over the delays:
+    the package's earlier selection, against which its index search is
+    checked.  The rest of the fit reads only these and the fit region's bins."""
+    t, y = w.tau_ns, w.g2
+    base = t <= x0_ns - 2.0 * w.bin_ns
+    base[-max(1, t.size // 10):] = True
+    window = y[base]
+    n = window.size
+    y0 = float(window.mean())
+    if n >= 2:
+        scatter = window - y0
+        y0_err = math.sqrt(float(scatter @ scatter) / (n - 1) / n)
+    else:
+        y0_err = math.sqrt(float(np.maximum(window, 1.0).sum())) / n
+    return y0, y0_err, int(np.count_nonzero(t >= x0_ns))
+
+
+def walking_fwhm(s: Spectrum) -> float:
+    """spectrum_fwhm with each half-height crossing found by walking outward
+    from the peak: the package's earlier form, against which its index
+    search is checked on finite spectra."""
+    t = s.transmission
+    n = t.size
+    if n < MIN_WIDTH_POINTS:
+        raise UsageError("spectrum too short for a width measurement")
+    baseline = spectrum_baseline(s)
+    ipk = int(np.argmax(t))
+    peak = t[ipk]
+    if peak <= baseline + 1e-3:
+        raise PeakShapeError(f"no peak above baseline (peak {peak:.6g}, baseline {baseline:.6g})")
+    half = baseline + 0.5 * (peak - baseline)
+    i = ipk
+    while i > 0 and t[i] > half:
+        i -= 1
+    if t[i] > half:
+        raise PeakShapeError("peak does not fall to half height on the left")
+    left = np.interp(half, [t[i], t[i + 1]], [s.delta[i], s.delta[i + 1]])
+    i = ipk
+    while i < n - 1 and t[i] > half:
+        i += 1
+    if t[i] > half:
+        raise PeakShapeError("peak does not fall to half height on the right")
+    right = np.interp(half, [t[i], t[i - 1]], [s.delta[i], s.delta[i - 1]])
+    return frequency_to_hz(float(right - left))

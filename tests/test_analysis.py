@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, least_squares
 
@@ -19,6 +19,7 @@ from sfwm.errors import (
 )
 
 from conftest import DELAY_NS, ETALONS, ONSET_NS, exponential_packet
+from oracles import masked_fit_windows
 
 # Criterion 7's two round-trip scenarios: (tau ns, peak SBR, accumulation s, power mW).
 ROUND_TRIP_SCENARIOS = [(260.0, 42.0, 1200.0, 1.0), (560.0, 5.4, 2400.0, 0.05)]
@@ -383,6 +384,50 @@ def test_fit_exponential_outcomes(tau_ns, peak_sbr, accumulation_s, onset_ns, se
     unresolved = fit.amplitude == 0.0 or fit.tau_ns < 0.1 * packet.bin_ns
     for err in (fit.amplitude_err, fit.tau_err):
         assert 0.0 <= err < math.inf or (err == math.inf and unresolved)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.integers(10, 400),
+    bin_ns=st.sampled_from([25.6, 1.0, 0.3]),
+    start_ns=st.floats(-1e3, 1e3),
+    back=st.integers(0, 410),
+    shift=st.sampled_from([0.0, 0.5, -1e-7]),
+    seed=st.integers(0, 2**32 - 1),
+    noiseless=st.booleans(),
+)
+# The pre-onset window meets the last 10% of bins.
+@example(n=150, bin_ns=25.6, start_ns=0.0, back=11, shift=0.0, seed=0, noiseless=False)
+# The onset lies before the first delay.
+@example(n=40, bin_ns=25.6, start_ns=0.0, back=45, shift=0.5, seed=1, noiseless=False)
+# Exactly 9 and exactly 10 bins past the onset.
+@example(n=40, bin_ns=25.6, start_ns=0.0, back=9, shift=0.0, seed=2, noiseless=False)
+@example(n=40, bin_ns=25.6, start_ns=0.0, back=10, shift=0.0, seed=2, noiseless=False)
+def test_fit_windows_match_the_masks(n, bin_ns, start_ns, back, shift, seed, noiseless):
+    """The fit region and the baseline window found by index search are the
+    mask-selected ones: the baseline and its error agree to the bit and the
+    fit takes as many bins, and the rest of the fit reads nothing else.
+    The onset sits ``back`` bins before the end, ``shift`` bins off a delay."""
+    t = start_ns + bin_ns * np.arange(n)
+    x0_ns = start_ns + bin_ns * (n - back + shift)
+    rng = np.random.default_rng(seed)
+    tau_ns = bin_ns * rng.uniform(0.5, 50.0)
+    decay = np.where(t >= x0_ns, np.exp(-np.maximum(t - x0_ns, 0.0) / tau_ns), 0.0)
+    g2 = rng.uniform(0.0, 50.0) + rng.uniform(1.0, 1e3) * decay
+    w = sfwm.WavePacket(t, g2 if noiseless else rng.poisson(g2).astype(float), bin_ns)
+    y0, y0_err, n_fit = masked_fit_windows(w, x0_ns)
+    try:
+        fit = sfwm.fit_exponential(w, x0_ns)
+    except DegenerateDataError:
+        assert not w.g2.any()
+        return
+    except UsageError:
+        assert n_fit < 10
+        return
+    except ConvergenceError as exc:
+        fit = exc.best
+    assert (fit.baseline, fit.baseline_err, fit.n_fit_bins) == (y0, y0_err, n_fit)
 
 
 class TestScalarMetrics:

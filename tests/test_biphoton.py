@@ -578,8 +578,10 @@ class TestWavePacket:
     @pytest.mark.parametrize(
         "g2, match",
         [(np.ones(9), "lengths differ"), (np.ones(11), "lengths differ"),
-         (np.r_[np.ones(9), -1e-300], "nonnegative")],
-        ids=["short", "long", "negative"],
+         (np.r_[np.ones(9), -1e-300], "finite and nonnegative"),
+         (np.r_[np.ones(9), np.nan], "finite and nonnegative"),
+         (np.r_[np.inf, np.ones(9)], "finite and nonnegative")],
+        ids=["short", "long", "negative", "nan", "inf"],
     )
     def test_invalid_correlation_is_usage_error(self, g2, match):
         with pytest.raises(UsageError, match=match):
@@ -660,6 +662,53 @@ class TestWavePacket:
         # The sweep's transforms: 157 delays on 32768 and 65536 samples.
         assert _next_fast_len(32768 + 157 - 1) == 32928
         assert _next_fast_len(65536 + 157 - 1) == 65856
+
+
+class TestThinMediumLimit:
+    """At a vanishing optical depth the phase-matching factor is 1 and the
+    pair amplitude is the cross response.  Without Doppler broadening its two
+    poles, at delta = -i(gamma + G3/2)/2 +- Omega_e/2, give the damped Rabi
+    oscillation of Du, Wen and Rubin (JOSA B 25, C98, 2008):
+
+        G2(tau) = |K/2|^2 exp(-(gamma + G3/2) tau) sin^2(Omega_e tau/2) / Omega_e^2
+
+    with Omega_e = sqrt(Omega_c^2 - (G3/2 - gamma)^2) and K the cross
+    response's numerator, sqrt(alpha_as*alpha_s*G3*G4)/4 Omega_c Omega_p
+    over Delta_p + i G4/2.  Where Omega_c < G3/2 - gamma the sine and
+    Omega_e become sinh and kappa = sqrt((G3/2 - gamma)^2 - Omega_c^2).
+    The packets agree with it in absolute units to a fraction of the peak:
+    the +-400 Gamma window cuts off the 1/delta^2 tail of the amplitude,
+    which leaves 1.43e-5 at the first few ns and falls as 1/half_width^2,
+    and a Doppler width Gamma_D moves the poles by a relative O(Gamma_D^2),
+    which adds up to 2.3e-5 at Gamma_D = 1e-2."""
+
+    GAMMA = 0.05
+    DELAY_NS = np.arange(0.0, 1001.0, 1.0)
+
+    def check(self, omega_c, gamma_doppler, tol):
+        m = sfwm.MediumParams(alpha_s=1e-6, gamma=self.GAMMA, gamma_doppler=gamma_doppler)
+        d = sfwm.DriveParams(omega_c=omega_c)
+        amp = sfwm.spectral_amplitude(sfwm.SpectralGrid(400.0, 2**19), m, d, None)
+        g2 = sfwm.wavepacket(amp, self.DELAY_NS, onset_ns=0.0).g2
+        x = sfwm.units.time_from_ns(self.DELAY_NS)
+        k = m.alpha_s * math.sqrt(m.gamma3 * m.gamma4) / 4.0 * omega_c * d.omega_p
+        k /= abs(d.delta_p + 0.5j * m.gamma4)
+        detuning = m.gamma3 / 2.0 - m.gamma
+        if omega_c > detuning:
+            rabi = math.sqrt(omega_c**2 - detuning**2)
+            oscillation = np.sin(rabi * x / 2.0) / rabi
+        else:
+            kappa = math.sqrt(detuning**2 - omega_c**2)
+            oscillation = np.sinh(kappa * x / 2.0) / kappa
+        expected = (k / 2.0) ** 2 * np.exp(-(m.gamma + m.gamma3 / 2.0) * x) * oscillation**2
+        assert np.max(np.abs(g2 - expected)) <= tol * g2.max()
+
+    @pytest.mark.parametrize("gamma_doppler, tol", [(1e-3, 1.5e-5), (1e-2, 4e-5)])
+    def test_damped_rabi_oscillation(self, gamma_doppler, tol):
+        self.check(3.0, gamma_doppler, tol)
+
+    def test_overdamped(self):
+        self.check(0.2, 1e-3, 4e-6)
 
 
 class TestKernelMemo:

@@ -368,6 +368,17 @@ class TestTimeTags:
         with pytest.raises(UsageError, match="success_probability"):
             sfwm.generate_timetags(w, model(accumulation_s=20.0), 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_packet_values_changed_after_construction_are_usage_error(self, value):
+        """A packet is mutable, so the generator checks its values again: a
+        nan drew no pairs and no error, an inf failed inside numpy."""
+        t = np.arange(0.0, 4000.0, 25.6)
+        w = sfwm.WavePacket(t, np.exp(-t / 300.0), 25.6)
+        w.g2[40] = value
+        dm = model(accumulation_s=10.0, success_probability=0.0088)
+        with pytest.raises(UsageError, match="finite and nonnegative"):
+            sfwm.generate_timetags(w, dm, 1.0)
+
     def test_empty_duration(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
         dm = model(accumulation_s=0.0, success_probability=0.0088)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import wofz
 
@@ -13,7 +13,7 @@ from sfwm.physics import (
     _FADDEEVA_CHUNK, MAX_NODES, MIN_WIDTH_POINTS, _averaged_pair, _faddeeva, _transmission,
 )
 
-from oracles import _chi_pair_raw, doppler_average, faddeeva_horner, raw_pair_average
+from oracles import _chi_pair_raw, doppler_average, faddeeva_horner, raw_pair_average, walking_fwhm
 
 # Independent high-precision evaluations (40-digit arithmetic) of the two
 # response functions, frozen as regression constants.
@@ -566,6 +566,20 @@ class TestSpectrum:
         with pytest.raises(UsageError, match="too short"):
             sfwm.spectrum_fwhm(sfwm.Spectrum(np.linspace(-1, 1, MIN_WIDTH_POINTS - 1), t[1:]))
 
+    @pytest.mark.parametrize(
+        "index, value",
+        [("peak", np.nan), (0, np.nan), (-1, np.nan), (150, np.inf), (150, -np.inf)],
+        ids=["nan at peak", "nan at left edge", "nan at right edge", "inf", "-inf"],
+    )
+    def test_nonfinite_transmission_is_usage_error(self, medium_a, drive_a, index, value):
+        """One non-finite sample gave a width of -120 kHz (inf) or nan; now
+        the baseline, which the width and the EIT fit read first, refuses it."""
+        s = sfwm.eit_spectrum(np.linspace(-2, 2, 401), medium_a, drive_a)
+        s.transmission[int(np.argmax(s.transmission)) if index == "peak" else index] = value
+        for measure in (sfwm.spectrum_baseline, sfwm.spectrum_fwhm):
+            with pytest.raises(UsageError, match="spectrum transmissions must be finite"):
+                measure(s)
+
     def test_fwhm_needs_a_peak(self):
         s = sfwm.Spectrum(np.linspace(-1, 1, 101), np.full(101, 0.4))
         with pytest.raises(PeakShapeError):
@@ -578,3 +592,40 @@ class TestSpectrum:
         t[50] = 3e-200
         with pytest.raises(PeakShapeError, match=r"peak 3e-200, baseline 2e-200"):
             sfwm.spectrum_fwhm(sfwm.Spectrum(np.linspace(-1, 1, 101), t))
+
+
+_LEVELS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # exact ties with half height
+
+
+@st.composite
+def _peaked(draw):
+    """A Lorentzian peak of random center, width and height on a flat
+    baseline, with optional noise."""
+    n = draw(st.integers(MIN_WIDTH_POINTS, 300))
+    delta = np.linspace(-1.0, 1.0, n)
+    center, width = draw(st.floats(-1.2, 1.2)), draw(st.floats(1e-3, 2.0))
+    peak = draw(st.floats(0.0, 1.0)) / (1.0 + ((delta - center) / width) ** 2)
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    return draw(st.floats(0.0, 0.5)) + peak + draw(st.sampled_from([0.0, 1e-3, 0.05])) * noise
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(_LEVELS | st.floats(0.0, 1.0), min_size=MIN_WIDTH_POINTS, max_size=60).map(np.array),
+    _peaked(),
+))
+# An edge sample exactly at half height is the crossing on its side.
+@example(np.array([0.0, 0.25, 0.75, 0.75, 0.5]))
+@example(np.array([0.5, 0.75, 0.75, 0.25, 0.0]))
+def test_fwhm_matches_the_walking_crossings(t):
+    """On finite spectra the index search gives the walking loops' width to
+    the bit, or the same PeakShapeError message."""
+    s = sfwm.Spectrum(np.linspace(-1.0, 1.0, t.size), t)
+    try:
+        expected = walking_fwhm(s)
+    except PeakShapeError as exc:
+        with pytest.raises(PeakShapeError) as raised:
+            sfwm.spectrum_fwhm(s)
+        assert str(raised.value) == str(exc)
+    else:
+        assert sfwm.spectrum_fwhm(s) == expected
