@@ -49,9 +49,9 @@ worst = np.max(np.abs(rebuilt.counts - means) / np.sqrt(means))
 print(f"{trig.size} triggers, {part.size} partner events; "
       f"worst per-bin deviation from the model mean: {worst:.1f} sigma")
 
-# The tag file holds the streams to the picosecond; rebuild the histogram
-# from what it holds.
-sfwm.write_timetags("timetags.txt", trig, part, short)
+# The tag file holds the streams to the picosecond, under a header with the
+# hash of the scenario that drew them; rebuild the histogram from what it holds.
+sfwm.write_timetags("timetags.txt", trig, part, dataclasses.replace(scenario, detection=short))
 trig_ps, part_ps = sfwm.read_timetags("timetags.txt")
 assert np.array_equal(trig_ps, np.round(trig * 1e3) / 1e3)
 assert np.array_equal(part_ps, np.round(part * 1e3) / 1e3)

@@ -200,6 +200,12 @@ def _check_delay_grid(t: np.ndarray, bin_ns: float, name: str) -> None:
         raise UsageError(f"bin width {bin_ns!r} ns differs from the {name} step {first!r} ns")
 
 
+def _check_correlation(g2: np.ndarray) -> None:
+    """Raise UsageError unless every value of ``g2`` is finite and nonnegative."""
+    if not (np.isfinite(g2).all() and (g2 >= 0).all()):
+        raise UsageError("correlation values must be finite and nonnegative")
+
+
 @dataclass(eq=False)
 class WavePacket:
     """Unnormalized two-photon correlation G2 on a delay grid in steps of ``bin_ns`` (ns)."""
@@ -214,8 +220,7 @@ class WavePacket:
         if self.tau_ns.size != self.g2.size:
             raise UsageError("tau and g2 lengths differ")
         _check_delay_grid(self.tau_ns, self.bin_ns, "delay grid")
-        if not (np.isfinite(self.g2).all() and (self.g2 >= 0).all()):
-            raise UsageError("correlation values must be finite and nonnegative")
+        _check_correlation(self.g2)
 
 
 def _phase_matching(z: np.ndarray) -> np.ndarray:
@@ -574,7 +579,9 @@ def wavepacket_area(w: WavePacket) -> float:
     """Trapezoidal integral of g2 over delay.
 
     Proportional to the pair generation rate for rate-normalized packets.
+    Values changed since construction are checked again, as in WavePacket.
     """
+    _check_correlation(w.g2)
     return float(np.trapezoid(w.g2, w.tau_ns))
 
 

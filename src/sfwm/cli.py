@@ -96,7 +96,7 @@ def _note(text: str) -> None:
 
 
 def _meta(cfg: Scenario, command: str, **extra) -> dict:
-    return {"command": command, "config-sha256": cfg.source_sha256, "seed": cfg.seed, **extra}
+    return {"command": command, "scenario-sha256": cfg.sha256, "seed": cfg.detection.seed, **extra}
 
 
 def cmd_simulate_eit(args) -> int:
@@ -273,11 +273,10 @@ def cmd_synth(args) -> int:
         rows = zip(hist.delay_ns, hist.counts)
         if args.timetags is not None:
             triggers, partners = generate_timetags(packet, dm, p_mw)
-    meta = _meta(scenario, "synth", p_mw=p_mw, model=dm.fingerprint())
-    _write_csv(args.out, meta, ["delay_ns", "counts"], rows)
+    _write_csv(args.out, _meta(scenario, "synth", p_mw=p_mw), ["delay_ns", "counts"], rows)
     if args.timetags is not None:
         try:
-            write_timetags(args.timetags, triggers, partners, dm)
+            write_timetags(args.timetags, triggers, partners, scenario)
         except OSError as exc:
             # Both outputs or neither.
             if args.out != "-":

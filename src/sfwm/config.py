@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .analysis import FIT_ONSET_NS, RABI_PER_ROOT_MW, omega_c_from_power
@@ -116,9 +118,8 @@ class Scenario:
     :func:`~sfwm.biphoton.predict_packet` may use on the starting window.
     The run timing is in ns: the instrumental
     onset of the packet, the detector rise time and the onset of the
-    exponential fit.  The success probability is ``detection``'s.
-    ``source_sha256`` and ``seed`` (the detection seed) are provenance for
-    output headers.
+    exponential fit.  The seed and the success probability are
+    ``detection``'s.  ``sha256`` identifies the run values in output headers.
     """
 
     medium: MediumParams
@@ -131,7 +132,6 @@ class Scenario:
     rise_ns: float
     fit_onset_ns: float
     coupling_power_mw: float
-    source_sha256: str
 
     def __post_init__(self):
         if not (math.isfinite(self.onset_ns) and math.isfinite(self.fit_onset_ns)):
@@ -144,19 +144,20 @@ class Scenario:
                 f"coupling power must be finite and nonnegative, got {self.coupling_power_mw!r} mW"
             )
 
-    @property
-    def seed(self) -> int:
-        return self.detection.seed
+    @cached_property
+    def sha256(self) -> str:
+        """sha256, to 16 hex digits, of every field of every part in order: the
+        resolved config values.  Numpy scalars hash as the numbers they equal."""
+        text = json.dumps(astuple(self), default=lambda value: value.item())
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def load_config(path: str | Path | None = None) -> Scenario:
     """Parse and validate a config file into a Scenario; ``None`` yields all defaults."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    raw_bytes = b""
     if path is not None:
-        raw_bytes = Path(path).read_bytes()
         try:
-            parser.read_string(raw_bytes.decode("utf-8"), source=str(path))
+            parser.read_string(Path(path).read_bytes().decode("utf-8"), source=str(path))
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot parse config {path}: {exc}") from exc
 
@@ -204,5 +205,4 @@ def load_config(path: str | Path | None = None) -> Scenario:
         detection=DetectionModel(**detection),
         **run,
         coupling_power_mw=power_mw,
-        source_sha256=hashlib.sha256(raw_bytes).hexdigest()[:16],
     )

@@ -20,15 +20,18 @@ identical seeds reproduce identical data on any platform.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analysis import background_rate
-from .biphoton import WavePacket, _check_delay_grid, _check_delay_span
+from .biphoton import WavePacket, _check_correlation, _check_delay_grid, _check_delay_span
 from .errors import UsageError
+
+if TYPE_CHECKING:
+    from .config import Scenario
 
 TIMETAG_FORMAT = "sfwm-timetags v2"
 _WRITE_BLOCK = 1 << 16  # records formatted per write call
@@ -75,17 +78,11 @@ class DetectionModel:
             raise UsageError("accumulation time must be finite and nonnegative")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        # A numpy integer seed would print, and so fingerprint, differently.
+        # Whatever integer type it came as, the seed is the int it equals.
         object.__setattr__(self, "seed", int(self.seed))
         p = self.success_probability
         if p is not None and not 0.0 <= p <= 1.0:
             raise UsageError(f"[detection] success_probability must be in [0, 1], got {p!r}")
-
-    def fingerprint(self) -> str:
-        """Stable hash of every field, in declaration order, for provenance
-        headers."""
-        text = "|".join(repr(getattr(self, f.name)) for f in fields(self))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(eq=False)
@@ -195,8 +192,7 @@ def generate_timetags(
     if dm.success_probability is None:
         raise UsageError("time tags need the model's success_probability")
     # Packets are mutable: the values may have changed since construction.
-    if not (np.isfinite(w.g2).all() and (w.g2 >= 0).all()):
-        raise UsageError("correlation values must be finite and nonnegative")
+    _check_correlation(w.g2)
     events = (dm.trigger_rate + background_rate(p_mw)) * dm.accumulation_s
     if events > MAX_TIMETAG_EVENTS:
         raise UsageError(
@@ -310,7 +306,7 @@ def write_timetags(
     path,
     triggers_ns: np.ndarray,
     partners_ns: np.ndarray,
-    dm: DetectionModel,
+    scenario: Scenario,
 ) -> None:
     """Write both streams as fixed-width text records: stream id (0 trigger,
     1 partner), a comma and the timestamp in integer picoseconds, merged in
@@ -318,8 +314,8 @@ def write_timetags(
 
     Every stamp is zero-padded to the digit count of the largest |stamp|;
     when any stamp is negative, every record gains a sign slot, ``-`` or
-    ``0``.  The header records the model's seed, fingerprint and
-    accumulation time.  A stream that is not one-dimensional and real, or
+    ``0``.  The header records the scenario's detection seed, its hash and
+    the accumulation time.  A stream that is not one-dimensional and real, or
     a timestamp that is not finite or too large for 64-bit picoseconds, is
     a UsageError.
     """
@@ -341,9 +337,9 @@ def write_timetags(
     width = len(str(max(abs(end) for end in ends)))
     header = (
         f"# {TIMETAG_FORMAT}\n"
-        f"# seed: {dm.seed}\n"
-        f"# model: {dm.fingerprint()}\n"
-        f"# duration_s: {dm.accumulation_s!r}\n"
+        f"# seed: {scenario.detection.seed}\n"
+        f"# scenario-sha256: {scenario.sha256}\n"
+        f"# duration_s: {scenario.detection.accumulation_s!r}\n"
         "# columns: stream_id,timestamp_ps\n"
     )
     with open(path, "wb") as fh:

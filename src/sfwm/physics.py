@@ -477,7 +477,12 @@ def spectrum_baseline(s: Spectrum) -> float:
     if not np.isfinite(s.transmission).all():
         raise UsageError("spectrum transmissions must be finite")
     left, right = _edges(s.transmission)
-    return float(0.5 * (left.mean() + right.mean()))
+    with np.errstate(over="ignore"):
+        baseline = 0.5 * (left.mean() + right.mean())
+    if not np.isfinite(baseline):  # the sums overflowed: scale the values into [-1, 1]
+        scale = max(np.abs(left).max(), np.abs(right).max())
+        baseline = scale * (0.5 * ((left / scale).mean() + (right / scale).mean()))
+    return float(baseline)
 
 
 def spectrum_fwhm(s: Spectrum) -> float:
@@ -497,7 +502,8 @@ def spectrum_fwhm(s: Spectrum) -> float:
         raise PeakShapeError(
             f"no peak above baseline (peak {peak:.6g}, baseline {baseline:.6g})"
         )
-    half = baseline + 0.5 * (peak - baseline)
+    # baseline + 0.5*(peak - baseline) without overflow: halving a normal float is exact.
+    half = baseline + (0.5 * peak - 0.5 * baseline)
 
     # The peak lies above half height, so it falls between the nearest
     # samples at or below half height on its two sides.

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -1013,6 +1014,81 @@ class TestAreaAndRise:
         tau_bare = sfwm.fit_exponential(bare).tau_ns
         tau_filtered = sfwm.fit_exponential(packet_a).tau_ns
         assert tau_filtered == pytest.approx(tau_bare, rel=0.03)
+
+
+@functools.lru_cache(maxsize=None)
+def moment_case(p_mw):
+    """The filtered amplitude of the default medium at ``p_mw`` on a wide,
+    fine grid, and its packet from -1 to 30 us in 1 ns steps at onset 0."""
+    cfg = sfwm.load_config()
+    grid = sfwm.SpectralGrid(128.0, 2**18 + 1)
+    drive = sfwm.DriveParams(omega_c=sfwm.omega_c_from_power(p_mw))
+    amp = sfwm.apply_etalons(sfwm.spectral_amplitude(grid, cfg.medium, drive, None), cfg.etalons)
+    return amp, sfwm.wavepacket(amp, np.arange(-1000.0, 30000.5, 1.0), onset_ns=0.0)
+
+
+def folded_tails(amp, values):
+    """The integral of |values|^2 over the detunings that the 1 ns delay step
+    folds onto each other: farther than w - half_width from the center,
+    with w = 2*pi/(1 ns)."""
+    w = 2.0 * np.pi / sfwm.units.time_from_ns(1.0)
+    tail = np.abs(amp.grid.delta) > w - amp.grid.half_width
+    return np.trapezoid(np.abs(values[tail]) ** 2, amp.grid.delta[tail])
+
+
+class TestSpectralMoments:
+    """Two Fourier identities of psi(t) = (1/2pi) int A(delta) exp(-i delta t),
+    exact at any optical depth: Parseval, int G2 dt = (1/2pi) int |A|^2, and
+    the first moment, <t> = int Re(-i conj(A) dA/ddelta) / int |A|^2.  A
+    mirrored packet flips the sign of <t>, a wrong 1/2pi scales the area by
+    2pi, and a wrong time unit scales <t>.
+
+    The tolerances follow from the amplitude and the packet:
+    - Sampling G2 at a step s adds its Fourier components at +-2pi/s, the
+      overlaps of conj(A(delta)) with A(delta +- 2pi/s).  Both factors lie
+      in the tails of folded_tails, so by Cauchy-Schwarz the two together
+      are at most the tails' integral, relative to int |A|^2; likewise
+      2*sqrt(tails of A * tails of dA/ddelta) relative to the first
+      moment's integral.
+    - The grid ends where |A| is r of its peak, and the cut rings in the
+      packet at the order r^2 of G2.
+    - np.gradient's central difference at spacing h weights G2 by
+      sin(ht)/h in place of t, and |x - sin(x)| <= |x|^3/6 bounds the
+      difference by h^2<|t|^3>/6.
+    """
+
+    @staticmethod
+    def edge_ratio(amp):
+        return max(abs(amp.values[0]), abs(amp.values[-1])) / np.abs(amp.values).max()
+
+    @pytest.mark.parametrize("p_mw", [0.02, 1.0, 5.0])
+    def test_parseval(self, p_mw):
+        amp, packet = moment_case(p_mw)
+        t = sfwm.units.time_from_ns(packet.tau_ns)
+        spectral = np.trapezoid(np.abs(amp.values) ** 2, amp.grid.delta)
+        tol = folded_tails(amp, amp.values) / spectral + self.edge_ratio(amp) ** 2 + 1e-12
+        assert abs(2.0 * np.pi * np.trapezoid(packet.g2, t) / spectral - 1.0) <= tol
+
+    @pytest.mark.parametrize("p_mw", [0.02, 1.0, 5.0])
+    def test_first_moment_is_the_group_delay(self, p_mw):
+        amp, packet = moment_case(p_mw)
+        t = sfwm.units.time_from_ns(packet.tau_ns)
+        area = np.trapezoid(packet.g2, t)
+        mean_t = np.trapezoid(t * packet.g2, t) / area
+        step = amp.grid.spacing**2 / 6.0 * np.trapezoid(np.abs(t) ** 3 * packet.g2, t) / area
+        slope = np.gradient(amp.values, amp.grid.spacing)
+        spectral = np.trapezoid(np.abs(amp.values) ** 2, amp.grid.delta)
+        moment = np.trapezoid(np.real(-1j * np.conj(amp.values) * slope), amp.grid.delta)
+        folded = folded_tails(amp, amp.values)
+        tol = (
+            step / mean_t
+            + folded / spectral
+            + 2.0 * math.sqrt(folded * folded_tails(amp, slope)) / abs(moment)
+            + 2.0 * self.edge_ratio(amp) ** 2
+            + 1e-12
+        )
+        assert mean_t > 0.0
+        assert abs(moment / spectral / mean_t - 1.0) <= tol
 
 
 class TestDelayAxis:

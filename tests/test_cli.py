@@ -586,6 +586,21 @@ def test_every_key_reaches_the_sweep(tmp_path, default_sweep_rows, section, key)
     assert changed != default_sweep_rows
 
 
+def test_sweep_header_hashes_the_run_values(tmp_path):
+    """No file, a file that sets a default and a comment-only file run the
+    same values, and their headers say so with one hash."""
+    cfg, out = tmp_path / "sweep.ini", tmp_path / "sweep.csv"
+    lines = []
+    for text in (None, "[medium]\nod_stokes = 80\n", "# nothing set\n"):
+        argv = ["sweep", "--powers-mw", "0.5", "--out", str(out)]
+        if text is not None:
+            cfg.write_text(text)
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        lines += [ln for ln in out.read_text().splitlines() if ln.startswith("# scenario-sha256:")]
+    assert lines == [f"# scenario-sha256: {sfwm.load_config().sha256}"] * 3
+
+
 # One changed value for each [detection] key that reaches synth's counts or
 # time tags, on a short acquisition with time tags.
 SYNTH_KEYS = {
@@ -595,8 +610,9 @@ SYNTH_KEYS = {
     "success_probability": "0.02",
 }
 SYNTH_BASE = {"accumulation_s": "20", "success_probability": "0.0088"}
-# [detection] keys that synth writes only into its model fingerprint.  A
-# detection chain driven by the pair rate, which reads them, empties this set.
+# [detection] keys that reach synth's outputs only through the scenario hash
+# in their headers.  A detection chain driven by the pair rate, which reads
+# them, empties this set.
 FINGERPRINT_ONLY = {
     "eff_anti_stokes": "0.5",
     "eff_stokes": "0.5",
@@ -993,6 +1009,25 @@ class TestSynth:
         trig, part = sfwm.read_timetags(tags)
         assert trig.size > 0 and part.size > 0
         assert np.all(np.diff(trig) >= 0) and np.all(np.diff(part) >= 0)
+
+    def test_headers_hash_the_run_values(self, tmp_path):
+        """The CSV and the tag file carry the scenario's hash, so two runs
+        that differ only in the decoherence, which the detection model does
+        not hold, write different headers over their different records."""
+        cfg, out, tags = tmp_path / "run.ini", tmp_path / "h.csv", tmp_path / "tags.txt"
+        headers = []
+        for gamma in ("0.168", "0.3"):
+            cfg.write_text(f"[medium]\ndecoherence_mhz = {gamma}\n"
+                           "[detection]\naccumulation_s = 5\nsuccess_probability = 0.0088\n")
+            assert main(["synth", "--config", str(cfg), "--out", str(out),
+                         "--timetags", str(tags)]) == 0
+            line = f"# scenario-sha256: {sfwm.load_config(cfg).sha256}"
+            csv_header = [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+            tag_header = [ln for ln in tags.read_text().splitlines() if ln.startswith("#")]
+            assert line in csv_header and line in tag_header
+            assert not any(ln.startswith("# model:") for ln in csv_header + tag_header)
+            headers.append(tag_header)
+        assert headers[0] != headers[1]
 
 
 class TestConfigErrors:

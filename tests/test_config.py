@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sfwm
@@ -39,7 +40,7 @@ def test_defaults_without_file():
     assert e.fwhm_hz == (45e6, 60e6)
     dm = cfg.detection
     assert dm.trigger_rate == 840.0
-    assert cfg.seed == dm.seed == 1
+    assert dm.seed == 1
     assert (cfg.onset_ns, cfg.rise_ns, cfg.fit_onset_ns) == (150.0, 35.0, 200.0)
 
 
@@ -167,7 +168,7 @@ def test_inline_comments(tmp_path):
 def test_empty_value_means_default(tmp_path, section, key):
     cfg = load_config(write(tmp_path, f"[{section}]\n{key} =\n"))
     default = load_config(None)
-    assert dataclasses.replace(cfg, source_sha256=default.source_sha256) == default
+    assert cfg == default
 
 
 def test_empty_coupling_power_derives_from_rabi(tmp_path):
@@ -197,7 +198,7 @@ def test_invalid_coupling_power_rejected(tmp_path, power, rabi):
 def test_negative_seed_rejected(tmp_path):
     with pytest.raises(UsageError):
         load_config(write(tmp_path, "[run]\nseed = -1\n"))
-    assert load_config(write(tmp_path, "[run]\nseed = 0\n")).seed == 0
+    assert load_config(write(tmp_path, "[run]\nseed = 0\n")).detection.seed == 0
 
 
 @pytest.mark.parametrize(
@@ -221,4 +222,88 @@ def test_readme_table_matches_the_defaults(tmp_path):
     }
     cfg = load_config(write(tmp_path, table))
     default = load_config(None)
-    assert dataclasses.replace(cfg, source_sha256=default.source_sha256) == default
+    assert cfg == default
+
+
+# One changed value for each config key, valid alone.
+CHANGED = {
+    ("medium", "od_stokes"): "70",
+    ("medium", "od_anti_stokes"): "70",
+    ("medium", "decoherence_mhz"): "0.3",
+    ("medium", "doppler_width_mhz"): "300",
+    ("medium", "decay3_mhz"): "5",
+    ("medium", "decay4_mhz"): "5",
+    ("drive", "coupling_rabi_mhz"): "15.6",
+    ("drive", "coupling_power_mw"): "0.5",
+    ("drive", "pump_rabi_mhz"): "24",
+    ("drive", "pump_detuning_mhz"): "-1500",
+    ("quadrature", "half_range"): "5",
+    ("quadrature", "step_mhz"): "0.5",
+    ("grid", "half_width_mhz"): "300",
+    ("grid", "count"): "8192",
+    ("etalons", "fwhm_mhz"): "45, 50",
+    ("etalons", "centers_mhz"): "0, 1",
+    ("detection", "eff_anti_stokes"): "0.5",
+    ("detection", "eff_stokes"): "0.5",
+    ("detection", "dark_anti_stokes_cps"): "1000",
+    ("detection", "dark_stokes_cps"): "1000",
+    ("detection", "trigger_cps"): "2000",
+    ("detection", "bin_ns"): "12.8",
+    ("detection", "accumulation_s"): "30",
+    ("detection", "success_probability"): "0.0088",
+    ("run", "seed"): "2",
+    ("run", "onset_ns"): "100",
+    ("run", "rise_ns"): "20",
+    ("run", "fit_onset_ns"): "250",
+}
+
+
+def test_scenario_fields_are_the_config_keys():
+    """The hash covers every field of every part: the fields the config
+    keys set, and no other."""
+    cfg = dataclasses.replace(load_config(None), q=sfwm.DopplerQuadrature())
+    leaves = []
+    for field in dataclasses.fields(cfg):
+        part = getattr(cfg, field.name)
+        is_part = dataclasses.is_dataclass(part)
+        leaves += [f.name for f in dataclasses.fields(part)] if is_part else [field.name]
+    assert sorted(leaves) == sorted(name for keys in _KEYS.values() for name, _ in keys.values())
+
+
+@pytest.mark.parametrize("section,key", sorted(CHANGED))
+def test_every_key_changes_the_hash(tmp_path, section, key):
+    assert set(CHANGED) == {(s, k) for s in _KEYS for k in _KEYS[s]}
+    changed = load_config(write(tmp_path, f"[{section}]\n{key} = {CHANGED[section, key]}\n"))
+    assert changed != load_config(None)
+    assert changed.sha256 != load_config(None).sha256
+
+
+@pytest.mark.parametrize(
+    "text", ["[medium]\nod_stokes = 80\n", "# a comment only\n", "[run]\nseed = 1\n"]
+)
+def test_equal_run_values_hash_alike(tmp_path, text):
+    """The hash is of the resolved values, not of the file's bytes."""
+    cfg = load_config(write(tmp_path, text))
+    assert cfg == load_config(None)
+    assert cfg.sha256 == load_config(None).sha256
+
+
+def test_hash_is_pinned():
+    """Output headers keep their hash while the default run values stay."""
+    cfg = load_config(None)
+    assert cfg.sha256 == "3a6b552c09bab05d"
+    dm = sfwm.DetectionModel(accumulation_s=5.0, seed=4, success_probability=0.0088)
+    assert dataclasses.replace(cfg, detection=dm).sha256 == "3a9a684ff708adab"
+
+
+def test_numpy_scalars_hash_as_the_numbers_they_equal():
+    cfg = load_config(None)
+    numpy_valued = dataclasses.replace(
+        cfg,
+        grid=sfwm.SpectralGrid(count=np.int64(32768)),
+        detection=sfwm.DetectionModel(seed=np.int64(1)),
+        onset_ns=np.float64(150.0),
+    )
+    assert numpy_valued == cfg
+    assert numpy_valued.sha256 == cfg.sha256
+    assert type(numpy_valued.detection.seed) is int

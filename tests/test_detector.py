@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -21,6 +22,11 @@ from conftest import BAD_DELAY_GRIDS, exponential_packet
 
 def model(**kw):
     return sfwm.DetectionModel(**kw)
+
+
+def run(**kw):
+    """The default scenario with the detection model of ``kw``."""
+    return dataclasses.replace(sfwm.load_config(), detection=model(**kw))
 
 
 class TestDetectionModel:
@@ -48,23 +54,9 @@ class TestDetectionModel:
             model(seed=seed)
 
     def test_numpy_integer_seed_is_the_same_model(self):
-        assert model(seed=np.int64(7)).fingerprint() == model(seed=7).fingerprint()
-
-    @pytest.mark.parametrize("field, value", [
-        ("eff_as", 0.5), ("eff_s", 0.5), ("dark_as", 1.0), ("dark_s", 1.0),
-        ("trigger_rate", 1.0), ("bin_ns", 12.8), ("accumulation_s", 20.0), ("seed", 2),
-        ("success_probability", 0.0088),
-    ])
-    def test_fingerprint_tracks_fields(self, field, value):
-        assert model().fingerprint() == model().fingerprint()
-        assert model(**{field: value}).fingerprint() != model().fingerprint()
-
-    def test_fingerprint_is_pinned(self):
-        """Synth CSV model lines and tag-file headers keep their hash, which
-        covers the success probability: two acquisitions drawn at different
-        probabilities carry different model lines."""
-        assert model().fingerprint() == "3e4021ce4adff280"
-        assert model(success_probability=0.0088).fingerprint() == "d9f8b132fc6dc1b2"
+        dm = model(seed=np.int64(7))
+        assert dm == model(seed=7)
+        assert type(dm.seed) is int
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
     def test_invalid_success_probability_is_usage_error(self, p):
@@ -371,13 +363,16 @@ class TestTimeTags:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
     def test_packet_values_changed_after_construction_are_usage_error(self, value):
         """A packet is mutable, so the generator checks its values again: a
-        nan drew no pairs and no error, an inf failed inside numpy."""
+        nan drew no pairs and no error, an inf failed inside numpy.  So does
+        the area, which summed the value in."""
         t = np.arange(0.0, 4000.0, 25.6)
         w = sfwm.WavePacket(t, np.exp(-t / 300.0), 25.6)
         w.g2[40] = value
         dm = model(accumulation_s=10.0, success_probability=0.0088)
         with pytest.raises(UsageError, match="finite and nonnegative"):
             sfwm.generate_timetags(w, dm, 1.0)
+        with pytest.raises(UsageError, match="finite and nonnegative"):
+            sfwm.wavepacket_area(w)
 
     def test_empty_duration(self):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
@@ -433,10 +428,10 @@ class TestTimeTags:
 
     def test_file_round_trip(self, tmp_path):
         w = exponential_packet(1.0, 260.0, span_ns=4000.0)
-        dm = model(accumulation_s=5.0, seed=21, success_probability=0.0088)
-        trig, part = sfwm.generate_timetags(w, dm, 1.0)
+        scenario = run(accumulation_s=5.0, seed=21, success_probability=0.0088)
+        trig, part = sfwm.generate_timetags(w, scenario.detection, 1.0)
         path = tmp_path / "tags.txt"
-        sfwm.write_timetags(path, trig, part, dm)
+        sfwm.write_timetags(path, trig, part, scenario)
         trig2, part2 = sfwm.read_timetags(path)
         assert trig2.size == trig.size and part2.size == part.size
         # picosecond quantization: at most half a ps plus representation slack
@@ -455,7 +450,7 @@ class TestTimeTags:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(UsageError):
-                sfwm.write_timetags(path, np.array(triggers), np.array(partners), model())
+                sfwm.write_timetags(path, np.array(triggers), np.array(partners), run())
         assert not path.exists()
 
     def test_read_rejects_foreign_file(self, tmp_path):
@@ -471,7 +466,7 @@ class TestTimeTags:
             sfwm.read_timetags(path)
 
 
-def reference_timetag_text(triggers_ns, partners_ns, dm) -> str:
+def reference_timetag_text(triggers_ns, partners_ns, scenario) -> str:
     """The time-tag file format written one record at a time."""
     ids = [0] * len(triggers_ns) + [1] * len(partners_ns)
     stamps = [int(round(t * 1e3)) for t in list(triggers_ns) + list(partners_ns)]
@@ -479,9 +474,9 @@ def reference_timetag_text(triggers_ns, partners_ns, dm) -> str:
     width = len(str(max(map(abs, stamps), default=0))) + any(s < 0 for s in stamps)
     lines = [
         "# sfwm-timetags v2",
-        f"# seed: {dm.seed}",
-        f"# model: {dm.fingerprint()}",
-        f"# duration_s: {dm.accumulation_s!r}",
+        f"# seed: {scenario.detection.seed}",
+        f"# scenario-sha256: {scenario.sha256}",
+        f"# duration_s: {scenario.detection.accumulation_s!r}",
         "# columns: stream_id,timestamp_ps",
     ]
     order = sorted(range(len(ids)), key=lambda i: (stamps[i], ids[i]))
@@ -491,10 +486,10 @@ def reference_timetag_text(triggers_ns, partners_ns, dm) -> str:
 
 class TestTimeTagFormat:
     def check_bytes(self, tmp_path, triggers, partners, accumulation_s=5.0):
-        dm = model(accumulation_s=accumulation_s, seed=4)
+        scenario = run(accumulation_s=accumulation_s, seed=4)
         path = tmp_path / "tags.txt"
-        sfwm.write_timetags(path, np.asarray(triggers), np.asarray(partners), dm)
-        expected = reference_timetag_text(triggers, partners, dm)
+        sfwm.write_timetags(path, np.asarray(triggers), np.asarray(partners), scenario)
+        expected = reference_timetag_text(triggers, partners, scenario)
         assert path.read_bytes() == expected.encode()
         return path
 
@@ -580,7 +575,7 @@ MALFORMED = [
 
 HEADER = b"# sfwm-timetags v2\n"
 FULL_HEADER = (
-    b"# sfwm-timetags v2\n# seed: 9\n# model: 0123456789abcdef\n# duration_s: 1.0\n"
+    b"# sfwm-timetags v2\n# seed: 9\n# scenario-sha256: 0123456789abcdef\n# duration_s: 1.0\n"
     b"# columns: stream_id,timestamp_ps\n"
 )
 
@@ -593,10 +588,10 @@ def chunking():
 
 class TestTimeTagCodec:
     def write(self, tmp_path, triggers_ns, partners_ns, chunk=detector._READ_CHUNK):
-        dm = model(accumulation_s=1.0, seed=9)
+        scenario = run(accumulation_s=1.0, seed=9)
         path = tmp_path / "tags.txt"
-        sfwm.write_timetags(path, triggers_ns, partners_ns, dm)
-        expected = reference_timetag_text(triggers_ns, partners_ns, dm)
+        sfwm.write_timetags(path, triggers_ns, partners_ns, scenario)
+        expected = reference_timetag_text(triggers_ns, partners_ns, scenario)
         assert path.read_bytes() == expected.encode()
         ps = [np.sort(np.round(s * 1e3).astype(np.int64)) for s in (triggers_ns, partners_ns)]
         with mock.patch.object(detector, "_READ_CHUNK", chunk):
@@ -689,7 +684,7 @@ class TestTimeTagCodec:
 
     def test_truncated_last_record_names_its_line(self, tmp_path, chunking):
         path = tmp_path / "tags.txt"
-        sfwm.write_timetags(path, np.arange(100.0), np.arange(50.0) + 0.5, model())
+        sfwm.write_timetags(path, np.arange(100.0), np.arange(50.0) + 0.5, run())
         text = path.read_bytes()
         for cut in (1, 3, 7):  # the last newline, a digit, the whole stamp
             path.write_bytes(text[:-cut])

@@ -580,6 +580,16 @@ class TestSpectrum:
             with pytest.raises(UsageError, match="spectrum transmissions must be finite"):
                 measure(s)
 
+    @pytest.mark.parametrize("transmission, baseline", [
+        ([-1e308, -1e308, 1e308, -1e308, -1e308, -1e308], -1e308),  # the two means' sum
+        ([1.7e308] * 40, 1.7e308),  # each edge's sum
+    ])
+    def test_baseline_of_huge_values_is_finite(self, transmission, baseline):
+        """Sums past the largest float made the baseline -inf or inf, and the
+        half height of the first spectrum nan."""
+        s = sfwm.Spectrum(np.linspace(-1, 1, len(transmission)), transmission)
+        assert sfwm.spectrum_baseline(s) == baseline
+
     def test_fwhm_needs_a_peak(self):
         s = sfwm.Spectrum(np.linspace(-1, 1, 101), np.full(101, 0.4))
         with pytest.raises(PeakShapeError):
@@ -595,6 +605,24 @@ class TestSpectrum:
 
 
 _LEVELS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # exact ties with half height
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_baseline_is_the_mean_of_the_edge_means(values):
+    """Bit-identical to 0.5*(left.mean() + right.mean()) wherever that is
+    finite, and finite between the edge values everywhere else."""
+    t = np.array(values)
+    k = max(1, round(0.1 * t.size))
+    edges = np.concatenate([t[:k], t[-k:]])
+    with np.errstate(over="ignore"):
+        plain = 0.5 * (t[:k].mean() + t[-k:].mean())
+    baseline = sfwm.spectrum_baseline(sfwm.Spectrum(np.linspace(-1.0, 1.0, t.size), t))
+    if np.isfinite(plain):
+        assert baseline == plain
+    else:
+        lo, hi = float(edges.min()), float(edges.max())
+        assert lo - 1e-12 * abs(lo) <= baseline <= hi + 1e-12 * abs(hi)
 
 
 @st.composite
