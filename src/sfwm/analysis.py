@@ -39,6 +39,7 @@ from .errors import (
     UsageError,
 )
 from .physics import (
+    MAX_SAMPLE_VALUE,
     DriveParams,
     MediumParams,
     Spectrum,
@@ -123,9 +124,6 @@ _NEWTON_MAX_STEPS = 100  # steps of the decay fit and of the baseline inversion
 # step that ends it.
 _LOG_TAU_STEP_MAX = 2.0
 _LOG_TAU_STEP_LAST = 1e-5
-# Largest wave-packet value the decay fit takes: the squares of a million
-# such values still sum within the float range.
-_MAX_PACKET_VALUE = 1e150
 
 
 def _damped_step(held1, held2, u11, u12, u22, h1, h2, k1, k2, lam):
@@ -323,18 +321,18 @@ def fit_exponential(w: WavePacket, x0_ns: float = FIT_ONSET_NS) -> ExpFit:
     problem is solved by variable projection, S in closed form and Newton's
     method in log(tau) (see _fit_decay), in terms of the amplitude at the
     first fit bin; S at the onset follows from it, and is inf with infinite
-    errors where that overflows.  Raises UsageError on non-finite input or
-    values above _MAX_PACKET_VALUE, ConvergenceError (carrying the best
+    errors where that overflows.  Raises UsageError on a non-finite onset or
+    values above MAX_SAMPLE_VALUE, ConvergenceError (carrying the best
     iterate) if the solver gives up, DegenerateDataError on all-zero input.
     """
     t = w.tau_ns
     y = w.g2
-    if not (math.isfinite(x0_ns) and np.isfinite(t).all() and np.isfinite(y).all()):
-        raise UsageError("wave packet delays, values and onset must be finite")
+    if not math.isfinite(x0_ns):
+        raise UsageError(f"fit onset must be finite, got {x0_ns!r} ns")
     if not (y > 0).any():
         raise DegenerateDataError("wave packet is identically zero")
-    if y.max() > _MAX_PACKET_VALUE:
-        raise UsageError(f"wave packet values must not exceed {_MAX_PACKET_VALUE:g}")
+    if y.max() > MAX_SAMPLE_VALUE:
+        raise UsageError(f"wave packet values must not exceed {MAX_SAMPLE_VALUE:g}")
     # The delays increase, so the fit region is a suffix and the baseline
     # window a prefix joined with the last 10% of bins: whole where they meet.
     first_fit = int(np.searchsorted(t, x0_ns))
@@ -561,9 +559,9 @@ def fit_eit(data: Spectrum, m0: MediumParams, d0: DriveParams) -> EitFit:
     reads ``gamma``, ``gamma_doppler`` and ``gamma3`` of ``m0`` and
     ``omega_c`` of ``d0``; the other fields are not read.
     Deterministic given data and guesses.  Raises UsageError on a short
-    spectrum or a non-finite transmission, InversionError when no optical
-    depth in [1e-6, 1e5] matches the baseline, and ConvergenceError
-    (carrying the best iterate) if the solver gives up.
+    spectrum, InversionError when no optical depth in [1e-6, 1e5] matches
+    the baseline, and ConvergenceError (carrying the best iterate) if the
+    solver gives up.
     """
     if data.delta.size < 10:
         raise UsageError("spectrum too short to fit")

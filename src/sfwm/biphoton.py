@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
-from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair, _unfold
+from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair, _frozen, _unfold
 from .units import frequency_to_hz, time_from_ns, time_to_ns
 
 if TYPE_CHECKING:
@@ -200,27 +200,41 @@ def _check_delay_grid(t: np.ndarray, bin_ns: float, name: str) -> None:
         raise UsageError(f"bin width {bin_ns!r} ns differs from the {name} step {first!r} ns")
 
 
-def _check_correlation(g2: np.ndarray) -> None:
-    """Raise UsageError unless every value of ``g2`` is finite and nonnegative."""
-    if not (np.isfinite(g2).all() and (g2 >= 0).all()):
-        raise UsageError("correlation values must be finite and nonnegative")
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WavePacket:
-    """Unnormalized two-photon correlation G2 on a delay grid in steps of ``bin_ns`` (ns)."""
+    """Unnormalized two-photon correlation G2 on a delay grid in steps of
+    ``bin_ns`` (ns), a read-only record of read-only copies of the arrays
+    given.  The delays pass _check_delay_grid and the values are finite and
+    nonnegative, else UsageError."""
 
     tau_ns: np.ndarray
     g2: np.ndarray
     bin_ns: float
 
     def __post_init__(self):
-        self.tau_ns = np.asarray(self.tau_ns, dtype=float)
-        self.g2 = np.asarray(self.g2, dtype=float)
-        if self.tau_ns.size != self.g2.size:
-            raise UsageError("tau and g2 lengths differ")
+        object.__setattr__(self, "tau_ns", _frozen(self.tau_ns))
         _check_delay_grid(self.tau_ns, self.bin_ns, "delay grid")
-        _check_correlation(self.g2)
+        self._set_g2(self.g2)
+
+    def _set_g2(self, g2) -> WavePacket:
+        """Hold a read-only copy of the values ``g2``, checked; return this packet."""
+        g2 = _frozen(g2)
+        if g2.size != self.tau_ns.size:
+            raise UsageError("tau and g2 lengths differ")
+        if not (np.isfinite(g2).all() and (g2 >= 0).all()):
+            raise UsageError("correlation values must be finite and nonnegative")
+        object.__setattr__(self, "g2", g2)
+        return self
+
+    def _with_g2(self, g2) -> WavePacket:
+        """This packet's delays, not checked again, with the values ``g2``, checked."""
+        packet = object.__new__(WavePacket)
+        packet.__dict__.update(self.__dict__)
+        return packet._set_g2(g2)
+
+    def __reduce__(self):
+        # Copies and unpickled packets are built again: checked, and read-only.
+        return WavePacket, (self.tau_ns, self.g2, self.bin_ns)
 
 
 def _phase_matching(z: np.ndarray) -> np.ndarray:
@@ -457,9 +471,9 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
         np.fft.ifft(y, out=y)
     y = y[:n_tau]
     # g2 = y.real**2 + y.imag**2
-    np.square(y.real, out=packet.g2)
-    packet.g2 += np.square(y.imag, out=y.imag)
-    return packet
+    g2 = np.square(y.real)
+    g2 += np.square(y.imag, out=y.imag)
+    return packet._with_g2(g2)
 
 
 def _locked_spacing(gamma: float, n_tau: int, step: float, first: float) -> float:
@@ -579,9 +593,7 @@ def wavepacket_area(w: WavePacket) -> float:
     """Trapezoidal integral of g2 over delay.
 
     Proportional to the pair generation rate for rate-normalized packets.
-    Values changed since construction are checked again, as in WavePacket.
     """
-    _check_correlation(w.g2)
     return float(np.trapezoid(w.g2, w.tau_ns))
 
 
@@ -600,5 +612,4 @@ def rise_time_convolve(w: WavePacket, rc_ns: float) -> WavePacket:
     t = delay_axis(20.0 * rc_ns, w.bin_ns, name="rise-time kernel length")
     kernel = np.exp(-t / rc_ns)
     kernel /= kernel.sum()
-    smeared = np.convolve(w.g2, kernel)[: w.g2.size]
-    return WavePacket(w.tau_ns, smeared, w.bin_ns)
+    return w._with_g2(np.convolve(w.g2, kernel)[: w.g2.size])

@@ -147,9 +147,18 @@ class Scenario:
     @cached_property
     def sha256(self) -> str:
         """sha256, to 16 hex digits, of every field of every part in order: the
-        resolved config values.  Numpy scalars hash as the numbers they equal."""
-        text = json.dumps(astuple(self), default=lambda value: value.item())
+        resolved config values.  Numpy scalars hash as the numbers they equal,
+        and -0.0 as 0.0, which it equals."""
+        text = json.dumps(_unsigned_zeros(astuple(self)), default=lambda value: value.item())
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _unsigned_zeros(value):
+    """``value``, a tuple or a leaf of nested tuples, with each float -0.0 as 0.0."""
+    if isinstance(value, tuple):
+        return tuple(_unsigned_zeros(item) for item in value)
+    # -0.0 + 0.0 is 0.0; any other float is unchanged.
+    return value + 0.0 if isinstance(value, float) else value
 
 
 def load_config(path: str | Path | None = None) -> Scenario:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .analysis import background_rate
-from .biphoton import WavePacket, _check_correlation, _check_delay_grid, _check_delay_span
+from .biphoton import WavePacket, _check_delay_grid, _check_delay_span
 from .errors import UsageError
 
 if TYPE_CHECKING:
@@ -111,7 +111,7 @@ class CoincidenceHistogram:
 
     def to_wavepacket(self) -> WavePacket:
         """View the counts as a wave packet for the exponential fitter."""
-        return WavePacket(self.delay_ns, self.counts.astype(float), self.bin_ns)
+        return WavePacket(self.delay_ns, self.counts, self.bin_ns)
 
 
 def expected_bins(
@@ -144,9 +144,10 @@ def expected_bins(
             raise UsageError("peak SBR must be nonnegative")
         peak = float(w.g2.max())
         scale = 0.0 if peak == 0.0 else peak_sbr * bkg_per_bin / peak
+    # The packet's values, the scale and the background are nonnegative.
     means = bkg_per_bin + scale * w.g2
-    if np.any(~np.isfinite(means)) or np.any(means < 0):
-        raise UsageError("expected counts must be finite and nonnegative")
+    if not np.isfinite(means).all():
+        raise UsageError("expected counts must be finite")
     if np.any(means > _POISSON_MAX):
         knob = "peak_sbr" if peak_sbr is not None else "success_probability"
         raise UsageError(
@@ -186,13 +187,11 @@ def generate_timetags(
     the normalized wave-packet density (uniform within a bin).  Uncorrelated
     partner events ride on top as a Poisson process at the power-dependent
     background rate, which includes dark counts.  More than
-    MAX_TIMETAG_EVENTS expected events, a model without a success
-    probability, or a non-finite or negative packet value is a UsageError.
+    MAX_TIMETAG_EVENTS expected events, or a model without a success
+    probability, is a UsageError.
     """
     if dm.success_probability is None:
         raise UsageError("time tags need the model's success_probability")
-    # Packets are mutable: the values may have changed since construction.
-    _check_correlation(w.g2)
     events = (dm.trigger_rate + background_rate(p_mw)) * dm.accumulation_s
     if events > MAX_TIMETAG_EVENTS:
         raise UsageError(

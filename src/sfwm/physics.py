@@ -76,6 +76,16 @@ from .units import GAMMA_HZ, frequency_to_hz
 MAX_NODES = 1 << 20
 # Fewest samples of a spectrum whose width spectrum_fwhm measures.
 MIN_WIDTH_POINTS = 5
+# Largest magnitude of a spectrum's transmission and of a packet value the
+# decay fit takes: a million of their squares still sum within the float range.
+MAX_SAMPLE_VALUE = 1e150
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``, which stay as they were."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def _require_finite(name: str, value) -> None:
@@ -184,18 +194,21 @@ class DopplerQuadrature:
         return gauss
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Transmission on a detuning grid (Gamma units).  The detunings are
-    non-empty, finite and strictly increasing, else UsageError, so the edge
-    samples that the baseline reads are the outermost detunings."""
+    """Transmission on a detuning grid (Gamma units), a read-only record of
+    read-only copies of the arrays given.  The detunings are non-empty,
+    finite and strictly increasing, so the edge samples that the baseline
+    reads are the outermost detunings, and the transmissions are finite and
+    at most MAX_SAMPLE_VALUE in magnitude, so the baseline's sums cannot
+    overflow.  Else UsageError."""
 
     delta: np.ndarray
     transmission: np.ndarray
 
     def __post_init__(self):
-        self.delta = np.asarray(self.delta, dtype=float)
-        self.transmission = np.asarray(self.transmission, dtype=float)
+        object.__setattr__(self, "delta", _frozen(self.delta))
+        object.__setattr__(self, "transmission", _frozen(self.transmission))
         if self.delta.size != self.transmission.size:
             raise UsageError("delta and transmission lengths differ")
         if self.delta.size == 0:
@@ -204,6 +217,16 @@ class Spectrum:
             raise UsageError("detuning grid must be finite")
         if self.delta.size > 1 and not (np.diff(self.delta) > 0).all():
             raise UsageError("detuning grid must be strictly increasing")
+        # Written so that nan fails the comparison.
+        if not (np.abs(self.transmission) <= MAX_SAMPLE_VALUE).all():
+            raise UsageError(
+                "spectrum transmissions must be finite and at most "
+                f"{MAX_SAMPLE_VALUE:g} in magnitude"
+            )
+
+    def __reduce__(self):
+        # Copies and unpickled spectra are built again: checked, and read-only.
+        return Spectrum, (self.delta, self.transmission)
 
 
 def _cross_prefactor(m: MediumParams) -> float:
@@ -472,17 +495,9 @@ def _edges(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectrum_baseline(s: Spectrum) -> float:
-    """Baseline transmission: mean over the outermost 10% of samples per side.
-    A non-finite transmission anywhere is a UsageError."""
-    if not np.isfinite(s.transmission).all():
-        raise UsageError("spectrum transmissions must be finite")
+    """Baseline transmission: mean over the outermost 10% of samples per side."""
     left, right = _edges(s.transmission)
-    with np.errstate(over="ignore"):
-        baseline = 0.5 * (left.mean() + right.mean())
-    if not np.isfinite(baseline):  # the sums overflowed: scale the values into [-1, 1]
-        scale = max(np.abs(left).max(), np.abs(right).max())
-        baseline = scale * (0.5 * ((left / scale).mean() + (right / scale).mean()))
-    return float(baseline)
+    return float(0.5 * (left.mean() + right.mean()))
 
 
 def spectrum_fwhm(s: Spectrum) -> float:

@@ -223,17 +223,25 @@ class TestFitExponential:
     @pytest.mark.parametrize("index", [3, 100])  # baseline window, fit region
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_values_are_usage_error(self, index, value):
+        """The packet refuses them when it is built, and cannot take them
+        later, so the fit never sees them."""
         w = exponential_packet(500.0, 260.0, baseline=100.0)
-        w.g2[index] = value
-        with pytest.raises(UsageError):
-            sfwm.fit_exponential(w)
+        g2 = w.g2.copy()
+        g2[index] = value
+        with pytest.raises(UsageError, match="finite and nonnegative"):
+            sfwm.WavePacket(w.tau_ns, g2, w.bin_ns)
+        with pytest.raises(ValueError, match="read-only"):
+            w.g2[index] = value
 
     def test_nonfinite_delays_or_onset_are_usage_error(self):
         w = exponential_packet(500.0, 260.0, baseline=100.0)
-        w.tau_ns[-1] = np.inf
-        with pytest.raises(UsageError):
-            sfwm.fit_exponential(w)
-        with pytest.raises(UsageError):
+        tau = w.tau_ns.copy()
+        tau[-1] = np.inf
+        with pytest.raises(UsageError, match="delay grid"):
+            sfwm.WavePacket(tau, w.g2, w.bin_ns)
+        with pytest.raises(ValueError, match="read-only"):
+            w.tau_ns[-1] = np.inf
+        with pytest.raises(UsageError, match="onset must be finite"):
             sfwm.fit_exponential(exponential_packet(500.0, 260.0), x0_ns=np.nan)
 
     def test_values_past_1e150_are_usage_error_without_overflow(self):
@@ -616,10 +624,15 @@ class TestFitEit:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_spectrum_is_usage_error(self, value):
+        """The spectrum refuses it when it is built, and cannot take it
+        later, so the fit never sees it."""
         data = self._spectrum(80.0, 2.6, 0.028)
-        data.transmission[120] = value
-        with pytest.raises(UsageError):
-            sfwm.fit_eit(data, sfwm.MediumParams(alpha_s=70.0, gamma=0.02), sfwm.DriveParams(2.0))
+        transmission = data.transmission.copy()
+        transmission[120] = value
+        with pytest.raises(UsageError, match="spectrum transmissions must be finite"):
+            sfwm.Spectrum(data.delta, transmission)
+        with pytest.raises(ValueError, match="read-only"):
+            data.transmission[120] = value
 
 
 def _noisy_eit_cases():

@@ -324,6 +324,22 @@ class TestFitCommands:
         assert captured.out == ""
         assert "detuning grid must be strictly increasing" in captured.err
 
+    def test_fit_eit_transmission_past_1e150_is_usage_error(self, tmp_path, capsys):
+        """Past the spectrum's limit the baseline's sums could overflow; the
+        input is refused (exit 2) before the fit, which ended in an
+        InversionError (exit 3)."""
+        out, bright = tmp_path / "eit.csv", tmp_path / "bright.csv"
+        assert main(["simulate-eit", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        lines[first] = lines[first].split(",")[0] + ",1e200"
+        bright.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit-eit", "--csv", str(bright)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spectrum transmissions must be finite and at most 1e+150" in captured.err
+
     def test_fit_eit_malformed_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("detuning_hz,transmission\n1.0,not_a_number\n")

@@ -279,10 +279,17 @@ def test_every_key_changes_the_hash(tmp_path, section, key):
 
 
 @pytest.mark.parametrize(
-    "text", ["[medium]\nod_stokes = 80\n", "# a comment only\n", "[run]\nseed = 1\n"]
+    "text",
+    [
+        "[medium]\nod_stokes = 80\n",
+        "# a comment only\n",
+        "[run]\nseed = 1\n",
+        "[etalons]\ncenters_mhz = -0, 0\n",
+    ],
 )
 def test_equal_run_values_hash_alike(tmp_path, text):
-    """The hash is of the resolved values, not of the file's bytes."""
+    """The hash is of the resolved values, not of the file's bytes; -0.0
+    equals 0.0, and hashes alike."""
     cfg = load_config(write(tmp_path, text))
     assert cfg == load_config(None)
     assert cfg.sha256 == load_config(None).sha256
