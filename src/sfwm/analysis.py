@@ -32,7 +32,6 @@ from .biphoton import (
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
-    DomainError,
     InversionError,
     NumericsError,
     PeakShapeError,
@@ -394,12 +393,15 @@ def fit_exponential(w: WavePacket, x0_ns: float = FIT_ONSET_NS) -> ExpFit:
     # describe the data (arbitrary units, noiseless models).  The sensitivity
     # of (S, tau) to the separately estimated baseline is added in quadrature.
     # A singular normal matrix means an undetermined decay: infinite errors.
-    # The Jacobian columns are dr/dS = lead_decay*e*w and
-    # dr/dtau = S*lead_decay*e*w*x/tau^2 with lead_decay = exp(-lead_ns/tau),
-    # which may underflow; S*lead_decay is the amplitude at the first fit bin.
+    # The free amplitude is a, the amplitude at the first fit bin, so the
+    # Jacobian columns dr/da = e*w and dr/dtau = a*e*w*z/tau^2 do not involve
+    # the onset.  S = a/lead_decay with lead_decay = exp(-lead_ns/tau), which
+    # may underflow; the map (a, tau) -> (S, tau) keeps tau, so tau's variance
+    # and baseline shift are those of (S, tau), and S's error follows by the
+    # delta method along the gradient (1, -a*lead_ns/tau^2)/lead_decay.
     lead_decay = math.exp(-lead_ns / tau)
-    j1 = (lead_decay * e) * weights
-    j2 = excess * weights * ((z + lead_ns) / (tau * tau))
+    j1 = e * weights
+    j2 = excess * weights * (z / (tau * tau))
     a11, a12, a22 = float(j1 @ j1), float(j1 @ j2), float(j2 @ j2)
     v1, v2 = float(j1 @ weights), float(j2 @ weights)
     det = a11 * a22 - a12 * a12
@@ -411,8 +413,13 @@ def fit_exponential(w: WavePacket, x0_ns: float = FIT_ONSET_NS) -> ExpFit:
         # Baseline shift -cov @ (J^T w) with cov = [[a22, -a12], [-a12, a11]]/det.
         amp_shift = (a12 * v2 - a22 * v1) / det * y0_err
         tau_shift = (a12 * v1 - a11 * v2) / det * y0_err
-        amp_err = math.sqrt(chi2_per_dof * max(a22 / det, 0.0) + amp_shift * amp_shift)
         tau_err = math.sqrt(chi2_per_dof * max(a11 / det, 0.0) + tau_shift * tau_shift)
+        if lead_decay > 0.0:
+            c = amp_first * lead_ns / (tau * tau)
+            amp_var = (a22 + c * (2.0 * a12 + c * a11)) / det
+            amp_shift -= c * tau_shift
+            amp_err = math.sqrt(chi2_per_dof * max(amp_var, 0.0) + amp_shift * amp_shift)
+            amp_err /= lead_decay
         # nan here is inf - inf from a nearly singular matrix: also undetermined.
         amp_err = math.inf if math.isnan(amp_err) else amp_err
         tau_err = math.inf if math.isnan(tau_err) else tau_err
@@ -443,7 +450,7 @@ def fit_exponential(w: WavePacket, x0_ns: float = FIT_ONSET_NS) -> ExpFit:
 def linewidth_from_tau(tau_ns: float) -> float:
     """Linewidth in Hz from the decay constant: 1/(2*pi*tau)."""
     if not (tau_ns > 0) or not math.isfinite(tau_ns):
-        raise DomainError(f"decay constant must be positive, got {tau_ns!r}")
+        raise UsageError(f"decay constant must be positive, got {tau_ns!r}")
     return 1.0 / (2.0 * math.pi * tau_ns * 1e-9)
 
 
@@ -466,7 +473,7 @@ def cs_violation(g2: float) -> float:
     are fixed at the thermal value 2.
     """
     if g2 < 0:
-        raise DomainError("cross-correlation must be nonnegative")
+        raise UsageError("cross-correlation must be nonnegative")
     return (g2 / 2.0) ** 2
 
 
@@ -478,23 +485,23 @@ def generation_rate(detected_pairs_per_s: float, dm: DetectionModel) -> float:
 def spectral_brightness(rate_pairs_per_s, pump_mw: float, linewidth_hz):
     """Generation rate per pump power per linewidth, pairs/(s*mW*MHz), elementwise."""
     if not (pump_mw > 0):
-        raise DomainError("pump power must be positive")
+        raise UsageError("pump power must be positive")
     if not np.all(linewidth_hz > 0):
-        raise DomainError("linewidth must be positive")
+        raise UsageError("linewidth must be positive")
     return rate_pairs_per_s / (pump_mw * linewidth_hz / 1e6)
 
 
 def omega_c_from_power(p_mw: float) -> float:
     """Coupling Rabi frequency (Gamma units) from coupling power: 2.7*sqrt(P/mW)."""
     if p_mw < 0:
-        raise DomainError("coupling power must be nonnegative")
+        raise UsageError("coupling power must be nonnegative")
     return RABI_PER_ROOT_MW * math.sqrt(p_mw)
 
 
 def background_rate(p_mw: float) -> float:
     """Uncorrelated Stokes-arm background in counts/s: 240 + 320*(P/mW)^0.53."""
     if p_mw < 0:
-        raise DomainError("coupling power must be nonnegative")
+        raise UsageError("coupling power must be nonnegative")
     return 240.0 + 320.0 * p_mw**0.53
 
 

@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AliasingError, DomainError, GridTooNarrowError, UsageError
+from .errors import AliasingError, GridTooNarrowError, UsageError
 from .physics import DopplerQuadrature, DriveParams, MediumParams, _averaged_pair, _frozen, _unfold
 from .units import frequency_to_hz, time_from_ns, time_to_ns
 
@@ -164,7 +164,7 @@ class BiphotonAmplitude:
         if self.values.size != self.grid.count:
             raise UsageError("amplitude length does not match grid count")
         if not np.all(np.isfinite(self.values)):
-            raise DomainError("amplitude contains non-finite values")
+            raise UsageError("amplitude contains non-finite values")
 
 
 @dataclass(frozen=True)
@@ -214,23 +214,11 @@ class WavePacket:
     def __post_init__(self):
         object.__setattr__(self, "tau_ns", _frozen(self.tau_ns))
         _check_delay_grid(self.tau_ns, self.bin_ns, "delay grid")
-        self._set_g2(self.g2)
-
-    def _set_g2(self, g2) -> WavePacket:
-        """Hold a read-only copy of the values ``g2``, checked; return this packet."""
-        g2 = _frozen(g2)
-        if g2.size != self.tau_ns.size:
+        object.__setattr__(self, "g2", _frozen(self.g2))
+        if self.g2.size != self.tau_ns.size:
             raise UsageError("tau and g2 lengths differ")
-        if not (np.isfinite(g2).all() and (g2 >= 0).all()):
+        if not (np.isfinite(self.g2).all() and (self.g2 >= 0).all()):
             raise UsageError("correlation values must be finite and nonnegative")
-        object.__setattr__(self, "g2", g2)
-        return self
-
-    def _with_g2(self, g2) -> WavePacket:
-        """This packet's delays, not checked again, with the values ``g2``, checked."""
-        packet = object.__new__(WavePacket)
-        packet.__dict__.update(self.__dict__)
-        return packet._set_g2(g2)
 
     def __reduce__(self):
         # Copies and unpickled packets are built again: checked, and read-only.
@@ -279,7 +267,7 @@ def spectral_amplitude(
 
     Raises GridTooNarrowError if the amplitude has not decayed below
     EDGE_DECAY_TOL of its peak at the grid edges (a zero amplitude, as with
-    omega_p = 0, passes trivially), and DomainError where the cross response
+    omega_p = 0, passes trivially), and UsageError where the cross response
     overflows, as it does at decay rates far past any vapor's.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -426,8 +414,8 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
     tau_ns = np.asarray(tau_ns, dtype=float)
     if tau_ns.size < 2:
         raise UsageError("delay grid needs at least two samples")
-    # The packet's constructor checks the delay grid; g2 is filled in below.
-    packet = WavePacket(tau_ns, np.zeros(tau_ns.size), float(tau_ns[1] - tau_ns[0]))
+    bin_ns = float(tau_ns[1] - tau_ns[0])
+    _check_delay_grid(tau_ns, bin_ns, "delay grid")
     if not math.isfinite(onset_ns):
         raise UsageError(f"onset must be finite, got {onset_ns!r} ns")
     h = a.grid.spacing
@@ -473,7 +461,7 @@ def wavepacket(a: BiphotonAmplitude, tau_ns, onset_ns: float) -> WavePacket:
     # g2 = y.real**2 + y.imag**2
     g2 = np.square(y.real)
     g2 += np.square(y.imag, out=y.imag)
-    return packet._with_g2(g2)
+    return WavePacket(tau_ns, g2, bin_ns)
 
 
 def _locked_spacing(gamma: float, n_tau: int, step: float, first: float) -> float:
@@ -612,4 +600,4 @@ def rise_time_convolve(w: WavePacket, rc_ns: float) -> WavePacket:
     t = delay_axis(20.0 * rc_ns, w.bin_ns, name="rise-time kernel length")
     kernel = np.exp(-t / rc_ns)
     kernel /= kernel.sum()
-    return w._with_g2(np.convolve(w.g2, kernel)[: w.g2.size])
+    return WavePacket(w.tau_ns, np.convolve(w.g2, kernel)[: w.g2.size], w.bin_ns)

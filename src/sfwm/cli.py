@@ -187,7 +187,7 @@ def cmd_fit_biphoton(args) -> int:
     tau = data[:, 0]
     if tau.size < 2:
         raise UsageError("need at least two delay samples")
-    packet = WavePacket(tau, np.maximum(data[:, 1], 0.0), float(tau[1] - tau[0]))
+    packet = WavePacket(tau, data[:, 1], float(tau[1] - tau[0]))
     fit = fit_exponential(packet, x0_ns=scenario.fit_onset_ns)
     ratio = sbr(fit)
     _report(

@@ -15,10 +15,6 @@ class UsageError(SfwmError, ValueError):
     """Invalid argument, configuration, or call sequence."""
 
 
-class DomainError(UsageError):
-    """Numeric input outside the domain of an operation (non-finite, wrong sign)."""
-
-
 class NumericsError(SfwmError, RuntimeError):
     """A numerical procedure failed or refused to run."""
 

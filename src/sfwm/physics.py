@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PeakShapeError, UsageError
+from .errors import PeakShapeError, UsageError
 from .units import GAMMA_HZ, frequency_to_hz
 
 # Most nodes of a Doppler quadrature (8 MB per node array), and most terms
@@ -90,7 +90,7 @@ def _frozen(values) -> np.ndarray:
 
 def _require_finite(name: str, value) -> None:
     if not np.all(np.isfinite(value)):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise UsageError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

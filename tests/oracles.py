@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from sfwm.biphoton import WavePacket
-from sfwm.errors import DomainError, PeakShapeError, UsageError
+from sfwm.errors import PeakShapeError, UsageError
 from sfwm.physics import (
     _INV_SQRT_PI,
     _W_COEFFS,
@@ -76,7 +76,7 @@ def doppler_average(
     nodes = q.nodes(m)
     values = np.asarray(f(nodes))
     if not np.all(np.isfinite(values)):
-        raise DomainError("integrand returned non-finite values on the Doppler grid")
+        raise UsageError("integrand returned non-finite values on the Doppler grid")
     return complex(np.sum(values * q.weights(m)))
 
 

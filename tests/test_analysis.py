@@ -13,7 +13,6 @@ from sfwm import analysis, physics
 from sfwm.errors import (
     ConvergenceError,
     DegenerateDataError,
-    DomainError,
     InversionError,
     UsageError,
 )
@@ -209,6 +208,23 @@ class TestFitExponential:
         fit = sfwm.fit_exponential(w, x0_ns=-1e6)
         assert fit.amplitude == math.inf and fit.amplitude_err == math.inf
         assert fit.tau_ns == pytest.approx(260.0, rel=1e-6)
+
+    def test_decay_error_does_not_depend_on_an_onset_before_the_data(self):
+        """Every onset at or before the first delay fits the same bins, so
+        the same decay constant with the same error and no warning, also
+        where exp(-lead/tau) underflows (-1e6 ns) and where a Jacobian
+        column in lead/tau^2 would overflow its sums (-1e300 ns)."""
+        t = np.arange(0.0, 4000.0, 25.6)
+        mean = 10.0 + np.where(t >= 200.0, 420.0 * np.exp(-(t - 200.0) / 260.0), 0.0)
+        w = sfwm.WavePacket(t, np.random.default_rng(1).poisson(mean), 25.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = [sfwm.fit_exponential(w, x0_ns=x0) for x0 in (0.0, -1e3, -1e6, -1e300)]
+        assert math.isfinite(fits[0].tau_err)
+        for fit in fits[1:]:
+            assert (fit.tau_ns, fit.tau_err) == (fits[0].tau_ns, fits[0].tau_err)
+        assert math.isfinite(fits[1].amplitude_err)
+        assert fits[2].amplitude == fits[2].amplitude_err == math.inf
 
     def test_all_zero_data(self):
         w = sfwm.WavePacket(np.arange(0.0, 4000.0, 25.6), np.zeros(157), 25.6)
@@ -448,7 +464,7 @@ class TestScalarMetrics:
         assert sfwm.linewidth_from_tau(tau_ns) == pytest.approx(1.0, rel=1e-12)
 
     def test_linewidth_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.linewidth_from_tau(0.0)
 
     def _fit(self, amplitude, baseline):
@@ -475,7 +491,7 @@ class TestScalarMetrics:
             assert sfwm.cs_violation(g2) == pytest.approx(g2**2 / 4.0, rel=1e-14)
 
     def test_cs_violation_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.cs_violation(-1.0)
 
     def test_generation_rate(self):
@@ -490,26 +506,26 @@ class TestScalarMetrics:
         assert sfwm.spectral_brightness(0.0, 0.5, 0.61e6) == 0.0
         base = sfwm.spectral_brightness(915.0, 0.5, 0.61e6)
         assert sfwm.spectral_brightness(915.0, 1.0, 0.61e6) == 0.5 * base
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.spectral_brightness(1.0, 0.0, 1e6)
         rates, widths = np.array([915.0, 0.0, 40.0]), np.array([0.61e6, 0.29e6, 1e5])
         each = [sfwm.spectral_brightness(r, 0.5, w) for r, w in zip(rates, widths)]
         assert np.array_equal(sfwm.spectral_brightness(rates, 0.5, widths), each)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.spectral_brightness(rates, 0.5, np.array([0.61e6, 0.0, 1e5]))
 
     def test_omega_c_from_power(self):
         assert sfwm.omega_c_from_power(1.0) == 2.7
         assert sfwm.omega_c_from_power(0.0) == 0.0
         assert sfwm.omega_c_from_power(0.05) == pytest.approx(0.6037, abs=2e-4)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.omega_c_from_power(-0.1)
 
     def test_background_rate(self):
         assert sfwm.background_rate(0.0) == 240.0
         assert sfwm.background_rate(1.0) == 560.0
         assert sfwm.background_rate(0.05) == pytest.approx(305.4, abs=0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.background_rate(-0.1)
 
 

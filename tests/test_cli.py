@@ -406,6 +406,22 @@ class TestFitCommands:
         assert main(["fit-biphoton", "--csv", str(path)]) == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_fit_biphoton_negative_value_is_usage_error(self, tmp_path, capsys):
+        """A simulated packet is fitted; with its first value at -1 it is
+        refused, not clipped to 0 and fitted."""
+        out, negative = tmp_path / "packet.csv", tmp_path / "negative.csv"
+        assert main(["simulate-biphoton", "--out", str(out)]) == 0
+        assert main(["fit-biphoton", "--csv", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if not line.startswith("#")) + 1
+        lines[first] = lines[first].split(",")[0] + ",-1"
+        negative.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit-biphoton", "--csv", str(negative)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "correlation values must be finite and nonnegative" in captured.err
+
     def test_fit_biphoton_flat_file(self, tmp_path, capsys):
         t = np.arange(0.0, 4000.0, 25.6)
         path = tmp_path / "flat.csv"

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.special import wofz
 
 import sfwm
-from sfwm.errors import DomainError, PeakShapeError, UsageError
+from sfwm.errors import PeakShapeError, UsageError
 from sfwm.biphoton import _grid_delta
 from sfwm.physics import (
     _FADDEEVA_CHUNK, MAX_NODES, MIN_WIDTH_POINTS, _averaged_pair, _faddeeva, _transmission,
@@ -42,13 +42,13 @@ class TestParams:
             sfwm.MediumParams(alpha_s=-1.0, gamma=0.02)
         with pytest.raises(UsageError):
             sfwm.MediumParams(alpha_s=80.0, gamma=-0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.MediumParams(alpha_s=float("nan"), gamma=0.02)
 
     def test_invalid_drive(self):
         with pytest.raises(UsageError):
             sfwm.DriveParams(omega_c=-2.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             sfwm.DriveParams(omega_c=1.0, delta_p=float("inf"))
 
     def test_quadrature_invariants(self):
@@ -223,7 +223,7 @@ class TestDopplerAverage:
             assert abs(cross_trap - cross_closed) / abs(cross_closed) < 1e-6
 
     def test_nonfinite_integrand_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError):
             doppler_average(lambda w: np.full(w.shape, np.nan), medium())
 
 
